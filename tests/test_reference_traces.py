@@ -1,0 +1,74 @@
+"""Reference-trace gate: the deterministic traces of the three bundled
+scenarios, cut to 200 steps, against committed copies in tests/data.
+
+A change that keeps the controller's arithmetic reproduces these files bit
+for bit.  Status and integer columns are compared exactly, the real-valued
+columns at rtol 1e-12 / atol 1e-14, so a different BLAS build does not trip
+the gate while any change of behaviour does.
+
+The files are ``trace.csv`` of ``lbmpc simulate <scenario> --deterministic``
+with ``LBMPC_RUN_STEPS=200``.  To regenerate them after a deliberate change
+of behaviour (and say so in CHANGES.md), run from the repository root:
+
+    PYTHONPATH=src python tests/test_reference_traces.py
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from lbmpc import config, runtime
+from lbmpc.cli import SCENARIO_DIR
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SCENARIOS = ("linear", "dnn", "l2nw")
+STEPS = 200
+EXACT = ("t", "generation", "status", "sqp_iters", "shift_feasible", "h_in_w")
+
+
+def reference_path(name):
+    return os.path.join(DATA, "reference_%s.csv" % name)
+
+
+def trace_csv(name):
+    """Deterministic trace of a bundled scenario, as the CLI writes it."""
+    s = config.load_scenario(os.path.join(SCENARIO_DIR, name + ".ini"),
+                             environ={})
+    s = dataclasses.replace(
+        s, run=dataclasses.replace(s.run, steps=STEPS),
+        schedule=dataclasses.replace(s.schedule, deterministic=True))
+    return runtime.run_closed_loop(s).to_csv()
+
+
+def columns(text):
+    lines = text.strip().split("\n")
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return header, {h: [r[j] for r in rows] for j, h in enumerate(header)}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_matches_reference(name):
+    with open(reference_path(name)) as fh:
+        ref_header, ref = columns(fh.read())
+    header, got = columns(trace_csv(name))
+    assert header == ref_header
+    assert len(got["t"]) == len(ref["t"]) == STEPS
+    for col in header:
+        if col in EXACT:
+            assert got[col] == ref[col], col
+        else:
+            np.testing.assert_allclose(
+                np.array(got[col], dtype=float),
+                np.array(ref[col], dtype=float),
+                rtol=1e-12, atol=1e-14, err_msg=col)
+
+
+if __name__ == "__main__":
+    os.makedirs(DATA, exist_ok=True)
+    for scenario in SCENARIOS:
+        with open(reference_path(scenario), "w") as fh:
+            fh.write(trace_csv(scenario))
+        print("wrote", reference_path(scenario))
