@@ -13,14 +13,14 @@ from .polytope import (Polytope, PolytopeError, EmptyResult, Unbounded,
 from .plant import (MooreGreitzerParams, TruthSimulator, PlantModel,
                     mg_rhs, linearize_discretize, truth_residual, estimate_W)
 from .oracle import (NetworkArch, OracleState, new_oracle, predict, adapt,
-                     train_hidden, swap_hidden, ReplayBuffer, buffer_push,
-                     L2nwEstimator, l2nw_predict)
+                     train_hidden, swap_hidden, ReplayBuffer, L2nwEstimator,
+                     l2nw_predict)
 from .qp import QpProblem, QpSolution, qp_solve, QpError, QpInfeasible
 from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, build_lbmpc,
                   build_margins, solve_lbmpc, solve_linear_mpc, shift_solution,
                   synthesize_gain, synthesize_tube_gain, solve_lyapunov_P,
                   MpcError, MpcInfeasible, EmptyTightenedSet)
-from .runtime import (ScheduleConfig, ClosedLoopTrace, run_closed_loop,
+from .runtime import (ClosedLoopTrace, run_closed_loop,
                       build_setup, metrics, compare, MetricsReport,
                       RuntimeFailure, InfeasibleAtStart)
 from .config import (Scenario, ConfigError, parse_scenario, load_scenario,

@@ -44,15 +44,9 @@ def _load(path, args):
     scenario = cfgmod.load_scenario(path)
     sched = scenario.schedule
     if args.deterministic:
-        sched = cfgmod.ScheduleSection(
-            copy_period=sched.copy_period, train_fill=sched.train_fill,
-            min_new_samples=sched.min_new_samples, deterministic=True,
-            seed=sched.seed)
+        sched = dataclasses.replace(sched, deterministic=True)
     if args.seed is not None:
-        sched = cfgmod.ScheduleSection(
-            copy_period=sched.copy_period, train_fill=sched.train_fill,
-            min_new_samples=sched.min_new_samples,
-            deterministic=sched.deterministic, seed=args.seed)
+        sched = dataclasses.replace(sched, seed=args.seed)
     plant_sec = scenario.plant
     if args.root_on_massflow:
         plant_sec = dataclasses.replace(plant_sec, root_on_massflow=True)

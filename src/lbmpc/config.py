@@ -13,9 +13,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 
 ENV_PREFIX = "LBMPC_"
@@ -158,6 +156,8 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("schedule.copy_period must be >= 1")
     if not (0.0 < s.schedule.train_fill <= 1.0):
         raise ConfigError("schedule.train_fill must be in (0, 1]")
+    if s.schedule.min_new_samples < 1:
+        raise ConfigError("schedule.min_new_samples must be >= 1")
     if not (0.0 < s.run.band < 1.0):
         raise ConfigError("run.band must be in (0, 1)")
     wr = s.plant.w_region

@@ -6,17 +6,25 @@ zbar (linear in c) with tube-tightened sets, so feasibility is untouched by
 the oracle; the cost is evaluated on the learned trajectory z, which rolls
 the oracle estimate through the dynamics and is handled by a short
 Gauss-Newton SQP loop.
+
+An oracle adapter gives the solver one method, ``rollout(A, B, x, v)``: the
+learned trajectory z (z_0 = x, z_{i+1} = A z_i + B v_i + h(z_i, v_i)) stacked
+over i = 0..N, and the stage Jacobians dh/d(z_i, v_i) as an (N, d, d+m)
+array, from which the solver propagates dz/dc.  The network rolls out with
+its chain-rule products batched over stages; the kernel and zero oracles go
+stage by stage.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import qp as qpmod
+from . import oracle as om, qp as qpmod
 from .polytope import (Polytope, TighteningData, NotSchurStable, spectral_radius,
                        tube_margins, _solve_lp)
 
@@ -169,6 +177,22 @@ def default_controller(model, N: int, Q, R) -> ControllerConfig:
 # oracle handles seen by the solver
 
 
+def _stagewise_rollout(A, B, x, v, stage):
+    """Rollout through ``stage(z_i, v_i) -> (h, dh/dz, dh/dv)``, one stage
+    after the other."""
+    d, m = B.shape
+    N = v.size // m
+    z = np.zeros((N + 1) * d)
+    z[:d] = x
+    Jh = np.zeros((N, d, d + m))
+    for i in range(N):
+        zi = z[i * d:(i + 1) * d]
+        vi = v[i * m:(i + 1) * m]
+        hi, Jh[i, :, :d], Jh[i, :, d:] = stage(zi, vi)
+        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + hi
+    return z, Jh
+
+
 class ZeroOracle:
     """h-hat == 0; collapses LBMPC to the linear tube MPC baseline."""
 
@@ -177,16 +201,10 @@ class ZeroOracle:
     def predict(self, x, u):
         return np.zeros(np.asarray(x).reshape(-1).size)
 
-    def jacobian(self, x, u):
-        x = np.asarray(x).reshape(-1)
-        u = np.atleast_1d(np.asarray(u)).reshape(-1)
-        return np.zeros((x.size, x.size)), np.zeros((x.size, u.size))
-
-    def value_and_jacobian(self, x, u):
-        x = np.asarray(x).reshape(-1)
-        u = np.atleast_1d(np.asarray(u)).reshape(-1)
-        return (np.zeros(x.size), np.zeros((x.size, x.size)),
-                np.zeros((x.size, u.size)))
+    def rollout(self, A, B, x, v):
+        d, m = B.shape
+        zero = (np.zeros(d), np.zeros((d, d)), np.zeros((d, m)))
+        return _stagewise_rollout(A, B, x, v, lambda z, u: zero)
 
 
 class DnnOracle:
@@ -197,17 +215,31 @@ class DnnOracle:
     def __init__(self, state):
         self.state = state
 
-    def predict(self, x, u):
-        from . import oracle as om
-        return om.predict(self.state, x, u)
-
-    def jacobian(self, x, u):
-        from . import oracle as om
-        return om.input_jacobian(self.state, x, u)
-
-    def value_and_jacobian(self, x, u):
-        from . import oracle as om
-        return om.predict_and_jacobian(self.state, x, u)
+    def rollout(self, A, B, x, v):
+        """The forward pass is sequential (each stage feeds the next), but
+        the tanh chain-rule products are independent across stages once the
+        activations are known, so they run as one batched matmul per layer.
+        """
+        d, m = B.shape
+        N = v.size // m
+        hidden = self.state.hidden
+        K0, K1 = self.state.K[0], self.state.K[1:]
+        z = np.zeros((N + 1) * d)
+        z[:d] = x
+        acts = [np.empty((N, Wl.shape[1])) for Wl, _ in hidden]
+        for i in range(N):
+            zi = z[i * d:(i + 1) * d]
+            vi = v[i * m:(i + 1) * m]
+            a = np.concatenate([zi, vi])
+            for li, (Wl, bl) in enumerate(hidden):
+                a = np.tanh(a @ Wl + bl)
+                acts[li][i] = a
+            z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + (K0 + a @ K1)
+        J = None
+        for (Wl, _), al in zip(hidden, acts):
+            layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
+            J = layer if J is None else layer @ J
+        return z, np.matmul(K1.T, J)
 
 
 class L2nwOracle:
@@ -219,16 +251,11 @@ class L2nwOracle:
         self.est = est
 
     def predict(self, x, u):
-        from . import oracle as om
         return om.l2nw_predict(self.est, x, u)
 
-    def jacobian(self, x, u):
-        from . import oracle as om
-        return om.l2nw_jacobian(self.est, x, u)
-
-    def value_and_jacobian(self, x, u):
-        from . import oracle as om
-        return om.l2nw_predict_and_jacobian(self.est, x, u)
+    def rollout(self, A, B, x, v):
+        return _stagewise_rollout(
+            A, B, x, v, partial(om.l2nw_predict_and_jacobian, self.est))
 
 
 # ---------------------------------------------------------------------------
@@ -379,69 +406,18 @@ def shift_solution(prev: MpcSolution, m: int):
     return c
 
 
-def _learned_rollout_dnn(p: LbmpcProblem, x, c, state):
-    """Network-oracle rollout with the stage Jacobians batched.
-
-    The forward pass is inherently sequential (each stage feeds the next),
-    but the tanh chain-rule products are independent across stages once the
-    activations are known, so they run as one batched matmul per layer.
-    """
-    model, cfg = p.model, p.cfg
-    d, m, N = model.d, model.m, cfg.N
+def _learned_rollout(p: LbmpcProblem, x, c):
+    """Nominal and learned trajectories, and dz/dc (stacked)."""
+    A, B = p.model.A, p.model.B
+    d, m = B.shape
     zbar, v = p.nominal_traj(x, c)
-    A, B = model.A, model.B
-    hidden = state.hidden
-    K0, K1 = state.K[0], state.K[1:]
-    z = np.zeros((N + 1) * d)
-    z[:d] = x
-    acts = [np.empty((N, Wl.shape[1])) for Wl, _ in hidden]
-    for i in range(N):
-        zi = z[i * d:(i + 1) * d]
-        vi = v[i * m:(i + 1) * m]
-        a = np.concatenate([zi, vi])
-        for li, (Wl, bl) in enumerate(hidden):
-            a = np.tanh(a @ Wl + bl)
-            acts[li][i] = a
-        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + (K0 + a @ K1)
-    J = None
-    for (Wl, _), al in zip(hidden, acts):
-        layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
-        J = layer if J is None else layer @ J
-    if J is None:
-        J = np.broadcast_to(np.eye(d + m), (N, d + m, d + m))
-    Jh = np.matmul(K1.T, J)
-    Jz = np.zeros(((N + 1) * d, N * m))
-    for i in range(N):
+    z, Jh = p.oracle.rollout(A, B, x, v)
+    Jz = np.zeros((z.size, p.n_dec))
+    for i in range(p.cfg.N):
         dv_dc = p.Tv[i * m:(i + 1) * m]
         Jz[(i + 1) * d:(i + 2) * d] = (
             (A + Jh[i, :, :d]) @ Jz[i * d:(i + 1) * d]
             + (B + Jh[i, :, d:]) @ dv_dc)
-    return zbar, v, z, Jz
-
-
-def _learned_rollout(p: LbmpcProblem, x, c):
-    """Learned trajectory z and its Jacobian dz/dc (stacked)."""
-    if isinstance(p.oracle, DnnOracle):
-        return _learned_rollout_dnn(p, x, c, p.oracle.state)
-    model, cfg = p.model, p.cfg
-    d, m, N = model.d, model.m, cfg.N
-    zbar, v = p.nominal_traj(x, c)
-    z = np.zeros((N + 1) * d)
-    z[:d] = x
-    Jz = np.zeros(((N + 1) * d, N * m))
-    fused = getattr(p.oracle, "value_and_jacobian", None)
-    for i in range(N):
-        zi = z[i * d:(i + 1) * d]
-        vi = v[i * m:(i + 1) * m]
-        if fused is not None:
-            hi, dh_dx, dh_du = fused(zi, vi)
-        else:
-            hi = p.oracle.predict(zi, vi)
-            dh_dx, dh_du = p.oracle.jacobian(zi, vi)
-        z[(i + 1) * d:(i + 2) * d] = model.A @ zi + model.B @ vi + hi
-        dv_dc = p.Tv[i * m:(i + 1) * m]
-        Jz[(i + 1) * d:(i + 2) * d] = ((model.A + dh_dx) @ Jz[i * d:(i + 1) * d]
-                                       + (model.B + dh_du) @ dv_dc)
     return zbar, v, z, Jz
 
 

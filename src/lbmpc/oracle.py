@@ -4,14 +4,16 @@ The neural oracle is a feed-forward stack with a bounded (tanh) last hidden
 layer.  Its output layer is adapted in real time by a projection-based update
 that keeps every weight column inside a known norm ball; the hidden stack is
 retrained separately on buffered data with the output layer frozen, and
-swapped in whole generations.
+swapped in whole generations.  The network's replay buffer and the kernel
+baseline keep their samples in the same preallocated ring, ReplayBuffer.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -144,12 +146,6 @@ def predict_from_features(state: OracleState, phi: np.ndarray) -> np.ndarray:
     return phi @ state.K
 
 
-def input_jacobian(state: OracleState, x, u):
-    """d(K'phi)/d(x,u) split into (d/dx, d/du) via the tanh chain rule."""
-    _, Jx, Ju = predict_and_jacobian(state, x, u)
-    return Jx, Ju
-
-
 def predict_and_jacobian(state: OracleState, x, u):
     """(h, dh/dx, dh/du) from a single forward pass (hot path of the SQP)."""
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
@@ -222,50 +218,64 @@ def swap_hidden(state: OracleState, new_hidden: HiddenStack) -> OracleState:
 
 @dataclass
 class ReplayBuffer:
-    """Bounded store of ((x, u), h) training pairs.
+    """Bounded ring of ((x, u), h) training pairs in preallocated arrays.
 
-    Write policies once full: 'fifo' overwrites the oldest entry;
+    Slots fill in order.  Once full, 'fifo' overwrites the oldest entry;
     'diversity' evicts the stored entry closest to the newcomer, but only if
     doing so increases the minimum pairwise input distance, otherwise falls
-    back to FIFO.
+    back to FIFO.  ``inputs`` and ``labels`` are views of the filled rows in
+    slot order.
     """
 
     capacity: int
+    n_in: int
+    n_out: int
     policy: str = "fifo"
-    inputs: List[np.ndarray] = field(default_factory=list)
-    labels: List[np.ndarray] = field(default_factory=list)
-    _oldest: int = 0
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
         if self.policy not in ("fifo", "diversity"):
             raise ValueError("unknown write policy %r" % self.policy)
+        self._X = np.zeros((self.capacity, self.n_in))
+        self._H = np.zeros((self.capacity, self.n_out))
+        self._count = 0
+        self._oldest = 0
 
     def __len__(self):
-        return len(self.inputs)
+        return self._count
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self._X[:self._count]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._H[:self._count]
 
     def push(self, xu, h):
         xu = np.asarray(xu, dtype=float).reshape(-1)
         h = np.asarray(h, dtype=float).reshape(-1)
+        if xu.shape != (self.n_in,) or h.shape != (self.n_out,):
+            raise ValueError("sample shape does not match the buffer")
         if not (np.all(np.isfinite(xu)) and np.all(np.isfinite(h))):
             raise ValueError("non-finite sample")
-        if len(self.inputs) < self.capacity:
-            self.inputs.append(xu)
-            self.labels.append(h)
-            return
-        idx = self._oldest
-        if self.policy == "diversity":
-            div_idx = self._diversity_slot(xu)
-            if div_idx is not None:
-                idx = div_idx
-        self.inputs[idx] = xu
-        self.labels[idx] = h
-        if idx == self._oldest:
-            self._oldest = (self._oldest + 1) % self.capacity
+        if self._count < self.capacity:
+            idx = self._count
+            self._count += 1
+        else:
+            idx = self._oldest
+            if self.policy == "diversity":
+                div_idx = self._diversity_slot(xu)
+                if div_idx is not None:
+                    idx = div_idx
+            if idx == self._oldest:
+                self._oldest = (self._oldest + 1) % self.capacity
+        self._X[idx] = xu
+        self._H[idx] = h
 
     def _diversity_slot(self, xu) -> Optional[int]:
-        X = np.stack(self.inputs)
+        X = self.inputs
         d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
         current_min = d2.min()
@@ -279,27 +289,14 @@ class ReplayBuffer:
         return None
 
     def sample(self, M: int, rng: np.random.Generator):
-        if len(self.inputs) < M:
-            raise InsufficientData("buffer holds %d < %d samples" % (len(self.inputs), M))
-        idx = rng.choice(len(self.inputs), size=M, replace=False)
-        return np.stack([self.inputs[i] for i in idx]), np.stack([self.labels[i] for i in idx])
+        if len(self) < M:
+            raise InsufficientData("buffer holds %d < %d samples" % (len(self), M))
+        idx = rng.choice(len(self), size=M, replace=False)
+        return self._X[idx], self._H[idx]
 
-    def to_csv(self) -> str:
-        if not self.inputs:
-            return "\n"
-        n_in = self.inputs[0].size
-        n_lab = self.labels[0].size
-        header = ",".join(["xu%d" % i for i in range(n_in)]
-                          + ["h%d" % i for i in range(n_lab)])
-        lines = [header]
-        for xu, h in zip(self.inputs, self.labels):
-            lines.append(",".join("%.17g" % v for v in np.concatenate([xu, h])))
-        return "\n".join(lines) + "\n"
-
-
-def buffer_push(buf: ReplayBuffer, xu, h) -> ReplayBuffer:
-    buf.push(xu, h)
-    return buf
+    def snapshot(self) -> "ReplayBuffer":
+        """Independent copy of the ring, for training off the control thread."""
+        return copy.deepcopy(self)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,7 @@ def batch_gradients(hidden: HiddenStack, K: np.ndarray, X: np.ndarray, H: np.nda
 
 
 def train_hidden(state: OracleState, buf: ReplayBuffer, M: int, epochs: int,
-                 lr: float = 0.001, seed: int = 0, momentum: float = 0.0):
+                 lr: float = 0.001, seed: int = 0):
     """Gradient descent on the hidden stack with the output layer frozen.
 
     Draws one batch of M samples from the buffer (seeded), runs ``epochs``
@@ -349,14 +346,10 @@ def train_hidden(state: OracleState, buf: ReplayBuffer, M: int, epochs: int,
     hidden = [(W.copy(), b.copy()) for W, b in state.hidden]
     best = ([(W.copy(), b.copy()) for W, b in hidden],
             batch_loss(hidden, state.K, X, H))
-    vel = [(np.zeros_like(W), np.zeros_like(b)) for W, b in hidden]
     for _ in range(epochs):
         grads, _ = batch_gradients(hidden, state.K, X, H)
-        for i, ((W, b), (gW, gb), (vW, vb)) in enumerate(zip(hidden, grads, vel)):
-            vW = momentum * vW - lr * gW
-            vb = momentum * vb - lr * gb
-            hidden[i] = (W + vW, b + vb)
-            vel[i] = (vW, vb)
+        hidden = [(W - lr * gW, b - lr * gb)
+                  for (W, b), (gW, gb) in zip(hidden, grads)]
         loss = batch_loss(hidden, state.K, X, H)
         if loss < best[1]:
             best = ([(W.copy(), b.copy()) for W, b in hidden], loss)
@@ -369,10 +362,10 @@ def train_hidden(state: OracleState, buf: ReplayBuffer, M: int, epochs: int,
 
 @dataclass
 class L2nwEstimator:
-    """Regularized Nadaraya-Watson regressor over a fixed-size buffer.
+    """Regularized Nadaraya-Watson regressor over a FIFO sample ring.
 
-    Slots start masked out; masked entries contribute exactly zero kernel
-    weight, so the pre-allocated buffer never biases the estimate.
+    Only the filled rows of the ring enter the kernel sums, so the
+    preallocated slots never bias the estimate.
     """
 
     capacity: int
@@ -384,47 +377,29 @@ class L2nwEstimator:
     def __post_init__(self):
         if self.bandwidth <= 0.0 or self.lam <= 0.0:
             raise ValueError("bandwidth and lambda must be positive")
-        self.X = np.zeros((self.capacity, self.n_in))
-        self.H = np.zeros((self.capacity, self.n_out))
-        self.valid = np.zeros(self.capacity, dtype=bool)
-        self._next = 0
+        self.buffer = ReplayBuffer(self.capacity, self.n_in, self.n_out)
 
     @property
     def count(self) -> int:
-        return int(self.valid.sum())
+        return len(self.buffer)
 
     def push(self, xu, h):
-        self.X[self._next] = np.asarray(xu, dtype=float).reshape(-1)
-        self.H[self._next] = np.asarray(h, dtype=float).reshape(-1)
-        self.valid[self._next] = True
-        self._next = (self._next + 1) % self.capacity
+        self.buffer.push(xu, h)
 
 
-def _l2nw_weights(est: L2nwEstimator, q: np.ndarray):
-    if not est.valid.any():
-        return None, None
-    X = est.X[est.valid]
-    H = est.H[est.valid]
+def _l2nw_kernel(est: L2nwEstimator, q: np.ndarray):
+    """Kernel weights of the stored inputs at q, with the stored rows."""
+    X, H = est.buffer.inputs, est.buffer.labels
     d2 = np.sum((X - q) ** 2, axis=1)
-    k = np.exp(-d2 / (2.0 * est.bandwidth ** 2))
-    return k, (X, H)
+    return np.exp(-d2 / (2.0 * est.bandwidth ** 2)), X, H
 
 
 def l2nw_predict(est: L2nwEstimator, x, u) -> np.ndarray:
-    """Kernel-weighted label average sum(k h) / (lambda + sum(k))."""
+    """Kernel-weighted label average sum(k h) / (lambda + sum(k)); 0 if empty."""
     q = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1),
                         np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)])
-    k, data = _l2nw_weights(est, q)
-    if k is None:
-        return np.zeros(est.n_out)
-    _, H = data
+    k, _, H = _l2nw_kernel(est, q)
     return (k @ H) / (est.lam + k.sum())
-
-
-def l2nw_jacobian(est: L2nwEstimator, x, u):
-    """Analytic input Jacobian of the regularized kernel estimate."""
-    _, Jx, Ju = l2nw_predict_and_jacobian(est, x, u)
-    return Jx, Ju
 
 
 def l2nw_predict_and_jacobian(est: L2nwEstimator, x, u):
@@ -432,50 +407,10 @@ def l2nw_predict_and_jacobian(est: L2nwEstimator, x, u):
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
     u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
     q = np.concatenate([x, u])
-    k, data = _l2nw_weights(est, q)
-    if k is None:
-        return (np.zeros(est.n_out), np.zeros((est.n_out, x.size)),
-                np.zeros((est.n_out, u.size)))
-    X, H = data
+    k, X, H = _l2nw_kernel(est, q)
     s = est.lam + k.sum()
     num = k @ H
     # dk_i/dq = k_i (x_i - q) / bw^2
     dk = k[:, None] * (X - q) / est.bandwidth ** 2
     J = (H.T @ dk) / s - np.outer(num, dk.sum(axis=0)) / s ** 2
     return num / s, J[:, :x.size], J[:, x.size:]
-
-
-# ---------------------------------------------------------------------------
-# weight snapshot serialization
-
-
-def hidden_to_text(hidden: HiddenStack) -> str:
-    """Flat text snapshot: 'layer rows cols' header then row-major values."""
-    lines = []
-    for i, (W, b) in enumerate(hidden):
-        lines.append("layer %d %d %d" % (i, W.shape[0], W.shape[1]))
-        for row in W:
-            lines.append(" ".join("%.17g" % v for v in row))
-        lines.append("bias " + " ".join("%.17g" % v for v in b))
-    return "\n".join(lines) + "\n"
-
-
-def hidden_from_text(text: str) -> HiddenStack:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    stack: HiddenStack = []
-    i = 0
-    while i < len(lines):
-        tag, _, rows, cols = lines[i].split()
-        if tag != "layer":
-            raise ValueError("expected layer header, got %r" % lines[i])
-        rows, cols = int(rows), int(cols)
-        W = np.array([[float(v) for v in lines[i + 1 + r].split()] for r in range(rows)])
-        bias_line = lines[i + 1 + rows].split()
-        if bias_line[0] != "bias":
-            raise ValueError("expected bias line")
-        b = np.array([float(v) for v in bias_line[1:]])
-        if W.shape != (rows, cols) or b.shape != (cols,):
-            raise ValueError("snapshot shape mismatch")
-        stack.append((W, b))
-        i += rows + 2
-    return stack

@@ -11,7 +11,6 @@ so the control loop never blocks.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -27,35 +26,6 @@ class RuntimeFailure(Exception):
 
 class InfeasibleAtStart(RuntimeFailure):
     """The very first MPC solve has no feasible solution."""
-
-
-# ---------------------------------------------------------------------------
-# schedule
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """Trainer timing: when weights are copied out and swapped back in.
-
-    ``copy_period`` is the number of control steps between trainer events
-    (the T_k sequence); training only fires once the buffer holds at least
-    ``train_fill`` of its capacity and ``min_new_samples`` new labels have
-    arrived since the previous event.
-    """
-
-    copy_period: int = 50
-    train_fill: float = 0.05
-    min_new_samples: int = 32
-    deterministic: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.copy_period < 1:
-            raise ValueError("copy_period must be >= 1")
-        if not (0.0 < self.train_fill <= 1.0):
-            raise ValueError("train_fill must be in (0, 1]")
-        if self.min_new_samples < 1:
-            raise ValueError("min_new_samples must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +176,7 @@ def build_setup(scenario) -> LoopSetup:
                                   seed=scenario.schedule.seed)
         adapter = mpc.DnnOracle(dnn_state)
         buf = om.ReplayBuffer(capacity=oc.buffer_capacity,
+                              n_in=model.d + model.m, n_out=model.d,
                               policy=oc.buffer_policy)
     elif kind == "l2nw":
         lo_x, hi_x = plant.STATE_BOUNDS_ABS
@@ -253,21 +224,6 @@ class Mailbox:
         return item
 
 
-class _BatchShim:
-    """Frozen buffer snapshot exposing the sample() the trainer expects."""
-
-    def __init__(self, X, H):
-        self.X = X
-        self.H = H
-
-    def __len__(self):
-        return self.X.shape[0]
-
-    def sample(self, M, rng):
-        idx = rng.choice(len(self), size=M, replace=False)
-        return self.X[idx], self.H[idx]
-
-
 def _trainer_worker(inbox: Mailbox, outbox: Mailbox, stop: threading.Event,
                     train_batch, train_epochs, train_lr):
     while not stop.is_set():
@@ -275,9 +231,9 @@ def _trainer_worker(inbox: Mailbox, outbox: Mailbox, stop: threading.Event,
         if job is None:
             stop.wait(1e-4)
             continue
-        state, shim, seed = job
-        M = min(train_batch, len(shim))
-        hidden, loss = om.train_hidden(state, shim, M, train_epochs,
+        state, snapshot, seed = job
+        M = min(train_batch, len(snapshot))
+        hidden, loss = om.train_hidden(state, snapshot, M, train_epochs,
                                        lr=train_lr, seed=seed)
         outbox.put((hidden, loss))
 
@@ -294,11 +250,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     is a feasible fallback (a failure there is a RuntimeFailure).
     """
     setup = build_setup(scenario)
-    ss = scenario.schedule
-    sched = ScheduleConfig(copy_period=ss.copy_period,
-                           train_fill=ss.train_fill,
-                           min_new_samples=ss.min_new_samples,
-                           deterministic=ss.deterministic, seed=ss.seed)
+    sched = scenario.schedule
     oc = scenario.oracle
     steps = scenario.run.steps
     model = setup.model
@@ -395,7 +347,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             if state is not None:
                 state = om.adapt(state, x, u, x_next, model, phi=phi)
                 adapter.state = state
-                buf = om.buffer_push(buf, np.concatenate([x, u]), h)
+                buf.push(np.concatenate([x, u]), h)
                 samples_since_train += 1
             if setup.l2nw is not None:
                 setup.l2nw.push(np.concatenate([x, u]), h)
@@ -414,9 +366,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
                     adapter.state = state
                     swap_steps.append(t)
                 else:
-                    shim = _BatchShim(np.stack(buf.inputs),
-                                      np.stack(buf.labels))
-                    inbox.put((state, shim, seed))
+                    inbox.put((state, buf.snapshot(), seed))
 
             warm = {"c": c_shift, "dual": sol.qp_dual, "rho": sol.qp_rho}
             x = x_next

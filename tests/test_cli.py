@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lbmpc.cli import (EXIT_CONFIG, EXIT_EMPTY_SET, EXIT_INFEASIBLE, EXIT_OK,
-                       main)
+                       SCENARIO_DIR, main)
 
 
 FAST = """
@@ -71,6 +71,14 @@ class TestSimulate:
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nsteps = -3\n")
         rc = main(["simulate", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
+    def test_env_override_validated(self, tmp_path, monkeypatch):
+        # the environment override goes through the same validation as the
+        # file, so a bad value is a config error, not a traceback
+        monkeypatch.setenv("LBMPC_SCHEDULE_MIN_NEW_SAMPLES", "0")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
+                   "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
     def test_missing_scenario_file(self, tmp_path):

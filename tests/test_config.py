@@ -82,6 +82,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_scenario("[run]\nband = 0\n", environ=EMPTY_ENV)
 
+    def test_schedule_bounds(self):
+        for line in ("copy_period = 0", "train_fill = 0", "train_fill = 1.5",
+                     "min_new_samples = 0"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[schedule]\n%s\n" % line, environ=EMPTY_ENV)
+
     def test_w_region_entries(self):
         with pytest.raises(ConfigError):
             parse_scenario("[plant]\nw_region = 0.5 0.5\n", environ=EMPTY_ENV)

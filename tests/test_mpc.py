@@ -4,6 +4,8 @@ matrices against a brute-force rollout, and the tube QP against an SLSQP
 reference.  The scalar Lyapunov case has the closed form P = 4/3.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,8 +16,8 @@ from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
                        build_margins, default_controller, margin_ratio,
                        shift_solution, solve_linear_mpc, solve_lbmpc,
                        solve_lyapunov_P, synthesize_gain, synthesize_tube_gain,
-                       _learned_rollout)
-from lbmpc.oracle import NetworkArch, new_oracle
+                       _learned_rollout, _stagewise_rollout)
+from lbmpc.oracle import NetworkArch, new_oracle, predict_and_jacobian
 from lbmpc.plant import PlantModel
 from lbmpc.polytope import Polytope, max_invariant_set
 
@@ -208,12 +210,12 @@ class TestLearnedRollout:
         p, state = self.dnn_problem(model, setup)
 
         class Generic:
-            # same network but not a DnnOracle, so the generic path runs
+            # same network rolled out stage by stage, as the kernel oracle is
             is_zero = False
 
-            def value_and_jacobian(self, x, u):
-                from lbmpc.oracle import predict_and_jacobian
-                return predict_and_jacobian(state, x, u)
+            def rollout(self, A, B, x, v):
+                return _stagewise_rollout(
+                    A, B, x, v, partial(predict_and_jacobian, state))
 
         q = problem(model, setup, Generic())
         rng = np.random.default_rng(3)

@@ -9,11 +9,10 @@ import pytest
 from lbmpc import oracle as om
 from lbmpc.oracle import (InsufficientData, L2nwEstimator, NetworkArch,
                           ReplayBuffer, ShapeMismatch, adapt, batch_gradients,
-                          batch_loss, buffer_push, features, hidden_from_text,
-                          hidden_to_text, init_hidden, l2nw_jacobian,
-                          l2nw_predict, lyapunov_Va, new_oracle, predict,
-                          predict_and_jacobian, project_columns, swap_hidden,
-                          train_hidden)
+                          batch_loss, features, init_hidden, l2nw_predict,
+                          l2nw_predict_and_jacobian, lyapunov_Va, new_oracle,
+                          predict, predict_and_jacobian, project_columns,
+                          swap_hidden, train_hidden)
 
 
 class FakeModel:
@@ -89,13 +88,6 @@ class TestNetwork:
         assert np.array_equal(swapped.K, state.K)
         with pytest.raises(ShapeMismatch):
             swap_hidden(state, new[:1])
-
-    def test_snapshot_text_round_trip(self, state):
-        text = hidden_to_text(state.hidden)
-        back = hidden_from_text(text)
-        for (W, b), (W2, b2) in zip(state.hidden, back):
-            assert np.array_equal(W, W2)
-            assert np.array_equal(b, b2)
 
 
 class TestProjection:
@@ -176,20 +168,20 @@ class TestReplayBuffer:
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(8)
         for policy in ("fifo", "diversity"):
-            buf = ReplayBuffer(capacity=32, policy=policy)
+            buf = ReplayBuffer(capacity=32, n_in=5, n_out=4, policy=policy)
             for _ in range(500):
-                buf = buffer_push(buf, rng.normal(size=5), rng.normal(size=4))
+                buf.push(rng.normal(size=5), rng.normal(size=4))
                 assert len(buf) <= 32
 
     def test_fifo_overwrites_oldest(self):
-        buf = ReplayBuffer(capacity=3)
+        buf = ReplayBuffer(capacity=3, n_in=2, n_out=1)
         for i in range(5):
             buf.push(np.full(2, float(i)), np.zeros(1))
         stored = sorted(v[0] for v in buf.inputs)
         assert stored == [2.0, 3.0, 4.0]
 
     def test_diversity_keeps_spread(self):
-        buf = ReplayBuffer(capacity=4, policy="diversity")
+        buf = ReplayBuffer(capacity=4, n_in=1, n_out=1, policy="diversity")
         for v in (0.0, 1.0, 2.0, 3.0):
             buf.push(np.array([v]), np.zeros(1))
         # a near-duplicate of 0.0 must not evict a far point
@@ -198,7 +190,7 @@ class TestReplayBuffer:
         assert 3.0 in vals
 
     def test_sample_and_insufficient(self):
-        buf = ReplayBuffer(capacity=10)
+        buf = ReplayBuffer(capacity=10, n_in=2, n_out=1)
         for i in range(4):
             buf.push(np.array([float(i), 0.0]), np.array([1.0]))
         X, H = buf.sample(3, np.random.default_rng(0))
@@ -207,14 +199,20 @@ class TestReplayBuffer:
             buf.sample(5, np.random.default_rng(0))
 
     def test_non_finite_rejected(self):
-        buf = ReplayBuffer(capacity=4)
+        buf = ReplayBuffer(capacity=4, n_in=1, n_out=1)
         with pytest.raises(ValueError):
             buf.push(np.array([np.nan]), np.zeros(1))
+
+    def test_wrong_shape_rejected(self):
+        buf = ReplayBuffer(capacity=4, n_in=3, n_out=2)
+        with pytest.raises(ValueError):
+            buf.push(np.zeros(1), np.zeros(2))    # would broadcast silently
+        assert len(buf) == 0
 
 
 class TestTraining:
     def _filled_buffer(self, arch, rng, n=64):
-        buf = ReplayBuffer(capacity=n)
+        buf = ReplayBuffer(capacity=n, n_in=arch.n_in, n_out=arch.n_out)
         for _ in range(n):
             xu = rng.normal(size=arch.n_in)
             buf.push(xu, np.sin(xu[:4]))
@@ -285,7 +283,7 @@ class TestL2nw:
         eps = 1e-6
         x = rng.normal(size=2)
         u = rng.normal(size=1)
-        Jx, Ju = l2nw_jacobian(est, x, u)
+        _, Jx, Ju = l2nw_predict_and_jacobian(est, x, u)
         for j in range(2):
             dx = np.zeros(2)
             dx[j] = eps
@@ -299,4 +297,11 @@ class TestL2nw:
         for v in (1.0, 2.0, 3.0):
             est.push(np.array([v]), np.array([v]))
         assert est.count == 2
-        assert 1.0 not in est.X[est.valid]
+        assert 1.0 not in est.buffer.inputs
+
+    def test_non_finite_rejected(self):
+        est = L2nwEstimator(capacity=4, n_in=2, n_out=1, bandwidth=1.0)
+        for xu, h in (([np.nan, 0.0], [1.0]), ([0.0, 0.0], [np.inf])):
+            with pytest.raises(ValueError):
+                est.push(np.array(xu), np.array(h))
+        assert est.count == 0

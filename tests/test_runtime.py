@@ -4,13 +4,20 @@ comparison guardrails.  Runs are kept short; the long-horizon behavior is
 covered by the acceptance suite.
 """
 
+import os
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lbmpc.config import parse_scenario
-from lbmpc.runtime import (ClosedLoopTrace, InfeasibleAtStart, MetricsReport,
-                           ScheduleConfig, build_setup, compare, metrics,
-                           run_closed_loop)
+from lbmpc import oracle as om
+from lbmpc.cli import SCENARIO_DIR
+from lbmpc.config import load_scenario, parse_scenario
+from lbmpc.runtime import (ClosedLoopTrace, InfeasibleAtStart, Mailbox,
+                           MetricsReport, build_setup, compare, metrics,
+                           run_closed_loop, _trainer_worker)
 
 
 EMPTY_ENV = {}
@@ -44,16 +51,6 @@ def scenario(kind, steps=60):
 @pytest.fixture(scope="module")
 def dnn_trace():
     return run_closed_loop(scenario("dnn"))
-
-
-class TestSchedule:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(copy_period=0)
-        with pytest.raises(ValueError):
-            ScheduleConfig(train_fill=0.0)
-        with pytest.raises(ValueError):
-            ScheduleConfig(min_new_samples=0)
 
 
 class TestClosedLoop:
@@ -101,7 +98,6 @@ class TestClosedLoop:
 
     def test_infeasible_start_raises(self):
         s = scenario("zero", steps=5)
-        from dataclasses import replace
         s = replace(s, run=replace(s.run, x0=(0.49, 0.49, 0.9, 15.0)))
         with pytest.raises(InfeasibleAtStart):
             run_closed_loop(s)
@@ -112,6 +108,68 @@ class TestClosedLoop:
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert len(lines) == 61
         assert all(len(l.split(",")) == len(TRACE_COLUMNS) for l in lines)
+
+
+class TestTrainer:
+    def test_worker_on_snapshot_matches_inline(self):
+        # the concurrent trainer's job (a copy of the ring, trained in the
+        # worker thread) gives what inline training on the live ring gives
+        rng = np.random.default_rng(4)
+        arch = om.NetworkArch(n_in=5, hidden=(8, 6), n_out=4)
+        state = om.new_oracle(arch, W_bar=np.full(4, 0.5), gamma=0.3, seed=2)
+        state = om.OracleState(arch=arch, hidden=state.hidden,
+                               K=0.1 * rng.normal(size=state.K.shape),
+                               W_bar=state.W_bar, gamma=state.gamma)
+        buf = om.ReplayBuffer(capacity=400, n_in=5, n_out=4)
+        for _ in range(100):
+            xu = rng.normal(size=5)
+            buf.push(xu, np.sin(xu[:4]))
+        job = (state, buf.snapshot(), 7)
+        inline = om.train_hidden(state, buf, 64, 4, lr=0.01, seed=7)
+        buf.push(np.ones(5), np.ones(4))    # the live ring moves on
+
+        inbox, outbox, stop = Mailbox(), Mailbox(), threading.Event()
+        worker = threading.Thread(target=_trainer_worker,
+                                  args=(inbox, outbox, stop, 64, 4, 0.01),
+                                  daemon=True)
+        inbox.put(job)
+        worker.start()
+        try:
+            done = None
+            deadline = time.monotonic() + 60.0
+            while done is None and time.monotonic() < deadline:
+                done = outbox.take()
+                stop.wait(1e-3)
+        finally:
+            stop.set()
+            worker.join(timeout=5.0)
+        assert done is not None, "trainer returned nothing within 60 s"
+        hidden, loss = done
+        assert loss == inline[1]
+        for (W, b), (W_in, b_in) in zip(hidden, inline[0]):
+            assert np.array_equal(W, W_in)
+            assert np.array_equal(b, b_in)
+
+    def test_concurrent_dnn_smoke(self):
+        # timing-free: swaps land whenever the trainer finishes, so only the
+        # guarantees and the generation bookkeeping are checked
+        s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                          environ=EMPTY_ENV)
+        s = replace(s, run=replace(s.run, steps=300),
+                    schedule=replace(s.schedule, deterministic=False))
+        tr = run_closed_loop(s)
+        assert len(tr) == 300
+        assert np.all(tr.h_in_w)
+        assert np.all(tr.shift_feasible)
+        assert np.all(tr.state_margin > 0)
+        assert np.all(tr.input_margin > 0)
+        assert set(tr.status) <= {"optimal", "fallback"}
+        # a generation is installed at the top of each listed step, and the
+        # generation moves nowhere else
+        rises = np.diff(tr.generation)
+        assert tr.generation[0] == 0
+        assert set(rises) <= {0, 1}
+        assert list(np.flatnonzero(rises) + 1) == tr.swap_steps
 
 
 class TestMetrics:
@@ -185,7 +243,6 @@ class TestMetrics:
 
 class TestCompare:
     def test_mismatched_x0_rejected(self):
-        from dataclasses import replace
         a = scenario("zero", steps=5)
         b = replace(a, run=replace(a.run, x0=(-0.1, 0.05, 0.0, 0.0)))
         with pytest.raises(ValueError):
