@@ -10,7 +10,6 @@ baseline keep their samples in the same preallocated ring, ReplayBuffer.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -293,10 +292,6 @@ class ReplayBuffer:
             raise InsufficientData("buffer holds %d < %d samples" % (len(self), M))
         idx = rng.choice(len(self), size=M, replace=False)
         return self._X[idx], self._H[idx]
-
-    def snapshot(self) -> "ReplayBuffer":
-        """Independent copy of the ring, for training off the control thread."""
-        return copy.deepcopy(self)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ so the control loop never blocks.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -366,7 +367,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
                     adapter.state = state
                     swap_steps.append(t)
                 else:
-                    inbox.put((state, buf.snapshot(), seed))
+                    inbox.put((state, copy.deepcopy(buf), seed))
 
             warm = {"c": c_shift, "dual": sol.qp_dual, "rho": sol.qp_rho}
             x = x_next

@@ -4,6 +4,7 @@ comparison guardrails.  Runs are kept short; the long-horizon behavior is
 covered by the acceptance suite.
 """
 
+import copy
 import os
 import threading
 import time
@@ -124,7 +125,7 @@ class TestTrainer:
         for _ in range(100):
             xu = rng.normal(size=5)
             buf.push(xu, np.sin(xu[:4]))
-        job = (state, buf.snapshot(), 7)
+        job = (state, copy.deepcopy(buf), 7)
         inline = om.train_hidden(state, buf, 64, 4, lr=0.01, seed=7)
         buf.push(np.ones(5), np.ones(4))    # the live ring moves on
 
@@ -143,6 +144,7 @@ class TestTrainer:
         finally:
             stop.set()
             worker.join(timeout=5.0)
+        assert not worker.is_alive()
         assert done is not None, "trainer returned nothing within 60 s"
         hidden, loss = done
         assert loss == inline[1]
