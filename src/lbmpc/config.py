@@ -65,6 +65,16 @@ class OracleSection:
 
 @dataclass(frozen=True)
 class ScheduleSection:
+    """Trainer timing: when weights are copied out and swapped back in.
+
+    ``copy_period`` is the number of control steps between trainer events
+    (the T_k sequence); training only fires once the buffer holds at least
+    ``train_fill`` of its capacity and ``min_new_samples`` new labels have
+    arrived since the previous event.  ``deterministic`` trains inline at
+    the event step; otherwise a background thread trains on a copy of the
+    buffer and the loop installs the result when it arrives.
+    """
+
     copy_period: int = 50
     train_fill: float = 0.05
     min_new_samples: int = 32

@@ -216,8 +216,10 @@ class DnnOracle:
         self.state = state
 
     def rollout(self, A, B, x, v):
-        """The forward pass is sequential (each stage feeds the next), but
-        the tanh chain-rule products are independent across stages once the
+        """Network rollout with the stage Jacobians batched.
+
+        The forward pass is sequential (each stage feeds the next), but the
+        tanh chain-rule products are independent across stages once the
         activations are known, so they run as one batched matmul per layer.
         """
         d, m = B.shape
