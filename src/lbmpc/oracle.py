@@ -294,6 +294,15 @@ class ReplayBuffer:
         return self._X[idx], self._H[idx]
 
 
+def buffer_push(buf: ReplayBuffer, xu, h) -> None:
+    """Append one ((x, u), h) pair to the network's replay buffer.
+
+    The closed loop stores its samples through this module-level name so that
+    loopbench can time them (``oracle.buffer_s``) by wrapping one attribute.
+    """
+    buf.push(xu, h)
+
+
 # ---------------------------------------------------------------------------
 # hidden-stack training
 

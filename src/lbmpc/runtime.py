@@ -348,7 +348,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             if state is not None:
                 state = om.adapt(state, x, u, x_next, model, phi=phi)
                 adapter.state = state
-                buf.push(np.concatenate([x, u]), h)
+                om.buffer_push(buf, np.concatenate([x, u]), h)
                 samples_since_train += 1
             if setup.l2nw is not None:
                 setup.l2nw.push(np.concatenate([x, u]), h)
