@@ -241,7 +241,7 @@ def cmd_bench(args) -> int:
         h_in = np.full(2 * n, 1.0)
         prob = qpmod.QpProblem(H=H, g=g, G=G, h_in=h_in)
         sol = qpmod.qp_solve(prob)
-        warm = (sol.x, np.concatenate([sol.lam, sol.nu]), sol.rho_final)
+        warm = (sol.x, sol.lam, sol.rho_final)
         cold = _time_solves(lambda: qpmod.qp_solve(prob), args.reps)
         warmt = _time_solves(lambda: qpmod.qp_solve(prob, warm_start=warm),
                              args.reps)

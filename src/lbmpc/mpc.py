@@ -164,15 +164,6 @@ class ControllerConfig:
             raise ValueError("horizon must be >= 1")
 
 
-def default_controller(model, N: int, Q, R) -> ControllerConfig:
-    """LQR gain plus Lyapunov terminal cost for the regulation problem."""
-    K = synthesize_gain(model, Q, R)
-    P = solve_lyapunov_P(model, K, Q, R)
-    d, m = model.d, model.m
-    return ControllerConfig(N=N, Q=Q, R=R, K=K, P=P,
-                            x_ref=np.zeros(d), u_ref=np.zeros(m))
-
-
 # ---------------------------------------------------------------------------
 # oracle handles seen by the solver
 
@@ -367,12 +358,6 @@ def _check_nonempty(F, h, stage, kind):
         raise EmptyTightenedSet(stage, kind)
 
 
-def build_lbmpc(model, cfg: ControllerConfig, omega: Polytope,
-                margins: TighteningData, oracle) -> LbmpcProblem:
-    return LbmpcProblem(model=model, cfg=cfg, omega=omega, margins=margins,
-                        oracle=oracle)
-
-
 def build_margins(model, cfg: ControllerConfig, omega: Polytope) -> TighteningData:
     """Tube margins for the state, input and terminal rows over the horizon."""
     A_cl = model.A + model.B @ cfg.K
@@ -444,15 +429,6 @@ def _make_solution(p, x, c, status, sqp_iters, t0, dual=None, rho=None,
                        objective=_objective(p, z, v), qp_dual=dual, qp_rho=rho)
 
 
-def _warm_fields(warm):
-    """Warm start as (c, dual, rho); accepts a previous MpcSolution or a dict."""
-    if warm is None:
-        return None, None, None
-    if isinstance(warm, MpcSolution):
-        return warm.c, warm.qp_dual, warm.qp_rho
-    return warm.get("c"), warm.get("dual"), warm.get("rho")
-
-
 def solve_linear_mpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     """Single tube-MPC QP (zero oracle); cost on the nominal trajectory."""
     t0 = time.perf_counter()
@@ -461,7 +437,9 @@ def solve_linear_mpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     g = 2.0 * (p.Tz.T @ p.Qbar @ (p.Sz @ x - x_ref) + p.Tv.T @ p.Rbar @ (p.Sv @ x - u_ref))
     prob = qpmod.QpProblem(H=p.H_lin, g=g, G=p.Gc, h_in=p.rhs0 - p.Gx @ x,
                            validate=False)
-    sol = qpmod.qp_solve(prob, warm_start=_warm_fields(warm))
+    warm = warm or {}
+    sol = qpmod.qp_solve(prob, warm_start=(warm.get("c"), warm.get("dual"),
+                                           warm.get("rho")))
     if sol.status == "infeasible":
         raise MpcInfeasible("tube MPC program infeasible")
     if sol.status == "iteration_limit" and max(sol.residuals) > 1e-4:
@@ -473,36 +451,26 @@ def solve_linear_mpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
 def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     """Gauss-Newton SQP on the learned-trajectory cost.
 
+    ``warm`` is None or a dict with the shifted previous perturbations
+    ``"c"``, the previous QP duals ``"dual"`` and penalties ``"rho"``.
     Constraints stay linear in c, so every iterate is feasible once the
-    first QP succeeds.  On any numerical failure the shifted previous
-    solution (provided via ``warm``) is returned with status 'fallback'.
+    first QP succeeds.  On any solver failure the warm ``c`` is returned
+    with status 'fallback' if it is feasible at x; otherwise MpcInfeasible
+    is raised.  The wall time of either outcome counts from entry.
     """
-    warm_c, warm_dual, warm_rho = _warm_fields(warm)
-    if getattr(p.oracle, "is_zero", False):
-        try:
-            return solve_linear_mpc(p, x, warm=warm)
-        except MpcInfeasible:
-            raise
-        except MpcError:
-            if warm_c is not None and p.feasible(x, warm_c):
-                return _make_solution(p, x, np.asarray(warm_c, dtype=float),
-                                      "fallback", 0, time.perf_counter())
-            raise
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
-    x_ref, u_ref = p.refs()
-    rhs = p.rhs0 - p.Gx @ x
-
-    c = np.zeros(p.n_dec)
-    dual = None
-    rho = warm_rho
-    if warm_c is not None:
-        c = np.asarray(warm_c, dtype=float).copy()
-        dual = warm_dual
-    fallback_ok = warm_c is not None and p.feasible(x, c)
-
+    warm = warm or {}
+    warm_c = warm.get("c")
     iters = 0
     try:
+        if p.oracle.is_zero:
+            return solve_linear_mpc(p, x, warm=warm)
+        x_ref, u_ref = p.refs()
+        rhs = p.rhs0 - p.Gx @ x
+        c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
+        dual = None if warm_c is None else warm.get("dual")
+        rho = warm.get("rho")
         for iters in range(1, p.sqp_max_iter + 1):
             zbar, v, z, Jz = _learned_rollout(p, x, c)
             Jv = p.Tv
@@ -533,8 +501,8 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
                                       rollout=(zbar, v, z))
         return _make_solution(p, x, c, "optimal", iters, t0, dual=dual, rho=rho)
 
-    except MpcError:
-        if fallback_ok:
+    except MpcError as exc:
+        if warm_c is not None and p.feasible(x, warm_c):
             return _make_solution(p, x, np.asarray(warm_c, dtype=float),
-                                  "fallback", iters, t0, dual=None)
-        raise MpcInfeasible("no feasible solution and no fallback available")
+                                  "fallback", iters, t0)
+        raise MpcInfeasible("%s; no feasible fallback" % exc) from exc

@@ -81,7 +81,6 @@ class Polytope:
         h = np.concatenate([hi, -lo])
         P = Polytope(F, h)
         P._cache["box_bounds"] = (lo.copy(), hi.copy())
-        P._cache["bounded"] = True
         P._cache["empty"] = bool(np.any(lo > hi))
         return P
 
@@ -108,46 +107,7 @@ class Polytope:
             self._cache["empty"] = res.status == 2
         return self._cache["empty"]
 
-    def is_bounded(self) -> bool:
-        """Boundedness via finiteness of supports along +/- each axis."""
-        if "bounded" not in self._cache:
-            bounded = True
-            for i in range(self.dim):
-                for s in (1.0, -1.0):
-                    d = np.zeros(self.dim)
-                    d[i] = s
-                    res = _solve_lp(-d, self.F, self.h)
-                    if res.status == 3:
-                        bounded = False
-                        break
-                if not bounded:
-                    break
-            self._cache["bounded"] = bounded
-        return self._cache["bounded"]
-
     # -- serialization -----------------------------------------------------
-
-    def to_text(self) -> str:
-        """Plain-text block, one facet per line: 'f_1 f_2 ... | h'."""
-        lines = []
-        for row, off in zip(self.F, self.h):
-            coeffs = " ".join("%.17g" % v for v in row)
-            lines.append("%s | %.17g" % (coeffs, off))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Polytope":
-        rows, offs = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            left, sep, right = line.partition("|")
-            if not sep:
-                raise ValueError("malformed polytope line: %r" % line)
-            rows.append([float(v) for v in left.split()])
-            offs.append(float(right))
-        return Polytope(np.array(rows), np.array(offs))
 
     def to_csv(self) -> str:
         header = ",".join("f%d" % (i + 1) for i in range(self.dim)) + ",h"

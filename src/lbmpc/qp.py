@@ -1,10 +1,10 @@
 """Dense convex QP solver: operator splitting with an active-set polish.
 
-Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h_in,  Ex = h_eq  via the standard
-splitting iteration (fixed penalty, over-relaxation) followed by a reduced
-KKT solve on the identified active set.  Problems here are tiny (tens of
-rows), so a single dense factorization per solve is the right trade-off and
-warm starting matters more than sparsity.
+Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h_in  via the standard splitting
+iteration (fixed penalty, over-relaxation) followed by a reduced KKT solve
+on the identified active set.  Problems here are tiny (tens of rows), so a
+single dense factorization per solve is the right trade-off and warm
+starting matters more than sparsity.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ class QpProblem:
     g: np.ndarray
     G: Optional[np.ndarray] = None
     h_in: Optional[np.ndarray] = None
-    E: Optional[np.ndarray] = None
-    h_eq: Optional[np.ndarray] = None
     validate: bool = True    # callers that build H symmetric PSD may skip
 
     def __post_init__(self):
@@ -51,20 +49,15 @@ class QpProblem:
                 raise ValueError("H must be positive semidefinite (tol 1e-9)")
         object.__setattr__(self, "H", 0.5 * (H + H.T))
         object.__setattr__(self, "g", g)
-        for mat, vec, mname in ((self.G, self.h_in, "G"), (self.E, self.h_eq, "E")):
-            if (mat is None) != (vec is None):
-                raise ValueError("%s and its offsets must be given together" % mname)
-            if mat is not None:
-                mat = np.atleast_2d(np.asarray(mat, dtype=float))
-                vec = np.asarray(vec, dtype=float).reshape(-1)
-                if mat.shape != (vec.size, n):
-                    raise ValueError("%s shape mismatch" % mname)
-                if mname == "G":
-                    object.__setattr__(self, "G", mat)
-                    object.__setattr__(self, "h_in", vec)
-                else:
-                    object.__setattr__(self, "E", mat)
-                    object.__setattr__(self, "h_eq", vec)
+        if (self.G is None) != (self.h_in is None):
+            raise ValueError("G and its offsets must be given together")
+        if self.G is not None:
+            G = np.atleast_2d(np.asarray(self.G, dtype=float))
+            h_in = np.asarray(self.h_in, dtype=float).reshape(-1)
+            if G.shape != (h_in.size, n):
+                raise ValueError("G shape mismatch")
+            object.__setattr__(self, "G", G)
+            object.__setattr__(self, "h_in", h_in)
 
     @property
     def n(self) -> int:
@@ -79,94 +72,52 @@ class QpProblem:
 class QpSolution:
     x: np.ndarray
     lam: np.ndarray            # inequality multipliers (>= 0 at optimum)
-    nu: np.ndarray             # equality multipliers
     status: str                # 'optimal' | 'infeasible' | 'iteration_limit'
     iterations: int
     residuals: Tuple[float, float, float, float]
     rho_final: Optional[np.ndarray] = None
 
 
-def kkt_residuals(p: QpProblem, x, lam, nu) -> Tuple[float, float, float, float]:
+def kkt_residuals(p: QpProblem, x, lam) -> Tuple[float, float, float, float]:
     """(stationarity, primal, dual, complementarity) infinity norms."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1)
-    nu = np.asarray(nu, dtype=float).reshape(-1)
     stat = p.H @ x + p.g
-    primal = 0.0
-    comp = 0.0
-    dual = 0.0
+    primal = dual = comp = 0.0
     if p.G is not None:
         slack = p.G @ x - p.h_in
         stat = stat + p.G.T @ lam
         primal = max(primal, float(np.max(slack, initial=0.0)))
         dual = float(np.max(-lam, initial=0.0))
         comp = float(np.max(np.abs(lam * slack), initial=0.0))
-    if p.E is not None:
-        stat = stat + p.E.T @ nu
-        primal = max(primal, float(np.max(np.abs(p.E @ x - p.h_eq), initial=0.0)))
-    return (float(np.max(np.abs(stat), initial=0.0)), primal, max(dual, 0.0), comp)
+    return (float(np.max(np.abs(stat), initial=0.0)), primal, dual, comp)
 
 
 def solution_residuals(p: QpProblem, sol: QpSolution):
-    return kkt_residuals(p, sol.x, sol.lam, sol.nu)
+    return kkt_residuals(p, sol.x, sol.lam)
 
 
-def _stack_constraints(p: QpProblem):
-    """Rows l <= Ax <= u; inequalities get l = -inf, equalities l = u."""
-    blocks_A, blocks_l, blocks_u = [], [], []
-    if p.G is not None:
-        blocks_A.append(p.G)
-        blocks_l.append(np.full(p.h_in.size, -np.inf))
-        blocks_u.append(p.h_in)
-    if p.E is not None:
-        blocks_A.append(p.E)
-        blocks_l.append(p.h_eq)
-        blocks_u.append(p.h_eq)
-    if not blocks_A:
-        A = np.zeros((0, p.n))
-        return A, np.zeros(0), np.zeros(0)
-    return np.vstack(blocks_A), np.concatenate(blocks_l), np.concatenate(blocks_u)
-
-
-def _polish(p: QpProblem, x, lam, nu, tol_active=1e-7):
+def _polish(p: QpProblem, x, lam, tol_active=1e-7):
     """Solve the reduced KKT system on the active set; None if it fails."""
     n = p.n
-    rows = []
-    rhs = []
-    active_idx = []
-    if p.G is not None:
-        slack = p.h_in - p.G @ x
-        for i in range(p.h_in.size):
-            if slack[i] < tol_active or lam[i] > tol_active:
-                rows.append(p.G[i])
-                rhs.append(p.h_in[i])
-                active_idx.append(i)
-    n_act = len(rows)
-    if p.E is not None:
-        rows.extend(p.E)
-        rhs.extend(p.h_eq)
-    A_act = np.array(rows).reshape(len(rows), n) if rows else np.zeros((0, n))
-    b_act = np.array(rhs)
-    k = A_act.shape[0]
+    slack = p.h_in - p.G @ x
+    active_idx = np.flatnonzero((slack < tol_active) | (lam > tol_active))
+    A_act = p.G[active_idx]
+    k = active_idx.size
     KKT = np.zeros((n + k, n + k))
     KKT[:n, :n] = p.H + 1e-12 * np.eye(n)
     KKT[:n, n:] = A_act.T
     KKT[n:, :n] = A_act
     KKT[n:, n:] = -1e-12 * np.eye(k)
     try:
-        sol = np.linalg.solve(KKT, np.concatenate([-p.g, b_act]))
+        sol = np.linalg.solve(KKT, np.concatenate([-p.g, p.h_in[active_idx]]))
     except np.linalg.LinAlgError:
         return None
-    x_new = sol[:n]
-    mult = sol[n:]
     lam_new = np.zeros_like(lam)
-    for j, i in enumerate(active_idx):
-        lam_new[i] = mult[j]
-    nu_new = mult[n_act:] if p.E is not None else np.zeros(0)
-    if lam_new.size and np.min(lam_new, initial=0.0) < -1e-7:
+    lam_new[active_idx] = sol[n:]
+    if np.min(lam_new, initial=0.0) < -1e-7:
         return None
-    lam_new = np.maximum(lam_new, 0.0)
-    return x_new, lam_new, nu_new
+    return sol[:n], np.maximum(lam_new, 0.0)
 
 
 def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
@@ -174,50 +125,37 @@ def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
              eps: float = 1e-8) -> QpSolution:
     """Operator-splitting solve with over-relaxation and polish.
 
-    ``warm_start`` is an optional (x0, y0) pair of primal iterate and
-    stacked-row dual (inequalities first, then equalities).  Infeasibility is
+    ``warm_start`` is an optional (x0, y0, rho0) triple: primal iterate,
+    inequality duals and per-row penalties (a previous solution's ``x``,
+    ``lam`` and ``rho_final``); any entry may be None.  Infeasibility is
     detected from the divergence direction of the dual iterates.
     """
     n = p.n
-    n_in = p.h_in.size if p.G is not None else 0
 
     # The constraint matrix is often shared across many solves (SQP, MPC warm
-    # starts), so the stacked rows and their equilibration are cached on
-    # identity; the offsets change every call and are rescaled below.
+    # starts), so its equilibration is cached on identity; the offsets change
+    # every call and are rescaled below.
     global _equil_cache
     cached = _equil_cache
-    if cached is not None and cached[0] is p.G and cached[1] is p.E:
-        A, row_scale = cached[2], cached[3]
-        m = A.shape[0]
+    if cached is not None and cached[0] is p.G:
+        A, row_scale = cached[1], cached[2]
     else:
-        A, _, _ = _stack_constraints(p)
-        m = A.shape[0]
+        A = p.G if p.G is not None else np.zeros((0, n))
         # row equilibration: unit-norm constraint rows (zero rows left alone)
-        row_norms = np.linalg.norm(A, axis=1) if m else np.zeros(0)
+        row_norms = np.linalg.norm(A, axis=1)
         row_scale = np.where(row_norms > 1e-12, row_norms, 1.0)
         A = A / row_scale[:, None]
-        _equil_cache = (p.G, p.E, A, row_scale)
-    l = np.full(m, -np.inf)
-    u = np.empty(m)
-    if p.G is not None:
-        u[:n_in] = p.h_in / row_scale[:n_in]
-    if p.E is not None:
-        l[n_in:] = p.h_eq / row_scale[n_in:]
-        u[n_in:] = p.h_eq / row_scale[n_in:]
+        _equil_cache = (p.G, A, row_scale)
+    m = A.shape[0]
+    u = p.h_in / row_scale if m else np.zeros(0)
 
-    # per-row penalty: equalities get a much stiffer rho
     rho_vec = np.full(m, rho)
-    rho_vec[n_in:] = rho * 1e3
-
     x = np.zeros(n)
     y = np.zeros(m)
     if warm_start is not None:
-        if len(warm_start) == 3:
-            x0, y0, rho0 = warm_start
-            if rho0 is not None and np.asarray(rho0).shape == (m,):
-                rho_vec = np.asarray(rho0, dtype=float).copy()
-        else:
-            x0, y0 = warm_start
+        x0, y0, rho0 = warm_start
+        if rho0 is not None and np.asarray(rho0).shape == (m,):
+            rho_vec = np.asarray(rho0, dtype=float).copy()
         if x0 is not None:
             x = np.asarray(x0, dtype=float).copy()
         if y0 is not None:
@@ -226,15 +164,12 @@ def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
                 y = np.zeros(m)
             else:
                 y = y * row_scale    # duals live in the scaled row space
-    z = np.clip(A @ x, l, u) if m else np.zeros(0)
+    z = np.minimum(A @ x, u)
 
     def finish(status, iters):
-        y_orig = y / row_scale if m else y
-        lam = np.maximum(y_orig[:n_in], 0.0)
-        nu = y_orig[n_in:]
-        res = kkt_residuals(p, x, lam, nu)
-        return QpSolution(x=x.copy(), lam=lam, nu=nu.copy(), status=status,
-                          iterations=iters, residuals=res,
+        lam = np.maximum(y / row_scale, 0.0)
+        return QpSolution(x=x.copy(), lam=lam, status=status,
+                          iterations=iters, residuals=kkt_residuals(p, x, lam),
                           rho_final=rho_vec.copy())
 
     if m == 0:
@@ -247,7 +182,8 @@ def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
 
     chol = factor()
 
-    scale = max(1.0, np.max(np.abs(p.g)), np.max(np.abs(u[np.isfinite(u)]), initial=1.0))
+    finite_u = np.isfinite(u)
+    scale = max(1.0, np.max(np.abs(p.g)), np.max(np.abs(u[finite_u]), initial=1.0))
 
     def converged():
         r_prim = np.max(np.abs(A @ x - z), initial=0.0)
@@ -266,7 +202,7 @@ def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
         x = alpha * x_t + (1.0 - alpha) * x
         z_r = alpha * z_t + (1.0 - alpha) * z
         y_old = y
-        z = np.clip(z_r + y / rho_vec, l, u)
+        z = np.minimum(z_r + y / rho_vec, u)
         y = y + rho_vec * (z_r - z)
 
         if it % 100 == 0:
@@ -287,29 +223,27 @@ def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
             if converged():
                 status = "optimal"
                 break
+            # certificate: a nonnegative dual direction y with A'y = 0 and
+            # u'y < 0 proves that no x satisfies Ax <= u
             dy = y - y_old
             ndy = np.max(np.abs(dy), initial=0.0)
             if ndy > 1e-12:
                 dyn = dy / ndy
                 cert_ok = np.max(np.abs(A.T @ dyn), initial=0.0) < 1e-8
-                gap = float(np.sum(u[np.isfinite(u)] * np.maximum(dyn, 0.0)[np.isfinite(u)])
-                            + np.sum(l[np.isfinite(l)] * np.minimum(dyn, 0.0)[np.isfinite(l)]))
-                lower_ok = np.all(dyn[~np.isfinite(l)] >= -1e-8)
-                if cert_ok and lower_ok and gap < -1e-8:
+                gap = float(np.sum(u[finite_u] * np.maximum(dyn, 0.0)[finite_u]))
+                if cert_ok and np.all(dyn >= -1e-8) and gap < -1e-8:
                     return finish("infeasible", it)
 
     if status == "optimal":
         return finish("optimal", it)
-    y_orig = y / row_scale
-    lam = np.maximum(y_orig[:n_in], 0.0)
-    nu = y_orig[n_in:]
-    polished = _polish(p, x, lam, nu)
+    lam = np.maximum(y / row_scale, 0.0)
+    polished = _polish(p, x, lam)
     if polished is not None:
-        x_p, lam_p, nu_p = polished
-        res_old = max(kkt_residuals(p, x, lam, nu))
-        res_new = max(kkt_residuals(p, x_p, lam_p, nu_p))
+        x_p, lam_p = polished
+        res_old = max(kkt_residuals(p, x, lam))
+        res_new = max(kkt_residuals(p, x_p, lam_p))
         # never let the polish increase the objective or the KKT error
         if res_new <= res_old and p.objective(x_p) <= p.objective(x) + 1e-12 * scale:
-            x, y = x_p, np.concatenate([lam_p, nu_p]) * row_scale
+            x, y = x_p, lam_p * row_scale
             status = "optimal" if res_new < 1e-6 else status
     return finish(status, it)

@@ -33,23 +33,39 @@ class InfeasibleAtStart(RuntimeFailure):
 # trace
 
 
-TRACE_COLUMNS = (
-    ["t"]
-    + ["x%d" % (i + 1) for i in range(4)]
-    + ["u"]
-    + ["hhat%d" % (i + 1) for i in range(4)]
-    + ["h%d" % (i + 1) for i in range(4)]
-    + ["xtilde%d" % (i + 1) for i in range(4)]
-    + ["k_fro", "generation", "status", "sqp_iters", "solver_time",
-       "state_margin", "input_margin", "shift_feasible", "h_in_w"]
+def _numbered(prefix):
+    return tuple("%s%d" % (prefix, i + 1) for i in range(4))
+
+
+# One entry per per-step field of ClosedLoopTrace, in CSV column order:
+# (field, CSV columns, CSV format, dtype).  TRACE_COLUMNS, the trace's
+# row-count check, its CSV writer and its assembly from the loop's rows all
+# derive from this table.
+TRACE_SPEC = (
+    ("x", _numbered("x"), "%.17g", float),
+    ("u", ("u",), "%.17g", float),
+    ("h_hat", _numbered("hhat"), "%.17g", float),
+    ("h", _numbered("h"), "%.17g", float),
+    ("x_tilde", _numbered("xtilde"), "%.17g", float),
+    ("k_fro", ("k_fro",), "%.17g", float),
+    ("generation", ("generation",), "%d", int),
+    ("status", ("status",), "%s", str),
+    ("sqp_iters", ("sqp_iters",), "%d", int),
+    ("solver_time", ("solver_time",), "%.17g", float),
+    ("state_margin", ("state_margin",), "%.17g", float),
+    ("input_margin", ("input_margin",), "%.17g", float),
+    ("shift_feasible", ("shift_feasible",), "%d", bool),
+    ("h_in_w", ("h_in_w",), "%d", bool),
 )
+
+TRACE_COLUMNS = ["t"] + [col for _, cols, _, _ in TRACE_SPEC for col in cols]
 
 
 @dataclass
 class ClosedLoopTrace:
     """Per-step log of a closed-loop run, one row per control step.
 
-    Column order is fixed (see TRACE_COLUMNS): time index, deviation state,
+    Column order is fixed (see TRACE_SPEC): time index, deviation state,
     applied input, oracle prediction h_hat, realized residual h, one-step
     prediction error x_tilde, output-layer Frobenius norm, live oracle
     generation, solver status / SQP iterations / wall time, worst-case state
@@ -80,34 +96,34 @@ class ClosedLoopTrace:
     deterministic: bool = False
 
     def __post_init__(self):
-        n = self.x.shape[0]
-        for name in ("u", "h_hat", "h", "x_tilde", "k_fro", "generation",
-                     "sqp_iters", "solver_time", "state_margin",
-                     "input_margin", "shift_feasible", "h_in_w"):
-            if getattr(self, name).shape[0] != n or len(self.status) != n:
-                raise ValueError("trace arrays must share the row count")
+        n = len(self.x)
+        if any(len(getattr(self, name)) != n for name, _, _, _ in TRACE_SPEC):
+            raise ValueError("trace fields must share the row count")
+
+    @classmethod
+    def from_rows(cls, rows, **meta) -> "ClosedLoopTrace":
+        """Trace from one dict per step, keyed by the TRACE_SPEC fields."""
+        columns = {name: ([r[name] for r in rows] if dtype is str else
+                          np.array([r[name] for r in rows], dtype=dtype))
+                   for name, _, _, dtype in TRACE_SPEC}
+        return cls(**columns, **meta)
 
     def __len__(self):
-        return self.x.shape[0]
+        return len(self.x)
 
     def to_csv(self) -> str:
+        n = len(self)
+        blocks = []
+        for name, cols, _, _ in TRACE_SPEC:
+            values = getattr(self, name)
+            if name == "solver_time" and self.deterministic:
+                values = np.zeros_like(values)
+            blocks.append(np.reshape(values, (n, len(cols))).tolist())
+        row = ",".join(["%d"] + [fmt for _, cols, fmt, _ in TRACE_SPEC
+                                 for _ in cols])
         lines = [",".join(TRACE_COLUMNS)]
-        solver_col = (np.zeros_like(self.solver_time) if self.deterministic
-                      else self.solver_time)
-        for t in range(len(self)):
-            row = [str(t)]
-            row += ["%.17g" % v for v in self.x[t]]
-            row += ["%.17g" % v for v in self.u[t]]
-            row += ["%.17g" % v for v in self.h_hat[t]]
-            row += ["%.17g" % v for v in self.h[t]]
-            row += ["%.17g" % v for v in self.x_tilde[t]]
-            row += ["%.17g" % self.k_fro[t], "%d" % self.generation[t],
-                    self.status[t], "%d" % self.sqp_iters[t],
-                    "%.17g" % solver_col[t],
-                    "%.17g" % self.state_margin[t],
-                    "%.17g" % self.input_margin[t],
-                    "%d" % self.shift_feasible[t], "%d" % self.h_in_w[t]]
-            lines.append(",".join(row))
+        lines += [row % (t, *(v for part in parts for v in part))
+                  for t, parts in enumerate(zip(*blocks))]
         return "\n".join(lines) + "\n"
 
 
@@ -234,9 +250,14 @@ def _trainer_worker(inbox: Mailbox, outbox: Mailbox, stop: threading.Event,
             continue
         state, snapshot, seed = job
         M = min(train_batch, len(snapshot))
-        hidden, loss = om.train_hidden(state, snapshot, M, train_epochs,
-                                       lr=train_lr, seed=seed)
-        outbox.put((hidden, loss))
+        try:
+            outbox.put(om.train_hidden(state, snapshot, M, train_epochs,
+                                       lr=train_lr, seed=seed))
+        except Exception as exc:
+            # the loop raises it when it takes the outbox; stop here so no
+            # later result overwrites it
+            outbox.put(exc)
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +269,9 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
 
     Raises InfeasibleAtStart if the first solve has no feasible solution;
     later steps always produce an input because the shifted previous solution
-    is a feasible fallback (a failure there is a RuntimeFailure).
+    is a feasible fallback (a failure there is a RuntimeFailure).  In
+    concurrent mode a failed trainer job raises RuntimeFailure at the step
+    that collects it.
     """
     setup = build_setup(scenario)
     sched = scenario.schedule
@@ -258,22 +281,8 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     problem = setup.problem
     W = model.W
 
-    n = steps
-    d, m = model.d, model.m
-    tr_x = np.zeros((n, d))
-    tr_u = np.zeros((n, m))
-    tr_hhat = np.zeros((n, d))
-    tr_h = np.zeros((n, d))
-    tr_xt = np.zeros((n, d))
-    tr_kfro = np.zeros(n)
-    tr_gen = np.zeros(n, dtype=int)
-    tr_status: List[str] = []
-    tr_sqp = np.zeros(n, dtype=int)
-    tr_time = np.zeros(n)
-    tr_smargin = np.zeros(n)
-    tr_imargin = np.zeros(n)
-    tr_shift = np.zeros(n, dtype=bool)
-    tr_hw = np.zeros(n, dtype=bool)
+    m = model.m
+    rows = []
     swap_steps: List[int] = []
 
     state = setup.dnn_state
@@ -300,6 +309,10 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             # collect a finished hidden stack before this step's solve
             if concurrent:
                 done = outbox.take()
+                if isinstance(done, Exception):
+                    raise RuntimeFailure(
+                        "trainer job failed before step %d: %s" % (t, done)
+                    ) from done
                 if done is not None:
                     state = om.swap_hidden(state, done[0])
                     adapter.state = state
@@ -330,20 +343,16 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             x_tilde = (model.A @ x + model.B @ u + h_hat) - x_next
 
             c_shift = mpc.shift_solution(sol, m)
-            tr_x[t] = x
-            tr_u[t] = u
-            tr_hhat[t] = h_hat
-            tr_h[t] = h
-            tr_xt[t] = x_tilde
-            tr_kfro[t] = (np.linalg.norm(state.K) if state is not None else 0.0)
-            tr_gen[t] = state.generation if state is not None else 0
-            tr_status.append(sol.status)
-            tr_sqp[t] = sol.sqp_iters
-            tr_time[t] = sol.wall_time
-            tr_smargin[t] = float(np.min(model.X.h - model.X.F @ x))
-            tr_imargin[t] = float(np.min(model.U.h - model.U.F @ u))
-            tr_shift[t] = problem.feasible(x_next, c_shift)
-            tr_hw[t] = W.contains(h)
+            rows.append(dict(
+                x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde,
+                k_fro=np.linalg.norm(state.K) if state is not None else 0.0,
+                generation=state.generation if state is not None else 0,
+                status=sol.status, sqp_iters=sol.sqp_iters,
+                solver_time=sol.wall_time,
+                state_margin=float(np.min(model.X.h - model.X.F @ x)),
+                input_margin=float(np.min(model.U.h - model.U.F @ u)),
+                shift_feasible=problem.feasible(x_next, c_shift),
+                h_in_w=W.contains(h)))
 
             if state is not None:
                 state = om.adapt(state, x, u, x_next, model, phi=phi)
@@ -376,15 +385,10 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             stop.set()
             worker.join(timeout=5.0)
 
-    return ClosedLoopTrace(x=tr_x, u=tr_u, h_hat=tr_hhat, h=tr_h, x_tilde=tr_xt,
-                           k_fro=tr_kfro, generation=tr_gen, status=tr_status,
-                           sqp_iters=tr_sqp, solver_time=tr_time,
-                           state_margin=tr_smargin, input_margin=tr_imargin,
-                           shift_feasible=tr_shift, h_in_w=tr_hw,
-                           swap_steps=swap_steps,
-                           x_ref=setup.cfg.x_ref.copy(),
-                           u_ref=setup.cfg.u_ref.copy(),
-                           deterministic=sched.deterministic)
+    return ClosedLoopTrace.from_rows(rows, swap_steps=swap_steps,
+                                     x_ref=setup.cfg.x_ref.copy(),
+                                     u_ref=setup.cfg.u_ref.copy(),
+                                     deterministic=sched.deterministic)
 
 
 # ---------------------------------------------------------------------------

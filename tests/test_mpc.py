@@ -4,6 +4,7 @@ matrices against a brute-force rollout, and the tube QP against an SLSQP
 reference.  The scalar Lyapunov case has the closed form P = 4/3.
 """
 
+import time
 from functools import partial
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
+from lbmpc import qp as qpmod
 from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
-                       LbmpcProblem, MpcInfeasible, ZeroOracle, build_lbmpc,
-                       build_margins, default_controller, margin_ratio,
-                       shift_solution, solve_linear_mpc, solve_lbmpc,
+                       LbmpcProblem, MpcInfeasible, ZeroOracle, build_margins,
+                       margin_ratio, shift_solution, solve_linear_mpc, solve_lbmpc,
                        solve_lyapunov_P, synthesize_gain, synthesize_tube_gain,
                        _learned_rollout, _stagewise_rollout)
 from lbmpc.oracle import NetworkArch, new_oracle, predict_and_jacobian
@@ -37,9 +38,29 @@ def model():
     return toy_model()
 
 
+def controller(model, N):
+    """LQR gain plus Lyapunov terminal cost for regulation to the origin."""
+    Q, R = np.eye(2), np.array([[1.0]])
+    K = synthesize_gain(model, Q, R)
+    P = solve_lyapunov_P(model, K, Q, R)
+    return ControllerConfig(N=N, Q=Q, R=R, K=K, P=P, x_ref=np.zeros(2),
+                            u_ref=np.zeros(1))
+
+
+def dnn_oracle():
+    arch = NetworkArch(3, (6, 4), 2)
+    state = new_oracle(arch, W_bar=[0.2, 0.2], gamma=0.3, seed=4)
+    # give K nonzero entries so the oracle actually bends trajectories
+    rng = np.random.default_rng(8)
+    K = 0.05 * rng.normal(size=state.K.shape)
+    state = state.__class__(arch=arch, hidden=state.hidden, K=K,
+                            W_bar=state.W_bar, gamma=state.gamma)
+    return DnnOracle(state)
+
+
 @pytest.fixture(scope="module")
 def setup(model):
-    cfg = default_controller(model, N=6, Q=np.eye(2), R=np.array([[1.0]]))
+    cfg = controller(model, N=6)
     A_cl = model.A + model.B @ cfg.K
     omega = max_invariant_set(A_cl, model.X, model.U, cfg.K, model.W).omega
     margins = build_margins(model, cfg, omega)
@@ -48,7 +69,7 @@ def setup(model):
 
 def problem(model, setup, oracle=None):
     cfg, omega, margins = setup
-    return build_lbmpc(model, cfg, omega, margins, oracle or ZeroOracle())
+    return LbmpcProblem(model, cfg, omega, margins, oracle or ZeroOracle())
 
 
 class TestGainSynthesis:
@@ -188,23 +209,17 @@ class TestTightening:
     def test_huge_disturbance_empties_a_stage(self):
         m = toy_model(w=1.2)
         with pytest.raises((EmptyTightenedSet, Exception)):
-            cfg = default_controller(m, N=8, Q=np.eye(2), R=np.array([[1.0]]))
+            cfg = controller(m, N=8)
             A_cl = m.A + m.B @ cfg.K
             omega = max_invariant_set(A_cl, m.X, m.U, cfg.K, m.W).omega
             margins = build_margins(m, cfg, omega)
-            build_lbmpc(m, cfg, omega, margins, ZeroOracle())
+            LbmpcProblem(m, cfg, omega, margins, ZeroOracle())
 
 
 class TestLearnedRollout:
     def dnn_problem(self, model, setup):
-        arch = NetworkArch(3, (6, 4), 2)
-        state = new_oracle(arch, W_bar=[0.2, 0.2], gamma=0.3, seed=4)
-        # give K nonzero entries so the oracle actually bends trajectories
-        rng = np.random.default_rng(8)
-        K = 0.05 * rng.normal(size=state.K.shape)
-        state = state.__class__(arch=arch, hidden=state.hidden, K=K,
-                                W_bar=state.W_bar, gamma=state.gamma)
-        return problem(model, setup, DnnOracle(state)), state
+        oracle = dnn_oracle()
+        return problem(model, setup, oracle), oracle.state
 
     def test_batched_rollout_matches_generic(self, model, setup):
         p, state = self.dnn_problem(model, setup)
@@ -254,3 +269,36 @@ class TestLearnedRollout:
         from lbmpc.mpc import _objective
         _, _, z_lin, _ = _learned_rollout(p, x, lin.c)
         assert sol.objective <= _objective(p, z_lin, v) + 1e-9
+
+
+class TestFallback:
+    """Fault injection: a QP that fails after spending time."""
+
+    @pytest.mark.parametrize("failure", ["iteration_limit", "infeasible"])
+    @pytest.mark.parametrize("kind", ["zero", "dnn"])
+    def test_failed_qp_falls_back_to_warm_c(self, model, setup, monkeypatch,
+                                            kind, failure):
+        p = problem(model, setup, dnn_oracle() if kind == "dnn" else None)
+        x = np.array([0.4, -0.3])
+        first = solve_lbmpc(p, x)
+        x = model.A @ x + model.B @ first.u
+        # offset so the candidate differs from any c the solver could return
+        warm = {"c": shift_solution(first, model.m) + 0.01,
+                "dual": first.qp_dual, "rho": first.qp_rho}
+        assert p.feasible(x, warm["c"])
+
+        def failing_qp(prob, warm_start=None):
+            time.sleep(0.01)
+            return qpmod.QpSolution(x=np.zeros(prob.n),
+                                    lam=np.zeros(prob.h_in.size),
+                                    status=failure, iterations=4000,
+                                    residuals=(1.0, 1.0, 1.0, 1.0))
+
+        monkeypatch.setattr(qpmod, "qp_solve", failing_qp)
+        sol = solve_lbmpc(p, x, warm=warm)
+        assert sol.status == "fallback"
+        assert np.array_equal(sol.c, warm["c"])
+        assert sol.wall_time >= 0.01
+        # without a warm candidate there is nothing to fall back to
+        with pytest.raises(MpcInfeasible):
+            solve_lbmpc(p, x)

@@ -42,17 +42,6 @@ class TestConstruction:
         P = Polytope.box([1.0], [-1.0])
         assert P.is_empty()
 
-    def test_halfspace_is_unbounded(self):
-        P = Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))
-        assert not P.is_bounded()
-
-    def test_text_round_trip(self):
-        rng = np.random.default_rng(3)
-        P = random_bounded_polytope(rng, 3, 4)
-        Q = Polytope.from_text(P.to_text())
-        assert np.allclose(P.F, Q.F)
-        assert np.allclose(P.h, Q.h)
-
 
 class TestSupport:
     def test_box_support_is_interval_arithmetic(self):

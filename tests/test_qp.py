@@ -18,16 +18,14 @@ def active_set_oracle(p, tol=1e-9):
     n = p.n
     G = p.G if p.G is not None else np.zeros((0, n))
     h = p.h_in if p.h_in is not None else np.zeros(0)
-    E = p.E if p.E is not None else np.zeros((0, n))
-    b = p.h_eq if p.h_eq is not None else np.zeros(0)
     m = G.shape[0]
     best = None
     for r in range(m + 1):
         for subset in itertools.combinations(range(m), r):
             idx = list(subset)
-            A = np.vstack([G[idx], E]) if idx or E.size else np.zeros((0, n))
-            rhs = np.concatenate([h[idx], b])
-            k = A.shape[0]
+            A = G[idx]
+            rhs = h[idx]
+            k = len(idx)
             KKT = np.zeros((n + k, n + k))
             KKT[:n, :n] = p.H
             KKT[:n, n:] = A.T
@@ -50,7 +48,7 @@ def active_set_oracle(p, tol=1e-9):
     return best
 
 
-def random_qp(rng, n, m_in, m_eq=0):
+def random_qp(rng, n, m_in):
     L = rng.normal(size=(n, n))
     H = L @ L.T + 0.1 * np.eye(n)
     g = rng.normal(size=n)
@@ -58,9 +56,6 @@ def random_qp(rng, n, m_in, m_eq=0):
     # offsets chosen so a known point is strictly feasible
     x_feas = rng.normal(size=n) * 0.3
     h = G @ x_feas + rng.uniform(0.05, 1.0, m_in)
-    if m_eq:
-        E = rng.normal(size=(m_eq, n))
-        return QpProblem(H=H, g=g, G=G, h_in=h, E=E, h_eq=E @ x_feas)
     return QpProblem(H=H, g=g, G=G, h_in=h)
 
 
@@ -109,20 +104,10 @@ class TestAgainstOracle:
             assert p.objective(sol.x) == pytest.approx(ref[1], abs=1e-6)
             assert np.allclose(sol.x, ref[0], atol=1e-5)
 
-    def test_random_mixed_qps(self):
-        rng = np.random.default_rng(7)
-        for trial in range(30):
-            p = random_qp(rng, 4, rng.integers(1, 5), m_eq=1)
-            sol = qp_solve(p)
-            ref = active_set_oracle(p)
-            assert ref is not None
-            assert sol.status == "optimal"
-            assert p.objective(sol.x) == pytest.approx(ref[1], abs=1e-6)
-
     def test_kkt_residuals_small(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            p = random_qp(rng, 3, 4, m_eq=1)
+            p = random_qp(rng, 3, 4)
             sol = qp_solve(p)
             res = solution_residuals(p, sol)
             assert max(res) < 1e-6
@@ -135,14 +120,6 @@ class TestAgainstOracle:
         assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
         assert sol.lam[0] == pytest.approx(2.0, abs=1e-6)
 
-    def test_equality_only(self):
-        # min ||x||^2 s.t. x1 + x2 = 2 -> (1, 1), nu = -2
-        p = QpProblem(H=2.0 * np.eye(2), g=np.zeros(2),
-                      E=np.array([[1.0, 1.0]]), h_eq=np.array([2.0]))
-        sol = qp_solve(p)
-        assert np.allclose(sol.x, [1.0, 1.0], atol=1e-7)
-        assert max(solution_residuals(p, sol)) < 1e-6
-
 
 class TestInfeasibility:
     def test_contradictory_inequalities(self):
@@ -152,22 +129,13 @@ class TestInfeasibility:
         sol = qp_solve(p)
         assert sol.status == "infeasible"
 
-    def test_equality_against_inequality(self):
-        p = QpProblem(H=np.eye(2), g=np.zeros(2),
-                      G=np.array([[1.0, 0.0]]), h_in=np.array([0.0]),
-                      E=np.array([[1.0, 0.0]]), h_eq=np.array([1.0]))
-        sol = qp_solve(p)
-        assert sol.status == "infeasible"
-
 
 class TestWarmStart:
     def test_exact_warm_start_terminates_immediately(self):
         rng = np.random.default_rng(3)
         p = random_qp(rng, 3, 4)
         cold = qp_solve(p)
-        warm = qp_solve(p, warm_start=(cold.x,
-                                       np.concatenate([cold.lam, cold.nu]),
-                                       cold.rho_final))
+        warm = qp_solve(p, warm_start=(cold.x, cold.lam, cold.rho_final))
         assert warm.status == "optimal"
         assert warm.iterations <= cold.iterations
         assert np.allclose(warm.x, cold.x, atol=1e-6)
@@ -179,9 +147,7 @@ class TestWarmStart:
         g2 = p.g + 1e-3 * rng.normal(size=4)
         p2 = QpProblem(H=p.H, g=g2, G=p.G, h_in=p.h_in, validate=False)
         cold2 = qp_solve(p2)
-        warm2 = qp_solve(p2, warm_start=(cold.x,
-                                         np.concatenate([cold.lam, cold.nu]),
-                                         cold.rho_final))
+        warm2 = qp_solve(p2, warm_start=(cold.x, cold.lam, cold.rho_final))
         assert warm2.status == "optimal"
         assert warm2.iterations <= cold2.iterations
         assert p2.objective(warm2.x) == pytest.approx(p2.objective(cold2.x),
@@ -217,7 +183,7 @@ class TestCacheSafety:
 class TestDeterminism:
     def test_repeat_solves_bitwise_equal(self):
         rng = np.random.default_rng(21)
-        p = random_qp(rng, 4, 5, m_eq=1)
+        p = random_qp(rng, 4, 5)
         a = qp_solve(p)
         b = qp_solve(p)
         assert np.array_equal(a.x, b.x)

@@ -16,9 +16,9 @@ import pytest
 from lbmpc import oracle as om
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import load_scenario, parse_scenario
-from lbmpc.runtime import (ClosedLoopTrace, InfeasibleAtStart, Mailbox,
-                           MetricsReport, build_setup, compare, metrics,
-                           run_closed_loop, _trainer_worker)
+from lbmpc.runtime import (TRACE_SPEC, ClosedLoopTrace, InfeasibleAtStart,
+                           Mailbox, MetricsReport, RuntimeFailure, build_setup,
+                           compare, metrics, run_closed_loop, _trainer_worker)
 
 
 EMPTY_ENV = {}
@@ -173,6 +173,18 @@ class TestTrainer:
         assert set(rises) <= {0, 1}
         assert list(np.flatnonzero(rises) + 1) == tr.swap_steps
 
+    def test_failing_trainer_job_surfaces(self, monkeypatch):
+        def failing_train(*args, **kwargs):
+            raise FloatingPointError("injected trainer failure")
+
+        monkeypatch.setattr(om, "train_hidden", failing_train)
+        s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                          environ=EMPTY_ENV)
+        s = replace(s, run=replace(s.run, steps=300),
+                    schedule=replace(s.schedule, deterministic=False))
+        with pytest.raises(RuntimeFailure, match="trainer job failed"):
+            run_closed_loop(s)
+
 
 class TestMetrics:
     def synthetic_trace(self, x_path):
@@ -241,6 +253,16 @@ class TestMetrics:
         path = [[1.0, 0, 0, 0]] * 3
         with pytest.raises(ValueError):
             metrics(self.synthetic_trace(path), np.eye(4), np.eye(1), band=0.0)
+
+
+class TestTrace:
+    synthetic_trace = TestMetrics.synthetic_trace
+
+    @pytest.mark.parametrize("name", [spec[0] for spec in TRACE_SPEC])
+    def test_row_count_mismatch_rejected(self, name):
+        tr = self.synthetic_trace([[1.0, 0.0, 0.0, 0.0]] * 3)
+        with pytest.raises(ValueError):
+            replace(tr, **{name: getattr(tr, name)[:2]})
 
 
 class TestCompare:
