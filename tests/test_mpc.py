@@ -15,8 +15,8 @@ from scipy.optimize import minimize
 from lbmpc import qp as qpmod
 from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
                        LbmpcProblem, MpcInfeasible, ZeroOracle, build_margins,
-                       margin_ratio, shift_solution, solve_linear_mpc, solve_lbmpc,
-                       solve_lyapunov_P, synthesize_gain, synthesize_tube_gain,
+                       margin_ratio, shift_solution, solve_linear_mpc,
+                       solve_lbmpc, solve_lyapunov_P, synthesize_gain, synthesize_tube_gain,
                        _learned_rollout, _stagewise_rollout)
 from lbmpc.oracle import NetworkArch, new_oracle, predict_and_jacobian
 from lbmpc.plant import PlantModel

@@ -49,6 +49,13 @@ def scenario(kind, steps=60):
     return parse_scenario(BASE % (kind, steps), name=kind, environ=EMPTY_ENV)
 
 
+def concurrent_dnn():
+    """300 steps of the bundled dnn scenario, trainer in its own thread."""
+    s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"), environ=EMPTY_ENV)
+    return replace(s, run=replace(s.run, steps=300),
+                   schedule=replace(s.schedule, deterministic=False))
+
+
 @pytest.fixture(scope="module")
 def dnn_trace():
     return run_closed_loop(scenario("dnn"))
@@ -155,11 +162,7 @@ class TestTrainer:
     def test_concurrent_dnn_smoke(self):
         # timing-free: swaps land whenever the trainer finishes, so only the
         # guarantees and the generation bookkeeping are checked
-        s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
-                          environ=EMPTY_ENV)
-        s = replace(s, run=replace(s.run, steps=300),
-                    schedule=replace(s.schedule, deterministic=False))
-        tr = run_closed_loop(s)
+        tr = run_closed_loop(concurrent_dnn())
         assert len(tr) == 300
         assert np.all(tr.h_in_w)
         assert np.all(tr.shift_feasible)
@@ -178,12 +181,8 @@ class TestTrainer:
             raise FloatingPointError("injected trainer failure")
 
         monkeypatch.setattr(om, "train_hidden", failing_train)
-        s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
-                          environ=EMPTY_ENV)
-        s = replace(s, run=replace(s.run, steps=300),
-                    schedule=replace(s.schedule, deterministic=False))
         with pytest.raises(RuntimeFailure, match="trainer job failed"):
-            run_closed_loop(s)
+            run_closed_loop(concurrent_dnn())
 
 
 class TestMetrics:
