@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_out=True):
         p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded deterministic mode")
+                       help="write solver times as zero (byte-identical trace)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--root-on-massflow", action="store_true",

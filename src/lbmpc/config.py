@@ -70,9 +70,10 @@ class ScheduleSection:
     ``copy_period`` is the number of control steps between trainer events
     (the T_k sequence); training only fires once the buffer holds at least
     ``train_fill`` of its capacity and ``min_new_samples`` new labels have
-    arrived since the previous event.  ``deterministic`` trains inline at
-    the event step; otherwise a background thread trains on a copy of the
-    buffer and the loop installs the result when it arrives.
+    arrived since the previous event.  A trainer event retrains inline and
+    installs the result at its own step.  ``deterministic`` writes the
+    ``solver_time`` column of ``trace.csv`` as zero, so repeated runs give
+    byte-identical files.
     """
 
     copy_period: int = 50

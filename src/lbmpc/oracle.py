@@ -222,8 +222,10 @@ class ReplayBuffer:
     Slots fill in order.  Once full, 'fifo' overwrites the oldest entry;
     'diversity' evicts the stored entry closest to the newcomer, but only if
     doing so increases the minimum pairwise input distance, otherwise falls
-    back to FIFO.  ``inputs`` and ``labels`` are views of the filled rows in
-    slot order.
+    back to FIFO.  To decide that in O(n d) per push, 'diversity' keeps each
+    row's nearest-neighbour squared distance and index current on every
+    write.  ``inputs`` and ``labels`` are views of the filled rows in slot
+    order.
     """
 
     capacity: int
@@ -240,6 +242,8 @@ class ReplayBuffer:
         self._H = np.zeros((self.capacity, self.n_out))
         self._count = 0
         self._oldest = 0
+        self._nn_dist = np.full(self.capacity, np.inf)
+        self._nn_index = np.full(self.capacity, -1)
 
     def __len__(self):
         return self._count
@@ -265,27 +269,51 @@ class ReplayBuffer:
         else:
             idx = self._oldest
             if self.policy == "diversity":
-                div_idx = self._diversity_slot(xu)
-                if div_idx is not None:
-                    idx = div_idx
+                idx = self._diversity_slot(xu)
             if idx == self._oldest:
                 self._oldest = (self._oldest + 1) % self.capacity
         self._X[idx] = xu
         self._H[idx] = h
+        if self.policy == "diversity":
+            self._update_nearest(idx)
 
-    def _diversity_slot(self, xu) -> Optional[int]:
+    def _distances(self, rows) -> np.ndarray:
+        """Squared input distances from ``rows`` to every filled row, inf
+        from a row to itself."""
         X = self.inputs
-        d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        current_min = d2.min()
-        nearest = int(np.argmin(np.sum((X - xu) ** 2, axis=-1)))
-        X2 = X.copy()
-        X2[nearest] = xu
-        d2b = np.sum((X2[:, None, :] - X2[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2b, np.inf)
-        if d2b.min() > current_min:
-            return nearest
-        return None
+        d2 = np.sum((X[rows][:, None, :] - X[None, :, :]) ** 2, axis=-1)
+        d2[np.arange(len(rows)), rows] = np.inf
+        return d2
+
+    def _diversity_slot(self, xu) -> int:
+        d_new = np.sum((self.inputs - xu) ** 2, axis=-1)
+        nearest = int(np.argmin(d_new))
+        # the minimum pairwise distance once xu replaces `nearest`: xu against
+        # the other rows, each other row's nearest neighbour, recomputed for
+        # the rows whose nearest neighbour was `nearest`
+        d_new[nearest] = np.inf
+        lost = self._nn_index == nearest
+        lost[nearest] = False
+        kept = ~lost
+        kept[nearest] = False
+        d_lost = self._distances(np.flatnonzero(lost))
+        d_lost[:, nearest] = np.inf
+        new_min = min(d_new.min(), self._nn_dist[kept].min(initial=np.inf),
+                      d_lost.min(initial=np.inf))
+        return nearest if new_min > self._nn_dist.min() else self._oldest
+
+    def _update_nearest(self, idx: int) -> None:
+        """Account for the new row in slot ``idx`` in every nearest
+        neighbour; rescan the rows whose nearest neighbour it replaced."""
+        n = len(self)
+        stale = np.flatnonzero(self._nn_index[:n] == idx)
+        rows = np.concatenate([[idx], stale[stale != idx]])
+        d_rows = self._distances(rows)
+        closer = d_rows[0] < self._nn_dist[:n]
+        self._nn_dist[:n][closer] = d_rows[0][closer]
+        self._nn_index[:n][closer] = idx
+        self._nn_index[rows] = np.argmin(d_rows, axis=1)
+        self._nn_dist[rows] = d_rows.min(axis=1)
 
     def sample(self, M: int, rng: np.random.Generator):
         if len(self) < M:

@@ -1,17 +1,13 @@
-"""Dual-timescale closed loop: real-time control with a background trainer.
+"""Dual-timescale closed loop: real-time control with a slow trainer.
 
 The fast loop runs measure -> solve -> apply -> adapt -> log every sampling
-period; the slow loop retrains the oracle's hidden stack on buffered data and
-hands finished snapshots back.  In deterministic mode both collapse onto one
-thread (training happens inline at the scheduled step); in concurrent mode the
-trainer runs alongside and weight snapshots travel through one-slot mailboxes,
-so the control loop never blocks.
+period.  The slow timescale is a trainer event every ``copy_period`` steps:
+it retrains the oracle's hidden stack on the live replay buffer and installs
+the result at that same step, on the loop's own thread.
 """
 
 from __future__ import annotations
 
-import copy
-import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -142,7 +138,6 @@ class LoopSetup:
     omega: Polytope
     margins: object
     problem: mpc.LbmpcProblem
-    oracle_kind: str
     oracle_adapter: object
     dnn_state: Optional[om.OracleState]
     buffer: Optional[om.ReplayBuffer]
@@ -215,49 +210,9 @@ def build_setup(scenario) -> LoopSetup:
                                sqp_tol=cc.sqp_tol)
     x0 = np.asarray(scenario.run.x0, dtype=float)
     return LoopSetup(params=params, sim=sim, model=model, cfg=cfg, omega=omega,
-                     margins=margins, problem=problem, oracle_kind=kind,
+                     margins=margins, problem=problem,
                      oracle_adapter=adapter, dnn_state=dnn_state, buffer=buf,
                      l2nw=l2nw, x0=x0)
-
-
-# ---------------------------------------------------------------------------
-# trainer plumbing
-
-
-class Mailbox:
-    """One-slot overwrite mailbox; take() empties the slot."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._slot = None
-
-    def put(self, item):
-        with self._lock:
-            self._slot = item
-
-    def take(self):
-        with self._lock:
-            item, self._slot = self._slot, None
-        return item
-
-
-def _trainer_worker(inbox: Mailbox, outbox: Mailbox, stop: threading.Event,
-                    train_batch, train_epochs, train_lr):
-    while not stop.is_set():
-        job = inbox.take()
-        if job is None:
-            stop.wait(1e-4)
-            continue
-        state, snapshot, seed = job
-        M = min(train_batch, len(snapshot))
-        try:
-            outbox.put(om.train_hidden(state, snapshot, M, train_epochs,
-                                       lr=train_lr, seed=seed))
-        except Exception as exc:
-            # the loop raises it when it takes the outbox; stop here so no
-            # later result overwrites it
-            outbox.put(exc)
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +224,9 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
 
     Raises InfeasibleAtStart if the first solve has no feasible solution;
     later steps always produce an input because the shifted previous solution
-    is a feasible fallback (a failure there is a RuntimeFailure).  In
-    concurrent mode a failed trainer job raises RuntimeFailure at the step
-    that collects it.
+    is a feasible fallback (a failure there is a RuntimeFailure).  A trainer
+    event retrains the hidden stack inline and installs it at its own step;
+    a failed trainer job raises RuntimeFailure at that step.
     """
     setup = build_setup(scenario)
     sched = scenario.schedule
@@ -289,101 +244,72 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     adapter = setup.oracle_adapter
     buf = setup.buffer
 
-    concurrent = setup.oracle_kind == "dnn" and not sched.deterministic
-    inbox = outbox = None
-    stop = None
-    worker = None
-    if concurrent:
-        inbox, outbox, stop = Mailbox(), Mailbox(), threading.Event()
-        worker = threading.Thread(target=_trainer_worker,
-                                  args=(inbox, outbox, stop, oc.train_batch,
-                                        oc.train_epochs, oc.train_lr),
-                                  daemon=True)
-        worker.start()
-
     x = setup.x0.copy()
     warm = None
     samples_since_train = 0
-    try:
-        for t in range(steps):
-            # collect a finished hidden stack before this step's solve
-            if concurrent:
-                done = outbox.take()
-                if isinstance(done, Exception):
-                    raise RuntimeFailure(
-                        "trainer job failed before step %d: %s" % (t, done)
-                    ) from done
-                if done is not None:
-                    state = om.swap_hidden(state, done[0])
-                    adapter.state = state
-                    swap_steps.append(t)
+    for t in range(steps):
+        try:
+            sol = mpc.solve_lbmpc(problem, x, warm=warm)
+        except mpc.MpcError as exc:
+            if t == 0:
+                raise InfeasibleAtStart(
+                    "no feasible solution at x0 = %s: %s" % (x, exc))
+            raise RuntimeFailure(
+                "solver failed at step %d despite fallback: %s" % (t, exc))
 
+        u = sol.u
+        phi = None
+        if state is not None:
+            # cache the exact feature vector of the generation that
+            # produced u, so adapt stays consistent across swaps
+            phi = om.features(state, x, u)
+            h_hat = om.predict_from_features(state, phi)
+        else:
+            h_hat = np.asarray(adapter.predict(x, u), dtype=float)
+
+        x_abs_next = setup.sim.step(x + model.x_eq, u + model.u_eq)
+        x_next = x_abs_next - model.x_eq
+        h = plant.truth_residual(x, u, x_next, model)
+        x_tilde = (model.A @ x + model.B @ u + h_hat) - x_next
+
+        c_shift = mpc.shift_solution(sol, m)
+        rows.append(dict(
+            x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde,
+            k_fro=np.linalg.norm(state.K) if state is not None else 0.0,
+            generation=state.generation if state is not None else 0,
+            status=sol.status, sqp_iters=sol.sqp_iters,
+            solver_time=sol.wall_time,
+            state_margin=float(np.min(model.X.h - model.X.F @ x)),
+            input_margin=float(np.min(model.U.h - model.U.F @ u)),
+            shift_feasible=problem.feasible(x_next, c_shift),
+            h_in_w=W.contains(h)))
+
+        if state is not None:
+            state = om.adapt(state, x, u, x_next, model, phi=phi)
+            adapter.state = state
+            om.buffer_push(buf, np.concatenate([x, u]), h)
+            samples_since_train += 1
+        if setup.l2nw is not None:
+            setup.l2nw.push(np.concatenate([x, u]), h)
+
+        if (state is not None and t > 0 and t % sched.copy_period == 0
+                and len(buf) >= sched.train_fill * buf.capacity
+                and samples_since_train >= sched.min_new_samples):
+            samples_since_train = 0
+            M = min(oc.train_batch, len(buf))
             try:
-                sol = mpc.solve_lbmpc(problem, x, warm=warm)
-            except mpc.MpcError as exc:
-                if t == 0:
-                    raise InfeasibleAtStart(
-                        "no feasible solution at x0 = %s: %s" % (x, exc))
+                hidden, _ = om.train_hidden(state, buf, M, oc.train_epochs,
+                                            lr=oc.train_lr,
+                                            seed=sched.seed + t)
+            except Exception as exc:
                 raise RuntimeFailure(
-                    "solver failed at step %d despite fallback: %s" % (t, exc))
+                    "trainer job failed at step %d: %s" % (t, exc)) from exc
+            state = om.swap_hidden(state, hidden)
+            adapter.state = state
+            swap_steps.append(t)
 
-            u = sol.u
-            phi = None
-            if state is not None:
-                # cache the exact feature vector of the generation that
-                # produced u, so adapt stays consistent across swaps
-                phi = om.features(state, x, u)
-                h_hat = om.predict_from_features(state, phi)
-            else:
-                h_hat = np.asarray(adapter.predict(x, u), dtype=float)
-
-            x_abs_next = setup.sim.step(x + model.x_eq, u + model.u_eq)
-            x_next = x_abs_next - model.x_eq
-            h = plant.truth_residual(x, u, x_next, model)
-            x_tilde = (model.A @ x + model.B @ u + h_hat) - x_next
-
-            c_shift = mpc.shift_solution(sol, m)
-            rows.append(dict(
-                x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde,
-                k_fro=np.linalg.norm(state.K) if state is not None else 0.0,
-                generation=state.generation if state is not None else 0,
-                status=sol.status, sqp_iters=sol.sqp_iters,
-                solver_time=sol.wall_time,
-                state_margin=float(np.min(model.X.h - model.X.F @ x)),
-                input_margin=float(np.min(model.U.h - model.U.F @ u)),
-                shift_feasible=problem.feasible(x_next, c_shift),
-                h_in_w=W.contains(h)))
-
-            if state is not None:
-                state = om.adapt(state, x, u, x_next, model, phi=phi)
-                adapter.state = state
-                om.buffer_push(buf, np.concatenate([x, u]), h)
-                samples_since_train += 1
-            if setup.l2nw is not None:
-                setup.l2nw.push(np.concatenate([x, u]), h)
-
-            if (state is not None and t > 0 and t % sched.copy_period == 0
-                    and len(buf) >= sched.train_fill * buf.capacity
-                    and samples_since_train >= sched.min_new_samples):
-                samples_since_train = 0
-                seed = sched.seed + t
-                if sched.deterministic:
-                    M = min(oc.train_batch, len(buf))
-                    hidden, _ = om.train_hidden(state, buf, M,
-                                                oc.train_epochs,
-                                                lr=oc.train_lr, seed=seed)
-                    state = om.swap_hidden(state, hidden)
-                    adapter.state = state
-                    swap_steps.append(t)
-                else:
-                    inbox.put((state, copy.deepcopy(buf), seed))
-
-            warm = {"c": c_shift, "dual": sol.qp_dual, "rho": sol.qp_rho}
-            x = x_next
-    finally:
-        if concurrent:
-            stop.set()
-            worker.join(timeout=5.0)
+        warm = {"c": c_shift, "dual": sol.qp_dual, "rho": sol.qp_rho}
+        x = x_next
 
     return ClosedLoopTrace.from_rows(rows, swap_steps=swap_steps,
                                      x_ref=setup.cfg.x_ref.copy(),

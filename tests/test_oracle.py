@@ -23,6 +23,22 @@ class FakeModel:
         self.B = rng.normal(size=(d, m))
 
 
+def reference_diversity_slot(X, xu):
+    """The O(n^2) eviction rule: replace the row nearest to xu if that raises
+    the minimum pairwise distance, else None (evict the oldest)."""
+    d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    current_min = d2.min()
+    nearest = int(np.argmin(np.sum((X - xu) ** 2, axis=-1)))
+    X2 = X.copy()
+    X2[nearest] = xu
+    d2b = np.sum((X2[:, None, :] - X2[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2b, np.inf)
+    if d2b.min() > current_min:
+        return nearest
+    return None
+
+
 @pytest.fixture
 def arch():
     return NetworkArch(n_in=5, hidden=(8, 6), n_out=4)
@@ -188,6 +204,34 @@ class TestReplayBuffer:
         buf.push(np.array([0.01]), np.zeros(1))
         vals = sorted(v[0] for v in buf.inputs)
         assert 3.0 in vals
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_diversity_matches_reference(self, seed):
+        # a plain ring with the O(n^2) rule next to the buffer; a third of
+        # the samples repeat one of 20 points exactly, the rest are rounded
+        rng = np.random.default_rng(seed)
+        cap, n_in = int(rng.integers(1, 41)), int(rng.integers(1, 6))
+        pool = rng.normal(size=(20, n_in)).round(1)
+        buf = ReplayBuffer(capacity=cap, n_in=n_in, n_out=2,
+                           policy="diversity")
+        X, H = np.zeros((cap, n_in)), np.zeros((cap, 2))
+        count = oldest = 0
+        for _ in range(3 * cap + 20):
+            if rng.random() < 1 / 3:
+                xu = pool[rng.integers(len(pool))]
+            else:
+                xu = rng.normal(size=n_in).round(int(rng.integers(0, 3)))
+            h = rng.normal(size=2)
+            if count < cap:
+                idx, count = count, count + 1
+            else:
+                idx = reference_diversity_slot(X, xu)
+                if idx is None or idx == oldest:
+                    idx, oldest = oldest, (oldest + 1) % cap
+            X[idx], H[idx] = xu, h
+            buf.push(xu, h)
+            assert np.array_equal(buf.inputs, X[:count])
+            assert np.array_equal(buf.labels, H[:count])
 
     def test_sample_and_insufficient(self):
         buf = ReplayBuffer(capacity=10, n_in=2, n_out=1)

@@ -7,8 +7,11 @@ columns at rtol 1e-12 / atol 1e-14, so a different BLAS build does not trip
 the gate while any change of behaviour does.
 
 The files are ``trace.csv`` of ``lbmpc simulate <scenario> --deterministic``
-with ``LBMPC_RUN_STEPS=200``.  To regenerate them after a deliberate change
-of behaviour (and say so in CHANGES.md), run from the repository root:
+with ``LBMPC_RUN_STEPS=200``.  The dnn scenario also runs with
+``deterministic = false``, which may only change the ``solver_time`` column:
+there it holds the measured wall times instead of zeros.  To regenerate the
+files after a deliberate change of behaviour (and say so in CHANGES.md), run
+from the repository root:
 
     PYTHONPATH=src python tests/test_reference_traces.py
 """
@@ -26,19 +29,21 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 SCENARIOS = ("linear", "dnn", "l2nw")
 STEPS = 200
 EXACT = ("t", "generation", "status", "sqp_iters", "shift_feasible", "h_in_w")
+CASES = [pytest.param(name, True, id=name) for name in SCENARIOS] + [
+    pytest.param("dnn", False, id="dnn-timed")]
 
 
 def reference_path(name):
     return os.path.join(DATA, "reference_%s.csv" % name)
 
 
-def trace_csv(name):
-    """Deterministic trace of a bundled scenario, as the CLI writes it."""
+def trace_csv(name, deterministic=True):
+    """Trace of a bundled scenario, as the CLI writes it."""
     s = config.load_scenario(os.path.join(SCENARIO_DIR, name + ".ini"),
                              environ={})
     s = dataclasses.replace(
         s, run=dataclasses.replace(s.run, steps=STEPS),
-        schedule=dataclasses.replace(s.schedule, deterministic=True))
+        schedule=dataclasses.replace(s.schedule, deterministic=deterministic))
     return runtime.run_closed_loop(s).to_csv()
 
 
@@ -49,15 +54,18 @@ def columns(text):
     return header, {h: [r[j] for r in rows] for j, h in enumerate(header)}
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_matches_reference(name):
+@pytest.mark.parametrize("name, deterministic", CASES)
+def test_matches_reference(name, deterministic):
     with open(reference_path(name)) as fh:
         ref_header, ref = columns(fh.read())
-    header, got = columns(trace_csv(name))
+    header, got = columns(trace_csv(name, deterministic))
     assert header == ref_header
     assert len(got["t"]) == len(ref["t"]) == STEPS
     for col in header:
-        if col in EXACT:
+        if col == "solver_time" and not deterministic:
+            times = np.array(got[col], dtype=float)
+            assert np.all(np.isfinite(times)) and np.all(times > 0), col
+        elif col in EXACT:
             assert got[col] == ref[col], col
         else:
             np.testing.assert_allclose(

@@ -4,10 +4,7 @@ comparison guardrails.  Runs are kept short; the long-horizon behavior is
 covered by the acceptance suite.
 """
 
-import copy
 import os
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +14,8 @@ from lbmpc import oracle as om
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import load_scenario, parse_scenario
 from lbmpc.runtime import (TRACE_SPEC, ClosedLoopTrace, InfeasibleAtStart,
-                           Mailbox, MetricsReport, RuntimeFailure, build_setup,
-                           compare, metrics, run_closed_loop, _trainer_worker)
+                           RuntimeFailure, build_setup, compare, metrics,
+                           run_closed_loop)
 
 
 EMPTY_ENV = {}
@@ -47,13 +44,6 @@ x0 = -0.12 0.06 0 0
 
 def scenario(kind, steps=60):
     return parse_scenario(BASE % (kind, steps), name=kind, environ=EMPTY_ENV)
-
-
-def concurrent_dnn():
-    """300 steps of the bundled dnn scenario, trainer in its own thread."""
-    s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"), environ=EMPTY_ENV)
-    return replace(s, run=replace(s.run, steps=300),
-                   schedule=replace(s.schedule, deterministic=False))
 
 
 @pytest.fixture(scope="module")
@@ -119,70 +109,35 @@ class TestClosedLoop:
 
 
 class TestTrainer:
-    def test_worker_on_snapshot_matches_inline(self):
-        # the concurrent trainer's job (a copy of the ring, trained in the
-        # worker thread) gives what inline training on the live ring gives
-        rng = np.random.default_rng(4)
-        arch = om.NetworkArch(n_in=5, hidden=(8, 6), n_out=4)
-        state = om.new_oracle(arch, W_bar=np.full(4, 0.5), gamma=0.3, seed=2)
-        state = om.OracleState(arch=arch, hidden=state.hidden,
-                               K=0.1 * rng.normal(size=state.K.shape),
-                               W_bar=state.W_bar, gamma=state.gamma)
-        buf = om.ReplayBuffer(capacity=400, n_in=5, n_out=4)
-        for _ in range(100):
-            xu = rng.normal(size=5)
-            buf.push(xu, np.sin(xu[:4]))
-        job = (state, copy.deepcopy(buf), 7)
-        inline = om.train_hidden(state, buf, 64, 4, lr=0.01, seed=7)
-        buf.push(np.ones(5), np.ones(4))    # the live ring moves on
+    def test_failing_trainer_job_surfaces(self, monkeypatch):
+        # the bundled dnn scenario trains first at step 100, once its ring
+        # holds 5 percent of 2000 samples
+        def failing_train(*args, **kwargs):
+            raise FloatingPointError("injected trainer failure")
 
-        inbox, outbox, stop = Mailbox(), Mailbox(), threading.Event()
-        worker = threading.Thread(target=_trainer_worker,
-                                  args=(inbox, outbox, stop, 64, 4, 0.01),
-                                  daemon=True)
-        inbox.put(job)
-        worker.start()
-        try:
-            done = None
-            deadline = time.monotonic() + 60.0
-            while done is None and time.monotonic() < deadline:
-                done = outbox.take()
-                stop.wait(1e-3)
-        finally:
-            stop.set()
-            worker.join(timeout=5.0)
-        assert not worker.is_alive()
-        assert done is not None, "trainer returned nothing within 60 s"
-        hidden, loss = done
-        assert loss == inline[1]
-        for (W, b), (W_in, b_in) in zip(hidden, inline[0]):
-            assert np.array_equal(W, W_in)
-            assert np.array_equal(b, b_in)
+        monkeypatch.setattr(om, "train_hidden", failing_train)
+        s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                          environ=EMPTY_ENV)
+        s = replace(s, run=replace(s.run, steps=150))
+        with pytest.raises(RuntimeFailure,
+                           match="trainer job failed at step 100") as info:
+            run_closed_loop(s)
+        assert isinstance(info.value.__cause__, FloatingPointError)
 
-    def test_concurrent_dnn_smoke(self):
-        # timing-free: swaps land whenever the trainer finishes, so only the
-        # guarantees and the generation bookkeeping are checked
-        tr = run_closed_loop(concurrent_dnn())
-        assert len(tr) == 300
+    def test_diversity_buffer_closed_loop(self):
+        # 120 steps into a 40-sample ring: the diversity policy evicts from
+        # step 40 on, and the swaps train on what it kept
+        s = scenario("dnn", steps=120)
+        s = replace(s, oracle=replace(s.oracle, buffer_capacity=40,
+                                      buffer_policy="diversity"))
+        tr = run_closed_loop(s)
+        assert len(tr) == 120
         assert np.all(tr.h_in_w)
         assert np.all(tr.shift_feasible)
         assert np.all(tr.state_margin > 0)
         assert np.all(tr.input_margin > 0)
         assert set(tr.status) <= {"optimal", "fallback"}
-        # a generation is installed at the top of each listed step, and the
-        # generation moves nowhere else
-        rises = np.diff(tr.generation)
-        assert tr.generation[0] == 0
-        assert set(rises) <= {0, 1}
-        assert list(np.flatnonzero(rises) + 1) == tr.swap_steps
-
-    def test_failing_trainer_job_surfaces(self, monkeypatch):
-        def failing_train(*args, **kwargs):
-            raise FloatingPointError("injected trainer failure")
-
-        monkeypatch.setattr(om, "train_hidden", failing_train)
-        with pytest.raises(RuntimeFailure, match="trainer job failed"):
-            run_closed_loop(concurrent_dnn())
+        assert len(tr.swap_steps) >= 2
 
 
 class TestMetrics:
