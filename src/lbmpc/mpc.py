@@ -306,18 +306,18 @@ class LbmpcProblem:
         rows_G, rows_X, rows_rhs = [], [], []
         for i in range(N):
             rhs = X.h - self.margins.state[i]
-            _check_nonempty(X.F, rhs, i, "state")
+            _check_nonempty(X, rhs, i, "state")
             rows_G.append(X.F @ Tz[i * d:(i + 1) * d])
             rows_X.append(X.F @ Sz[i * d:(i + 1) * d])
             rows_rhs.append(rhs)
         for i in range(N):
             rhs = U.h - self.margins.inputs[i]
-            _check_nonempty(U.F, rhs, i, "input")
+            _check_nonempty(U, rhs, i, "input")
             rows_G.append(U.F @ Tv[i * m:(i + 1) * m])
             rows_X.append(U.F @ Sv[i * m:(i + 1) * m])
             rows_rhs.append(rhs)
         rhs = self.omega.h - self.margins.terminal
-        _check_nonempty(self.omega.F, rhs, N, "terminal")
+        _check_nonempty(self.omega, rhs, N, "terminal")
         rows_G.append(self.omega.F @ Tz[N * d:])
         rows_X.append(self.omega.F @ Sz[N * d:])
         rows_rhs.append(rhs)
@@ -352,9 +352,17 @@ class LbmpcProblem:
         return bool(np.all(self.Gc @ c <= self.rhs0 - self.Gx @ x + tol))
 
 
-def _check_nonempty(F, h, stage, kind):
-    res = _solve_lp(np.zeros(F.shape[1]), F, h)
-    if res.status == 2:
+def _check_nonempty(P, h, stage, kind):
+    """Raise EmptyTightenedSet if {x : P.F x <= h} is empty.
+
+    A box's rows are [I; -I], so its tightened set is the box
+    [-h[d:], h[:d]], empty exactly when a lower end exceeds its upper end.
+    """
+    if "box_bounds" in P._cache:
+        empty = bool(np.any(-h[P.dim:] > h[:P.dim]))
+    else:
+        empty = _solve_lp(np.zeros(P.dim), P.F, h).status == 2
+    if empty:
         raise EmptyTightenedSet(stage, kind)
 
 

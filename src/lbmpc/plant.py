@@ -112,9 +112,17 @@ class TruthSimulator:
 
 def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10,
                root_on_massflow: bool = False):
-    """Advance the truth model by one sampling period T with input held."""
+    """Advance the truth model by one sampling period T with input held.
+
+    One state (shape (4,)) is integrated on Python floats, a batch (shape
+    (n, 4)) on numpy rows; both run the same operations in the same order.
+    """
     h = params.T / substeps
     x = np.asarray(state, dtype=float)
+    if x.ndim == 1:
+        u1 = np.asarray(u, dtype=float).item()
+        return np.array(_step_one(*x.tolist(), u1, params, h, substeps,
+                                  root_on_massflow))
 
     def f(s):
         return mg_rhs(s, u, params, root_on_massflow=root_on_massflow)
@@ -126,6 +134,38 @@ def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10,
         k4 = f(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
+
+
+def _step_one(z, y, r, rd, u, params, h, substeps, root_on_massflow):
+    """step_truth for one state: mg_rhs and RK4 written out on floats, with
+    mg_rhs's DomainError checks (a NaN passes both, as in numpy)."""
+    b2 = params.beta ** 2
+    wn2 = params.omega_n ** 2
+    damp = 2.0 * params.zeta * params.omega_n
+
+    def f(z, y, r, rd):
+        if (abs(z) > _DOMAIN_GUARD or abs(y) > _DOMAIN_GUARD
+                or abs(r) > _DOMAIN_GUARD or abs(rd) > _DOMAIN_GUARD):
+            raise DomainError("state outside numerical domain guard")
+        root_arg = z if root_on_massflow else y
+        if root_arg < 0.0:
+            raise DomainError("negative square-root argument in throttle flow")
+        return (-y + params.z_c + 1.0 + 1.5 * z - 0.5 * z ** 3,
+                (z + 1.0 - r * math.sqrt(root_arg)) / b2,
+                rd,
+                wn2 * (u - r) - damp * rd)
+
+    a = 0.5 * h
+    c = h / 6.0
+    for _ in range(substeps):
+        k1 = f(z, y, r, rd)
+        k2 = f(z + a * k1[0], y + a * k1[1], r + a * k1[2], rd + a * k1[3])
+        k3 = f(z + a * k2[0], y + a * k2[1], r + a * k2[2], rd + a * k2[3])
+        k4 = f(z + h * k3[0], y + h * k3[1], r + h * k3[2], rd + h * k3[3])
+        z, y, r, rd = (
+            x + c * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            for x, p1, p2, p3, p4 in zip((z, y, r, rd), k1, k2, k3, k4))
+    return z, y, r, rd
 
 
 def mg_jacobians(params: MooreGreitzerParams, x_e, u_e,

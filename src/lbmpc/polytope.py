@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 
@@ -219,35 +220,77 @@ def tube_margins(A_cl, W: Polytope, constraint_normals, N: int) -> np.ndarray:
     return out
 
 
-def _nonredundant_rows(F, h, cand_F, cand_h, tol=1e-9):
-    """Indices of candidate rows not implied by {Fx <= h}."""
-    keep = []
-    for i, (f, b) in enumerate(zip(cand_F, cand_h)):
-        res = _solve_lp(-f, F, h)
-        if res.status == 3:
-            keep.append(i)
-            continue
-        if res.status != 0:
-            keep.append(i)
-            continue
-        if -res.fun > b + tol:
-            keep.append(i)
-    return keep
+def _capped_max(blocks, dirs, caps):
+    """max dirs[i]'x s.t. A_i x <= b_i, dirs[i]'x <= caps[i], as one LP.
+
+    ``blocks`` holds one (A_i, b_i) per row of ``dirs``.  The blocks share
+    no variable, so each block's optimum is that of its own LP, and one
+    call replaces len(dirs) calls whose cost is mostly wrapper overhead.
+    The cap keeps every block bounded; a value is the uncapped maximum
+    whenever that lies below the cap.  Returns the LP status and, if it is
+    0, the values dirs[i]'x_i.
+    """
+    A = block_diag(*[np.vstack([A_i, d])
+                     for (A_i, _), d in zip(blocks, dirs)])
+    b = np.concatenate([np.append(b_i, c)
+                        for (_, b_i), c in zip(blocks, caps)])
+    res = _solve_lp(-dirs.reshape(-1), A, b)
+    if res.status != 0:
+        return res.status, None
+    return 0, np.einsum("ij,ij->i", dirs, res.x.reshape(dirs.shape))
+
+
+def _nonredundant_rows(F, h, cand_F, cand_h, bound=None, tol=1e-9):
+    """Indices of candidate rows not implied by {Fx <= h}.
+
+    ``bound`` is a box known to contain {Fx <= h}: a candidate whose support
+    over it is within its offset is implied without an LP.  The other
+    candidates share one block LP.  Every invariant set satisfies {Fx <= h}
+    and each candidate row, so an infeasible block (a candidate, relaxed by
+    its cap, cutting {Fx <= h} to nothing) proves that none exists: that
+    raises ``EmptyResult``.  A failed LP keeps its rows.
+    """
+    test = np.arange(cand_h.size)
+    if bound is not None:
+        test = test[support_many(bound, cand_F) > cand_h + tol]
+    if test.size == 0:
+        return []
+    status, vals = _capped_max([(F, h)] * test.size, cand_F[test],
+                               cand_h[test] + 1.0)
+    if status == 2:
+        raise EmptyResult("no disturbance-invariant set within constraints")
+    if status != 0:
+        return list(test)
+    return list(test[vals > cand_h[test] + tol])
 
 
 def prune_redundant(P: Polytope) -> Polytope:
-    """Drop facets implied by the remaining ones."""
-    F, h = P.F.copy(), P.h.copy()
-    i = 0
-    while i < F.shape[0] and F.shape[0] > 1:
-        mask = np.ones(F.shape[0], dtype=bool)
-        mask[i] = False
-        res = _solve_lp(-F[i], F[mask], h[mask])
-        if res.status == 0 and -res.fun <= h[i] + LP_TOL:
-            F, h = F[mask], h[mask]
-        else:
-            i += 1
-    return Polytope(F, h)
+    """Drop facets implied by the remaining ones.
+
+    Rows are tested in order, each against the rows still kept.  A row not
+    implied by all the other rows is not implied by any subset of them, so
+    block LPs of 10 rows (small enough to leave memory flat) first find
+    those rows, and only the others need the sequential test.
+    """
+    F, h = P.F, P.h
+    n = F.shape[0]
+    flagged = np.ones(n, dtype=bool)
+    for start in range(0, n, 10):
+        rows = np.arange(start, min(start + 10, n))
+        status, vals = _capped_max(
+            [(np.delete(F, i, axis=0), np.delete(h, i)) for i in rows],
+            F[rows], h[rows] + 1.0)
+        if status == 0:
+            flagged[rows] = vals <= h[rows] + LP_TOL
+    keep = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(flagged):
+        if keep.sum() == 1:
+            break
+        keep[i] = False
+        res = _solve_lp(-F[i], F[keep], h[keep])
+        if not (res.status == 0 and -res.fun <= h[i] + LP_TOL):
+            keep[i] = True
+    return Polytope(F[keep], h[keep])
 
 
 @dataclass(frozen=True)
@@ -282,11 +325,13 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
 
     dirs = base_F @ A_cl           # normals of level-k rows, k = 1, 2, ...
     w_margin = support_many(W, base_F)
+    box = "box_bounds" in X_t._cache and not X_t.is_empty()
+    bound = X_t if box else None
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
         cand_h = base_h - w_margin
-        keep = _nonredundant_rows(F, h, dirs, cand_h)
+        keep = _nonredundant_rows(F, h, dirs, cand_h, bound)
         if not keep:
             converged = True
             break

@@ -20,7 +20,8 @@ from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
                        _learned_rollout, _stagewise_rollout)
 from lbmpc.oracle import NetworkArch, new_oracle, predict_and_jacobian
 from lbmpc.plant import PlantModel
-from lbmpc.polytope import Polytope, max_invariant_set
+from lbmpc.polytope import (Polytope, TighteningData, _solve_lp,
+                            max_invariant_set)
 
 
 def toy_model(w=0.02):
@@ -214,6 +215,24 @@ class TestTightening:
             omega = max_invariant_set(A_cl, m.X, m.U, cfg.K, m.W).omega
             margins = build_margins(m, cfg, omega)
             LbmpcProblem(m, cfg, omega, margins, ZeroOracle())
+
+    @pytest.mark.parametrize("cut, empty", [(5.0, False), (5.25, True)])
+    def test_box_stage_check_agrees_with_lp(self, model, setup, cut, empty):
+        # from stage 3 on, x1's margins leave [cut - 5, 5 - cut]: one point
+        # at cut = 5, nothing beyond
+        cfg, omega, margins = setup
+        state = margins.state.copy()
+        state[3:, [0, 2]] = cut
+        rhs = model.X.h - state[3]
+        assert (_solve_lp(np.zeros(2), model.X.F, rhs).status == 2) == empty
+        tight = TighteningData(state=state, inputs=margins.inputs,
+                               terminal=margins.terminal)
+        if not empty:
+            LbmpcProblem(model, cfg, omega, tight, ZeroOracle())
+            return
+        with pytest.raises(EmptyTightenedSet) as err:
+            LbmpcProblem(model, cfg, omega, tight, ZeroOracle())
+        assert (err.value.stage, err.value.kind) == (3, "state")
 
 
 class TestLearnedRollout:

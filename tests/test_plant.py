@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lbmpc.plant import (DomainError, MooreGreitzerParams, NotEquilibrium,
-                         PlantModel, TruthSimulator, U_EQ, X_EQ,
+from lbmpc.plant import (DomainError, INPUT_BOUNDS_ABS, MooreGreitzerParams,
+                         NotEquilibrium, PlantModel, STATE_BOUNDS_ABS,
+                         TruthSimulator, U_EQ, X_EQ,
                          deviation_constraint_sets, estimate_W,
                          linearize_discretize, mg_jacobians, mg_rhs,
                          residual_sweep, step_truth, truth_residual)
@@ -120,6 +121,44 @@ class TestIntegrator:
         sim = TruthSimulator(params, substeps=10)
         x0 = np.array([0.45, 1.6, 1.2, 0.5])
         assert np.allclose(sim.step(x0, 1.1), step_truth(x0, 1.1, params))
+
+    @pytest.mark.parametrize("root_on_massflow", [False, True])
+    def test_one_state_matches_batched_rows(self, params, root_on_massflow):
+        # one state runs on Python floats, a batch on numpy rows; numpy's
+        # vectorised power may round z**3 differently, hence the 2 ulp
+        rng = np.random.default_rng(31)
+        lo = np.append(STATE_BOUNDS_ABS[0], INPUT_BOUNDS_ABS[0])
+        hi = np.append(STATE_BOUNDS_ABS[1], INPUT_BOUNDS_ABS[1])
+        pts = lo + rng.random((1000, 5)) * (hi - lo)
+        special = np.array([
+            [0.5, 1.6875, 1.1547, 2e6, 1.0],          # past the guard
+            [1e-4, 1.6875, 1.1547, 0.0, 1.0],         # z < 0 at stage 2
+            [-2.0, 0.0, 1.0, 0.0, 1.0],               # y < 0 at stage 2
+            [np.nan, 2e6, 1.0, 0.0, 1.0],             # NaN beside the guard
+            [0.5, 2e6, np.nan, 0.0, 1.0],
+            [np.nan, 1.6, 1.2, 0.0, 1.0],             # NaN alone passes
+        ])
+        pts = np.vstack([pts, special])
+        kw = dict(root_on_massflow=root_on_massflow)
+        one, ok = [], np.ones(len(pts), dtype=bool)
+        for i, p in enumerate(pts):
+            try:
+                one.append(step_truth(p[:4], p[4:], params, **kw))
+            except DomainError:
+                ok[i] = False
+                with pytest.raises(DomainError):
+                    step_truth(p[None, :4], p[4:], params, **kw)
+        # the guard cases, and the stage-2 root case of this reading, whose
+        # first stage passes
+        inner = 1001 + (not root_on_massflow)
+        assert not ok[[1000, inner, 1003, 1004]].any() and ok[1005]
+        mg_rhs(pts[inner, :4], pts[inner, 4], params, **kw)
+        batch = step_truth(pts[ok, :4], pts[ok, 4], params, **kw)
+        one = np.array(one)
+        assert np.array_equal(np.isnan(one), np.isnan(batch))
+        one, batch = np.nan_to_num(one), np.nan_to_num(batch)
+        ulp = np.spacing(np.maximum(np.abs(one), np.abs(batch)))
+        assert np.all(np.abs(one - batch) <= 2 * ulp)
 
     def test_substeps_validated(self, params):
         with pytest.raises(ValueError):

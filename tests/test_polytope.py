@@ -3,14 +3,62 @@ margins and the invariant-set fixpoint, each checked against an independent
 oracle (interval arithmetic, brute-force vertex enumeration, or sampling).
 """
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from lbmpc import config as cfgmod, polytope, runtime
 from lbmpc.polytope import (EmptyResult, Infeasible, NotSchurStable, Polytope,
                             Unbounded, max_invariant_set, pontryagin_diff,
                             prune_redundant, spectral_radius, support,
                             support_many, tube_margins)
+
+SCENARIO_DIR = os.path.join(os.path.dirname(runtime.__file__), "scenarios")
+
+
+def _lp_max(f, F, h):
+    return linprog(-f, A_ub=F, b_ub=h, bounds=(None, None), method="highs")
+
+
+def reference_nonredundant_rows(F, h, cand_F, cand_h, bound=None, tol=1e-9):
+    """The per-row redundancy test: one LP per candidate row, no prefilter."""
+    keep = []
+    for i, (f, b) in enumerate(zip(cand_F, cand_h)):
+        res = _lp_max(f, F, h)
+        if res.status != 0 or -res.fun > b + tol:
+            keep.append(i)
+    return keep
+
+
+def reference_prune_redundant(P):
+    """The sequential pruning: one LP per row against the rows still kept."""
+    F, h = P.F.copy(), P.h.copy()
+    i = 0
+    while i < F.shape[0] and F.shape[0] > 1:
+        mask = np.ones(F.shape[0], dtype=bool)
+        mask[i] = False
+        res = _lp_max(F[i], F[mask], h[mask])
+        if res.status == 0 and -res.fun <= h[i] + polytope.LP_TOL:
+            F, h = F[mask], h[mask]
+        else:
+            i += 1
+    return Polytope(F, h)
+
+
+def reference_invariant_set(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_nonredundant_rows", reference_nonredundant_rows)
+        m.setattr(polytope, "prune_redundant", reference_prune_redundant)
+        return max_invariant_set(*args)
+
+
+def assert_same_result(a, b):
+    assert (a.converged, a.iterations) == (b.converged, b.iterations)
+    assert np.array_equal(a.omega.F, b.omega.F)
+    assert np.array_equal(a.omega.h, b.omega.h)
 
 
 def random_bounded_polytope(rng, dim, facets):
@@ -194,10 +242,43 @@ class TestInvariantSet:
         with pytest.raises(NotSchurStable):
             max_invariant_set(self.A, self.X, self.U, self.K, self.W)
 
-    def test_impossible_disturbance_empty(self):
+    def test_impossible_disturbance_empty(self, monkeypatch):
+        # the first level's rows already leave nothing, and the next level's
+        # LP proves it instead of iterating to max_iter
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(polytope, "linprog", counting)
         W_huge = Polytope.box([-50.0, -50.0], [50.0, 50.0])
         with pytest.raises(EmptyResult):
             max_invariant_set(self.A_cl, self.X, self.U, self.K, W_huge)
+        assert len(calls) <= 5
+
+    def test_matches_reference_double_integrator(self, monkeypatch):
+        args = (self.A_cl, self.X, self.U, self.K, self.W)
+        assert_same_result(max_invariant_set(*args),
+                           reference_invariant_set(monkeypatch, *args))
+
+    @pytest.mark.parametrize("inflation", [1.1, 1.3])
+    def test_matches_reference_bundled_plant(self, monkeypatch, inflation):
+        scen = cfgmod.load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
+        scen = dataclasses.replace(scen, plant=dataclasses.replace(
+            scen.plant, w_inflation=inflation))
+        seen = []
+
+        def record(*args):
+            seen.append((args, max_invariant_set(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(runtime, "max_invariant_set", record)
+        runtime.build_setup(scen)
+        (args, result), = seen
+        assert_same_result(result, reference_invariant_set(monkeypatch, *args))
+        if inflation == 1.1:
+            assert (result.omega.num_facets, result.iterations) == (81, 30)
 
 
 class TestPrune:
@@ -212,3 +293,31 @@ class TestPrune:
         for _ in range(50):
             d = rng.normal(size=2)
             assert support(Q, d) == pytest.approx(support(P, d), abs=1e-7)
+
+    def test_matches_sequential_reference(self):
+        rng = np.random.default_rng(21)
+        for case in range(30):
+            dim = 2 + case // 3 % 3
+            if case % 3 == 0:
+                # a simplex: dropping any one facet unbounds the set
+                P = Polytope(np.vstack([-np.eye(dim), np.ones(dim)]),
+                             np.concatenate([np.zeros(dim), [1.0]]))
+            elif case % 3 == 1:
+                P = random_bounded_polytope(rng, dim, 4)
+            else:
+                # an unbounded cone cut by slanted facets
+                P = Polytope(np.vstack([-np.eye(dim),
+                                        rng.normal(size=(3, dim))]),
+                             np.concatenate([np.zeros(dim),
+                                             rng.uniform(0.5, 2.0, 3)]))
+            n = P.num_facets
+            dup = rng.integers(0, n, 3)
+            scale = rng.uniform(0.5, 3.0, 3)
+            F = np.vstack([P.F, P.F[dup], P.F[dup] * scale[:, None]])
+            h = np.concatenate([P.h, P.h[dup] + rng.uniform(0.0, 0.5, 3),
+                                P.h[dup] * scale])
+            order = rng.permutation(F.shape[0])
+            Q = Polytope(F[order], h[order])
+            got, expected = prune_redundant(Q), reference_prune_redundant(Q)
+            assert np.array_equal(got.F, expected.F), case
+            assert np.array_equal(got.h, expected.h), case
