@@ -26,7 +26,7 @@ import numpy as np
 
 from . import oracle as om, qp as qpmod
 from .polytope import (Polytope, TighteningData, NotSchurStable, spectral_radius,
-                       tube_margins, _solve_lp)
+                       tube_margins)
 
 
 class MpcError(Exception):
@@ -353,16 +353,7 @@ class LbmpcProblem:
 
 
 def _check_nonempty(P, h, stage, kind):
-    """Raise EmptyTightenedSet if {x : P.F x <= h} is empty.
-
-    A box's rows are [I; -I], so its tightened set is the box
-    [-h[d:], h[:d]], empty exactly when a lower end exceeds its upper end.
-    """
-    if "box_bounds" in P._cache:
-        empty = bool(np.any(-h[P.dim:] > h[:P.dim]))
-    else:
-        empty = _solve_lp(np.zeros(P.dim), P.F, h).status == 2
-    if empty:
+    if P.is_empty_at(h):
         raise EmptyTightenedSet(stage, kind)
 
 

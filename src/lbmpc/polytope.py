@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 
 class PolytopeError(Exception):
@@ -107,6 +107,20 @@ class Polytope:
             res = _solve_lp(np.zeros(self.dim), self.F, self.h)
             self._cache["empty"] = res.status == 2
         return self._cache["empty"]
+
+    def is_empty_at(self, h) -> bool:
+        """True iff {x : F x <= h} is empty, for offsets ``h`` in place of self.h.
+
+        A box's rows are [I; -I], so with other offsets it is the box
+        [-h[d:], h[:d]], decided without an LP.  Its lower end may exceed its
+        upper end by up to 1e-7, HiGHS' default primal feasibility tolerance,
+        so that the verdict is the LP's.
+        """
+        h = np.asarray(h, dtype=float).reshape(-1)
+        if "box_bounds" in self._cache:
+            d = self.dim
+            return bool(np.any(-h[d:] > h[:d] + 1e-7))
+        return _solve_lp(np.zeros(self.dim), self.F, h).status == 2
 
     # -- serialization -----------------------------------------------------
 
@@ -226,12 +240,13 @@ def _capped_max(blocks, dirs, caps):
     ``blocks`` holds one (A_i, b_i) per row of ``dirs``.  The blocks share
     no variable, so each block's optimum is that of its own LP, and one
     call replaces len(dirs) calls whose cost is mostly wrapper overhead.
-    The cap keeps every block bounded; a value is the uncapped maximum
-    whenever that lies below the cap.  Returns the LP status and, if it is
-    0, the values dirs[i]'x_i.
+    The constraint matrix is sparse, so its size grows with the blocks'
+    entries, not with their number squared.  The cap keeps every block
+    bounded; a value is the uncapped maximum whenever that lies below the
+    cap.  Returns the LP status and, if it is 0, the values dirs[i]'x_i.
     """
-    A = block_diag(*[np.vstack([A_i, d])
-                     for (A_i, _), d in zip(blocks, dirs)])
+    A = block_diag([np.vstack([A_i, d]) for (A_i, _), d in zip(blocks, dirs)],
+                   format="csc")
     b = np.concatenate([np.append(b_i, c)
                         for (_, b_i), c in zip(blocks, caps)])
     res = _solve_lp(-dirs.reshape(-1), A, b)
@@ -240,28 +255,21 @@ def _capped_max(blocks, dirs, caps):
     return 0, np.einsum("ij,ij->i", dirs, res.x.reshape(dirs.shape))
 
 
-def _nonredundant_rows(F, h, cand_F, cand_h, bound=None, tol=1e-9):
+def _nonredundant_rows(F, h, cand_F, cand_h, tol=1e-9):
     """Indices of candidate rows not implied by {Fx <= h}.
 
-    ``bound`` is a box known to contain {Fx <= h}: a candidate whose support
-    over it is within its offset is implied without an LP.  The other
-    candidates share one block LP.  Every invariant set satisfies {Fx <= h}
-    and each candidate row, so an infeasible block (a candidate, relaxed by
-    its cap, cutting {Fx <= h} to nothing) proves that none exists: that
-    raises ``EmptyResult``.  A failed LP keeps its rows.
+    All candidates share one block LP.  Every invariant set satisfies
+    {Fx <= h} and each candidate row, so an infeasible block (a candidate,
+    relaxed by its cap, cutting {Fx <= h} to nothing) proves that none
+    exists: that raises ``EmptyResult``.  A failed LP keeps every row.
     """
-    test = np.arange(cand_h.size)
-    if bound is not None:
-        test = test[support_many(bound, cand_F) > cand_h + tol]
-    if test.size == 0:
-        return []
-    status, vals = _capped_max([(F, h)] * test.size, cand_F[test],
-                               cand_h[test] + 1.0)
+    n = cand_h.size
+    status, vals = _capped_max([(F, h)] * n, cand_F, cand_h + 1.0)
     if status == 2:
         raise EmptyResult("no disturbance-invariant set within constraints")
     if status != 0:
-        return list(test)
-    return list(test[vals > cand_h[test] + tol])
+        return list(range(n))
+    return list(np.flatnonzero(vals > cand_h + tol))
 
 
 def prune_redundant(P: Polytope) -> Polytope:
@@ -269,8 +277,10 @@ def prune_redundant(P: Polytope) -> Polytope:
 
     Rows are tested in order, each against the rows still kept.  A row not
     implied by all the other rows is not implied by any subset of them, so
-    block LPs of 10 rows (small enough to leave memory flat) first find
-    those rows, and only the others need the sequential test.
+    block LPs first find those rows, and only the others need the
+    sequential test.  A block LP over all rows would be one call, but HiGHS
+    takes about 15 MiB to solve it for Omega's 108 rows; blocks of 10 rows
+    take about 1 MiB.
     """
     F, h = P.F, P.h
     n = F.shape[0]
@@ -325,13 +335,11 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
 
     dirs = base_F @ A_cl           # normals of level-k rows, k = 1, 2, ...
     w_margin = support_many(W, base_F)
-    box = "box_bounds" in X_t._cache and not X_t.is_empty()
-    bound = X_t if box else None
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
         cand_h = base_h - w_margin
-        keep = _nonredundant_rows(F, h, dirs, cand_h, bound)
+        keep = _nonredundant_rows(F, h, dirs, cand_h)
         if not keep:
             converged = True
             break

@@ -23,8 +23,8 @@ def _lp_max(f, F, h):
     return linprog(-f, A_ub=F, b_ub=h, bounds=(None, None), method="highs")
 
 
-def reference_nonredundant_rows(F, h, cand_F, cand_h, bound=None, tol=1e-9):
-    """The per-row redundancy test: one LP per candidate row, no prefilter."""
+def reference_nonredundant_rows(F, h, cand_F, cand_h, tol=1e-9):
+    """The per-row redundancy test: one LP per candidate row."""
     keep = []
     for i, (f, b) in enumerate(zip(cand_F, cand_h)):
         res = _lp_max(f, F, h)
@@ -89,6 +89,29 @@ class TestConstruction:
     def test_empty_box_detected(self):
         P = Polytope.box([1.0], [-1.0])
         assert P.is_empty()
+
+
+    def test_box_offsets_emptiness_agrees_with_lp(self):
+        # lower ends just below, at and above HiGHS' feasibility tolerance
+        # past the upper ends, on boxes of several sizes
+        rng = np.random.default_rng(4)
+        B = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+        for _ in range(200):
+            hi = rng.choice([0.0, 1.0, 5.0, 1e4]) * rng.uniform(-1, 1, 2)
+            lo = hi.copy()
+            j = rng.integers(2)
+            lo[j] += rng.uniform(0.9e-7, 1.1e-7)
+            h = np.concatenate([hi, -lo])
+            lp = linprog(np.zeros(2), A_ub=B.F, b_ub=h, bounds=(None, None),
+                         method="highs")
+            assert B.is_empty_at(h) == (lp.status == 2)
+        assert not B.is_empty_at(B.h)
+        assert B.is_empty_at([1.0, 1.0, -1.5, 0.0])
+
+    def test_offsets_emptiness_of_general_polytope(self):
+        P = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+        assert not P.is_empty_at([1.0, 0.0, 0.0])
+        assert P.is_empty_at([-0.5, 0.0, 0.0])
 
 
 class TestSupport:
