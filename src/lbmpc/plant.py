@@ -138,7 +138,11 @@ def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10,
 
 def _step_one(z, y, r, rd, u, params, h, substeps, root_on_massflow):
     """step_truth for one state: mg_rhs and RK4 written out on floats, with
-    mg_rhs's DomainError checks (a NaN passes both, as in numpy)."""
+    mg_rhs's DomainError checks (a NaN passes both, as in numpy).
+
+    The cube goes through np.power, the loop mg_rhs's ``z ** 3`` runs: with
+    SIMD it can round differently from Python's ``**`` (C pow), and any other
+    rounding would move the closed-loop states by an ulp now and then."""
     b2 = params.beta ** 2
     wn2 = params.omega_n ** 2
     damp = 2.0 * params.zeta * params.omega_n
@@ -150,7 +154,7 @@ def _step_one(z, y, r, rd, u, params, h, substeps, root_on_massflow):
         root_arg = z if root_on_massflow else y
         if root_arg < 0.0:
             raise DomainError("negative square-root argument in throttle flow")
-        return (-y + params.z_c + 1.0 + 1.5 * z - 0.5 * z ** 3,
+        return (-y + params.z_c + 1.0 + 1.5 * z - 0.5 * float(np.power(z, 3)),
                 (z + 1.0 - r * math.sqrt(root_arg)) / b2,
                 rd,
                 wn2 * (u - r) - damp * rd)

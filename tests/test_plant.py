@@ -15,6 +15,23 @@ from lbmpc.plant import (DomainError, INPUT_BOUNDS_ABS, MooreGreitzerParams,
                          residual_sweep, step_truth, truth_residual)
 
 
+def reference_step_one(x, u, params, substeps=10, root_on_massflow=False):
+    """The numpy RK4 on one state, as step_truth ran it before its float path."""
+    h = params.T / substeps
+    x = np.asarray(x, dtype=float)
+
+    def f(s):
+        return mg_rhs(s, u, params, root_on_massflow=root_on_massflow)
+
+    for _ in range(substeps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
 @pytest.fixture(scope="module")
 def params():
     return MooreGreitzerParams()
@@ -124,8 +141,9 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("root_on_massflow", [False, True])
     def test_one_state_matches_batched_rows(self, params, root_on_massflow):
-        # one state runs on Python floats, a batch on numpy rows; numpy's
-        # vectorised power may round z**3 differently, hence the 2 ulp
+        # one state runs on Python floats, bit-equal to the numpy RK4 on that
+        # state; a batch runs on numpy rows, whose strided power may round
+        # z**3 differently, hence the 2 ulp
         rng = np.random.default_rng(31)
         lo = np.append(STATE_BOUNDS_ABS[0], INPUT_BOUNDS_ABS[0])
         hi = np.append(STATE_BOUNDS_ABS[1], INPUT_BOUNDS_ABS[1])
@@ -138,12 +156,26 @@ class TestIntegrator:
             [0.5, 2e6, np.nan, 0.0, 1.0],
             [np.nan, 1.6, 1.2, 0.0, 1.0],             # NaN alone passes
         ])
-        pts = np.vstack([pts, special])
+        # states whose step moves by an ulp when z**3 is Python's C pow
+        # rather than numpy's (SIMD) power, found by search on an AVX-512 host
+        rounding = np.array([
+            [0.6650228902938203, 1.9176298177544697, 0.4625050844146365,
+             -0.8964993726914372, 0.330648140395511],
+            [0.500677606663284, 2.0843469919969784, 1.223214350119519,
+             -6.22172043981271, 0.7414109118275574],
+            [0.7885863702641233, 2.0415745912506846, 2.0895782582676508,
+             -15.345831768658908, 0.4668118054632106],
+            [0.962691676823123, 2.0600474964051085, 0.96726551664716,
+             -16.596686794379487, 0.9143308577234204],
+        ])
+        pts = np.vstack([pts, special, rounding])
         kw = dict(root_on_massflow=root_on_massflow)
         one, ok = [], np.ones(len(pts), dtype=bool)
         for i, p in enumerate(pts):
             try:
                 one.append(step_truth(p[:4], p[4:], params, **kw))
+                ref = reference_step_one(p[:4], p[4:], params, **kw)
+                assert np.array_equal(one[-1], ref, equal_nan=True)
             except DomainError:
                 ok[i] = False
                 with pytest.raises(DomainError):
