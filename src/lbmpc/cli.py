@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, compare, sets, bench.
+"""Command-line front end: simulate, compare, sets.
 
 Every command writes into an output directory and leaves behind the echoed
 effective configuration, so a run can be reproduced from its artifacts alone.
@@ -12,12 +12,11 @@ import argparse
 import dataclasses
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import config as cfgmod
-from . import mpc, qp as qpmod, runtime
+from . import qp as qpmod, runtime
 from .config import ConfigError
 from .mpc import EmptyTightenedSet, MpcError
 from .polytope import EmptyResult, support
@@ -217,72 +216,19 @@ def cmd_sets(args) -> int:
     return EXIT_OK
 
 
-def _time_solves(fn, reps):
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    times = np.sort(times)
-    return (float(np.median(times)),
-            float(times[min(len(times) - 1,
-                            int(np.ceil(0.95 * len(times))) - 1)]))
-
-
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    rows = ["name,size,reps,cold_median,cold_p95,warm_median,warm_p95"]
-
-    for n in args.sizes:
-        L = rng.normal(size=(n, n))
-        H = L @ L.T + n * np.eye(n)
-        g = rng.normal(size=n)
-        G = np.vstack([np.eye(n), -np.eye(n)])
-        h_in = np.full(2 * n, 1.0)
-        prob = qpmod.QpProblem(H=H, g=g, G=G, h_in=h_in)
-        sol = qpmod.qp_solve(prob)
-        warm = (sol.x, sol.lam, sol.rho_final)
-        cold = _time_solves(lambda: qpmod.qp_solve(prob), args.reps)
-        warmt = _time_solves(lambda: qpmod.qp_solve(prob, warm_start=warm),
-                             args.reps)
-        rows.append("qp_solve,%d,%d,%.17g,%.17g,%.17g,%.17g"
-                    % (n, args.reps, cold[0], cold[1], warmt[0], warmt[1]))
-
-    scenario = cfgmod.load_scenario(
-        args.scenario or os.path.join(SCENARIO_DIR, "dnn.ini"))
-    setup = runtime.build_setup(scenario)
-    x0 = setup.x0
-    base = mpc.solve_lbmpc(setup.problem, x0)
-    warm = {"c": base.c, "dual": base.qp_dual, "rho": base.qp_rho}
-    cold = _time_solves(lambda: mpc.solve_lbmpc(setup.problem, x0), args.reps)
-    warmt = _time_solves(lambda: mpc.solve_lbmpc(setup.problem, x0, warm=warm),
-                         args.reps)
-    rows.append("solve_lbmpc,%d,%d,%.17g,%.17g,%.17g,%.17g"
-                % (setup.problem.n_dec, args.reps, cold[0], cold[1],
-                   warmt[0], warmt[1]))
-
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write(args.out, "bench.csv", text)
-    sys.stdout.write(text)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lbmpc", description="learning-based tube MPC experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--deterministic", action="store_true",
                        help="write solver times as zero (byte-identical trace)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--root-on-massflow", action="store_true",
                        help="read sqrt on the mass-flow state instead")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="run one closed-loop scenario")
     p.add_argument("scenario")
@@ -298,14 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     common(p)
     p.set_defaults(func=cmd_sets)
-
-    p = sub.add_parser("bench", help="micro-benchmark the solvers")
-    p.add_argument("--sizes", type=int, nargs="+", default=[10, 20, 40])
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--scenario", default=None)
-    common(p, needs_out=False)
-    p.add_argument("--out", default=None, help="optional output directory")
-    p.set_defaults(func=cmd_bench)
     return ap
 
 

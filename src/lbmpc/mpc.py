@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -382,8 +381,6 @@ class MpcSolution:
     sqp_iters: int
     wall_time: float
     objective: float
-    qp_dual: Optional[np.ndarray] = None
-    qp_rho: Optional[np.ndarray] = None
 
 
 def shift_solution(prev: MpcSolution, m: int):
@@ -414,8 +411,7 @@ def _objective(p: LbmpcProblem, z, v):
     return float(dz @ p.Qbar @ dz + dv @ p.Rbar @ dv)
 
 
-def _make_solution(p, x, c, status, sqp_iters, t0, dual=None, rho=None,
-                   rollout=None):
+def _make_solution(p, x, c, status, sqp_iters, t0, rollout=None):
     if rollout is not None:
         zbar, v, z = rollout
     else:
@@ -425,10 +421,20 @@ def _make_solution(p, x, c, status, sqp_iters, t0, dual=None, rho=None,
                        z=z.reshape(N + 1, d), v=v.reshape(N, m),
                        u=v[:m].copy(), status=status, sqp_iters=sqp_iters,
                        wall_time=time.perf_counter() - t0,
-                       objective=_objective(p, z, v), qp_dual=dual, qp_rho=rho)
+                       objective=_objective(p, z, v))
 
 
-def solve_linear_mpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
+def _qp_step(prob) -> np.ndarray:
+    """Minimizer of one QP; any outcome but 'optimal' is an MpcError."""
+    sol = qpmod.qp_solve(prob)
+    if sol.status == "infeasible":
+        raise MpcInfeasible("QP infeasible")
+    if sol.status != "optimal":
+        raise MpcError("QP ended '%s'" % sol.status)
+    return sol.x
+
+
+def solve_linear_mpc(p: LbmpcProblem, x) -> MpcSolution:
     """Single tube-MPC QP (zero oracle); cost on the nominal trajectory."""
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -436,26 +442,19 @@ def solve_linear_mpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     g = 2.0 * (p.Tz.T @ p.Qbar @ (p.Sz @ x - x_ref) + p.Tv.T @ p.Rbar @ (p.Sv @ x - u_ref))
     prob = qpmod.QpProblem(H=p.H_lin, g=g, G=p.Gc, h_in=p.rhs0 - p.Gx @ x,
                            validate=False)
-    warm = warm or {}
-    sol = qpmod.qp_solve(prob, warm_start=(warm.get("c"), warm.get("dual"),
-                                           warm.get("rho")))
-    if sol.status == "infeasible":
-        raise MpcInfeasible("tube MPC program infeasible")
-    if sol.status == "iteration_limit" and max(sol.residuals) > 1e-4:
-        raise MpcError("tube MPC QP failed to converge")
-    return _make_solution(p, x, sol.x, "optimal", 1, t0, dual=sol.lam,
-                          rho=sol.rho_final)
+    return _make_solution(p, x, _qp_step(prob), "optimal", 1, t0)
 
 
 def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     """Gauss-Newton SQP on the learned-trajectory cost.
 
     ``warm`` is None or a dict with the shifted previous perturbations
-    ``"c"``, the previous QP duals ``"dual"`` and penalties ``"rho"``.
-    Constraints stay linear in c, so every iterate is feasible once the
-    first QP succeeds.  On any solver failure the warm ``c`` is returned
-    with status 'fallback' if it is feasible at x; otherwise MpcInfeasible
-    is raised.  The wall time of either outcome counts from entry.
+    ``"c"``, the SQP's first linearization point.  Constraints stay linear
+    in c, so every iterate is feasible once the first QP succeeds.  On any
+    solver failure (a QP that does not end 'optimal', a non-finite oracle
+    output among them) the warm ``c`` is returned with status 'fallback' if
+    it is feasible at x; otherwise MpcInfeasible is raised.  The wall time
+    of either outcome counts from entry.
     """
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -464,12 +463,10 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     iters = 0
     try:
         if p.oracle.is_zero:
-            return solve_linear_mpc(p, x, warm=warm)
+            return solve_linear_mpc(p, x)
         x_ref, u_ref = p.refs()
         rhs = p.rhs0 - p.Gx @ x
         c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
-        dual = None if warm_c is None else warm.get("dual")
-        rho = warm.get("rho")
         for iters in range(1, p.sqp_max_iter + 1):
             zbar, v, z, Jz = _learned_rollout(p, x, c)
             Jv = p.Tv
@@ -481,24 +478,17 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
             g = 2.0 * (Jz.T @ p.Qbar @ dz + Jv.T @ p.Rbar @ dv)
             prob = qpmod.QpProblem(H=H, g=g, G=p.Gc, h_in=rhs - p.Gc @ c,
                                    validate=False)
-            sol = qpmod.qp_solve(prob, warm_start=(np.zeros(p.n_dec), dual, rho))
-            if sol.status == "infeasible":
-                raise MpcInfeasible("SQP subproblem infeasible")
-            if sol.status == "iteration_limit" and max(sol.residuals) > 1e-4:
-                raise MpcError("QP failed to converge")
-            dual = sol.lam
-            rho = sol.rho_final
-            c = c + sol.x
-            if np.linalg.norm(sol.x) < p.sqp_tol:
+            step = _qp_step(prob)
+            c = c + step
+            if np.linalg.norm(step) < p.sqp_tol:
                 # the step is below the SQP tolerance, so a first-order
                 # update of the learned trajectory is accurate enough and
                 # saves one full network rollout
                 zbar, v = p.nominal_traj(x, c)
-                z = z + Jz @ sol.x
+                z = z + Jz @ step
                 return _make_solution(p, x, c, "optimal", iters, t0,
-                                      dual=dual, rho=rho,
                                       rollout=(zbar, v, z))
-        return _make_solution(p, x, c, "optimal", iters, t0, dual=dual, rho=rho)
+        return _make_solution(p, x, c, "optimal", iters, t0)
 
     except MpcError as exc:
         if warm_c is not None and p.feasible(x, warm_c):

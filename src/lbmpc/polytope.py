@@ -82,7 +82,6 @@ class Polytope:
         h = np.concatenate([hi, -lo])
         P = Polytope(F, h)
         P._cache["box_bounds"] = (lo.copy(), hi.copy())
-        P._cache["empty"] = bool(np.any(lo > hi))
         return P
 
     @property
@@ -104,8 +103,7 @@ class Polytope:
 
     def is_empty(self) -> bool:
         if "empty" not in self._cache:
-            res = _solve_lp(np.zeros(self.dim), self.F, self.h)
-            self._cache["empty"] = res.status == 2
+            self._cache["empty"] = self.is_empty_at(self.h)
         return self._cache["empty"]
 
     def is_empty_at(self, h) -> bool:
@@ -162,9 +160,9 @@ def support(P: Polytope, direction) -> float:
     d = np.asarray(direction, dtype=float).reshape(-1)
     box = P._cache.get("box_bounds")
     if box is not None:
-        lo, hi = box
-        if np.any(lo > hi):
+        if P.is_empty():
             raise Infeasible("polytope is empty")
+        lo, hi = box
         return float(np.where(d > 0, d * hi, d * lo).sum())
     res = _solve_lp(-d, P.F, P.h)
     if res.status == 3:
@@ -181,9 +179,9 @@ def support_many(P: Polytope, directions: np.ndarray) -> np.ndarray:
     directions = np.atleast_2d(directions)
     box = P._cache.get("box_bounds")
     if box is not None:
-        lo, hi = box
-        if np.any(lo > hi):
+        if P.is_empty():
             raise Infeasible("polytope is empty")
+        lo, hi = box
         return np.where(directions > 0, directions * hi, directions * lo).sum(axis=1)
     return np.array([support(P, d) for d in directions])
 

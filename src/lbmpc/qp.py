@@ -1,15 +1,17 @@
-"""Dense convex QP solver: operator splitting with an active-set polish.
+"""Dense convex QP solver: the dual active-set method of Goldfarb and Idnani.
 
-Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h_in  via the standard splitting
-iteration (fixed penalty, over-relaxation) followed by a reduced KKT solve
-on the identified active set.  Problems here are tiny (tens of rows), so a
-single dense factorization per solve is the right trade-off and warm
-starting matters more than sparsity.
+Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h_in  for a positive definite H.
+The iteration starts at the unconstrained minimizer -H^-1 g, which is dual
+feasible with no active rows, and adds the most violated row at a time,
+dropping an active row whenever its multiplier would turn negative, so every
+iterate is dual feasible and the first primal feasible one is optimal.
+Problems here are tiny (tens of decision variables, a few active rows), so
+one Cholesky factor of H per call and a fresh QR of the few active rows at
+each change cost less than any bookkeeping that would update them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,9 +21,6 @@ import scipy.linalg as sla
 
 class QpError(Exception):
     pass
-
-
-_equil_cache = None
 
 
 class QpInfeasible(QpError):
@@ -72,10 +71,10 @@ class QpProblem:
 class QpSolution:
     x: np.ndarray
     lam: np.ndarray            # inequality multipliers (>= 0 at optimum)
-    status: str                # 'optimal' | 'infeasible' | 'iteration_limit'
-    iterations: int
-    residuals: Tuple[float, float, float, float]
-    rho_final: Optional[np.ndarray] = None
+    # 'optimal' | 'infeasible' | 'iteration_limit' | 'invalid' (H, g or h_in
+    # not finite, or H not positive definite)
+    status: str
+    iterations: int            # active-set changes
 
 
 def kkt_residuals(p: QpProblem, x, lam) -> Tuple[float, float, float, float]:
@@ -97,153 +96,89 @@ def solution_residuals(p: QpProblem, sol: QpSolution):
     return kkt_residuals(p, sol.x, sol.lam)
 
 
-def _polish(p: QpProblem, x, lam, tol_active=1e-7):
-    """Solve the reduced KKT system on the active set; None if it fails."""
-    n = p.n
-    slack = p.h_in - p.G @ x
-    active_idx = np.flatnonzero((slack < tol_active) | (lam > tol_active))
-    A_act = p.G[active_idx]
-    k = active_idx.size
-    KKT = np.zeros((n + k, n + k))
-    KKT[:n, :n] = p.H + 1e-12 * np.eye(n)
-    KKT[:n, n:] = A_act.T
-    KKT[n:, :n] = A_act
-    KKT[n:, n:] = -1e-12 * np.eye(k)
-    try:
-        sol = np.linalg.solve(KKT, np.concatenate([-p.g, p.h_in[active_idx]]))
-    except np.linalg.LinAlgError:
-        return None
-    lam_new = np.zeros_like(lam)
-    lam_new[active_idx] = sol[n:]
-    if np.min(lam_new, initial=0.0) < -1e-7:
-        return None
-    return sol[:n], np.maximum(lam_new, 0.0)
+def qp_solve(p: QpProblem) -> QpSolution:
+    """Goldfarb-Idnani dual active-set solve.
 
-
-def qp_solve(p: QpProblem, warm_start=None, max_iter: int = 4000,
-             rho: float = 0.1, alpha: float = 1.6, sigma: float = 1e-6,
-             eps: float = 1e-8) -> QpSolution:
-    """Operator-splitting solve with over-relaxation and polish.
-
-    ``warm_start`` is an optional (x0, y0, rho0) triple: primal iterate,
-    inequality duals and per-row penalties (a previous solution's ``x``,
-    ``lam`` and ``rho_final``); any entry may be None.  Infeasibility is
-    detected from the divergence direction of the dual iterates.
+    With H = L L' and the active rows' normals mapped to W = L^-1 G_A', the
+    most violated row q (v = L^-1 G_q') moves the primal iterate along
+    -z, z = L^-T w, w = v - W r, r = W^+ v, while the active multipliers
+    move by -r and its own multiplier grows.  The full step makes row q
+    active; a partial step stops where an active multiplier reaches zero
+    and drops that row.  If neither step is finite (w = 0 and no r_k > 0),
+    no dual step can satisfy row q and the problem is infeasible.  The
+    method is finite but has no useful worst-case bound, so active-set
+    changes are capped at 2 (m + n), every row entering and leaving once
+    plus a full active set; the bundled problems take at most 2 n.
     """
     n = p.n
+    G = p.G if p.G is not None else np.zeros((0, n))
+    h = p.h_in if p.h_in is not None else np.zeros(0)
+    m = h.size
+    lam = np.zeros(m)
 
-    # The constraint matrix is often shared across many solves (SQP, MPC warm
-    # starts), so its equilibration is cached on identity; the offsets change
-    # every call and are rescaled below.
-    global _equil_cache
-    cached = _equil_cache
-    if cached is not None and cached[0] is p.G:
-        A, row_scale = cached[1], cached[2]
-    else:
-        A = p.G if p.G is not None else np.zeros((0, n))
-        # row equilibration: unit-norm constraint rows (zero rows left alone)
-        row_norms = np.linalg.norm(A, axis=1)
-        row_scale = np.where(row_norms > 1e-12, row_norms, 1.0)
-        A = A / row_scale[:, None]
-        _equil_cache = (p.G, A, row_scale)
-    m = A.shape[0]
-    u = p.h_in / row_scale if m else np.zeros(0)
+    def finish(x, status, changes):
+        return QpSolution(x=x, lam=lam, status=status, iterations=changes)
 
-    rho_vec = np.full(m, rho)
-    x = np.zeros(n)
-    y = np.zeros(m)
-    if warm_start is not None:
-        x0, y0, rho0 = warm_start
-        if rho0 is not None and np.asarray(rho0).shape == (m,):
-            rho_vec = np.asarray(rho0, dtype=float).copy()
-        if x0 is not None:
-            x = np.asarray(x0, dtype=float).copy()
-        if y0 is not None:
-            y = np.asarray(y0, dtype=float).reshape(-1).copy()
-            if y.size != m:
-                y = np.zeros(m)
+    if not (np.isfinite(p.H).all() and np.isfinite(p.g).all()
+            and np.isfinite(h).all()):
+        return finish(np.zeros(n), "invalid", 0)
+    try:
+        L = sla.cholesky(p.H, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return finish(np.zeros(n), "invalid", 0)
+    x = -sla.cho_solve((L, True), p.g, check_finite=False)
+
+    # a row is violated when (G x - h) / max(1, |h|) exceeds 1e-9; it
+    # depends on the active rows when its normal, in the metric of H, keeps
+    # less than 1e-12 of its length after projection against theirs
+    scale = np.maximum(1.0, np.abs(h))
+    active = []                       # row indices, in the order added
+    W = np.zeros((n, 0))              # L^-1 G_A'
+    changes = 0
+    max_changes = 2 * (m + n)
+    while True:
+        viol = (G @ x - h) / scale
+        viol[active] = 0.0
+        q = int(np.argmax(viol)) if m else 0
+        if not m or viol[q] <= 1e-9:
+            return finish(x, "optimal", changes)
+        v = sla.solve_triangular(L, G[q], lower=True, check_finite=False)
+        while True:
+            if changes >= max_changes:
+                return finish(x, "iteration_limit", changes)
+            if active:
+                Q, R = np.linalg.qr(W)
+                r = sla.solve_triangular(R, Q.T @ v, check_finite=False)
+                w = v - W @ r
             else:
-                y = y * row_scale    # duals live in the scaled row space
-    z = np.minimum(A @ x, u)
-
-    def finish(status, iters):
-        lam = np.maximum(y / row_scale, 0.0)
-        return QpSolution(x=x.copy(), lam=lam, status=status,
-                          iterations=iters, residuals=kkt_residuals(p, x, lam),
-                          rho_final=rho_vec.copy())
-
-    if m == 0:
-        x = np.linalg.solve(p.H + 1e-12 * np.eye(n), -p.g)
-        return finish("optimal", 0)
-
-    def factor():
-        M = p.H + sigma * np.eye(n) + A.T @ (rho_vec[:, None] * A)
-        return sla.cho_factor(M)
-
-    chol = factor()
-
-    finite_u = np.isfinite(u)
-    scale = max(1.0, np.max(np.abs(p.g)), np.max(np.abs(u[finite_u]), initial=1.0))
-
-    def converged():
-        r_prim = np.max(np.abs(A @ x - z), initial=0.0)
-        r_dual = np.max(np.abs(p.H @ x + p.g + A.T @ y), initial=0.0)
-        return r_prim < eps * scale and r_dual < eps * scale
-
-    status = "iteration_limit"
-    it = 0
-    if converged():
-        # warm start already satisfies the KKT conditions
-        return finish("optimal", 0)
-    for it in range(1, max_iter + 1):
-        rhs = sigma * x - p.g + A.T @ (rho_vec * z - y)
-        x_t = sla.cho_solve(chol, rhs)
-        z_t = A @ x_t
-        x = alpha * x_t + (1.0 - alpha) * x
-        z_r = alpha * z_t + (1.0 - alpha) * z
-        y_old = y
-        z = np.minimum(z_r + y / rho_vec, u)
-        y = y + rho_vec * (z_r - z)
-
-        if it % 100 == 0:
-            # residual-balancing penalty update (with refactorization)
-            r_p = np.max(np.abs(A @ x - z), initial=0.0)
-            r_d = np.max(np.abs(p.H @ x + p.g + A.T @ y), initial=0.0)
-            np_ = max(np.max(np.abs(A @ x), initial=0.0), np.max(np.abs(z), initial=0.0), 1e-10)
-            nd_ = max(np.max(np.abs(p.H @ x), initial=0.0),
-                      np.max(np.abs(A.T @ y), initial=0.0),
-                      np.max(np.abs(p.g), initial=0.0), 1e-10)
-            ratio = math.sqrt((r_p / np_) / max(r_d / nd_, 1e-16))
-            if ratio > 5.0 or ratio < 0.2:
-                scale_f = min(max(ratio, 1e-3), 1e3)
-                rho_vec = np.clip(rho_vec * scale_f, 1e-6, 1e7)
-                chol = factor()
-
-        if it <= 10 or it % 10 == 0:
-            if converged():
-                status = "optimal"
+                r = np.zeros(0)
+                w = v
+            ww = float(w @ w)
+            # full step: the violation of row q falls at rate w'w
+            t_full = np.inf
+            if ww > 1e-24 * float(v @ v):
+                t_full = float(G[q] @ x - h[q]) / ww
+            # partial step: the first active multiplier to reach zero
+            t_part, k = np.inf, -1
+            pos = np.flatnonzero(r > 0.0)
+            if pos.size:
+                ratios = lam[np.asarray(active)[pos]] / r[pos]
+                j = int(np.argmin(ratios))
+                t_part, k = float(ratios[j]), int(pos[j])
+            t = min(t_full, t_part)
+            if t == np.inf:
+                return finish(x, "infeasible", changes)
+            if t_full < np.inf:
+                x = x - t * sla.solve_triangular(L, w, lower=True, trans="T",
+                                                 check_finite=False)
+            if active:
+                lam[active] -= t * r
+            lam[q] += t
+            changes += 1
+            if t_full <= t_part:
+                active.append(q)
+                W = np.column_stack([W, v])
                 break
-            # certificate: a nonnegative dual direction y with A'y = 0 and
-            # u'y < 0 proves that no x satisfies Ax <= u
-            dy = y - y_old
-            ndy = np.max(np.abs(dy), initial=0.0)
-            if ndy > 1e-12:
-                dyn = dy / ndy
-                cert_ok = np.max(np.abs(A.T @ dyn), initial=0.0) < 1e-8
-                gap = float(np.sum(u[finite_u] * np.maximum(dyn, 0.0)[finite_u]))
-                if cert_ok and np.all(dyn >= -1e-8) and gap < -1e-8:
-                    return finish("infeasible", it)
-
-    if status == "optimal":
-        return finish("optimal", it)
-    lam = np.maximum(y / row_scale, 0.0)
-    polished = _polish(p, x, lam)
-    if polished is not None:
-        x_p, lam_p = polished
-        res_old = max(kkt_residuals(p, x, lam))
-        res_new = max(kkt_residuals(p, x_p, lam_p))
-        # never let the polish increase the objective or the KKT error
-        if res_new <= res_old and p.objective(x_p) <= p.objective(x) + 1e-12 * scale:
-            x, y = x_p, lam_p * row_scale
-            status = "optimal" if res_new < 1e-6 else status
-    return finish(status, it)
+            lam[active[k]] = 0.0
+            del active[k]
+            W = np.delete(W, k, axis=1)

@@ -308,7 +308,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             adapter.state = state
             swap_steps.append(t)
 
-        warm = {"c": c_shift, "dual": sol.qp_dual, "rho": sol.qp_rho}
+        warm = {"c": c_shift}
         x = x_next
 
     return ClosedLoopTrace.from_rows(rows, swap_steps=swap_steps,

@@ -1,6 +1,6 @@
-"""Command-line tests: exit codes, artifacts on disk, determinism of the
-trace checksum, and the bench CSV.  Scenarios are trimmed-down copies of the
-bundled ones so each invocation stays fast.
+"""Command-line tests: exit codes, artifacts on disk and determinism of the
+trace checksum.  Scenarios are trimmed-down copies of the bundled ones so
+each invocation stays fast.
 """
 
 import hashlib
@@ -151,20 +151,3 @@ class TestSets:
         assert "invariance_violations = 0" in report
         assert "tightened_sets_empty = none" in report
         assert os.path.exists(os.path.join(out, "omega.csv"))
-
-
-class TestBench:
-    def test_csv_written(self, fast_ini, tmp_path, capsys):
-        out = str(tmp_path / "bench")
-        rc = main(["bench", "--sizes", "6", "--reps", "3",
-                   "--scenario", fast_ini("dnn"), "--out", out])
-        assert rc == EXIT_OK
-        with open(os.path.join(out, "bench.csv")) as fh:
-            lines = fh.read().strip().split("\n")
-        assert lines[0].startswith("name,size,reps")
-        assert any(l.startswith("qp_solve,6,") for l in lines)
-        assert any(l.startswith("solve_lbmpc,") for l in lines)
-        # every timing entry parses as a positive float
-        for line in lines[1:]:
-            parts = line.split(",")
-            assert all(float(v) > 0 for v in parts[3:])

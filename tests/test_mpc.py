@@ -4,7 +4,9 @@ matrices against a brute-force rollout, and the tube QP against an SLSQP
 reference.  The scalar Lyapunov case has the closed form P = 4/3.
 """
 
+import os
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from lbmpc import qp as qpmod
+from lbmpc import mpc, qp as qpmod
+from lbmpc.cli import SCENARIO_DIR
+from lbmpc.config import load_scenario
 from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
                        LbmpcProblem, MpcInfeasible, ZeroOracle, build_margins,
                        margin_ratio, shift_solution, solve_linear_mpc,
@@ -22,6 +26,7 @@ from lbmpc.oracle import NetworkArch, new_oracle, predict_and_jacobian
 from lbmpc.plant import PlantModel
 from lbmpc.polytope import (Polytope, TighteningData, _solve_lp,
                             max_invariant_set)
+from lbmpc.runtime import InfeasibleAtStart, run_closed_loop
 
 
 def toy_model(w=0.02):
@@ -201,8 +206,7 @@ class TestLinearMpc:
             x = model.A @ x + model.B @ sol.u     # no disturbance
             c_shift = shift_solution(sol, model.m)
             assert p.feasible(x, c_shift)
-            sol = solve_lbmpc(p, x, warm={"c": c_shift, "dual": sol.qp_dual,
-                                          "rho": sol.qp_rho})
+            sol = solve_lbmpc(p, x, warm={"c": c_shift})
         assert np.linalg.norm(x) < 0.8
 
 
@@ -293,7 +297,8 @@ class TestLearnedRollout:
 class TestFallback:
     """Fault injection: a QP that fails after spending time."""
 
-    @pytest.mark.parametrize("failure", ["iteration_limit", "infeasible"])
+    @pytest.mark.parametrize("failure", ["iteration_limit", "infeasible",
+                                         "invalid"])
     @pytest.mark.parametrize("kind", ["zero", "dnn"])
     def test_failed_qp_falls_back_to_warm_c(self, model, setup, monkeypatch,
                                             kind, failure):
@@ -302,16 +307,14 @@ class TestFallback:
         first = solve_lbmpc(p, x)
         x = model.A @ x + model.B @ first.u
         # offset so the candidate differs from any c the solver could return
-        warm = {"c": shift_solution(first, model.m) + 0.01,
-                "dual": first.qp_dual, "rho": first.qp_rho}
+        warm = {"c": shift_solution(first, model.m) + 0.01}
         assert p.feasible(x, warm["c"])
 
-        def failing_qp(prob, warm_start=None):
+        def failing_qp(prob):
             time.sleep(0.01)
             return qpmod.QpSolution(x=np.zeros(prob.n),
                                     lam=np.zeros(prob.h_in.size),
-                                    status=failure, iterations=4000,
-                                    residuals=(1.0, 1.0, 1.0, 1.0))
+                                    status=failure, iterations=40)
 
         monkeypatch.setattr(qpmod, "qp_solve", failing_qp)
         sol = solve_lbmpc(p, x, warm=warm)
@@ -321,3 +324,39 @@ class TestFallback:
         # without a warm candidate there is nothing to fall back to
         with pytest.raises(MpcInfeasible):
             solve_lbmpc(p, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", [0, 40])
+    def test_non_finite_oracle_output(self, monkeypatch, bad, step):
+        # the first network rollout of one step of the bundled dnn run
+        # returns a non-finite learned state
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
+        scenario = replace(scenario, run=replace(scenario.run, steps=60))
+        seen = {"step": -1, "poisoned": False}
+        solve, rollout = mpc.solve_lbmpc, DnnOracle.rollout
+
+        def counted_solve(p, x, warm=None):
+            seen["step"] += 1
+            return solve(p, x, warm=warm)
+
+        def poisoned_rollout(self, A, B, x, v):
+            z, Jh = rollout(self, A, B, x, v)
+            if seen["step"] == step and not seen["poisoned"]:
+                seen["poisoned"] = True
+                z[-1] = bad
+            return z, Jh
+
+        monkeypatch.setattr(mpc, "solve_lbmpc", counted_solve)
+        monkeypatch.setattr(DnnOracle, "rollout", poisoned_rollout)
+        if step == 0:
+            # nothing to fall back to before the first solution
+            with pytest.raises(InfeasibleAtStart):
+                run_closed_loop(scenario)
+            return
+        tr = run_closed_loop(scenario)
+        assert seen["poisoned"]
+        assert tr.status[step] == "fallback"
+        assert list(tr.status).count("fallback") == 1
+        assert np.min(tr.state_margin) >= 0.0
+        assert np.min(tr.input_margin) >= 0.0
+        assert np.all(tr.shift_feasible)

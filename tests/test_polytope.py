@@ -90,6 +90,19 @@ class TestConstruction:
         P = Polytope.box([1.0], [-1.0])
         assert P.is_empty()
 
+    def test_box_emptiness_one_rule(self):
+        # ends crossed by less than HiGHS' 1e-7 tolerance: the same set is
+        # nonempty however it was built or asked about
+        B = Polytope.box([5e-8, 0.0], [0.0, 1.0])
+        assert not B.is_empty()
+        assert not Polytope(B.F, B.h).is_empty()
+        assert not B.is_empty_at(B.h)
+        assert support(B, [1.0, 1.0]) == 1.0
+        assert np.array_equal(support_many(B, np.eye(2)), [0.0, 1.0])
+        C = Polytope.box([2e-7, 0.0], [0.0, 1.0])
+        assert C.is_empty() and Polytope(C.F, C.h).is_empty()
+        with pytest.raises(Infeasible):
+            support(C, [1.0, 1.0])
 
     def test_box_offsets_emptiness_agrees_with_lp(self):
         # lower ends just below, at and above HiGHS' feasibility tolerance

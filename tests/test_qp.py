@@ -5,10 +5,14 @@ the row count, so the random problems stay small, but it is exact.
 """
 
 import itertools
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lbmpc import config, qp as qpmod, runtime
+from lbmpc.cli import SCENARIO_DIR
 from lbmpc.qp import (QpProblem, QpSolution, kkt_residuals, qp_solve,
                       solution_residuals)
 
@@ -130,33 +134,10 @@ class TestInfeasibility:
         assert sol.status == "infeasible"
 
 
-class TestWarmStart:
-    def test_exact_warm_start_terminates_immediately(self):
-        rng = np.random.default_rng(3)
-        p = random_qp(rng, 3, 4)
-        cold = qp_solve(p)
-        warm = qp_solve(p, warm_start=(cold.x, cold.lam, cold.rho_final))
-        assert warm.status == "optimal"
-        assert warm.iterations <= cold.iterations
-        assert np.allclose(warm.x, cold.x, atol=1e-6)
-
-    def test_nearby_warm_start_reduces_iterations(self):
-        rng = np.random.default_rng(5)
-        p = random_qp(rng, 4, 6)
-        cold = qp_solve(p)
-        g2 = p.g + 1e-3 * rng.normal(size=4)
-        p2 = QpProblem(H=p.H, g=g2, G=p.G, h_in=p.h_in, validate=False)
-        cold2 = qp_solve(p2)
-        warm2 = qp_solve(p2, warm_start=(cold.x, cold.lam, cold.rho_final))
-        assert warm2.status == "optimal"
-        assert warm2.iterations <= cold2.iterations
-        assert p2.objective(warm2.x) == pytest.approx(p2.objective(cold2.x),
-                                                      abs=1e-8)
-
-
 class TestCacheSafety:
     def test_distinct_matrices_not_conflated(self):
-        # two problems with different G objects must both solve correctly
+        # two problems with different G objects must both solve correctly,
+        # in either order
         H = np.eye(2)
         g = np.array([-1.0, -1.0])
         p1 = QpProblem(H=H, g=g, G=np.array([[1.0, 0.0]]),
@@ -171,7 +152,7 @@ class TestCacheSafety:
         assert np.allclose(s1b.x, s1.x, atol=1e-9)
 
     def test_shared_matrix_new_offsets(self):
-        # same G identity, different h_in: cached scaling must rescale h
+        # same G object, different h_in
         H = np.eye(1)
         G = np.array([[2.0]])
         pa = QpProblem(H=H, g=np.array([-10.0]), G=G, h_in=np.array([2.0]))
@@ -188,3 +169,119 @@ class TestDeterminism:
         b = qp_solve(p)
         assert np.array_equal(a.x, b.x)
         assert a.iterations == b.iterations
+
+
+def degenerate_qp(rng, n, extra):
+    """Random QP whose optimum x* has rows a and b active with positive
+    multipliers and three slack rows, plus the rows ``extra(a, ha, b, hb)``
+    returns."""
+    L = rng.normal(size=(n, n))
+    H = L @ L.T + 0.1 * np.eye(n)
+    x_star = rng.normal(size=n)
+    a, b = rng.normal(size=(2, n))
+    ha, hb = a @ x_star, b @ x_star
+    g = -H @ x_star - rng.uniform(0.5, 2.0) * a - rng.uniform(0.5, 2.0) * b
+    S = rng.normal(size=(3, n))
+    rows = [a, b] + list(S)
+    offs = [ha, hb] + list(S @ x_star + rng.uniform(0.1, 1.0, 3))
+    for row, off in extra(a, ha, b, hb):
+        rows.append(row)
+        offs.append(off)
+    return QpProblem(H=H, g=g, G=np.array(rows), h_in=np.array(offs)), x_star
+
+
+class TestDegenerate:
+    """Rows that repeat or depend on the active rows at the optimum."""
+
+    CASES = {
+        "duplicated": lambda a, ha, b, hb: [(a, ha), (b, hb)],
+        # (-b, -hb + 1) bounds b x from below, parallel to b and slack
+        "scaled_by_2": lambda a, ha, b, hb: [(2 * a, 2 * ha), (-b, -hb + 1.0),
+                                             (2 * b, 2 * hb)],
+        "sum_of_active": lambda a, ha, b, hb: [(a + 2 * b, ha + 2 * hb)],
+        "sum_tighter": lambda a, ha, b, hb: [(a + 2 * b, ha + 2 * hb - 0.3)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_against_oracle(self, case):
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        for trial in range(30):
+            p, x_star = degenerate_qp(rng, int(rng.integers(2, 5)),
+                                      self.CASES[case])
+            sol = qp_solve(p)
+            ref = active_set_oracle(p)
+            if ref is None:
+                # the tighter dependent row can cut the slack rows' region
+                # away; the solver must then prove it
+                assert case == "sum_tighter"
+                assert sol.status == "infeasible", "trial %d" % trial
+                continue
+            assert sol.status == "optimal", "trial %d" % trial
+            assert p.objective(sol.x) == pytest.approx(ref[1], abs=1e-6)
+            assert np.allclose(sol.x, ref[0], atol=1e-5)
+            assert max(solution_residuals(p, sol)) < 1e-6
+            if case != "sum_tighter":
+                assert np.allclose(sol.x, x_star, atol=1e-6)
+
+    def test_dependent_row_proves_infeasibility(self):
+        # with a and b active, -(a + b) x <= -(ha + hb) - 1 cannot hold
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            p, _ = degenerate_qp(rng, 3, lambda a, ha, b, hb:
+                                 [(-(a + b), -(ha + hb) - 1.0)])
+            assert active_set_oracle(p) is None
+            assert qp_solve(p).status == "infeasible"
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("field", ["H", "g", "h_in"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data(self, field, bad):
+        p = random_qp(np.random.default_rng(1), 3, 4)
+        data = {"H": p.H.copy(), "g": p.g.copy(), "G": p.G, "h_in": p.h_in.copy()}
+        data[field].flat[1] = bad
+        sol = qp_solve(QpProblem(validate=False, **data))
+        assert sol.status == "invalid"
+
+    def test_singular_hessian(self):
+        p = QpProblem(H=np.diag([1.0, 0.0]), g=np.array([0.0, -1.0]),
+                      G=np.eye(2), h_in=np.ones(2))
+        assert qp_solve(p).status == "invalid"
+
+
+def _corner_runs():
+    runs = [(name, None, None) for name in ("linear.ini", "dnn.ini", "l2nw.ini")]
+    for z in (-0.15, -0.09):
+        for y in (-0.05, 0.07):
+            runs += [("linear.ini", 40, (z, y)), ("dnn.ini", 100, (z, y))]
+    return runs
+
+
+class TestActiveSetChanges:
+    """Every QP of the bundled 500-step scenarios, and of 40-step zero- and
+    100-step dnn-oracle runs from the four corners of the benchmark's start
+    box (z in [-0.15, -0.09], y in [-0.05, 0.07]), ends optimal within
+    2 n active-set changes."""
+
+    @pytest.mark.parametrize("name, steps, corner", _corner_runs(),
+                             ids=lambda v: str(v).replace(" ", ""))
+    def test_bounded(self, monkeypatch, name, steps, corner):
+        sc = config.load_scenario(os.path.join(SCENARIO_DIR, name), environ={})
+        if corner is not None:
+            x0 = np.array([corner[0], corner[1], 0.0, 0.0])
+            sc = replace(sc, run=replace(sc.run, steps=steps, x0=x0))
+        solves = []
+        solve = qpmod.qp_solve
+
+        def recorded(p):
+            sol = solve(p)
+            solves.append((p.n, sol.status, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(qpmod, "qp_solve", recorded)
+        tr = runtime.run_closed_loop(sc)
+        assert set(tr.status) == {"optimal"}
+        assert len(solves) >= len(tr)
+        for n, status, changes in solves:
+            assert status == "optimal"
+            assert changes <= 2 * n
