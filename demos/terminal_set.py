@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from lbmpc import cli, config, runtime
-from lbmpc.polytope import support
+from lbmpc.polytope import support_many
 
 
 def main():
@@ -19,7 +19,8 @@ def main():
     setup = runtime.build_setup(scenario)
     model = setup.model
 
-    lo, hi = model.W._cache["box_bounds"]
+    eye = np.eye(model.d)
+    lo, hi = -support_many(model.W, -eye), support_many(model.W, eye)
     print("estimated disturbance box W:")
     for i, (a, b) in enumerate(zip(lo, hi)):
         print("  h%d in [%+.2e, %+.2e]" % (i + 1, a, b))
@@ -33,9 +34,7 @@ def main():
     omega = setup.omega
     print("\nterminal set: %d facets" % omega.num_facets)
     A_cl = model.A + model.B @ setup.cfg.K
-    d = model.d
-    box_lo = np.array([-support(omega, -np.eye(d)[i]) for i in range(d)])
-    box_hi = np.array([support(omega, np.eye(d)[i]) for i in range(d)])
+    box_lo, box_hi = -support_many(omega, -eye), support_many(omega, eye)
     rng = np.random.default_rng(0)
     hits, bad = 0, 0
     while hits < 2000:

@@ -10,12 +10,12 @@ and SQP layer (mpc), the dual-timescale closed loop (runtime), scenario files
 from .polytope import (Polytope, PolytopeError, EmptyResult, Unbounded,
                        NotSchurStable, support, pontryagin_diff, tube_margins,
                        max_invariant_set, prune_redundant)
-from .plant import (MooreGreitzerParams, TruthSimulator, PlantModel,
+from .plant import (MooreGreitzerParams, PlantModel,
                     mg_rhs, linearize_discretize, truth_residual, estimate_W)
 from .oracle import (NetworkArch, OracleState, new_oracle, predict, adapt,
                      train_hidden, swap_hidden, ReplayBuffer, L2nwEstimator,
                      l2nw_predict)
-from .qp import QpProblem, QpSolution, qp_solve, QpError, QpInfeasible
+from .qp import QpProblem, QpSolution, qp_solve
 from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, build_margins,
                   solve_lbmpc, solve_linear_mpc, shift_solution,
                   synthesize_gain, synthesize_tube_gain, solve_lyapunov_P,

@@ -16,10 +16,11 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import qp as qpmod, runtime
+from . import runtime
 from .config import ConfigError
 from .mpc import EmptyTightenedSet, MpcError
-from .polytope import EmptyResult, support
+from .plant import PlantError
+from .polytope import EmptyResult, support_many
 from .runtime import InfeasibleAtStart, RuntimeFailure
 
 EXIT_OK = 0
@@ -46,10 +47,7 @@ def _load(path, args):
         sched = dataclasses.replace(sched, deterministic=True)
     if args.seed is not None:
         sched = dataclasses.replace(sched, seed=args.seed)
-    plant_sec = scenario.plant
-    if args.root_on_massflow:
-        plant_sec = dataclasses.replace(plant_sec, root_on_massflow=True)
-    return dataclasses.replace(scenario, schedule=sched, plant=plant_sec)
+    return dataclasses.replace(scenario, schedule=sched)
 
 
 def _metrics_text(rep):
@@ -78,7 +76,7 @@ def cmd_simulate(args) -> int:
     except (EmptyTightenedSet, EmptyResult) as exc:
         print("empty tightened set: %s" % exc, file=sys.stderr)
         return EXIT_EMPTY_SET
-    except (MpcError, RuntimeFailure, qpmod.QpError) as exc:
+    except (MpcError, RuntimeFailure, PlantError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
     rep = runtime.metrics(trace, np.diag(scenario.controller.q_diag),
@@ -149,11 +147,10 @@ def _omega_invariance_report(setup, samples=10000, seed=0) -> str:
     omega = setup.omega
     model = setup.model
     A_cl = model.A + model.B @ setup.cfg.K
-    d = omega.F.shape[1]
-    lo = np.array([-support(omega, -np.eye(d)[i]) for i in range(d)])
-    hi = np.array([support(omega, np.eye(d)[i]) for i in range(d)])
+    eye = np.eye(model.d)
+    lo, hi = -support_many(omega, -eye), support_many(omega, eye)
+    w_lo, w_hi = -support_many(model.W, -eye), support_many(model.W, eye)
     rng = np.random.default_rng(seed)
-    w_lo, w_hi = model.W._cache["box_bounds"]
     hits = 0
     violations = 0
     while hits < samples:
@@ -181,7 +178,7 @@ def cmd_sets(args) -> int:
     except (EmptyTightenedSet, EmptyResult) as exc:
         print("empty tightened set: %s" % exc, file=sys.stderr)
         return EXIT_EMPTY_SET
-    except (MpcError, RuntimeFailure) as exc:
+    except (MpcError, RuntimeFailure, PlantError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
     margins = setup.margins
@@ -198,20 +195,12 @@ def cmd_sets(args) -> int:
     _write(args.out, "margins.csv", "\n".join(lines) + "\n")
     _write(args.out, "omega.csv", setup.omega.to_csv())
 
-    report = ["omega_facets = %d" % setup.omega.num_facets]
-    empty_stage = None
-    X, U = setup.model.X, setup.model.U
-    for i in range(N):
-        if np.any(X.h - margins.state[i] < 0):
-            empty_stage = i
-            break
-    report.append("tightened_sets_empty = %s"
-                  % ("none" if empty_stage is None else str(empty_stage)))
-    report.append(_omega_invariance_report(setup).strip())
+    # build_setup's LbmpcProblem has checked every tightened stage with
+    # Polytope.is_empty_at and raised EmptyTightenedSet if one is empty
+    report = ["omega_facets = %d" % setup.omega.num_facets,
+              "tightened_sets_empty = none",
+              _omega_invariance_report(setup).strip()]
     _write(args.out, "report.txt", "\n".join(report) + "\n")
-    if empty_stage is not None:
-        print("empty tightened set at stage %d" % empty_stage, file=sys.stderr)
-        return EXIT_EMPTY_SET
     print("wrote set data to %s" % args.out)
     return EXIT_OK
 
@@ -226,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write solver times as zero (byte-identical trace)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--root-on-massflow", action="store_true",
-                       help="read sqrt on the mass-flow state instead")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="run one closed-loop scenario")

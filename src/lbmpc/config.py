@@ -26,12 +26,10 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class PlantSection:
     beta: float = 1.0
-    z_c: float = 0.0
     zeta: float = 1.0 / math.sqrt(2.0)
     omega_n: float = 10.0 * math.sqrt(10.0)
     T: float = 0.05
     substeps: int = 10
-    root_on_massflow: bool = False
     w_samples: int = 4096
     w_inflation: float = 1.1
     w_region: tuple = (0.7, 0.8, 0.5, 0.25, 0.5)
@@ -155,6 +153,8 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("oracle.buffer_policy must be fifo or diversity")
     if not (0.0 < s.oracle.gamma < 1.0):
         raise ConfigError("oracle.gamma must be in (0, 1)")
+    if s.plant.substeps < 1:
+        raise ConfigError("plant.substeps must be >= 1")
     if s.run.steps < 1:
         raise ConfigError("run.steps must be >= 1")
     if len(s.run.x0) != 4:

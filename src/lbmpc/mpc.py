@@ -149,16 +149,12 @@ class ControllerConfig:
     R: np.ndarray
     K: np.ndarray
     P: np.ndarray
-    x_ref: np.ndarray
-    u_ref: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "Q", np.atleast_2d(np.asarray(self.Q, dtype=float)))
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
         object.__setattr__(self, "K", np.atleast_2d(np.asarray(self.K, dtype=float)))
         object.__setattr__(self, "P", np.atleast_2d(np.asarray(self.P, dtype=float)))
-        object.__setattr__(self, "x_ref", np.asarray(self.x_ref, dtype=float).reshape(-1))
-        object.__setattr__(self, "u_ref", np.asarray(self.u_ref, dtype=float).reshape(-1))
         if self.N < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -338,10 +334,6 @@ class LbmpcProblem:
     def n_dec(self) -> int:
         return self.cfg.N * self.model.m
 
-    def refs(self):
-        N, d, m = self.cfg.N, self.model.d, self.model.m
-        return (np.tile(self.cfg.x_ref, N + 1), np.tile(self.cfg.u_ref, N))
-
     def nominal_traj(self, x, c):
         zbar = self.Sz @ x + self.Tz @ c
         v = self.Sv @ x + self.Tv @ c
@@ -405,10 +397,7 @@ def _learned_rollout(p: LbmpcProblem, x, c):
 
 
 def _objective(p: LbmpcProblem, z, v):
-    x_ref, u_ref = p.refs()
-    dz = z - x_ref
-    dv = v - u_ref
-    return float(dz @ p.Qbar @ dz + dv @ p.Rbar @ dv)
+    return float(z @ p.Qbar @ z + v @ p.Rbar @ v)
 
 
 def _make_solution(p, x, c, status, sqp_iters, t0, rollout=None):
@@ -438,8 +427,9 @@ def solve_linear_mpc(p: LbmpcProblem, x) -> MpcSolution:
     """Single tube-MPC QP (zero oracle); cost on the nominal trajectory."""
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
-    x_ref, u_ref = p.refs()
-    g = 2.0 * (p.Tz.T @ p.Qbar @ (p.Sz @ x - x_ref) + p.Tv.T @ p.Rbar @ (p.Sv @ x - u_ref))
+    # Sz x and Sv x first: the product order fixes the rounding of the
+    # pinned reference traces
+    g = 2.0 * (p.Tz.T @ p.Qbar @ (p.Sz @ x) + p.Tv.T @ p.Rbar @ (p.Sv @ x))
     prob = qpmod.QpProblem(H=p.H_lin, g=g, G=p.Gc, h_in=p.rhs0 - p.Gx @ x,
                            validate=False)
     return _make_solution(p, x, _qp_step(prob), "optimal", 1, t0)
@@ -464,18 +454,15 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
     try:
         if p.oracle.is_zero:
             return solve_linear_mpc(p, x)
-        x_ref, u_ref = p.refs()
         rhs = p.rhs0 - p.Gx @ x
         c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
         for iters in range(1, p.sqp_max_iter + 1):
             zbar, v, z, Jz = _learned_rollout(p, x, c)
             Jv = p.Tv
-            dz = z - x_ref
-            dv = v - u_ref
             H = 2.0 * (Jz.T @ p.Qbar @ Jz + Jv.T @ p.Rbar @ Jv)
             # clip tiny negative curvature from the Gauss-Newton approximation
             H = 0.5 * (H + H.T) + 1e-9 * np.eye(H.shape[0])
-            g = 2.0 * (Jz.T @ p.Qbar @ dz + Jv.T @ p.Rbar @ dv)
+            g = 2.0 * (Jz.T @ p.Qbar @ z + Jv.T @ p.Rbar @ v)
             prob = qpmod.QpProblem(H=H, g=g, G=p.Gc, h_in=rhs - p.Gc @ c,
                                    validate=False)
             step = _qp_step(prob)

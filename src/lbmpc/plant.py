@@ -54,7 +54,6 @@ class MooreGreitzerParams:
     """Compressor and actuator constants plus the controller sampling time."""
 
     beta: float = 1.0
-    z_c: float = 0.0
     zeta: float = 1.0 / math.sqrt(2.0)
     omega_n: float = 10.0 * math.sqrt(10.0)
     T: float = 0.05
@@ -65,67 +64,44 @@ class MooreGreitzerParams:
                 raise ValueError("%s must be positive" % name)
 
 
-def mg_rhs(state, u, params: MooreGreitzerParams, root_on_massflow: bool = False):
+def mg_rhs(state, u, params: MooreGreitzerParams):
     """Continuous-time vector field of the compressor plus actuator.
 
     ``state`` is (z, y, r, rdot); broadcasting over a leading batch axis is
-    supported.  The throttle term is r*sqrt(y) by default; the literal
-    mass-flow reading r*sqrt(z) is available via ``root_on_massflow`` even
-    though it is inconsistent with the benchmark equilibrium.
+    supported.  The throttle flow is r*sqrt(y), the reading under which
+    (X_EQ, U_EQ) is an equilibrium.
     """
     s = np.asarray(state, dtype=float)
     u = np.squeeze(np.asarray(u, dtype=float))
     z, y, r, rdot = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
     if np.any(np.abs(s) > _DOMAIN_GUARD):
         raise DomainError("state outside numerical domain guard")
-    root_arg = z if root_on_massflow else y
-    if np.any(root_arg < 0.0):
+    if np.any(y < 0.0):
         raise DomainError("negative square-root argument in throttle flow")
     b2 = params.beta ** 2
-    dz = -y + params.z_c + 1.0 + 1.5 * z - 0.5 * z ** 3
-    dy = (z + 1.0 - r * np.sqrt(root_arg)) / b2
+    dz = -y + 1.0 + 1.5 * z - 0.5 * z ** 3
+    dy = (z + 1.0 - r * np.sqrt(y)) / b2
     dr = rdot
     drr = params.omega_n ** 2 * (u - r) - 2.0 * params.zeta * params.omega_n * rdot
     return np.stack([dz, dy, dr, drr], axis=-1)
 
 
-@dataclass(frozen=True)
-class TruthSimulator:
-    """Fixed-step RK4 integrator advancing exactly one sampling period."""
-
-    params: MooreGreitzerParams
-    substeps: int = 10
-    root_on_massflow: bool = False
-
-    def __post_init__(self):
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-
-    @property
-    def h_int(self) -> float:
-        return self.params.T / self.substeps
-
-    def step(self, state, u):
-        return step_truth(state, u, self.params, substeps=self.substeps,
-                          root_on_massflow=self.root_on_massflow)
-
-
-def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10,
-               root_on_massflow: bool = False):
+def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10):
     """Advance the truth model by one sampling period T with input held.
 
     One state (shape (4,)) is integrated on Python floats, a batch (shape
     (n, 4)) on numpy rows; both run the same operations in the same order.
     """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
     h = params.T / substeps
     x = np.asarray(state, dtype=float)
     if x.ndim == 1:
         u1 = np.asarray(u, dtype=float).item()
-        return np.array(_step_one(*x.tolist(), u1, params, h, substeps,
-                                  root_on_massflow))
+        return np.array(_step_one(*x.tolist(), u1, params, h, substeps))
 
     def f(s):
-        return mg_rhs(s, u, params, root_on_massflow=root_on_massflow)
+        return mg_rhs(s, u, params)
 
     for _ in range(substeps):
         k1 = f(x)
@@ -136,7 +112,7 @@ def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10,
     return x
 
 
-def _step_one(z, y, r, rd, u, params, h, substeps, root_on_massflow):
+def _step_one(z, y, r, rd, u, params, h, substeps):
     """step_truth for one state: mg_rhs and RK4 written out on floats, with
     mg_rhs's DomainError checks (a NaN passes both, as in numpy).
 
@@ -151,11 +127,10 @@ def _step_one(z, y, r, rd, u, params, h, substeps, root_on_massflow):
         if (abs(z) > _DOMAIN_GUARD or abs(y) > _DOMAIN_GUARD
                 or abs(r) > _DOMAIN_GUARD or abs(rd) > _DOMAIN_GUARD):
             raise DomainError("state outside numerical domain guard")
-        root_arg = z if root_on_massflow else y
-        if root_arg < 0.0:
+        if y < 0.0:
             raise DomainError("negative square-root argument in throttle flow")
-        return (-y + params.z_c + 1.0 + 1.5 * z - 0.5 * float(np.power(z, 3)),
-                (z + 1.0 - r * math.sqrt(root_arg)) / b2,
+        return (-y + 1.0 + 1.5 * z - 0.5 * float(np.power(z, 3)),
+                (z + 1.0 - r * math.sqrt(y)) / b2,
                 rd,
                 wn2 * (u - r) - damp * rd)
 
@@ -172,8 +147,7 @@ def _step_one(z, y, r, rd, u, params, h, substeps, root_on_massflow):
     return z, y, r, rd
 
 
-def mg_jacobians(params: MooreGreitzerParams, x_e, u_e,
-                 root_on_massflow: bool = False):
+def mg_jacobians(params: MooreGreitzerParams, x_e, u_e):
     """Analytic continuous-time Jacobians (A_c, B_c) of mg_rhs."""
     z, y, r, _ = np.asarray(x_e, dtype=float)
     b2 = params.beta ** 2
@@ -181,13 +155,9 @@ def mg_jacobians(params: MooreGreitzerParams, x_e, u_e,
     A = np.zeros((4, 4))
     A[0, 0] = 1.5 - 1.5 * z ** 2
     A[0, 1] = -1.0
-    if root_on_massflow:
-        A[1, 0] = (1.0 - r / (2.0 * math.sqrt(z))) / b2
-        A[1, 2] = -math.sqrt(z) / b2
-    else:
-        A[1, 0] = 1.0 / b2
-        A[1, 1] = -r / (2.0 * math.sqrt(y) * b2)
-        A[1, 2] = -math.sqrt(y) / b2
+    A[1, 0] = 1.0 / b2
+    A[1, 1] = -r / (2.0 * math.sqrt(y) * b2)
+    A[1, 2] = -math.sqrt(y) / b2
     A[2, 3] = 1.0
     A[3, 2] = -wn ** 2
     A[3, 3] = -2.0 * zeta * wn
@@ -251,8 +221,8 @@ def deviation_constraint_sets():
     return X, U
 
 
-def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ, u_e=U_EQ,
-                         root_on_massflow: bool = False) -> PlantModel:
+def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ,
+                         u_e=U_EQ) -> PlantModel:
     """Exact-ZOH discrete model around an equilibrium, with constraint sets.
 
     The equilibrium claim is verified (residual < 1e-6) before the Jacobians
@@ -260,10 +230,10 @@ def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ, u_e=U_EQ,
     [[A_c, B_c], [0, 0]] so there is no discretization-order error.
     """
     x_e = np.asarray(x_e, dtype=float)
-    resid = mg_rhs(x_e, u_e, params, root_on_massflow=root_on_massflow)
+    resid = mg_rhs(x_e, u_e, params)
     if np.linalg.norm(resid, ord=np.inf) >= 1e-6:
         raise NotEquilibrium("equilibrium residual %.3g" % np.linalg.norm(resid, np.inf))
-    A_c, B_c = mg_jacobians(params, x_e, u_e, root_on_massflow=root_on_massflow)
+    A_c, B_c = mg_jacobians(params, x_e, u_e)
     d, m = A_c.shape[0], B_c.shape[1]
     aug = np.zeros((d + m, d + m))
     aug[:d, :d] = A_c
@@ -284,8 +254,8 @@ def truth_residual(x_t, u_t, x_next, model: PlantModel):
 
 
 def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
-                   substeps: int = 10, root_on_massflow: bool = False,
-                   seed: Optional[int] = None, region_scale: float = 1.0):
+                   substeps: int = 10, seed: Optional[int] = None,
+                   region_scale: float = 1.0):
     """Truth residuals over a low-discrepancy (or random) sweep of X x U.
 
     Returns an (samples, d) array of deviation-coordinate residuals.  With
@@ -311,8 +281,7 @@ def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
     pts = lo + pts * (hi - lo)
     states_abs = pts[:, :4]
     inputs_abs = pts[:, 4]
-    nxt = step_truth(states_abs, inputs_abs, params, substeps=substeps,
-                     root_on_massflow=root_on_massflow)
+    nxt = step_truth(states_abs, inputs_abs, params, substeps=substeps)
     x_dev = states_abs - model.x_eq
     u_dev = inputs_abs - model.u_eq
     nxt_dev = nxt - model.x_eq
@@ -321,8 +290,7 @@ def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
 
 def estimate_W(model: PlantModel, params: MooreGreitzerParams,
                samples: int = 4096, inflation: float = 1.1,
-               substeps: int = 10, root_on_massflow: bool = False,
-               region_scale: float = 1.0) -> Polytope:
+               substeps: int = 10, region_scale: float = 1.0) -> Polytope:
     """Axis-aligned uncertainty bound from a deterministic residual sweep.
 
     The per-component extrema over the Halton sweep of X x U are widened to
@@ -331,7 +299,6 @@ def estimate_W(model: PlantModel, params: MooreGreitzerParams,
     if samples < 1000:
         raise ValueError("need at least 1000 sweep samples")
     res = residual_sweep(model, params, samples, substeps=substeps,
-                         root_on_massflow=root_on_massflow,
                          region_scale=region_scale)
     lo = inflation * np.minimum(res.min(axis=0), 0.0)
     hi = inflation * np.maximum(res.max(axis=0), 0.0)

@@ -19,14 +19,6 @@ import numpy as np
 import scipy.linalg as sla
 
 
-class QpError(Exception):
-    pass
-
-
-class QpInfeasible(QpError):
-    """Primal infeasibility certificate found."""
-
-
 @dataclass(frozen=True)
 class QpProblem:
     H: np.ndarray

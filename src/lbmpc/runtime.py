@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import mpc, oracle as om, plant
-from .polytope import Polytope, max_invariant_set
+from .polytope import Polytope, max_invariant_set, support_many
 
 
 class RuntimeFailure(Exception):
@@ -84,8 +84,6 @@ class ClosedLoopTrace:
     shift_feasible: np.ndarray
     h_in_w: np.ndarray
     swap_steps: List[int] = field(default_factory=list)
-    x_ref: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    u_ref: np.ndarray = field(default_factory=lambda: np.zeros(1))
     # deterministic-mode runs promise byte-identical CSVs, so the (inherently
     # nonreproducible) wall-time column is written as zero; the measured
     # times stay available in memory for metrics and benchmarks
@@ -132,7 +130,6 @@ class LoopSetup:
     """Everything run_closed_loop needs, assembled once from a scenario."""
 
     params: plant.MooreGreitzerParams
-    sim: plant.TruthSimulator
     model: plant.PlantModel
     cfg: mpc.ControllerConfig
     omega: Polytope
@@ -146,30 +143,26 @@ class LoopSetup:
 
 
 def _w_halfwidths(W: Polytope) -> np.ndarray:
-    lo, hi = W._cache["box_bounds"]
-    return np.maximum(np.abs(lo), np.abs(hi))
+    """Largest |w_i| over W, from its support in -e_i and e_i."""
+    eye = np.eye(W.dim)
+    return np.maximum(support_many(W, -eye), support_many(W, eye))
 
 
 def build_setup(scenario) -> LoopSetup:
     """Instantiate plant, sets, gains and oracle from a validated scenario."""
     pc, cc, oc = scenario.plant, scenario.controller, scenario.oracle
-    params = plant.MooreGreitzerParams(beta=pc.beta, z_c=pc.z_c, zeta=pc.zeta,
+    params = plant.MooreGreitzerParams(beta=pc.beta, zeta=pc.zeta,
                                        omega_n=pc.omega_n, T=pc.T)
-    sim = plant.TruthSimulator(params, substeps=pc.substeps,
-                               root_on_massflow=pc.root_on_massflow)
-    model0 = plant.linearize_discretize(params,
-                                        root_on_massflow=pc.root_on_massflow)
+    model0 = plant.linearize_discretize(params)
     W = plant.estimate_W(model0, params, samples=pc.w_samples,
                          inflation=pc.w_inflation, substeps=pc.substeps,
-                         root_on_massflow=pc.root_on_massflow,
                          region_scale=pc.w_region)
     model = model0.with_W(W)
     Q = np.diag(cc.q_diag)
     R = np.array([[cc.r]])
     K = mpc.synthesize_tube_gain(model, Q, R, target=cc.tube_margin_target)
     P = mpc.solve_lyapunov_P(model, K, Q, R)
-    cfg = mpc.ControllerConfig(N=cc.N, Q=Q, R=R, K=K, P=P,
-                               x_ref=np.zeros(model.d), u_ref=np.zeros(model.m))
+    cfg = mpc.ControllerConfig(N=cc.N, Q=Q, R=R, K=K, P=P)
     A_cl = model.A + model.B @ K
     omega = max_invariant_set(A_cl, model.X, model.U, K, W).omega
     margins = mpc.build_margins(model, cfg, omega)
@@ -209,7 +202,7 @@ def build_setup(scenario) -> LoopSetup:
                                sqp_max_iter=cc.sqp_max_iter,
                                sqp_tol=cc.sqp_tol)
     x0 = np.asarray(scenario.run.x0, dtype=float)
-    return LoopSetup(params=params, sim=sim, model=model, cfg=cfg, omega=omega,
+    return LoopSetup(params=params, model=model, cfg=cfg, omega=omega,
                      margins=margins, problem=problem,
                      oracle_adapter=adapter, dnn_state=dnn_state, buffer=buf,
                      l2nw=l2nw, x0=x0)
@@ -232,6 +225,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     sched = scenario.schedule
     oc = scenario.oracle
     steps = scenario.run.steps
+    substeps = scenario.plant.substeps
     model = setup.model
     problem = setup.problem
     W = model.W
@@ -260,14 +254,15 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
         u = sol.u
         phi = None
         if state is not None:
-            # cache the exact feature vector of the generation that
-            # produced u, so adapt stays consistent across swaps
+            # predict and adapt share one forward pass: a swap comes after
+            # adapt in the same step, so both see the generation behind u
             phi = om.features(state, x, u)
             h_hat = om.predict_from_features(state, phi)
         else:
             h_hat = np.asarray(adapter.predict(x, u), dtype=float)
 
-        x_abs_next = setup.sim.step(x + model.x_eq, u + model.u_eq)
+        x_abs_next = plant.step_truth(x + model.x_eq, u + model.u_eq,
+                                      setup.params, substeps=substeps)
         x_next = x_abs_next - model.x_eq
         h = plant.truth_residual(x, u, x_next, model)
         x_tilde = (model.A @ x + model.B @ u + h_hat) - x_next
@@ -312,8 +307,6 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
         x = x_next
 
     return ClosedLoopTrace.from_rows(rows, swap_steps=swap_steps,
-                                     x_ref=setup.cfg.x_ref.copy(),
-                                     u_ref=setup.cfg.u_ref.copy(),
                                      deterministic=sched.deterministic)
 
 
@@ -348,8 +341,9 @@ class MetricsReport:
 def metrics(trace: ClosedLoopTrace, Q, R, band: float = 0.02) -> MetricsReport:
     """Transient-response and solver-time summary of one trace.
 
-    Overshoot is the largest excursion of mass flow / pressure rise past the
-    reference on the far side of the approach direction.  Settling is the
+    The trace is in deviation coordinates, so the target is the origin.
+    Overshoot is the largest excursion of mass flow / pressure rise past it
+    on the far side of the approach direction.  Settling is the
     first step after which the state stays within ``band`` of the initial
     error (infinity norm); a trace that never settles reports its length.
     Rise is the first step at which 90 percent of the initial error is gone.
@@ -360,16 +354,15 @@ def metrics(trace: ClosedLoopTrace, Q, R, band: float = 0.02) -> MetricsReport:
         raise ValueError("band must be in (0, 1)")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    dx = trace.x - trace.x_ref
-    du = trace.u - trace.u_ref
-    err = np.max(np.abs(dx), axis=1)
+    x, u = trace.x, trace.u
+    err = np.max(np.abs(x), axis=1)
     e0 = err[0]
 
     def overshoot(i):
-        direction = -np.sign(dx[0, i])
+        direction = -np.sign(x[0, i])
         if direction == 0.0:
-            return float(np.max(np.abs(dx[:, i])))
-        return float(max(0.0, np.max(direction * dx[:, i])))
+            return float(np.max(np.abs(x[:, i])))
+        return float(max(0.0, np.max(direction * x[:, i])))
 
     if e0 == 0.0:
         settling = 0
@@ -384,8 +377,8 @@ def metrics(trace: ClosedLoopTrace, Q, R, band: float = 0.02) -> MetricsReport:
         risen = np.where(err <= 0.1 * e0)[0]
         rise = int(risen[0]) if risen.size else len(trace)
 
-    cost = float(np.einsum("ti,ij,tj->", dx, Q, dx)
-                 + np.einsum("ti,ij,tj->", du, R, du))
+    cost = float(np.einsum("ti,ij,tj->", x, Q, x)
+                 + np.einsum("ti,ij,tj->", u, R, u))
     st = np.sort(trace.solver_time)
     return MetricsReport(
         overshoot_z=overshoot(0), overshoot_y=overshoot(1),

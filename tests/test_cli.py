@@ -9,8 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from lbmpc.cli import (EXIT_CONFIG, EXIT_EMPTY_SET, EXIT_INFEASIBLE, EXIT_OK,
-                       SCENARIO_DIR, main)
+from lbmpc.cli import (EXIT_CONFIG, EXIT_EMPTY_SET, EXIT_INFEASIBLE,
+                       EXIT_NUMERICAL, EXIT_OK, SCENARIO_DIR, main)
 
 
 FAST = """
@@ -80,6 +80,39 @@ class TestSimulate:
         rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    def test_substeps_validated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LBMPC_PLANT_SUBSTEPS", "0")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["simulate", "sets"])
+    def test_not_an_equilibrium_exit(self, command, tmp_path, monkeypatch):
+        # U_EQ is rounded, so with beta = 0.5 the residual of (X_EQ, U_EQ)
+        # is 2.8e-6, above linearize_discretize's 1e-6 limit
+        monkeypatch.setenv("LBMPC_PLANT_BETA", "0.5")
+        rc = main([command, os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
+
+    def test_truth_domain_error_exit(self, fast_ini, tmp_path, monkeypatch):
+        # the loop's truth step leaving the vector field's domain is a
+        # numerical failure; the setup's batched sweep runs unchanged
+        import lbmpc.plant as pl
+        from lbmpc.plant import DomainError
+
+        step_truth = pl.step_truth
+
+        def one_state_fails(state, u, params, **kw):
+            if np.ndim(state) == 1:
+                raise DomainError("state outside numerical domain guard")
+            return step_truth(state, u, params, **kw)
+
+        monkeypatch.setattr(pl, "step_truth", one_state_fails)
+        rc = main(["simulate", fast_ini("zero"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
 
     def test_missing_scenario_file(self, tmp_path):
         rc = main(["simulate", str(tmp_path / "nope.ini"),

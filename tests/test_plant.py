@@ -9,19 +9,19 @@ from scipy.linalg import expm
 
 from lbmpc.plant import (DomainError, INPUT_BOUNDS_ABS, MooreGreitzerParams,
                          NotEquilibrium, PlantModel, STATE_BOUNDS_ABS,
-                         TruthSimulator, U_EQ, X_EQ,
+                         U_EQ, X_EQ,
                          deviation_constraint_sets, estimate_W,
                          linearize_discretize, mg_jacobians, mg_rhs,
                          residual_sweep, step_truth, truth_residual)
 
 
-def reference_step_one(x, u, params, substeps=10, root_on_massflow=False):
+def reference_step_one(x, u, params, substeps=10):
     """The numpy RK4 on one state, as step_truth ran it before its float path."""
     h = params.T / substeps
     x = np.asarray(x, dtype=float)
 
     def f(s):
-        return mg_rhs(s, u, params, root_on_massflow=root_on_massflow)
+        return mg_rhs(s, u, params)
 
     for _ in range(substeps):
         k1 = f(x)
@@ -48,7 +48,7 @@ class TestVectorField:
         assert np.linalg.norm(r, np.inf) < 1e-6
 
     def test_hand_computed_point(self, params):
-        # z=0.25, y=1.0, r=1.0, rdot=0, u=1.0 with beta=1, z_c=0
+        # z=0.25, y=1.0, r=1.0, rdot=0, u=1.0 with beta=1
         x = np.array([0.25, 1.0, 1.0, 0.0])
         f = mg_rhs(x, 1.0, params)
         assert f[0] == pytest.approx(-1.0 + 1.0 + 1.5 * 0.25
@@ -68,11 +68,6 @@ class TestVectorField:
     def test_negative_pressure_raises(self, params):
         with pytest.raises(DomainError):
             mg_rhs([0.5, -0.1, 1.0, 0.0], 1.0, params)
-
-    def test_root_on_massflow_variant(self, params):
-        x = np.array([0.25, 1.0, 1.0, 0.0])
-        f = mg_rhs(x, 1.0, params, root_on_massflow=True)
-        assert f[1] == pytest.approx(0.25 + 1.0 - np.sqrt(0.25), abs=1e-14)
 
 
 class TestJacobians:
@@ -134,13 +129,7 @@ class TestIntegrator:
         # actuator keeps the observed order below the asymptotic 2^4)
         assert e_fine < e_coarse / 4.0
 
-    def test_simulator_wraps_step(self, params):
-        sim = TruthSimulator(params, substeps=10)
-        x0 = np.array([0.45, 1.6, 1.2, 0.5])
-        assert np.allclose(sim.step(x0, 1.1), step_truth(x0, 1.1, params))
-
-    @pytest.mark.parametrize("root_on_massflow", [False, True])
-    def test_one_state_matches_batched_rows(self, params, root_on_massflow):
+    def test_one_state_matches_batched_rows(self, params):
         # one state runs on Python floats, bit-equal to the numpy RK4 on that
         # state; a batch runs on numpy rows, whose strided power may round
         # z**3 differently, hence the 2 ulp
@@ -169,23 +158,20 @@ class TestIntegrator:
              -16.596686794379487, 0.9143308577234204],
         ])
         pts = np.vstack([pts, special, rounding])
-        kw = dict(root_on_massflow=root_on_massflow)
         one, ok = [], np.ones(len(pts), dtype=bool)
         for i, p in enumerate(pts):
             try:
-                one.append(step_truth(p[:4], p[4:], params, **kw))
-                ref = reference_step_one(p[:4], p[4:], params, **kw)
+                one.append(step_truth(p[:4], p[4:], params))
+                ref = reference_step_one(p[:4], p[4:], params)
                 assert np.array_equal(one[-1], ref, equal_nan=True)
             except DomainError:
                 ok[i] = False
                 with pytest.raises(DomainError):
-                    step_truth(p[None, :4], p[4:], params, **kw)
-        # the guard cases, and the stage-2 root case of this reading, whose
-        # first stage passes
-        inner = 1001 + (not root_on_massflow)
-        assert not ok[[1000, inner, 1003, 1004]].any() and ok[1005]
-        mg_rhs(pts[inner, :4], pts[inner, 4], params, **kw)
-        batch = step_truth(pts[ok, :4], pts[ok, 4], params, **kw)
+                    step_truth(p[None, :4], p[4:], params)
+        # the guard cases, and the stage-2 root case, whose first stage passes
+        assert not ok[[1000, 1002, 1003, 1004]].any() and ok[1005]
+        mg_rhs(pts[1002, :4], pts[1002, 4], params)
+        batch = step_truth(pts[ok, :4], pts[ok, 4], params)
         one = np.array(one)
         assert np.array_equal(np.isnan(one), np.isnan(batch))
         one, batch = np.nan_to_num(one), np.nan_to_num(batch)
@@ -194,7 +180,7 @@ class TestIntegrator:
 
     def test_substeps_validated(self, params):
         with pytest.raises(ValueError):
-            TruthSimulator(params, substeps=0)
+            step_truth(X_EQ, U_EQ, params, substeps=0)
 
 
 class TestResiduals:
