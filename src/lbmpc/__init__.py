@@ -9,7 +9,7 @@ and SQP layer (mpc), the dual-timescale closed loop (runtime), scenario files
 
 from .polytope import (Polytope, PolytopeError, EmptyResult, Unbounded,
                        NotSchurStable, support, pontryagin_diff, tube_margins,
-                       max_invariant_set, prune_redundant)
+                       max_invariant_set)
 from .plant import (MooreGreitzerParams, PlantModel,
                     mg_rhs, linearize_discretize, truth_residual, estimate_W)
 from .oracle import (NetworkArch, OracleState, new_oracle, predict, adapt,

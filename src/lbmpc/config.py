@@ -153,8 +153,13 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("oracle.buffer_policy must be fifo or diversity")
     if not (0.0 < s.oracle.gamma < 1.0):
         raise ConfigError("oracle.gamma must be in (0, 1)")
+    for name in ("beta", "zeta", "omega_n", "T"):
+        if not getattr(s.plant, name) > 0.0:
+            raise ConfigError("plant.%s must be positive" % name)
     if s.plant.substeps < 1:
         raise ConfigError("plant.substeps must be >= 1")
+    if s.plant.w_samples < 1000:
+        raise ConfigError("plant.w_samples must be >= 1000")
     if s.run.steps < 1:
         raise ConfigError("run.steps must be >= 1")
     if len(s.run.x0) != 4:

@@ -165,12 +165,9 @@ def predict_and_jacobian(state: OracleState, x, u):
 
 def project_columns(K_bar: np.ndarray, W_bar: np.ndarray) -> np.ndarray:
     """Radially rescale any column whose norm exceeds its bound."""
-    K = K_bar.copy()
-    norms = np.linalg.norm(K, axis=0)
-    for i, (n, bound) in enumerate(zip(norms, W_bar)):
-        if n > bound:
-            K[:, i] *= bound / n
-    return K
+    norms = np.linalg.norm(K_bar, axis=0)
+    return K_bar * np.divide(W_bar, norms, out=np.ones_like(norms),
+                             where=norms > W_bar)
 
 
 def adapt(state: OracleState, x_t, u_t, x_next, model,

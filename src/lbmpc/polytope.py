@@ -3,7 +3,11 @@
 Everything here works on the H-representation {x : F x <= h}.  Supports,
 Pontryagin differences and constraint-tightening margins reduce to small
 dense linear programs, which keeps reachable-tube computations exact
-without ever enumerating vertices or Minkowski sums.
+without ever enumerating vertices or Minkowski sums.  The disturbance-
+invariant terminal set is the constraint-admissible fixpoint; a base row
+whose k-step candidate is implied stays implied at every later step
+(Gilbert and Tan, IEEE TAC 1991; Kolmanovsky and Gilbert, Math. Probl.
+Eng. 1998), so each step tests only the rows still live.
 """
 
 from __future__ import annotations
@@ -232,73 +236,27 @@ def tube_margins(A_cl, W: Polytope, constraint_normals, N: int) -> np.ndarray:
     return out
 
 
-def _capped_max(blocks, dirs, caps):
-    """max dirs[i]'x s.t. A_i x <= b_i, dirs[i]'x <= caps[i], as one LP.
-
-    ``blocks`` holds one (A_i, b_i) per row of ``dirs``.  The blocks share
-    no variable, so each block's optimum is that of its own LP, and one
-    call replaces len(dirs) calls whose cost is mostly wrapper overhead.
-    The constraint matrix is sparse, so its size grows with the blocks'
-    entries, not with their number squared.  The cap keeps every block
-    bounded; a value is the uncapped maximum whenever that lies below the
-    cap.  Returns the LP status and, if it is 0, the values dirs[i]'x_i.
-    """
-    A = block_diag([np.vstack([A_i, d]) for (A_i, _), d in zip(blocks, dirs)],
-                   format="csc")
-    b = np.concatenate([np.append(b_i, c)
-                        for (_, b_i), c in zip(blocks, caps)])
-    res = _solve_lp(-dirs.reshape(-1), A, b)
-    if res.status != 0:
-        return res.status, None
-    return 0, np.einsum("ij,ij->i", dirs, res.x.reshape(dirs.shape))
-
-
 def _nonredundant_rows(F, h, cand_F, cand_h, tol=1e-9):
     """Indices of candidate rows not implied by {Fx <= h}.
 
-    All candidates share one block LP.  Every invariant set satisfies
-    {Fx <= h} and each candidate row, so an infeasible block (a candidate,
-    relaxed by its cap, cutting {Fx <= h} to nothing) proves that none
-    exists: that raises ``EmptyResult``.  A failed LP keeps every row.
+    Row i is implied when max cand_F[i]'x over {Fx <= h} is at most
+    cand_h[i] + tol.  The candidates share one LP of independent sparse
+    blocks, block i being {Fx <= h, cand_F[i]'x <= cand_h[i] + 1}: one call
+    in place of one per row, whose cost is mostly wrapper overhead.  The
+    cap keeps every block bounded and leaves any maximum below it exact.
+    Every invariant set satisfies {Fx <= h} and each candidate row, so an
+    infeasible block proves that none exists: that raises ``EmptyResult``.
+    A failed LP keeps every row.
     """
-    n = cand_h.size
-    status, vals = _capped_max([(F, h)] * n, cand_F, cand_h + 1.0)
-    if status == 2:
+    A = block_diag([np.vstack([F, d]) for d in cand_F], format="csc")
+    b = np.concatenate([np.append(h, c + 1.0) for c in cand_h])
+    res = _solve_lp(-cand_F.reshape(-1), A, b)
+    if res.status == 2:
         raise EmptyResult("no disturbance-invariant set within constraints")
-    if status != 0:
-        return list(range(n))
-    return list(np.flatnonzero(vals > cand_h + tol))
-
-
-def prune_redundant(P: Polytope) -> Polytope:
-    """Drop facets implied by the remaining ones.
-
-    Rows are tested in order, each against the rows still kept.  A row not
-    implied by all the other rows is not implied by any subset of them, so
-    block LPs first find those rows, and only the others need the
-    sequential test.  A block LP over all rows would be one call, but HiGHS
-    takes about 15 MiB to solve it for Omega's 108 rows; blocks of 10 rows
-    take about 1 MiB.
-    """
-    F, h = P.F, P.h
-    n = F.shape[0]
-    flagged = np.ones(n, dtype=bool)
-    for start in range(0, n, 10):
-        rows = np.arange(start, min(start + 10, n))
-        status, vals = _capped_max(
-            [(np.delete(F, i, axis=0), np.delete(h, i)) for i in rows],
-            F[rows], h[rows] + 1.0)
-        if status == 0:
-            flagged[rows] = vals <= h[rows] + LP_TOL
-    keep = np.ones(n, dtype=bool)
-    for i in np.flatnonzero(flagged):
-        if keep.sum() == 1:
-            break
-        keep[i] = False
-        res = _solve_lp(-F[i], F[keep], h[keep])
-        if not (res.status == 0 and -res.fun <= h[i] + LP_TOL):
-            keep[i] = True
-    return Polytope(F[keep], h[keep])
+    if res.status != 0:
+        return np.arange(cand_h.size)
+    vals = np.einsum("ij,ij->i", cand_F, res.x.reshape(cand_F.shape))
+    return np.flatnonzero(vals > cand_h + tol)
 
 
 @dataclass(frozen=True)
@@ -312,16 +270,24 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
                       max_iter: int = 200) -> InvariantSetResult:
     """Disturbance-invariant terminal set inside tightened constraints.
 
-    Runs the constraint-admissible-set fixpoint: starting from the rows
+    Runs the constraint-admissible-set fixpoint: starting from the base rows
     {x in X_t, K x in U_t}, keeps adding their k-step robust pre-images
 
         f' A_cl^k x <= h - sum_{j<k} sigma_W((A_cl^T)^j f)
 
-    until every new row is redundant.  The result Omega satisfies
-    Omega subset X_t, K Omega subset U_t and A_cl Omega (+) W subset Omega.
-    Raises ``EmptyResult`` if no invariant set exists within the constraints.
-    A non-converged (iteration-capped) result is still sound: it is an
-    intersection of necessary constraints, flagged via ``converged``.
+    until no new row cuts the set.  Only live chains are tested (Gilbert and
+    Tan, IEEE TAC 1991; Kolmanovsky and Gilbert, Math. Probl. Eng. 1998).
+    Let O_k hold the rows of levels <= k.  For x in O_k, every A_cl x + w
+    with w in W lies in O_{k-1}.  So if a base row's level-k candidate is
+    implied by O_{k-1}, applying that at the w maximizing f' A_cl^k w shows
+    its level-(k+1) candidate is implied by O_k, and the chain stays dead.
+    Implied rows are not added, and no other row is dropped.
+
+    The result Omega satisfies Omega subset X_t, K Omega subset U_t and
+    A_cl Omega (+) W subset Omega.  Raises ``EmptyResult`` if no invariant
+    set exists within the constraints.  A non-converged (iteration-capped)
+    result is still sound: it is an intersection of necessary constraints,
+    flagged via ``converged``.
     """
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -331,23 +297,26 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     base_h = np.concatenate([X_t.h, U_t.h])
     F, h = base_F.copy(), base_h.copy()
 
-    dirs = base_F @ A_cl           # normals of level-k rows, k = 1, 2, ...
+    # level-k normals and margins of every base row, k = 1, 2, ...; the
+    # live rows are indexed out of them, so a chain's values do not depend
+    # on which other chains are alive
+    dirs = base_F @ A_cl
     w_margin = support_many(W, base_F)
+    live = np.arange(base_h.size)
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
         cand_h = base_h - w_margin
-        keep = _nonredundant_rows(F, h, dirs, cand_h)
-        if not keep:
+        live = live[_nonredundant_rows(F, h, dirs[live], cand_h[live])]
+        if live.size == 0:
             converged = True
             break
-        F = np.vstack([F, dirs[keep]])
-        h = np.concatenate([h, cand_h[keep]])
+        F = np.vstack([F, dirs[live]])
+        h = np.concatenate([h, cand_h[live]])
         w_margin = w_margin + support_many(W, dirs)
         dirs = dirs @ A_cl
 
     omega = Polytope(F, h)
     if omega.is_empty():
         raise EmptyResult("no disturbance-invariant set within constraints")
-    omega = prune_redundant(omega)
     return InvariantSetResult(omega=omega, converged=converged, iterations=k)

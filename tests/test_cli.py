@@ -87,6 +87,15 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name,value", [("BETA", "-1"),
+                                            ("W_SAMPLES", "500")])
+    def test_plant_constant_validated(self, tmp_path, monkeypatch, name,
+                                      value):
+        monkeypatch.setenv("LBMPC_PLANT_" + name, value)
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     @pytest.mark.parametrize("command", ["simulate", "sets"])
     def test_not_an_equilibrium_exit(self, command, tmp_path, monkeypatch):
         # U_EQ is rounded, so with beta = 0.5 the residual of (X_EQ, U_EQ)

@@ -88,6 +88,15 @@ class TestValidation:
             with pytest.raises(ConfigError):
                 parse_scenario("[schedule]\n%s\n" % line, environ=EMPTY_ENV)
 
+    def test_plant_constants(self):
+        # each of these reached the plant, which raised a ValueError
+        for line in ("beta = -1", "zeta = 0", "omega_n = -3", "T = 0",
+                     "beta = nan", "w_samples = 999"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[plant]\n%s\n" % line, environ=EMPTY_ENV)
+        s = parse_scenario("[plant]\nw_samples = 1000\n", environ=EMPTY_ENV)
+        assert s.plant.w_samples == 1000
+
     def test_w_region_entries(self):
         with pytest.raises(ConfigError):
             parse_scenario("[plant]\nw_region = 0.5 0.5\n", environ=EMPTY_ENV)

@@ -128,6 +128,25 @@ class TestProjection:
                 ip = (W_star[:, i] - K[:, i]) @ (K_bar[:, i] - K[:, i])
                 assert ip <= 1e-10
 
+    def test_matches_columnwise_loop(self):
+        def reference(K_bar, W_bar):
+            K = K_bar.copy()
+            for i, (n, bound) in enumerate(zip(np.linalg.norm(K, axis=0),
+                                                W_bar)):
+                if n > bound:
+                    K[:, i] *= bound / n
+            return K
+
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            K_bar = rng.normal(size=(7, 4)) * rng.uniform(0.01, 3.0)
+            W_bar = rng.uniform(0.05, 2.0, 4)
+            # a column on its bound and a zero column stay as they are
+            W_bar[0] = np.linalg.norm(K_bar[:, 0])
+            K_bar[:, 1] *= rng.integers(2)
+            assert np.array_equal(project_columns(K_bar, W_bar),
+                                  reference(K_bar, W_bar))
+
     def test_interior_points_untouched(self):
         K = np.array([[0.1], [0.1]])
         assert np.array_equal(project_columns(K, np.array([1.0])), K)

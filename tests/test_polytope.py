@@ -13,52 +13,44 @@ from scipy.optimize import linprog
 from lbmpc import config as cfgmod, polytope, runtime
 from lbmpc.polytope import (EmptyResult, Infeasible, NotSchurStable, Polytope,
                             Unbounded, max_invariant_set, pontryagin_diff,
-                            prune_redundant, spectral_radius, support,
-                            support_many, tube_margins)
+                            spectral_radius, support, support_many,
+                            tube_margins)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(runtime.__file__), "scenarios")
 
 
-def _lp_max(f, F, h):
-    return linprog(-f, A_ub=F, b_ub=h, bounds=(None, None), method="highs")
+def textbook_invariant_set(A_cl, X_t, U_t, K, W, max_iter=200):
+    """The fixpoint as textbooks state it: every base row is tested at every
+    level, one LP per candidate, with no chain skipped.  Returns
+    (omega, converged, iterations)."""
+    base_F = np.vstack([X_t.F, U_t.F @ K])
+    base_h = np.concatenate([X_t.h, U_t.h])
+    F, h = base_F, base_h
+    dirs = base_F @ A_cl
+    w_margin = support_many(W, base_F)
+    for k in range(1, max_iter + 1):
+        cand_h = base_h - w_margin
+        keep = []
+        for i, (f, b) in enumerate(zip(dirs, cand_h)):
+            res = linprog(-f, A_ub=F, b_ub=h, bounds=(None, None),
+                          method="highs")
+            assert res.status != 2
+            if res.status != 0 or -res.fun > b + 1e-9:
+                keep.append(i)
+        if not keep:
+            return Polytope(F, h), True, k
+        F = np.vstack([F, dirs[keep]])
+        h = np.concatenate([h, cand_h[keep]])
+        w_margin = w_margin + support_many(W, dirs)
+        dirs = dirs @ A_cl
+    return Polytope(F, h), False, max_iter
 
 
-def reference_nonredundant_rows(F, h, cand_F, cand_h, tol=1e-9):
-    """The per-row redundancy test: one LP per candidate row."""
-    keep = []
-    for i, (f, b) in enumerate(zip(cand_F, cand_h)):
-        res = _lp_max(f, F, h)
-        if res.status != 0 or -res.fun > b + tol:
-            keep.append(i)
-    return keep
-
-
-def reference_prune_redundant(P):
-    """The sequential pruning: one LP per row against the rows still kept."""
-    F, h = P.F.copy(), P.h.copy()
-    i = 0
-    while i < F.shape[0] and F.shape[0] > 1:
-        mask = np.ones(F.shape[0], dtype=bool)
-        mask[i] = False
-        res = _lp_max(F[i], F[mask], h[mask])
-        if res.status == 0 and -res.fun <= h[i] + polytope.LP_TOL:
-            F, h = F[mask], h[mask]
-        else:
-            i += 1
-    return Polytope(F, h)
-
-
-def reference_invariant_set(monkeypatch, *args):
-    with monkeypatch.context() as m:
-        m.setattr(polytope, "_nonredundant_rows", reference_nonredundant_rows)
-        m.setattr(polytope, "prune_redundant", reference_prune_redundant)
-        return max_invariant_set(*args)
-
-
-def assert_same_result(a, b):
-    assert (a.converged, a.iterations) == (b.converged, b.iterations)
-    assert np.array_equal(a.omega.F, b.omega.F)
-    assert np.array_equal(a.omega.h, b.omega.h)
+def assert_matches_textbook(result, *args):
+    omega, converged, iterations = textbook_invariant_set(*args)
+    assert (result.converged, result.iterations) == (converged, iterations)
+    assert np.array_equal(result.omega.F, omega.F)
+    assert np.array_equal(result.omega.h, omega.h)
 
 
 def random_bounded_polytope(rng, dim, facets):
@@ -293,10 +285,9 @@ class TestInvariantSet:
             max_invariant_set(self.A_cl, self.X, self.U, self.K, W_huge)
         assert len(calls) <= 5
 
-    def test_matches_reference_double_integrator(self, monkeypatch):
+    def test_matches_reference_double_integrator(self):
         args = (self.A_cl, self.X, self.U, self.K, self.W)
-        assert_same_result(max_invariant_set(*args),
-                           reference_invariant_set(monkeypatch, *args))
+        assert_matches_textbook(max_invariant_set(*args), *args)
 
     @pytest.mark.parametrize("inflation", [1.1, 1.3])
     def test_matches_reference_bundled_plant(self, monkeypatch, inflation):
@@ -312,48 +303,20 @@ class TestInvariantSet:
         monkeypatch.setattr(runtime, "max_invariant_set", record)
         runtime.build_setup(scen)
         (args, result), = seen
-        assert_same_result(result, reference_invariant_set(monkeypatch, *args))
+        assert_matches_textbook(result, *args)
         if inflation == 1.1:
-            assert (result.omega.num_facets, result.iterations) == (81, 30)
+            assert (result.omega.num_facets, result.iterations) == (108, 30)
 
+    def test_setup_lp_count(self, monkeypatch):
+        # 30 fixpoint levels, Omega's emptiness check and the terminal
+        # stage's emptiness check
+        calls = []
 
-class TestPrune:
-    def test_pruning_preserves_the_set(self):
-        rng = np.random.default_rng(9)
-        P = random_bounded_polytope(rng, 2, 6)
-        # duplicate and slacken some rows so redundancy is guaranteed
-        F = np.vstack([P.F, P.F[:3], P.F[0] * 2.0])
-        h = np.concatenate([P.h, P.h[:3] + 1.0, [P.h[0] * 2.0 + 0.5]])
-        Q = prune_redundant(Polytope(F, h))
-        assert Q.num_facets <= P.num_facets
-        for _ in range(50):
-            d = rng.normal(size=2)
-            assert support(Q, d) == pytest.approx(support(P, d), abs=1e-7)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
 
-    def test_matches_sequential_reference(self):
-        rng = np.random.default_rng(21)
-        for case in range(30):
-            dim = 2 + case // 3 % 3
-            if case % 3 == 0:
-                # a simplex: dropping any one facet unbounds the set
-                P = Polytope(np.vstack([-np.eye(dim), np.ones(dim)]),
-                             np.concatenate([np.zeros(dim), [1.0]]))
-            elif case % 3 == 1:
-                P = random_bounded_polytope(rng, dim, 4)
-            else:
-                # an unbounded cone cut by slanted facets
-                P = Polytope(np.vstack([-np.eye(dim),
-                                        rng.normal(size=(3, dim))]),
-                             np.concatenate([np.zeros(dim),
-                                             rng.uniform(0.5, 2.0, 3)]))
-            n = P.num_facets
-            dup = rng.integers(0, n, 3)
-            scale = rng.uniform(0.5, 3.0, 3)
-            F = np.vstack([P.F, P.F[dup], P.F[dup] * scale[:, None]])
-            h = np.concatenate([P.h, P.h[dup] + rng.uniform(0.0, 0.5, 3),
-                                P.h[dup] * scale])
-            order = rng.permutation(F.shape[0])
-            Q = Polytope(F[order], h[order])
-            got, expected = prune_redundant(Q), reference_prune_redundant(Q)
-            assert np.array_equal(got.F, expected.F), case
-            assert np.array_equal(got.h, expected.h), case
+        monkeypatch.setattr(polytope, "linprog", counting)
+        runtime.build_setup(
+            cfgmod.load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini")))
+        assert len(calls) == 32
