@@ -153,6 +153,8 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("oracle.buffer_policy must be fifo or diversity")
     if not (0.0 < s.oracle.gamma < 1.0):
         raise ConfigError("oracle.gamma must be in (0, 1)")
+    if not 0.0 < s.oracle.w_bar_factor < math.inf:
+        raise ConfigError("oracle.w_bar_factor must be finite and positive")
     for name in ("beta", "zeta", "omega_n", "T"):
         if not getattr(s.plant, name) > 0.0:
             raise ConfigError("plant.%s must be positive" % name)

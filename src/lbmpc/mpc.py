@@ -10,9 +10,9 @@ Gauss-Newton SQP loop.
 An oracle adapter gives the solver one method, ``rollout(A, B, x, v)``: the
 learned trajectory z (z_0 = x, z_{i+1} = A z_i + B v_i + h(z_i, v_i)) stacked
 over i = 0..N, and the stage Jacobians dh/d(z_i, v_i) as an (N, d, d+m)
-array, from which the solver propagates dz/dc.  The network rolls out with
-its chain-rule products batched over stages; the kernel and zero oracles go
-stage by stage.
+array.  The network batches its chain-rule products over stages; the
+kernel and zero oracles go stage by stage.  The solver builds the dz/dc
+stage matrices before its recursion, one matmul and one add per stage.
 """
 
 from __future__ import annotations
@@ -207,27 +207,28 @@ class DnnOracle:
         The forward pass is sequential (each stage feeds the next), but the
         tanh chain-rule products are independent across stages once the
         activations are known, so they run as one batched matmul per layer.
+        Row i of ``zv`` is the input (z_i, v_i), its v half and B v_i set
+        before the loop; each tanh writes straight into its activation row.
         """
         d, m = B.shape
         N = v.size // m
         hidden = self.state.hidden
         K0, K1 = self.state.K[0], self.state.K[1:]
-        z = np.zeros((N + 1) * d)
-        z[:d] = x
+        zv = np.empty((N + 1, d + m))
+        zv[0, :d] = x
+        zv[:N, d:] = v.reshape(N, m)
+        Bv = zv[:N, d:] @ B.T
         acts = [np.empty((N, Wl.shape[1])) for Wl, _ in hidden]
         for i in range(N):
-            zi = z[i * d:(i + 1) * d]
-            vi = v[i * m:(i + 1) * m]
-            a = np.concatenate([zi, vi])
-            for li, (Wl, bl) in enumerate(hidden):
-                a = np.tanh(a @ Wl + bl)
-                acts[li][i] = a
-            z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + (K0 + a @ K1)
+            a = zv[i]
+            for (Wl, bl), al in zip(hidden, acts):
+                a = np.tanh(a @ Wl + bl, out=al[i])
+            zv[i + 1, :d] = A @ zv[i, :d] + Bv[i] + (K0 + a @ K1)
         J = None
         for (Wl, _), al in zip(hidden, acts):
             layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
             J = layer if J is None else layer @ J
-        return z, np.matmul(K1.T, J)
+        return zv[:, :d].ravel(), np.matmul(K1.T, J)
 
 
 class L2nwOracle:
@@ -387,13 +388,12 @@ def _learned_rollout(p: LbmpcProblem, x, c):
     d, m = B.shape
     zbar, v = p.nominal_traj(x, c)
     z, Jh = p.oracle.rollout(A, B, x, v)
-    Jz = np.zeros((z.size, p.n_dec))
+    Az = A + Jh[:, :, :d]
+    Bc = np.matmul(B + Jh[:, :, d:], p.Tv.reshape(-1, m, p.n_dec))
+    Jz = np.zeros((p.cfg.N + 1, d, p.n_dec))
     for i in range(p.cfg.N):
-        dv_dc = p.Tv[i * m:(i + 1) * m]
-        Jz[(i + 1) * d:(i + 2) * d] = (
-            (A + Jh[i, :, :d]) @ Jz[i * d:(i + 1) * d]
-            + (B + Jh[i, :, d:]) @ dv_dc)
-    return zbar, v, z, Jz
+        Jz[i + 1] = Az[i] @ Jz[i] + Bc[i]
+    return zbar, v, z, Jz.reshape(z.size, p.n_dec)
 
 
 def _objective(p: LbmpcProblem, z, v):

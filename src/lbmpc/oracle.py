@@ -93,8 +93,9 @@ class OracleState:
     """Live network value: hidden stack, adapted output layer, bounds.
 
     ``K`` is (n_last+1) x d with the first row acting on the constant
-    feature; column i never exceeds norm ``W_bar[i]``.  ``generation``
-    counts hidden-stack swaps.
+    feature; column i never exceeds norm ``W_bar[i]``, a finite positive
+    bound.  ``generation`` counts hidden-stack swaps.  Every state built
+    from outside is validated; ``adapt`` copies one without re-validating.
     """
 
     arch: NetworkArch
@@ -111,6 +112,8 @@ class OracleState:
             raise ShapeMismatch("K must be (n_last+1) x d")
         if W_bar.shape != (self.arch.n_out,):
             raise ShapeMismatch("one column bound per output")
+        if not np.all(np.isfinite(W_bar) & (W_bar > 0.0)):
+            raise ValueError("column bounds W_bar must be finite and positive")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("learning rate must be in (0, 1)")
         object.__setattr__(self, "K", K)
@@ -187,8 +190,11 @@ def adapt(state: OracleState, x_t, u_t, x_next, model,
     x_hat = model.A @ x_t + model.B @ u_vec + phi @ state.K
     x_tilde = x_hat - x_next
     K_bar = state.K - state.gamma * np.outer(phi, x_tilde) / float(phi @ phi)
-    K_new = project_columns(K_bar, state.W_bar)
-    return replace(state, K=K_new)
+    # the same state with a new K of K's shape: nothing for __post_init__
+    # to check, so the copy skips it
+    new = object.__new__(OracleState)
+    new.__dict__.update(state.__dict__, K=project_columns(K_bar, state.W_bar))
+    return new
 
 
 def lyapunov_Va(state: OracleState, W_star: np.ndarray) -> float:
@@ -369,19 +375,23 @@ def train_hidden(state: OracleState, buf: ReplayBuffer, M: int, epochs: int,
     Draws one batch of M samples from the buffer (seeded), runs ``epochs``
     full-batch descent steps and returns ``(hidden, loss)`` for the best
     iterate seen, so the returned batch loss never exceeds the initial one.
+    Each epoch's forward pass gives the loss of the iterate it steps from;
+    only the last iterate needs a pass of its own.  Every step builds new
+    arrays, so the best iterate is kept without a copy.
     """
     rng = np.random.default_rng(seed)
     X, H = buf.sample(M, rng)
     hidden = [(W.copy(), b.copy()) for W, b in state.hidden]
-    best = ([(W.copy(), b.copy()) for W, b in hidden],
-            batch_loss(hidden, state.K, X, H))
+    best = None
     for _ in range(epochs):
-        grads, _ = batch_gradients(hidden, state.K, X, H)
+        grads, loss = batch_gradients(hidden, state.K, X, H)
+        if best is None or loss < best[1]:
+            best = (hidden, loss)
         hidden = [(W - lr * gW, b - lr * gb)
                   for (W, b), (gW, gb) in zip(hidden, grads)]
-        loss = batch_loss(hidden, state.K, X, H)
-        if loss < best[1]:
-            best = ([(W.copy(), b.copy()) for W, b in hidden], loss)
+    loss = batch_loss(hidden, state.K, X, H)
+    if best is None or loss < best[1]:
+        best = (hidden, loss)
     return best
 
 

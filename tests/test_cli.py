@@ -96,6 +96,13 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_w_bar_factor_validated(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LBMPC_ORACLE_W_BAR_FACTOR", "-1")
+        monkeypatch.setenv("LBMPC_RUN_STEPS", "60")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     @pytest.mark.parametrize("command", ["simulate", "sets"])
     def test_not_an_equilibrium_exit(self, command, tmp_path, monkeypatch):
         # U_EQ is rounded, so with beta = 0.5 the residual of (X_EQ, U_EQ)

@@ -74,6 +74,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_scenario("[oracle]\ngamma = 1.5\n", environ=EMPTY_ENV)
 
+    def test_w_bar_factor_finite_and_positive(self):
+        # a factor <= 0 gave column bounds W_bar <= 0 that the projection
+        # applied anyway
+        for value in ("0", "-1", "nan", "inf"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[oracle]\nw_bar_factor = %s\n" % value,
+                               environ=EMPTY_ENV)
+        s = parse_scenario("[oracle]\nw_bar_factor = 0.5\n",
+                           environ=EMPTY_ENV)
+        assert s.oracle.w_bar_factor == 0.5
+
     def test_x0_needs_four_entries(self):
         with pytest.raises(ConfigError):
             parse_scenario("[run]\nx0 = 1 2 3\n", environ=EMPTY_ENV)

@@ -4,6 +4,7 @@ matrices against a brute-force rollout, and the tube QP against an SLSQP
 reference.  The scalar Lyapunov case has the closed form P = 4/3.
 """
 
+import copy
 import os
 import time
 from dataclasses import replace
@@ -18,15 +19,17 @@ from lbmpc import mpc, qp as qpmod
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import load_scenario
 from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
-                       LbmpcProblem, MpcInfeasible, ZeroOracle, build_margins,
-                       margin_ratio, shift_solution, solve_linear_mpc,
-                       solve_lbmpc, solve_lyapunov_P, synthesize_gain, synthesize_tube_gain,
+                       L2nwOracle, LbmpcProblem, MpcInfeasible, ZeroOracle,
+                       build_margins, margin_ratio, shift_solution,
+                       solve_linear_mpc, solve_lbmpc, solve_lyapunov_P,
+                       synthesize_gain, synthesize_tube_gain,
                        _learned_rollout, _stagewise_rollout)
-from lbmpc.oracle import NetworkArch, new_oracle, predict_and_jacobian
+from lbmpc.oracle import (L2nwEstimator, NetworkArch, OracleState,
+                          new_oracle, predict_and_jacobian)
 from lbmpc.plant import PlantModel
 from lbmpc.polytope import (Polytope, TighteningData, _solve_lp,
                             max_invariant_set)
-from lbmpc.runtime import InfeasibleAtStart, run_closed_loop
+from lbmpc.runtime import InfeasibleAtStart, build_setup, run_closed_loop
 
 
 def toy_model(w=0.02):
@@ -289,6 +292,115 @@ class TestLearnedRollout:
         from lbmpc.mpc import _objective
         _, _, z_lin, _ = _learned_rollout(p, x, lin.c)
         assert sol.objective <= _objective(p, z_lin, v) + 1e-9
+
+
+def reference_dnn_rollout(state, A, B, x, v):
+    """The network rollout with its inputs concatenated stage by stage and
+    B v_i formed inside the loop, the layout the row buffer replaced."""
+    d, m = B.shape
+    N = v.size // m
+    K0, K1 = state.K[0], state.K[1:]
+    z = np.zeros((N + 1) * d)
+    z[:d] = x
+    acts = [np.empty((N, Wl.shape[1])) for Wl, _ in state.hidden]
+    for i in range(N):
+        zi = z[i * d:(i + 1) * d]
+        vi = v[i * m:(i + 1) * m]
+        a = np.concatenate([zi, vi])
+        for li, (Wl, bl) in enumerate(state.hidden):
+            a = np.tanh(a @ Wl + bl)
+            acts[li][i] = a
+        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + (K0 + a @ K1)
+    J = None
+    for (Wl, _), al in zip(state.hidden, acts):
+        layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
+        J = layer if J is None else layer @ J
+    return z, np.matmul(K1.T, J)
+
+
+def reference_learned_rollout(p, x, c, rollout):
+    """dz/dc with each stage's matrices formed inside the recursion."""
+    A, B = p.model.A, p.model.B
+    d, m = B.shape
+    zbar, v = p.nominal_traj(x, c)
+    z, Jh = rollout(A, B, x, v)
+    Jz = np.zeros((z.size, p.n_dec))
+    for i in range(p.cfg.N):
+        dv_dc = p.Tv[i * m:(i + 1) * m]
+        Jz[(i + 1) * d:(i + 2) * d] = (
+            (A + Jh[i, :, :d]) @ Jz[i * d:(i + 1) * d]
+            + (B + Jh[i, :, d:]) @ dv_dc)
+    return zbar, v, z, Jz
+
+
+def with_oracle(p, kind, rng):
+    """Copy of problem p whose oracle is a nonzero network, a filled kernel
+    estimator or zero."""
+    d, m = p.model.B.shape
+    q = copy.copy(p)
+    if kind == "dnn":
+        arch = NetworkArch(d + m, (8, 6), d)
+        st = new_oracle(arch, W_bar=np.full(d, 0.2), gamma=0.3, seed=5)
+        q.oracle = DnnOracle(OracleState(
+            arch=arch, hidden=st.hidden, K=0.05 * rng.normal(size=st.K.shape),
+            W_bar=st.W_bar, gamma=st.gamma))
+    elif kind == "l2nw":
+        est = L2nwEstimator(capacity=200, n_in=d + m, n_out=d, bandwidth=0.1)
+        for _ in range(150):
+            est.push(rng.uniform(-0.2, 0.2, d + m), 0.01 * rng.normal(size=d))
+        q.oracle = L2nwOracle(est)
+    else:
+        q.oracle = ZeroOracle()
+    return q
+
+
+@pytest.fixture(scope="module")
+def bundled_problem():
+    """The bundled plant (d = 4, m = 1) and its controller, from dnn.ini."""
+    return build_setup(load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                                     environ={})).problem
+
+
+class TestRolloutBitEquality:
+    """The stage matrices built before the recursion and the network's row
+    buffer reorder no sum (with m = 1, as on both plants here), so z and
+    dz/dc match the stage-by-stage loops bit for bit."""
+
+    @pytest.fixture(params=["toy", "bundled"])
+    def plant_problem(self, request, model, setup, bundled_problem):
+        if request.param == "toy":
+            return problem(model, setup)
+        return bundled_problem
+
+    @pytest.mark.parametrize("kind", ["dnn", "l2nw", "zero"])
+    def test_learned_rollout(self, plant_problem, kind):
+        rng = np.random.default_rng(21)
+        p = with_oracle(plant_problem, kind, rng)
+        rollout = p.oracle.rollout
+        if kind == "dnn":
+            rollout = partial(reference_dnn_rollout, p.oracle.state)
+        d = p.model.d
+        for _ in range(5):
+            x = rng.uniform(-0.1, 0.1, d)
+            c = rng.uniform(-0.05, 0.05, p.n_dec)
+            got = _learned_rollout(p, x, c)
+            want = reference_learned_rollout(p, x, c, rollout)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+    def test_dnn_rollout(self, plant_problem):
+        rng = np.random.default_rng(22)
+        p = with_oracle(plant_problem, "dnn", rng)
+        A, B = p.model.A, p.model.B
+        for _ in range(5):
+            x = rng.uniform(-0.3, 0.3, p.model.d)
+            v = rng.uniform(-0.3, 0.3, p.n_dec)
+            z, Jh = p.oracle.rollout(A, B, x, v)
+            z_ref, Jh_ref = reference_dnn_rollout(p.oracle.state, A, B, x, v)
+            assert z.shape == z_ref.shape and Jh.shape == Jh_ref.shape
+            assert np.array_equal(z, z_ref)
+            assert np.array_equal(Jh, Jh_ref)
 
 
 class TestFallback:

@@ -3,12 +3,15 @@ buffer policies, hidden-stack training, and the kernel baseline, with
 gradients and Jacobians checked against central finite differences.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lbmpc import oracle as om
 from lbmpc.oracle import (InsufficientData, L2nwEstimator, NetworkArch,
-                          ReplayBuffer, ShapeMismatch, adapt, batch_gradients,
+                          OracleState, ReplayBuffer, ShapeMismatch, adapt,
+                          batch_gradients,
                           batch_loss, features, init_hidden, l2nw_predict,
                           l2nw_predict_and_jacobian, lyapunov_Va, new_oracle,
                           predict, predict_and_jacobian, project_columns,
@@ -96,6 +99,13 @@ class TestNetwork:
                 assert np.allclose(Jx[:, j], fd, atol=1e-7)
             fd = (predict(st, x, u + eps) - predict(st, x, u - eps)) / (2 * eps)
             assert np.allclose(Ju[:, 0], fd, atol=1e-7)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_column_bounds_finite_and_positive(self, arch, bad):
+        W_bar = np.full(4, 0.5)
+        W_bar[2] = bad
+        with pytest.raises(ValueError):
+            new_oracle(arch, W_bar=W_bar, gamma=0.5)
 
     def test_swap_increments_generation_keeps_K(self, state):
         new = init_hidden(state.arch, seed=99)
@@ -197,6 +207,40 @@ class TestAdaptation:
         a = adapt(st, x, u, x_next, model, phi=phi)
         b = adapt(st, x, u, x_next, model)
         assert np.array_equal(a.K, b.K)
+
+    def test_K_bit_equal_to_validated_copy(self, arch):
+        # adapt as it was when each update went through dataclasses.replace
+        # and so re-ran OracleState's validation
+        def reference(state, x_t, u_t, x_next, model, phi=None):
+            x_t = np.asarray(x_t, dtype=float).reshape(-1)
+            u_vec = np.atleast_1d(np.asarray(u_t, dtype=float)).reshape(-1)
+            x_next = np.asarray(x_next, dtype=float).reshape(-1)
+            if phi is None:
+                phi = features(state, x_t, u_vec)
+            x_hat = model.A @ x_t + model.B @ u_vec + phi @ state.K
+            x_tilde = x_hat - x_next
+            K_bar = state.K - state.gamma * np.outer(phi, x_tilde) \
+                / float(phi @ phi)
+            return replace(state, K=project_columns(K_bar, state.W_bar))
+
+        rng = np.random.default_rng(12)
+        st = ref = new_oracle(arch, W_bar=np.full(4, 0.3), gamma=0.4, seed=3)
+        model = FakeModel(4, 1, rng)
+        projected = 0
+        for t in range(2000):
+            x, u = rng.normal(size=4), rng.normal(size=1)
+            x_next = 0.5 * rng.normal(size=4)
+            phi = features(st, x, u) if t % 2 else None
+            st = adapt(st, x, u, x_next, model, phi=phi)
+            ref = reference(ref, x, u, x_next, model, phi=phi)
+            assert np.array_equal(st.K, ref.K)
+            projected += np.any(np.isclose(np.linalg.norm(st.K, axis=0),
+                                           st.W_bar, rtol=0, atol=1e-15))
+        assert projected > 100
+        assert type(st) is OracleState
+        assert st.arch == ref.arch and st.hidden is ref.hidden
+        assert np.array_equal(st.W_bar, ref.W_bar)
+        assert (st.gamma, st.generation) == (ref.gamma, ref.generation)
 
 
 class TestReplayBuffer:
@@ -300,6 +344,40 @@ class TestTraining:
         assert l1 == l2
         for (Wa, _), (Wb, _) in zip(h1, h2):
             assert np.array_equal(Wa, Wb)
+
+    @pytest.mark.parametrize("lr", [0.01, 1.0])
+    @pytest.mark.parametrize("epochs", [0, 1, 20])
+    def test_bit_equal_to_two_pass_loop(self, arch, state, epochs, lr):
+        # train_hidden as it was with a separate loss pass after each step;
+        # lr = 1.0 oscillates, so the best iterate is the initial one at
+        # one epoch and an intermediate one at twenty
+        def reference(state, buf, M, epochs, lr, seed):
+            rng = np.random.default_rng(seed)
+            X, H = buf.sample(M, rng)
+            hidden = [(W.copy(), b.copy()) for W, b in state.hidden]
+            best = ([(W.copy(), b.copy()) for W, b in hidden],
+                    batch_loss(hidden, state.K, X, H))
+            for _ in range(epochs):
+                grads, _ = batch_gradients(hidden, state.K, X, H)
+                hidden = [(W - lr * gW, b - lr * gb)
+                          for (W, b), (gW, gb) in zip(hidden, grads)]
+                loss = batch_loss(hidden, state.K, X, H)
+                if loss < best[1]:
+                    best = ([(W.copy(), b.copy()) for W, b in hidden], loss)
+            return best
+
+        rng = np.random.default_rng(13)
+        buf = self._filled_buffer(arch, rng)
+        st = om.OracleState(arch=arch, hidden=state.hidden,
+                            K=rng.normal(size=state.K.shape) * 0.5,
+                            W_bar=np.full(4, 10.0), gamma=0.5)
+        hidden, loss = train_hidden(st, buf, 32, epochs, lr=lr, seed=4)
+        hidden_ref, loss_ref = reference(st, buf, 32, epochs, lr, seed=4)
+        assert loss == loss_ref
+        for (W, b), (Wr, br), (W0, b0) in zip(hidden, hidden_ref, st.hidden):
+            assert np.array_equal(W, Wr) and np.array_equal(b, br)
+            assert not np.shares_memory(W, W0)
+            assert not np.shares_memory(b, b0)
 
     def test_gradients_match_finite_differences(self, arch):
         rng = np.random.default_rng(11)
