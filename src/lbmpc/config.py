@@ -166,8 +166,18 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("run.steps must be >= 1")
     if len(s.run.x0) != 4:
         raise ConfigError("run.x0 needs 4 components")
+    if not 1.0 <= s.plant.w_inflation < math.inf:
+        raise ConfigError("plant.w_inflation must be finite and >= 1")
     if len(s.controller.q_diag) != 4:
         raise ConfigError("controller.q_diag needs 4 entries")
+    if not all(0.0 <= q < math.inf for q in s.controller.q_diag):
+        raise ConfigError("controller.q_diag entries must be finite and >= 0")
+    if not 0.0 < s.controller.r < math.inf:
+        raise ConfigError("controller.r must be finite and positive")
+    if not 0.0 < s.controller.tube_margin_target <= 1.0:
+        raise ConfigError("controller.tube_margin_target must be in (0, 1]")
+    if s.controller.sqp_max_iter < 1:
+        raise ConfigError("controller.sqp_max_iter must be >= 1")
     if s.controller.N < 1:
         raise ConfigError("controller.N must be >= 1")
     if s.schedule.copy_period < 1:

@@ -7,7 +7,9 @@ without ever enumerating vertices or Minkowski sums.  The disturbance-
 invariant terminal set is the constraint-admissible fixpoint; a base row
 whose k-step candidate is implied stays implied at every later step
 (Gilbert and Tan, IEEE TAC 1991; Kolmanovsky and Gilbert, Math. Probl.
-Eng. 1998), so each step tests only the rows still live.
+Eng. 1998), so each step tests only the rows still live.  Each test is a
+tiny LP that a dense active-set walk decides exactly, from a point every
+invariant set contains: the fixed point of x -> A_cl x + w for a w in W.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import block_diag
 
 
 class PolytopeError(Exception):
@@ -236,27 +237,117 @@ def tube_margins(A_cl, W: Polytope, constraint_normals, N: int) -> np.ndarray:
     return out
 
 
-def _nonredundant_rows(F, h, cand_F, cand_h, tol=1e-9):
-    """Indices of candidate rows not implied by {Fx <= h}.
+def _split(c, G, active):
+    """Multipliers of c on the active rows of G, and the part of c in their
+    null space.
+
+    The null-space part comes from an orthonormal basis, so it is accurate
+    relative to its own size, not to c's: a step along it stays on the
+    active rows however small it is.
+    """
+    if not active:
+        return np.empty(0), c
+    k = len(active)
+    Q, R = np.linalg.qr(G[active].T, mode="complete")
+    z = Q.T @ c
+    return np.linalg.solve(R[:k], z[:k]), Q[:, k:] @ z[k:]
+
+
+def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
+    """Maximize c'x over {F x <= h} by a primal active-set walk from ``x``.
+
+    ``x`` must be feasible; a row it violates by a rounding error blocks the
+    first step it would cross.  Each step moves along c projected onto the
+    null space of the active rows, up to the first row it would cross.  Rows
+    are scaled to unit norm, so that ratio test is relative to each row's
+    length and the step's, however fast the rows' scales decay.  Where the
+    projected c vanishes, c is a combination of the active rows: with no
+    negative multiplier the point is optimal (a vertex or, with fewer than
+    dim active rows, a face), otherwise the row with the most negative one
+    is dropped.  After a degenerate (zero-length) step the dropped and the
+    entering row are the lowest-indexed candidates (Bland's rule), which
+    cannot cycle.
+
+    Returns ``(status, x)`` with linprog's codes: 0 optimal, 1 step cap
+    (default 2 (rows + dim)) reached, 3 unbounded; ``x`` is the last point.
+    The objective rises with every step, so a walk that reaches c'x > stop
+    ends there with status 0: the maximum exceeds ``stop``, which is all a
+    redundancy test needs to know.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", F, F))
+    G, g = F / norms[:, None], h / norms
+    n = G.shape[1]
+    if max_steps is None:
+        max_steps = 2 * (G.shape[0] + n)
+    tol = 1e-12 * np.sqrt(c @ c)
+    zero_slack = 1e-14 * (1.0 + np.abs(g).max())
+    x = np.array(x, dtype=float)
+    active = []
+    bland = False
+    steps = 0
+    while True:
+        if len(active) == n:
+            # a vertex: D's columns are the edge directions, A D = I
+            D = np.linalg.inv(G[active])
+            lam, p = c @ D, None
+        else:
+            lam, p = _split(c, G, active)
+        if p is None or p @ p <= tol * tol:
+            neg = np.flatnonzero(lam < -tol)
+            if neg.size == 0:
+                return 0, x
+            if bland:
+                j = min(neg, key=active.__getitem__)
+            else:
+                j = neg[np.argmin(lam[neg])]
+            del active[j]
+            p = -D[:, j] if p is None else _split(c, G, active)[1]
+        if steps == max_steps:
+            return 1, x
+        Gp = G @ p
+        blocking = Gp > 1e-12 * np.sqrt(p @ p)
+        blocking[active] = False
+        rows = np.flatnonzero(blocking)
+        if rows.size == 0:
+            return 3, x
+        slack = g[rows] - G[rows] @ x
+        slack[slack <= zero_slack] = 0.0
+        t = slack / Gp[rows]
+        i = np.argmin(t)  # the first of equal ratios: the lowest row
+        x = x + t[i] * p
+        active.append(rows[i])
+        bland = bland or t[i] == 0.0
+        steps += 1
+        if c @ x > stop:
+            return 0, x
+
+
+def _nonredundant_rows(F, h, cand_F, cand_h, x):
+    """Indices of candidate rows not implied by {Fx <= h}, a set containing x.
 
     Row i is implied when max cand_F[i]'x over {Fx <= h} is at most
-    cand_h[i] + tol.  The candidates share one LP of independent sparse
-    blocks, block i being {Fx <= h, cand_F[i]'x <= cand_h[i] + 1}: one call
-    in place of one per row, whose cost is mostly wrapper overhead.  The
-    cap keeps every block bounded and leaves any maximum below it exact.
-    Every invariant set satisfies {Fx <= h} and each candidate row, so an
-    infeasible block proves that none exists: that raises ``EmptyResult``.
-    A failed LP keeps every row.
+    cand_h[i] + LP_TOL.  A walk that stops unbounded or at its step cap
+    keeps the row.
     """
-    A = block_diag([np.vstack([F, d]) for d in cand_F], format="csc")
-    b = np.concatenate([np.append(h, c + 1.0) for c in cand_h])
-    res = _solve_lp(-cand_F.reshape(-1), A, b)
+    keep = []
+    for i, (f, b) in enumerate(zip(cand_F, cand_h)):
+        status, x_max = _lp_max(f, F, h, x, stop=b + LP_TOL)
+        if status != 0 or f @ x_max > b + LP_TOL:
+            keep.append(i)
+    return np.array(keep, dtype=int)
+
+
+def _point_of(W: Polytope) -> np.ndarray:
+    """A point of W: a box's centre, else the point of a feasibility LP."""
+    box = W._cache.get("box_bounds")
+    if box is not None:
+        return 0.5 * (box[0] + box[1])
+    res = _solve_lp(np.zeros(W.dim), W.F, W.h)
     if res.status == 2:
-        raise EmptyResult("no disturbance-invariant set within constraints")
+        raise Infeasible("polytope is empty")
     if res.status != 0:
-        return np.arange(cand_h.size)
-    vals = np.einsum("ij,ij->i", cand_F, res.x.reshape(cand_F.shape))
-    return np.flatnonzero(vals > cand_h + tol)
+        raise PolytopeError("feasibility LP failed: %s" % res.message)
+    return res.x
 
 
 @dataclass(frozen=True)
@@ -283,11 +374,21 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     its level-(k+1) candidate is implied by O_k, and the chain stays dead.
     Implied rows are not added, and no other row is dropped.
 
+    Each test walks from xbar = (I - A_cl)^-1 wbar, for a point wbar of W
+    (a box's centre).  Every nonempty closed invariant set S within the
+    constraints contains xbar: from any x in S the iterates of
+    x -> A_cl x + wbar stay in S and, A_cl being Schur, converge to xbar
+    (Kolmanovsky and Gilbert 1998).  Every base and candidate row holds on
+    such an S.  So a row that xbar violates by more than ``LP_TOL`` proves
+    that no invariant set exists, and xbar satisfies every row kept, so
+    Omega is not empty.
+
     The result Omega satisfies Omega subset X_t, K Omega subset U_t and
     A_cl Omega (+) W subset Omega.  Raises ``EmptyResult`` if no invariant
-    set exists within the constraints.  A non-converged (iteration-capped)
-    result is still sound: it is an intersection of necessary constraints,
-    flagged via ``converged``.
+    set exists within the constraints, at the first level with a row that
+    xbar violates.  A non-converged (iteration-capped) result is still
+    sound: it is an intersection of necessary constraints, flagged via
+    ``converged``.
     """
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -302,12 +403,18 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     # on which other chains are alive
     dirs = base_F @ A_cl
     w_margin = support_many(W, base_F)
+    xbar = np.linalg.solve(np.eye(A_cl.shape[0]) - A_cl, _point_of(W))
+    if np.any(base_F @ xbar > base_h + LP_TOL):
+        raise EmptyResult("no disturbance-invariant set within constraints")
     live = np.arange(base_h.size)
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
         cand_h = base_h - w_margin
-        live = live[_nonredundant_rows(F, h, dirs[live], cand_h[live])]
+        if np.any(dirs[live] @ xbar > cand_h[live] + LP_TOL):
+            raise EmptyResult("no disturbance-invariant set within "
+                              "constraints")
+        live = live[_nonredundant_rows(F, h, dirs[live], cand_h[live], xbar)]
         if live.size == 0:
             converged = True
             break
@@ -316,7 +423,5 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
         w_margin = w_margin + support_many(W, dirs)
         dirs = dirs @ A_cl
 
-    omega = Polytope(F, h)
-    if omega.is_empty():
-        raise EmptyResult("no disturbance-invariant set within constraints")
-    return InvariantSetResult(omega=omega, converged=converged, iterations=k)
+    return InvariantSetResult(omega=Polytope(F, h), converged=converged,
+                              iterations=k)

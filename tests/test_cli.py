@@ -103,6 +103,26 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name,value", [
+        ("SQP_MAX_ITER", "0"), ("R", "-1"), ("R", "0"), ("R", "nan"),
+        ("Q_DIAG", "-1 1 1 1"), ("TUBE_MARGIN_TARGET", "nan"),
+        ("TUBE_MARGIN_TARGET", "-1")])
+    def test_controller_setting_validated(self, tmp_path, monkeypatch, name,
+                                          value):
+        monkeypatch.setenv("LBMPC_CONTROLLER_" + name, value)
+        monkeypatch.setenv("LBMPC_RUN_STEPS", "20")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "0", "0.5"])
+    def test_w_inflation_validated(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("LBMPC_PLANT_W_INFLATION", value)
+        monkeypatch.setenv("LBMPC_RUN_STEPS", "20")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     @pytest.mark.parametrize("command", ["simulate", "sets"])
     def test_not_an_equilibrium_exit(self, command, tmp_path, monkeypatch):
         # U_EQ is rounded, so with beta = 0.5 the residual of (X_EQ, U_EQ)

@@ -85,6 +85,34 @@ class TestValidation:
                            environ=EMPTY_ENV)
         assert s.oracle.w_bar_factor == 0.5
 
+    def test_w_inflation_finite_and_at_least_one(self):
+        # below 1 the box is narrower than the sweep's own residuals, so
+        # h in W fails by construction; -1 gave an untyped Infeasible
+        for value in ("-1", "0", "0.5", "nan", "inf"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[plant]\nw_inflation = %s\n" % value,
+                               environ=EMPTY_ENV)
+        s = parse_scenario("[plant]\nw_inflation = 1\n", environ=EMPTY_ENV)
+        assert s.plant.w_inflation == 1.0
+
+    def test_controller_settings(self):
+        # sqp_max_iter = 0 solved no QP, r <= 0 and a target outside (0, 1]
+        # ran, and a NaN weight ended as "no gain found"
+        for line in ("sqp_max_iter = 0", "r = -1", "r = 0", "r = nan",
+                     "r = inf", "q_diag = -1 1 1 1", "q_diag = 1 nan 1 1",
+                     "q_diag = 1 1 inf 1", "tube_margin_target = nan",
+                     "tube_margin_target = -1", "tube_margin_target = 0",
+                     "tube_margin_target = 1.01"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[controller]\n%s\n" % line,
+                               environ=EMPTY_ENV)
+        s = parse_scenario("[controller]\nsqp_max_iter = 1\nr = 0.01\n"
+                           "q_diag = 0 1 1 1\ntube_margin_target = 1\n",
+                           environ=EMPTY_ENV)
+        assert (s.controller.sqp_max_iter, s.controller.r,
+                s.controller.q_diag, s.controller.tube_margin_target) \
+            == (1, 0.01, (0.0, 1.0, 1.0, 1.0), 1.0)
+
     def test_x0_needs_four_entries(self):
         with pytest.raises(ConfigError):
             parse_scenario("[run]\nx0 = 1 2 3\n", environ=EMPTY_ENV)

@@ -8,13 +8,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from lbmpc import config as cfgmod, polytope, runtime
 from lbmpc.polytope import (EmptyResult, Infeasible, NotSchurStable, Polytope,
-                            Unbounded, max_invariant_set, pontryagin_diff,
-                            spectral_radius, support, support_many,
-                            tube_margins)
+                            Unbounded, _lp_max, max_invariant_set,
+                            pontryagin_diff, spectral_radius, support,
+                            support_many, tube_margins)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(runtime.__file__), "scenarios")
 
@@ -22,7 +24,7 @@ SCENARIO_DIR = os.path.join(os.path.dirname(runtime.__file__), "scenarios")
 def textbook_invariant_set(A_cl, X_t, U_t, K, W, max_iter=200):
     """The fixpoint as textbooks state it: every base row is tested at every
     level, one LP per candidate, with no chain skipped.  Returns
-    (omega, converged, iterations)."""
+    (omega, converged, iterations); an empty level raises ``EmptyResult``."""
     base_F = np.vstack([X_t.F, U_t.F @ K])
     base_h = np.concatenate([X_t.h, U_t.h])
     F, h = base_F, base_h
@@ -34,7 +36,8 @@ def textbook_invariant_set(A_cl, X_t, U_t, K, W, max_iter=200):
         for i, (f, b) in enumerate(zip(dirs, cand_h)):
             res = linprog(-f, A_ub=F, b_ub=h, bounds=(None, None),
                           method="highs")
-            assert res.status != 2
+            if res.status == 2:
+                raise EmptyResult("level %d is empty" % k)
             if res.status != 0 or -res.fun > b + 1e-9:
                 keep.append(i)
         if not keep:
@@ -51,6 +54,32 @@ def assert_matches_textbook(result, *args):
     assert (result.converged, result.iterations) == (converged, iterations)
     assert np.array_equal(result.omega.F, omega.F)
     assert np.array_equal(result.omega.h, omega.h)
+
+
+def random_stable_system(rng):
+    """(A_cl, X, U, K, W) with 2-4 states, 1-2 inputs, spectral radius in
+    [0.3, 0.85], asymmetric boxes and a W box off the origin."""
+    n, m = rng.integers(2, 5), rng.integers(1, 3)
+    A_cl = rng.normal(size=(n, n))
+    A_cl *= rng.uniform(0.3, 0.85) / spectral_radius(A_cl)
+    K = rng.normal(size=(m, n))
+    X = Polytope.box(-rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+    U = Polytope.box(-rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m))
+    centre = rng.uniform(-0.1, 0.1, n)
+    half = rng.uniform(0.01, 0.2, n)
+    return A_cl, X, U, K, Polytope.box(centre - half, centre + half)
+
+
+def counting_linprog(monkeypatch):
+    """Count polytope's linprog calls; returns the list that grows."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", counting)
+    return calls
 
 
 def random_bounded_polytope(rng, dim, facets):
@@ -230,6 +259,100 @@ class TestTubeMargins:
             tube_margins(A, W, np.array([[1.0]]), 5)
 
 
+def linprog_max(c, F, h):
+    res = linprog(-np.asarray(c), A_ub=F, b_ub=h, bounds=(None, None),
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def assert_walk_optimal(c, F, h, x0):
+    c, F, h = (np.asarray(a, dtype=float) for a in (c, F, h))
+    status, x = _lp_max(c, F, h, x0)
+    assert status == 0
+    assert np.all(F @ x <= h + 1e-12)
+    expected = linprog_max(c, F, h)
+    assert abs(c @ x - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+class TestLpWalk:
+    """The fixpoint's LP: max c'x over {F x <= h} from a feasible point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_linprog(self, data):
+        # a box around a known interior point plus random slanted rows; the
+        # draws lie on a 1e-3 grid because HiGHS drops coefficients below
+        # 1e-9, and the grid also yields rows that meet in degenerate ways
+        def grid(shape, lo, hi, label=None):
+            ints = hnp.arrays(int, shape, elements=st.integers(lo, hi))
+            return data.draw(ints, label=label) / 1000.0
+
+        n = data.draw(st.integers(1, 4), label="dim")
+        m = data.draw(st.integers(0, 12), label="slanted rows")
+        x0 = grid(n, -1000, 1000, "x0")
+        normals = grid((m, n), -1000, 1000, "normals")
+        F = np.vstack([np.eye(n), -np.eye(n), normals[normals.any(axis=1)]])
+        h = F @ x0 + grid(F.shape[0], 10, 2000, "slack")
+        assert_walk_optimal(grid(n, -1000, 1000, "c"), F, h, x0)
+
+    def test_duplicated_rows(self):
+        F = np.vstack([np.eye(2), -np.eye(2), np.eye(2), [[1.0, 1.0]] * 3])
+        h = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5])
+        assert_walk_optimal([1.0, 0.3], F, h, [0.0, 0.0])
+        assert_walk_optimal([1.0, 1.0], F, h, [-0.5, 0.2])
+
+    def test_tiny_row_scale(self):
+        # x + y <= 1.5 written with coefficients of 1e-12; HiGHS would drop
+        # them, so the reference LP gets the row at unit scale
+        F = np.vstack([np.eye(2), -np.eye(2), [[1e-12, 1e-12]]])
+        h = np.array([1.0, 1.0, 1.0, 1.0, 1.5e-12])
+        for c, x0 in (([1.0, 0.3], [0.0, 0.0]), ([0.3, 1.0], [0.9, -0.9])):
+            status, x = _lp_max(np.array(c), F, h, np.array(x0))
+            expected = linprog_max(c, np.vstack([F[:4], [1.0, 1.0]]),
+                                   np.append(h[:4], 1.5))
+            assert status == 0
+            assert abs(np.dot(c, x) - expected) <= 1e-9 * max(1.0, expected)
+
+    def test_many_rows_through_optimal_vertex(self):
+        # a pyramid whose apex (0, 0, 1) lies on 7 side facets: pivots there
+        # are zero-length steps, after which the walk follows Bland's rule
+        angles = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        sides = np.column_stack([np.cos(angles), np.sin(angles),
+                                 np.ones(7)])
+        F = np.vstack([sides, [[0.0, 0.0, -1.0]]])
+        h = np.append(np.ones(7), 0.0)
+        for c in ([0.0, 0.0, 1.0], [0.01, 0.02, 1.0], [-0.3, 0.1, 1.0]):
+            assert_walk_optimal(c, F, h, [0.1, 0.05, 0.2])
+        # and a planar vertex (1, 1) on 6 rows
+        F = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0],
+                      [1.0, 2.0], [3.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        h = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 1.0, 1.0])
+        for c in ([1.0, 1.0], [1.0, 0.2], [0.2, 1.0]):
+            assert_walk_optimal(c, F, h, [-0.5, -0.5])
+
+    def test_optimal_face(self):
+        # c is normal to a face: the walk stops on it with 1 active row
+        F = np.vstack([np.eye(3), -np.eye(3)])
+        status, x = _lp_max(np.array([0.0, 0.0, 2.0]), F, np.ones(6),
+                            np.zeros(3))
+        assert status == 0 and x[2] == 1.0
+
+    def test_unbounded(self):
+        F = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        status, _ = _lp_max(np.array([-1.0, 0.2]), F, np.ones(3),
+                            np.zeros(2))
+        assert status == 3
+
+    @pytest.mark.parametrize("max_steps", [0, 1])
+    def test_step_cap(self, max_steps):
+        F = np.vstack([np.eye(2), -np.eye(2)])
+        status, x = _lp_max(np.array([1.0, 0.3]), F, np.ones(4),
+                            np.zeros(2), max_steps=max_steps)
+        assert status == 1
+        assert np.all(F @ x <= 1.0)
+
+
 class TestInvariantSet:
     def setup_method(self):
         # double integrator with deadbeat-ish LQR feedback
@@ -271,25 +394,63 @@ class TestInvariantSet:
             max_invariant_set(self.A, self.X, self.U, self.K, self.W)
 
     def test_impossible_disturbance_empty(self, monkeypatch):
-        # the first level's rows already leave nothing, and the next level's
-        # LP proves it instead of iterating to max_iter
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(polytope, "linprog", counting)
+        # the first level's rows already leave nothing: W's centre, iterated
+        # through the closed loop, violates them, which proves it without LP
+        calls = counting_linprog(monkeypatch)
         W_huge = Polytope.box([-50.0, -50.0], [50.0, 50.0])
         with pytest.raises(EmptyResult):
             max_invariant_set(self.A_cl, self.X, self.U, self.K, W_huge)
-        assert len(calls) <= 5
+        assert calls == []
+
+    def test_fixed_point_outside_constraints_empty(self, monkeypatch):
+        # x = A_cl x + w_c for W's centre w_c is (7.5, -3), outside X; every
+        # invariant set would contain it
+        calls = counting_linprog(monkeypatch)
+        W = Polytope.box([2.95, -0.05], [3.05, 0.05])
+        xbar = np.linalg.solve(np.eye(2) - self.A_cl, [3.0, 0.0])
+        assert not self.X.contains(xbar)
+        with pytest.raises(EmptyResult):
+            max_invariant_set(self.A_cl, self.X, self.U, self.K, W)
+        assert calls == []
 
     def test_matches_reference_double_integrator(self):
         args = (self.A_cl, self.X, self.U, self.K, self.W)
         assert_matches_textbook(max_invariant_set(*args), *args)
 
-    @pytest.mark.parametrize("inflation", [1.1, 1.3])
+    def test_matches_reference_offset_disturbance(self):
+        # W = [0, 0.1]^2 puts the walks' start point off the origin
+        W = Polytope.box([0.0, 0.0], [0.1, 0.1])
+        args = (self.A_cl, self.X, self.U, self.K, W)
+        result = max_invariant_set(*args)
+        assert_matches_textbook(result, *args)
+        xbar = np.linalg.solve(np.eye(2) - self.A_cl, [0.05, 0.05])
+        assert np.linalg.norm(xbar) > 0.1 and result.omega.contains(xbar)
+
+    def test_general_disturbance_polytope(self):
+        # a W that is not a box: its point comes from one feasibility LP
+        W = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [0.1, 0.0, 0.0])
+        args = (self.A_cl, self.X, self.U, self.K, W)
+        assert_matches_textbook(max_invariant_set(*args), *args)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_random_systems(self, seed):
+        # both give the same set, or both find that none exists
+        rng = np.random.default_rng(seed)
+        outcomes = set()
+        for _ in range(10):
+            args = random_stable_system(rng)
+            try:
+                result = max_invariant_set(*args)
+            except EmptyResult:
+                with pytest.raises(EmptyResult):
+                    textbook_invariant_set(*args)
+                outcomes.add("empty")
+                continue
+            assert_matches_textbook(result, *args)
+            outcomes.add("set")
+        assert outcomes == {"empty", "set"}
+
+    @pytest.mark.parametrize("inflation", [1.0, 1.1, 1.3, 1.5])
     def test_matches_reference_bundled_plant(self, monkeypatch, inflation):
         scen = cfgmod.load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
         scen = dataclasses.replace(scen, plant=dataclasses.replace(
@@ -308,15 +469,9 @@ class TestInvariantSet:
             assert (result.omega.num_facets, result.iterations) == (108, 30)
 
     def test_setup_lp_count(self, monkeypatch):
-        # 30 fixpoint levels, Omega's emptiness check and the terminal
-        # stage's emptiness check
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(polytope, "linprog", counting)
+        # the terminal stage's emptiness check; the fixpoint walks from a
+        # point every invariant set contains, and W is a box
+        calls = counting_linprog(monkeypatch)
         runtime.build_setup(
             cfgmod.load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini")))
-        assert len(calls) == 32
+        assert len(calls) == 1
