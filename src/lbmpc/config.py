@@ -56,7 +56,6 @@ class OracleSection:
     train_batch: int = 256
     train_epochs: int = 20
     train_lr: float = 0.001
-    l2nw_bandwidth: float = 0.0      # 0 means: use the factor below
     l2nw_bandwidth_factor: float = 0.05
     l2nw_lambda: float = 1e-6
 

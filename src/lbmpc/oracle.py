@@ -79,7 +79,8 @@ def init_hidden(arch: NetworkArch, seed: int) -> HiddenStack:
 
 
 def _forward_hidden(hidden: HiddenStack, xu: np.ndarray):
-    """tanh forward pass; returns activations per layer (input first)."""
+    """tanh forward pass of one input or a batch of rows; returns
+    activations per layer (input first)."""
     acts = [xu]
     a = xu
     for W, b in hidden:
@@ -340,9 +341,7 @@ def buffer_push(buf: ReplayBuffer, xu, h) -> None:
 
 def batch_loss(hidden: HiddenStack, K: np.ndarray, X: np.ndarray, H: np.ndarray) -> float:
     """Mean squared error of K'phi against labels over a batch."""
-    a = X
-    for W, b in hidden:
-        a = np.tanh(a @ W + b)
+    a = _forward_hidden(hidden, X)[-1]
     pred = K[0] + a @ K[1:]
     r = pred - H
     return float(np.mean(np.sum(r * r, axis=1)))
@@ -350,11 +349,7 @@ def batch_loss(hidden: HiddenStack, K: np.ndarray, X: np.ndarray, H: np.ndarray)
 
 def batch_gradients(hidden: HiddenStack, K: np.ndarray, X: np.ndarray, H: np.ndarray):
     """Reverse-mode gradients of the batch loss w.r.t. the hidden stack."""
-    acts = [X]
-    a = X
-    for W, b in hidden:
-        a = np.tanh(a @ W + b)
-        acts.append(a)
+    acts = _forward_hidden(hidden, X)
     M = X.shape[0]
     r = (K[0] + acts[-1] @ K[1:]) - H
     loss = float(np.mean(np.sum(r * r, axis=1)))

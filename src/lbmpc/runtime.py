@@ -189,11 +189,10 @@ def build_setup(scenario) -> LoopSetup:
                                  [plant.INPUT_BOUNDS_ABS[1]
                                   - plant.INPUT_BOUNDS_ABS[0]]])
         diameter = float(np.linalg.norm(widths))
-        bw = oc.l2nw_bandwidth if oc.l2nw_bandwidth > 0 else \
-            oc.l2nw_bandwidth_factor * diameter
         l2nw = om.L2nwEstimator(capacity=oc.buffer_capacity,
                                 n_in=model.d + model.m, n_out=model.d,
-                                bandwidth=bw, lam=oc.l2nw_lambda)
+                                bandwidth=oc.l2nw_bandwidth_factor * diameter,
+                                lam=oc.l2nw_lambda)
         adapter = mpc.L2nwOracle(l2nw)
     else:
         raise ValueError("unknown oracle kind %r" % kind)

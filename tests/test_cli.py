@@ -115,6 +115,14 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_zero_state_weight_no_gain_exit(self, tmp_path, monkeypatch):
+        # q_diag = 0 is a valid setting, but on the unstable plant no rung
+        # of the gain ladder converges: "no gain found", a numerical failure
+        monkeypatch.setenv("LBMPC_CONTROLLER_Q_DIAG", "0 0 0 0")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
+
     @pytest.mark.parametrize("value", ["-1", "nan", "0", "0.5"])
     def test_w_inflation_validated(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("LBMPC_PLANT_W_INFLATION", value)

@@ -54,6 +54,9 @@ x0 = -0.1, 0.05, 0, 0
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_scenario("[run]\nstep_count = 10\n", environ=EMPTY_ENV)
+        # the absolute kernel bandwidth is gone; the factor covers it
+        with pytest.raises(ConfigError):
+            parse_scenario("", environ={"LBMPC_ORACLE_L2NW_BANDWIDTH": "0.1"})
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ reference.  The scalar Lyapunov case has the closed form P = 4/3.
 import copy
 import os
 import time
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -19,16 +20,16 @@ from lbmpc import mpc, qp as qpmod
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import load_scenario
 from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
-                       L2nwOracle, LbmpcProblem, MpcInfeasible, ZeroOracle,
-                       build_margins, margin_ratio, shift_solution,
+                       L2nwOracle, LbmpcProblem, MpcError, MpcInfeasible,
+                       ZeroOracle, build_margins, margin_ratio, shift_solution,
                        solve_linear_mpc, solve_lbmpc, solve_lyapunov_P,
                        synthesize_gain, synthesize_tube_gain,
                        _learned_rollout, _stagewise_rollout)
 from lbmpc.oracle import (L2nwEstimator, NetworkArch, OracleState,
                           new_oracle, predict_and_jacobian)
-from lbmpc.plant import PlantModel
-from lbmpc.polytope import (Polytope, TighteningData, _solve_lp,
-                            max_invariant_set)
+from lbmpc.plant import MooreGreitzerParams, PlantModel, linearize_discretize
+from lbmpc.polytope import (NotSchurStable, Polytope, TighteningData,
+                            _solve_lp, max_invariant_set)
 from lbmpc.runtime import InfeasibleAtStart, build_setup, run_closed_loop
 
 
@@ -98,6 +99,33 @@ class TestGainSynthesis:
     def test_tube_gain_fits_disturbance(self, model):
         K = synthesize_tube_gain(model, np.eye(2), np.array([[1.0]]))
         assert margin_ratio(model, K) < 1.0
+
+    def test_weight_scale_invariant(self):
+        # the doubling stops on the iterates of A, which do not change when
+        # Q and R are scaled together, so neither does the gain
+        plant = linearize_discretize(MooreGreitzerParams())
+        Q, R = np.diag([1.0, 1.0, 0.1, 0.1]), np.array([[1.0]])
+        K = synthesize_gain(plant, Q, R)
+        for c in (1e-6, 1e6):
+            np.testing.assert_allclose(synthesize_gain(plant, c * Q, c * R),
+                                       K, rtol=1e-9, atol=0.0)
+        # no state weight on the unstable plant: a typed error, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MpcError):
+                synthesize_gain(plant, np.zeros((4, 4)), R)
+            # a rotation never decays: no convergence within the cap
+            with pytest.raises(mpc.RiccatiDiverged):
+                mpc._doubling(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                              np.zeros((2, 2)), np.eye(2))
+
+    def test_tube_gain_skips_non_schur_rung(self, model, monkeypatch):
+        def not_schur(*args):
+            raise NotSchurStable("forced")
+
+        monkeypatch.setattr(mpc, "synthesize_gain", not_schur)
+        with pytest.raises(MpcError, match="no gain found"):
+            synthesize_tube_gain(model, np.eye(2), np.array([[1.0]]))
 
 
 class TestLyapunov:
