@@ -31,21 +31,10 @@ def main():
     for i, row in enumerate(frac):
         print("  stage %2d: %.3f" % (i, float(np.max(row))))
 
-    omega = setup.omega
-    print("\nterminal set: %d facets" % omega.num_facets)
-    A_cl = model.A + model.B @ setup.cfg.K
-    box_lo, box_hi = -support_many(omega, -eye), support_many(omega, eye)
-    rng = np.random.default_rng(0)
-    hits, bad = 0, 0
-    while hits < 2000:
-        x = rng.uniform(box_lo, box_hi)
-        if not omega.contains(x):
-            continue
-        hits += 1
-        w = rng.uniform(lo, hi)
-        if not omega.contains(A_cl @ x + w):
-            bad += 1
-    print("robust invariance: %d/%d sampled violations" % (bad, hits))
+    print("\nterminal set: %d facets" % setup.omega.num_facets)
+    samples = 2000
+    bad = cli.invariance_violations(setup, samples)
+    print("robust invariance: %d/%d sampled violations" % (bad, samples))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ Every command writes into an output directory and leaves behind the echoed
 effective configuration, so a run can be reproduced from its artifacts alone.
 Exit codes are fixed for scripting: 0 success, 2 configuration error,
 3 infeasible initial state, 4 numerical failure, 5 empty tightened set.
+``compare`` runs every scenario and exits as ``simulate`` would for the
+first one that failed.  Any other exception is a bug and is not mapped.
 """
 
 from __future__ import annotations
@@ -21,13 +23,24 @@ from .config import ConfigError
 from .mpc import EmptyTightenedSet, MpcError
 from .plant import PlantError
 from .polytope import EmptyResult, support_many
-from .runtime import InfeasibleAtStart, RuntimeFailure
+from .runtime import InfeasibleAtStart, RuntimeFailure, format_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_EMPTY_SET = 5
+
+# exception types -> exit code and message prefix, applied once by main; the
+# first match wins, so a subclass comes before its base (InfeasibleAtStart is
+# a RuntimeFailure, EmptyTightenedSet an MpcError)
+FAILURES = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (InfeasibleAtStart, EXIT_INFEASIBLE, "infeasible at start"),
+    ((EmptyTightenedSet, EmptyResult), EXIT_EMPTY_SET, "empty tightened set"),
+    ((MpcError, RuntimeFailure, PlantError), EXIT_NUMERICAL,
+     "numerical failure"),
+)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
 
@@ -51,34 +64,15 @@ def _load(path, args):
 
 
 def _metrics_text(rep):
-    lines = []
-    for key, val in rep.as_dict().items():
-        if isinstance(val, float):
-            lines.append("%s = %.17g" % (key, val))
-        else:
-            lines.append("%s = %d" % (key, val))
-    return "\n".join(lines) + "\n"
+    return "".join("%s = %s\n" % (key, format_value(val))
+                   for key, val in dataclasses.asdict(rep).items())
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _load(args.scenario, args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = _load(args.scenario, args)
     os.makedirs(args.out, exist_ok=True)
     _write(args.out, "config.ini", cfgmod.echo_scenario(scenario))
-    try:
-        trace = runtime.run_closed_loop(scenario)
-    except InfeasibleAtStart as exc:
-        print("infeasible at start: %s" % exc, file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (EmptyTightenedSet, EmptyResult) as exc:
-        print("empty tightened set: %s" % exc, file=sys.stderr)
-        return EXIT_EMPTY_SET
-    except (MpcError, RuntimeFailure, PlantError) as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
+    trace = runtime.run_closed_loop(scenario)
     rep = runtime.metrics(trace, np.diag(scenario.controller.q_diag),
                           np.array([[scenario.controller.r]]),
                           band=scenario.run.band)
@@ -88,62 +82,44 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _figure_dat(names, traces, column) -> str:
+def _figure_dat(columns, k) -> str:
     """Gnuplot-style data: step index then one column per scenario."""
-    ok = [(n, tr) for n, tr in zip(names, traces) if tr is not None]
-    lines = ["# t " + " ".join(n for n, _ in ok)]
-    if not ok:
-        return lines[0] + "\n"
-    T = min(len(tr) for _, tr in ok)
-    for t in range(T):
-        vals = []
-        for _, tr in ok:
-            if column == "solver":
-                vals.append("%.17g" % tr.solver_time[t])
-            else:
-                vals.append("%.17g" % tr.x[t, column])
-        lines.append("%d %s" % (t, " ".join(vals)))
+    lines = ["# t " + " ".join(n for n, _ in columns)]
+    rows = zip(*(cols[k] for _, cols in columns))
+    lines += ["%d %s" % (t, " ".join(map(format_value, row)))
+              for t, row in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 
 def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
-        print("compare needs at least two scenarios", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        scenarios = [_load(p, args) for p in args.scenarios]
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("compare needs at least two scenarios")
+    scenarios = [_load(p, args) for p in args.scenarios]
     os.makedirs(args.out, exist_ok=True)
-    names = [s.name for s in scenarios]
     for s in scenarios:
         _write(args.out, "config_%s.ini" % s.name, cfgmod.echo_scenario(s))
-    try:
-        report = runtime.compare(scenarios, names=names,
-                                 band=scenarios[0].run.band)
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    _write(args.out, "fig_massflow.dat", _figure_dat(names, report.traces, 0))
-    _write(args.out, "fig_pressure.dat", _figure_dat(names, report.traces, 1))
-    _write(args.out, "fig_solvertime.dat",
-           _figure_dat(names, report.traces, "solver"))
+    report = runtime.compare(scenarios)
+    columns = report.aligned()
+    for k, figure in enumerate(("massflow", "pressure", "solvertime")):
+        _write(args.out, "fig_%s.dat" % figure, _figure_dat(columns, k))
     _write(args.out, "metrics.csv", report.table_csv())
     _write(args.out, "aligned.csv", report.aligned_csv())
-    failed = [(n, e) for n, e in zip(names, report.errors) if e is not None]
+    failed = [(n, e) for n, e in zip(report.names, report.errors)
+              if e is not None]
     for name, err in failed:
-        print("%s failed: %s" % (name, err), file=sys.stderr)
+        print("%s failed: %s: %s" % (name, type(err).__name__, err),
+              file=sys.stderr)
     if failed:
-        if any("InfeasibleAtStart" in e for _, e in failed):
-            return EXIT_INFEASIBLE
-        return EXIT_NUMERICAL
-    print("compared %s into %s" % ("/".join(names), args.out))
+        # exit as simulate would for the first failed scenario
+        raise failed[0][1]
+    print("compared %s into %s" % ("/".join(report.names), args.out))
     return EXIT_OK
 
 
-def _omega_invariance_report(setup, samples=10000, seed=0) -> str:
-    """Sampled robust-invariance check of the terminal set."""
+def invariance_violations(setup, samples, seed=0) -> int:
+    """Sampled robust-invariance check of the terminal set: how many of
+    ``samples`` uniform points of Omega leave it in one closed-loop step
+    with a disturbance drawn uniformly from W's bounding box."""
     omega = setup.omega
     model = setup.model
     A_cl = model.A + model.B @ setup.cfg.K
@@ -161,26 +137,14 @@ def _omega_invariance_report(setup, samples=10000, seed=0) -> str:
         w = rng.uniform(w_lo, w_hi)
         if not omega.contains(A_cl @ x + w):
             violations += 1
-    return ("invariance_samples = %d\ninvariance_violations = %d\n"
-            % (samples, violations))
+    return violations
 
 
 def cmd_sets(args) -> int:
-    try:
-        scenario = _load(args.scenario, args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = _load(args.scenario, args)
     os.makedirs(args.out, exist_ok=True)
     _write(args.out, "config.ini", cfgmod.echo_scenario(scenario))
-    try:
-        setup = runtime.build_setup(scenario)
-    except (EmptyTightenedSet, EmptyResult) as exc:
-        print("empty tightened set: %s" % exc, file=sys.stderr)
-        return EXIT_EMPTY_SET
-    except (MpcError, RuntimeFailure, PlantError) as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
+    setup = runtime.build_setup(scenario)
     margins = setup.margins
     N = scenario.controller.N
     lines = ["stage," + ",".join("state_m%d" % (i + 1)
@@ -197,9 +161,12 @@ def cmd_sets(args) -> int:
 
     # build_setup's LbmpcProblem has checked every tightened stage with
     # Polytope.is_empty_at and raised EmptyTightenedSet if one is empty
+    samples = 10000
     report = ["omega_facets = %d" % setup.omega.num_facets,
               "tightened_sets_empty = none",
-              _omega_invariance_report(setup).strip()]
+              "invariance_samples = %d" % samples,
+              "invariance_violations = %d"
+              % invariance_violations(setup, samples)]
     _write(args.out, "report.txt", "\n".join(report) + "\n")
     print("wrote set data to %s" % args.out)
     return EXIT_OK
@@ -236,7 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code, prefix in FAILURES:
+            if isinstance(exc, types):
+                print("%s: %s" % (prefix, exc), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

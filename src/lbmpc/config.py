@@ -152,8 +152,15 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("oracle.buffer_policy must be fifo or diversity")
     if not (0.0 < s.oracle.gamma < 1.0):
         raise ConfigError("oracle.gamma must be in (0, 1)")
-    if not 0.0 < s.oracle.w_bar_factor < math.inf:
-        raise ConfigError("oracle.w_bar_factor must be finite and positive")
+    for name in ("w_bar_factor", "l2nw_bandwidth_factor", "l2nw_lambda"):
+        if not 0.0 < getattr(s.oracle, name) < math.inf:
+            raise ConfigError("oracle.%s must be finite and positive" % name)
+    if not s.oracle.hidden or not all(1 <= w < math.inf
+                                      for w in s.oracle.hidden):
+        raise ConfigError("oracle.hidden needs one or more widths >= 1")
+    for name in ("buffer_capacity", "train_batch"):
+        if getattr(s.oracle, name) < 1:
+            raise ConfigError("oracle.%s must be >= 1" % name)
     for name in ("beta", "zeta", "omega_n", "T"):
         if not getattr(s.plant, name) > 0.0:
             raise ConfigError("plant.%s must be positive" % name)
@@ -163,8 +170,8 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("plant.w_samples must be >= 1000")
     if s.run.steps < 1:
         raise ConfigError("run.steps must be >= 1")
-    if len(s.run.x0) != 4:
-        raise ConfigError("run.x0 needs 4 components")
+    if len(s.run.x0) != 4 or not all(map(math.isfinite, s.run.x0)):
+        raise ConfigError("run.x0 needs 4 finite components")
     if not 1.0 <= s.plant.w_inflation < math.inf:
         raise ConfigError("plant.w_inflation must be finite and >= 1")
     if len(s.controller.q_diag) != 4:
@@ -188,7 +195,7 @@ def _validate(s: Scenario) -> Scenario:
     if not (0.0 < s.run.band < 1.0):
         raise ConfigError("run.band must be in (0, 1)")
     wr = s.plant.w_region
-    if len(wr) not in (1, 5) or any(v <= 0 or v > 1 for v in wr):
+    if len(wr) not in (1, 5) or not all(0.0 < v <= 1.0 for v in wr):
         raise ConfigError("plant.w_region needs 1 or 5 entries in (0, 1]")
     return s
 

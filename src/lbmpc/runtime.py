@@ -8,12 +8,13 @@ the result at that same step, on the loop's own thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
 
 from . import mpc, oracle as om, plant
+from .config import ConfigError
 from .polytope import Polytope, max_invariant_set, support_many
 
 
@@ -324,17 +325,10 @@ class MetricsReport:
     solver_p95: float
     solver_max: float
 
-    def as_dict(self):
-        return {
-            "overshoot_z": self.overshoot_z,
-            "overshoot_y": self.overshoot_y,
-            "settling_steps": self.settling_steps,
-            "rise_steps": self.rise_steps,
-            "cost": self.cost,
-            "solver_median": self.solver_median,
-            "solver_p95": self.solver_p95,
-            "solver_max": self.solver_max,
-        }
+
+def format_value(value) -> str:
+    """One metric or per-step value as every report writes it."""
+    return "%.17g" % value if isinstance(value, float) else "%d" % value
 
 
 def metrics(trace: ClosedLoopTrace, Q, R, band: float = 0.02) -> MetricsReport:
@@ -396,69 +390,62 @@ class ComparisonReport:
     names: List[str]
     traces: List[Optional[ClosedLoopTrace]]
     reports: List[Optional[MetricsReport]]
-    errors: List[Optional[str]]
+    errors: List[Optional[Exception]]
 
     def table_csv(self) -> str:
-        cols = ["name", "overshoot_z", "overshoot_y", "settling_steps",
-                "rise_steps", "cost", "solver_median", "solver_p95",
-                "solver_max", "error"]
-        lines = [",".join(cols)]
+        cols = [f.name for f in fields(MetricsReport)]
+        lines = [",".join(["name", *cols, "error"])]
         for name, rep, err in zip(self.names, self.reports, self.errors):
-            if rep is None:
-                lines.append("%s,,,,,,,,,%s" % (name, err or ""))
-            else:
-                d = rep.as_dict()
-                lines.append(name + "," + ",".join(
-                    "%.17g" % d[k] if isinstance(d[k], float) else "%d" % d[k]
-                    for k in cols[1:-1]) + ",")
+            values = ([""] * len(cols) if rep is None
+                      else [format_value(v) for v in astuple(rep)])
+            error = "" if err is None else "%s: %s" % (type(err).__name__, err)
+            lines.append(",".join([name, *values, error]))
         return "\n".join(lines) + "\n"
+
+    def aligned(self):
+        """(name, (z, y, solver time)) per scenario that ran, each column
+        cut to the shortest trace."""
+        ok = [(n, tr) for n, tr in zip(self.names, self.traces)
+              if tr is not None]
+        T = min((len(tr) for _, tr in ok), default=0)
+        return [(n, (tr.x[:T, 0].tolist(), tr.x[:T, 1].tolist(),
+                     tr.solver_time[:T].tolist())) for n, tr in ok]
 
     def aligned_csv(self) -> str:
         """Per-step mass flow, pressure rise and solver time per scenario."""
-        ok = [(n, tr) for n, tr in zip(self.names, self.traces)
-              if tr is not None]
-        if not ok:
-            return "t\n"
-        T = min(len(tr) for _, tr in ok)
-        header = ["t"]
-        for name, _ in ok:
-            header += ["%s_z" % name, "%s_y" % name, "%s_solver" % name]
+        columns = self.aligned()
+        header = ["t"] + ["%s_%s" % (n, c) for n, _ in columns
+                          for c in ("z", "y", "solver")]
+        rows = zip(*(col for _, cols in columns for col in cols))
         lines = [",".join(header)]
-        for t in range(T):
-            row = [str(t)]
-            for _, tr in ok:
-                row += ["%.17g" % tr.x[t, 0], "%.17g" % tr.x[t, 1],
-                        "%.17g" % tr.solver_time[t]]
-            lines.append(",".join(row))
+        lines += [",".join([str(t), *map(format_value, row)])
+                  for t, row in enumerate(rows)]
         return "\n".join(lines) + "\n"
 
 
-def compare(scenarios, names=None, band: float = 0.02) -> ComparisonReport:
-    """Run several scenarios side by side; per-scenario errors don't abort.
+def compare(scenarios) -> ComparisonReport:
+    """Run several scenarios side by side; a failed scenario doesn't abort.
 
     All scenarios must share the plant seed and the initial state so the
-    traces are comparable step for step.
+    traces are comparable step for step.  Each scenario's metrics use its
+    own ``run.band``, and a failure is kept as its exception in ``errors``.
     """
     scenarios = list(scenarios)
-    if names is None:
-        names = [getattr(s, "name", "scenario%d" % i)
-                 for i, s in enumerate(scenarios)]
-    x0s = [tuple(np.asarray(s.run.x0, dtype=float)) for s in scenarios]
-    seeds = [s.schedule.seed for s in scenarios]
-    if len(set(x0s)) > 1 or len(set(seeds)) > 1:
-        raise ValueError("scenarios must share x0 and seed")
+    x0s = {tuple(np.asarray(s.run.x0, dtype=float)) for s in scenarios}
+    if len(x0s) > 1 or len({s.schedule.seed for s in scenarios}) > 1:
+        raise ConfigError("scenarios must share x0 and seed")
     traces, reports, errors = [], [], []
     for s in scenarios:
         try:
             tr = run_closed_loop(s)
             rep = metrics(tr, np.diag(s.controller.q_diag),
-                          np.array([[s.controller.r]]), band=band)
-            traces.append(tr)
-            reports.append(rep)
-            errors.append(None)
-        except Exception as exc:  # propagate per scenario, keep going
-            traces.append(None)
-            reports.append(None)
-            errors.append("%s: %s" % (type(exc).__name__, exc))
-    return ComparisonReport(names=list(names), traces=traces,
+                          np.array([[s.controller.r]]), band=s.run.band)
+            err = None
+        except Exception as exc:  # kept per scenario, the others still run
+            tr = rep = None
+            err = exc
+        traces.append(tr)
+        reports.append(rep)
+        errors.append(err)
+    return ComparisonReport(names=[s.name for s in scenarios], traces=traces,
                             reports=reports, errors=errors)

@@ -36,12 +36,7 @@ def _load_bundled(name):
 def _truncate(tr, n):
     """First n rows of a trace (the l2nw run is longer for the timing test)."""
     return dataclasses.replace(
-        tr, x=tr.x[:n], u=tr.u[:n], h_hat=tr.h_hat[:n], h=tr.h[:n],
-        x_tilde=tr.x_tilde[:n], k_fro=tr.k_fro[:n],
-        generation=tr.generation[:n], status=tr.status[:n],
-        sqp_iters=tr.sqp_iters[:n], solver_time=tr.solver_time[:n],
-        state_margin=tr.state_margin[:n], input_margin=tr.input_margin[:n],
-        shift_feasible=tr.shift_feasible[:n], h_in_w=tr.h_in_w[:n],
+        tr, **{name: getattr(tr, name)[:n] for name, *_ in runtime.TRACE_SPEC},
         swap_steps=[s for s in tr.swap_steps if s < n])
 
 

@@ -11,6 +11,9 @@ import pytest
 
 from lbmpc.cli import (EXIT_CONFIG, EXIT_EMPTY_SET, EXIT_INFEASIBLE,
                        EXIT_NUMERICAL, EXIT_OK, SCENARIO_DIR, main)
+from lbmpc.config import ConfigError
+from lbmpc.mpc import EmptyTightenedSet, MpcError
+from lbmpc.runtime import InfeasibleAtStart
 
 
 FAST = """
@@ -158,6 +161,16 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    def test_l2nw_bandwidth_validated(self, tmp_path, monkeypatch, value):
+        # 0 ended in a traceback, NaN in a run of fallback steps that
+        # exited 0
+        monkeypatch.setenv("LBMPC_ORACLE_L2NW_BANDWIDTH_FACTOR", value)
+        monkeypatch.setenv("LBMPC_RUN_STEPS", "20")
+        rc = main(["simulate", os.path.join(SCENARIO_DIR, "l2nw.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     def test_missing_scenario_file(self, tmp_path):
         rc = main(["simulate", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "o")])
@@ -192,6 +205,75 @@ class TestSimulate:
         rc = main(["simulate", fast_ini("zero"),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_EMPTY_SET
+
+
+class TestFailureTable:
+    # every command maps a failure to the same exit code; build_setup is the
+    # first step of each, so one injection point covers all three
+
+    @staticmethod
+    def argv(command, fast_ini, tmp_path):
+        inis = [fast_ini("zero")]
+        if command == "compare":
+            inis.append(fast_ini("l2nw"))
+        return [command, *inis, "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("command", ["simulate", "sets", "compare"])
+    @pytest.mark.parametrize("exc,code", [
+        (InfeasibleAtStart("no feasible solution at x0"), EXIT_INFEASIBLE),
+        (EmptyTightenedSet(3, "state"), EXIT_EMPTY_SET),
+        (MpcError("no gain found"), EXIT_NUMERICAL),
+        (ConfigError("bad setting"), EXIT_CONFIG)],
+        ids=["infeasible", "empty_set", "mpc_error", "config_error"])
+    def test_exit_code(self, command, exc, code, fast_ini, tmp_path,
+                       monkeypatch, capsys):
+        import lbmpc.runtime as rt
+
+        def boom(scenario):
+            raise exc
+
+        monkeypatch.setattr(rt, "build_setup", boom)
+        assert main(self.argv(command, fast_ini, tmp_path)) == code
+        assert str(exc) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sets", "compare"])
+    def test_unexpected_error_propagates(self, command, fast_ini, tmp_path,
+                                         monkeypatch):
+        # a programming error is not a numerical failure: no exit code
+        # hides it
+        import lbmpc.runtime as rt
+
+        def boom(scenario):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(rt, "build_setup", boom)
+        with pytest.raises(ZeroDivisionError, match="injected"):
+            main(self.argv(command, fast_ini, tmp_path))
+
+    def test_compare_exits_for_first_failure(self, fast_ini, tmp_path,
+                                             monkeypatch):
+        # the first failed scenario decides the exit code, and the run still
+        # writes the table with every scenario's error
+        import lbmpc.runtime as rt
+        build_setup = rt.build_setup
+
+        def fails_for_dnn(scenario):
+            if scenario.oracle.kind == "dnn":
+                raise EmptyTightenedSet(2, "input")
+            if scenario.oracle.kind == "l2nw":
+                raise MpcError("no gain found")
+            return build_setup(scenario)
+
+        monkeypatch.setattr(rt, "build_setup", fails_for_dnn)
+        out = tmp_path / "o"
+        rc = main(["compare", fast_ini("zero"), fast_ini("dnn"),
+                   fast_ini("l2nw"), "--out", str(out)])
+        assert rc == EXIT_EMPTY_SET
+        table = (out / "metrics.csv").read_text().split("\n")
+        assert table[1].startswith("zero,") and table[1].endswith(",")
+        assert table[2] == ("dnn,,,,,,,,,EmptyTightenedSet: tightened "
+                            "input set empty at stage 2")
+        assert table[3] == "l2nw,,,,,,,,,MpcError: no gain found"
 
 
 class TestCompare:

@@ -116,6 +116,47 @@ class TestValidation:
                 s.controller.q_diag, s.controller.tube_margin_target) \
             == (1, 0.01, (0.0, 1.0, 1.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("name", ["l2nw_bandwidth_factor",
+                                      "l2nw_lambda"])
+    def test_l2nw_settings_finite_and_positive(self, name):
+        # 0 ended in a traceback; a NaN bandwidth made nearly every step a
+        # fallback and still exited 0
+        for value in ("0", "-1", "nan", "inf"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[oracle]\n%s = %s\n" % (name, value),
+                               environ=EMPTY_ENV)
+        s = parse_scenario("[oracle]\n%s = 0.5\n" % name, environ=EMPTY_ENV)
+        assert getattr(s.oracle, name) == 0.5
+
+    def test_buffer_capacity_at_least_one(self):
+        with pytest.raises(ConfigError):
+            parse_scenario("[oracle]\nbuffer_capacity = 0\n",
+                           environ=EMPTY_ENV)
+        s = parse_scenario("[oracle]\nbuffer_capacity = 1\n",
+                           environ=EMPTY_ENV)
+        assert s.oracle.buffer_capacity == 1
+
+    def test_hidden_widths(self):
+        for value in ("", "0", "8 0", "-4 8", "1e999"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[oracle]\nhidden = %s\n" % value,
+                               environ=EMPTY_ENV)
+        s = parse_scenario("[oracle]\nhidden = 1\n", environ=EMPTY_ENV)
+        assert s.oracle.hidden == (1,)
+
+    def test_train_batch_at_least_one(self):
+        # a batch of 0 failed at the first trainer event with "float
+        # division by zero"
+        with pytest.raises(ConfigError):
+            parse_scenario("[oracle]\ntrain_batch = 0\n", environ=EMPTY_ENV)
+        s = parse_scenario("[oracle]\ntrain_batch = 1\n", environ=EMPTY_ENV)
+        assert s.oracle.train_batch == 1
+
+    def test_x0_finite(self):
+        for value in ("nan 0 0 0", "-0.12 inf 0 0"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[run]\nx0 = %s\n" % value, environ=EMPTY_ENV)
+
     def test_x0_needs_four_entries(self):
         with pytest.raises(ConfigError):
             parse_scenario("[run]\nx0 = 1 2 3\n", environ=EMPTY_ENV)
@@ -142,6 +183,13 @@ class TestValidation:
     def test_w_region_entries(self):
         with pytest.raises(ConfigError):
             parse_scenario("[plant]\nw_region = 0.5 0.5\n", environ=EMPTY_ENV)
+
+    def test_w_region_nan_rejected(self):
+        # NaN passed the range test and ended as "no gain found"
+        for value in ("nan", "0.7 0.8 nan 0.25 0.5"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[plant]\nw_region = %s\n" % value,
+                               environ=EMPTY_ENV)
 
 
 class TestEnvironment:

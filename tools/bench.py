@@ -14,8 +14,10 @@ results file is written at the root of this repository.
 Each run's ``env`` line and final JSON line are stored as printed.  The
 summary gives, per workload, seed and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles and, with two checkouts, how many pairs
-the second side won (ties count for neither).  The file is rewritten after
-every pair, so an interrupted session keeps what it measured.
+the second side won (ties count for neither).  Next to the metrics it gives
+each side's ``failed/attempted`` steps over all its runs and whether every
+run was ``correct``.  The file is rewritten after every pair, so an
+interrupted session keeps what it measured.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
 
 
 def summarize(runs, labels, metrics):
-    """Median, quartiles and pair wins per workload, seed and metric."""
+    """Median, quartiles and pair wins per workload, seed and metric, and
+    per side the failed and attempted steps summed over its runs and
+    whether every run was correct."""
     out = {}
     groups = {(r["workload"], r["seed"]) for r in runs}
     for workload, seed in sorted(groups):
@@ -71,6 +75,14 @@ def summarize(runs, labels, metrics):
                                   for p in pairs)
                 row["pairs"] = len(pairs)
             table[name] = row
+        sides = {label: [r["result"] for r in mine if r["checkout"] == label]
+                 for label in labels}
+        table["failed/attempted"] = {
+            label: "%d/%d" % (sum(r["failed"] for r in results),
+                              sum(r["attempted"] for r in results))
+            for label, results in sides.items() if results}
+        table["correct"] = {label: all(r["correct"] for r in results)
+                            for label, results in sides.items() if results}
         out["%s seed %d" % (workload, seed)] = table
     return out
 
