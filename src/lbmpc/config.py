@@ -123,8 +123,7 @@ def _parse_value(raw: str, default, path: str):
             return float(raw)
         if isinstance(default, tuple):
             parts = raw.replace(",", " ").split()
-            if default and isinstance(default[0], int) \
-                    and all("." not in p and "e" not in p.lower() for p in parts):
+            if default and isinstance(default[0], int):
                 return tuple(int(p) for p in parts)
             return tuple(float(p) for p in parts)
         return raw
@@ -155,8 +154,7 @@ def _validate(s: Scenario) -> Scenario:
     for name in ("w_bar_factor", "l2nw_bandwidth_factor", "l2nw_lambda"):
         if not 0.0 < getattr(s.oracle, name) < math.inf:
             raise ConfigError("oracle.%s must be finite and positive" % name)
-    if not s.oracle.hidden or not all(1 <= w < math.inf
-                                      for w in s.oracle.hidden):
+    if not s.oracle.hidden or not all(w >= 1 for w in s.oracle.hidden):
         raise ConfigError("oracle.hidden needs one or more widths >= 1")
     for name in ("buffer_capacity", "train_batch"):
         if getattr(s.oracle, name) < 1:

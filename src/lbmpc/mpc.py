@@ -116,12 +116,12 @@ def margin_ratio(model, K, horizon: int = 80) -> float:
     A_cl = model.A + model.B @ K
     if spectral_radius(A_cl) >= 1.0 - 1e-8:
         return np.inf
+    normals = np.vstack([model.X.F, model.U.F @ K])
     try:
-        mx = tube_margins(A_cl, model.W, model.X.F, horizon)[horizon]
-        mu = tube_margins(A_cl, model.W, model.U.F @ K, horizon)[horizon]
+        m = tube_margins(A_cl, model.W, normals, horizon)[horizon]
     except NotSchurStable:
         return np.inf
-    return float(max(np.max(mx / model.X.h), np.max(mu / model.U.h)))
+    return float(np.max(m / np.concatenate([model.X.h, model.U.h])))
 
 
 def synthesize_tube_gain(model, Q, R, target: float = 0.95):

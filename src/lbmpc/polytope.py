@@ -10,6 +10,10 @@ whose k-step candidate is implied stays implied at every later step
 Eng. 1998), so each step tests only the rows still live.  Each test is a
 tiny LP that a dense active-set walk decides exactly, from a point every
 invariant set contains: the fixed point of x -> A_cl x + w for a w in W.
+The points where earlier walks ended form a pool; pulled into the current
+set along the segment to that fixed point, a pool point that violates a
+row proves the row is kept without a walk, and otherwise the best one is
+where the walk starts.
 """
 
 from __future__ import annotations
@@ -229,12 +233,18 @@ def tube_margins(A_cl, W: Polytope, constraint_normals, N: int) -> np.ndarray:
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     _require_schur(A_cl)
     normals = np.atleast_2d(np.asarray(constraint_normals, dtype=float))
-    out = np.zeros((N + 1, normals.shape[0]))
-    dirs = normals.copy()
-    for i in range(1, N + 1):
-        out[i] = out[i - 1] + support_many(W, dirs)
-        dirs = dirs @ A_cl
-    return out
+    rows, n = normals.shape
+    # all stages' directions in one buffer and one support call; the running
+    # sum starts from a zero row, so margin_i = margin_{i-1} + sigma_W(...)
+    # is evaluated in the formula's order, bit for bit
+    dirs = np.empty((N, rows, n))
+    if N:
+        dirs[0] = normals
+    for i in range(1, N):
+        np.matmul(dirs[i - 1], A_cl, out=dirs[i])
+    sums = np.zeros((N + 1, rows))
+    sums[1:] = support_many(W, dirs.reshape(N * rows, n)).reshape(N, rows)
+    return np.cumsum(sums, axis=0)
 
 
 def _split(c, G, active):
@@ -322,16 +332,51 @@ def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
             return 0, x
 
 
-def _nonredundant_rows(F, h, cand_F, cand_h, x):
+def _pull_in(Y, F, h, x):
+    """Each row y of Y moved toward ``x`` until it lies in {F x <= h}.
+
+    The set is convex and contains x, so x + theta (y - x) with
+    theta = min(1, min over rows with F (y - x) > 0 of
+    (h - F x) / (F (y - x))) is in it.  A row that x violates by a rounding
+    error counts as having zero slack.
+    """
+    D = Y - x
+    FD = D @ F.T
+    slack = np.maximum(h - F @ x, 0.0)
+    ratio = np.divide(slack, FD, out=np.full_like(FD, np.inf), where=FD > 0)
+    theta = np.minimum(1.0, ratio.min(axis=1))
+    return x + theta[:, None] * D
+
+
+def _nonredundant_rows(F, h, cand_F, cand_h, x, pool):
     """Indices of candidate rows not implied by {Fx <= h}, a set containing x.
 
     Row i is implied when max cand_F[i]'x over {Fx <= h} is at most
-    cand_h[i] + LP_TOL.  A walk that stops unbounded or at its step cap
-    keeps the row.
+    cand_h[i] + LP_TOL.  ``pool`` is a list of points where earlier walks
+    ended, for kept and dropped rows alike; each is pulled into the set by
+    ``_pull_in``.  A pulled point above cand_h[i] + LP_TOL is a feasible
+    point that violates the row, which proves that a walk would keep it, so
+    the row is kept without one.  Otherwise the walk starts from the pulled
+    point highest along cand_F[i] if it is higher there than x, else from
+    x, and its end point is appended to ``pool``.  A walk that stops
+    unbounded or at its step cap keeps the row.
     """
+    Y = _pull_in(np.reshape(pool, (-1, x.size)), F, h, x)
+    at_x = cand_F @ x
     keep = []
     for i, (f, b) in enumerate(zip(cand_F, cand_h)):
-        status, x_max = _lp_max(f, F, h, x, stop=b + LP_TOL)
+        start = x
+        if len(Y):
+            vals = Y @ f
+            j = np.argmax(vals)
+            if vals[j] > b + LP_TOL:
+                keep.append(i)
+                continue
+            if vals[j] > at_x[i]:
+                start = Y[j]
+        status, x_max = _lp_max(f, F, h, start, stop=b + LP_TOL)
+        pool.append(x_max)
+        Y = np.vstack([Y, x_max])
         if status != 0 or f @ x_max > b + LP_TOL:
             keep.append(i)
     return np.array(keep, dtype=int)
@@ -381,14 +426,19 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     (Kolmanovsky and Gilbert 1998).  Every base and candidate row holds on
     such an S.  So a row that xbar violates by more than ``LP_TOL`` proves
     that no invariant set exists, and xbar satisfies every row kept, so
-    Omega is not empty.
+    Omega is not empty.  The end points of all walks so far are pooled and,
+    at each level, pulled toward xbar into the current set; a pulled point
+    that violates a candidate row keeps it without a walk, and otherwise
+    the highest one along the row starts the walk when it beats xbar (see
+    ``_nonredundant_rows``).  The kept rows are those of walking every
+    candidate from xbar.
 
     The result Omega satisfies Omega subset X_t, K Omega subset U_t and
     A_cl Omega (+) W subset Omega.  Raises ``EmptyResult`` if no invariant
     set exists within the constraints, at the first level with a row that
-    xbar violates.  A non-converged (iteration-capped) result is still
-    sound: it is an intersection of necessary constraints, flagged via
-    ``converged``.
+    xbar violates.  A non-converged (iteration-capped) result is an
+    intersection of necessary constraints that contains every invariant
+    set but need not be invariant itself; it is flagged via ``converged``.
     """
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -407,6 +457,7 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     if np.any(base_F @ xbar > base_h + LP_TOL):
         raise EmptyResult("no disturbance-invariant set within constraints")
     live = np.arange(base_h.size)
+    pool = []
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
@@ -414,7 +465,8 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
         if np.any(dirs[live] @ xbar > cand_h[live] + LP_TOL):
             raise EmptyResult("no disturbance-invariant set within "
                               "constraints")
-        live = live[_nonredundant_rows(F, h, dirs[live], cand_h[live], xbar)]
+        live = live[_nonredundant_rows(F, h, dirs[live], cand_h[live], xbar,
+                                       pool)]
         if live.size == 0:
             converged = True
             break

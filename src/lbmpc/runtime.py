@@ -165,7 +165,13 @@ def build_setup(scenario) -> LoopSetup:
     P = mpc.solve_lyapunov_P(model, K, Q, R)
     cfg = mpc.ControllerConfig(N=cc.N, Q=Q, R=R, K=K, P=P)
     A_cl = model.A + model.B @ K
-    omega = max_invariant_set(A_cl, model.X, model.U, K, W).omega
+    inv = max_invariant_set(A_cl, model.X, model.U, K, W)
+    if not inv.converged:
+        # an iteration-capped fixpoint is not invariant, so the terminal
+        # set would not keep the shifted candidate feasible
+        raise RuntimeFailure("invariant set did not converge in %d levels"
+                             % inv.iterations)
+    omega = inv.omega
     margins = mpc.build_margins(model, cfg, omega)
 
     kind = oc.kind

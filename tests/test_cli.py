@@ -3,6 +3,7 @@ trace checksum.  Scenarios are trimmed-down copies of the bundled ones so
 each invocation stays fast.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -13,6 +14,7 @@ from lbmpc.cli import (EXIT_CONFIG, EXIT_EMPTY_SET, EXIT_INFEASIBLE,
                        EXIT_NUMERICAL, EXIT_OK, SCENARIO_DIR, main)
 from lbmpc.config import ConfigError
 from lbmpc.mpc import EmptyTightenedSet, MpcError
+from lbmpc.polytope import max_invariant_set
 from lbmpc.runtime import InfeasibleAtStart
 
 
@@ -139,6 +141,21 @@ class TestSimulate:
         # U_EQ is rounded, so with beta = 0.5 the residual of (X_EQ, U_EQ)
         # is 2.8e-6, above linearize_discretize's 1e-6 limit
         monkeypatch.setenv("LBMPC_PLANT_BETA", "0.5")
+        rc = main([command, os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("command", ["simulate", "sets"])
+    def test_unconverged_invariant_set_exit(self, command, tmp_path,
+                                            monkeypatch):
+        # an iteration-capped fixpoint is not invariant: no run on it
+        import lbmpc.runtime as rt
+
+        def capped(*args):
+            return dataclasses.replace(max_invariant_set(*args),
+                                       converged=False)
+
+        monkeypatch.setattr(rt, "max_invariant_set", capped)
         rc = main([command, os.path.join(SCENARIO_DIR, "linear.ini"),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERICAL

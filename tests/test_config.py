@@ -137,10 +137,13 @@ class TestValidation:
         assert s.oracle.buffer_capacity == 1
 
     def test_hidden_widths(self):
-        for value in ("", "0", "8 0", "-4 8", "1e999"):
+        # "8.5 4" ran as (8, 4) while config.ini echoed 8.5
+        for value in ("", "0", "8 0", "-4 8", "1e999", "8.5 4", "8.0"):
             with pytest.raises(ConfigError):
                 parse_scenario("[oracle]\nhidden = %s\n" % value,
                                environ=EMPTY_ENV)
+        with pytest.raises(ConfigError):
+            parse_scenario("", environ={"LBMPC_ORACLE_HIDDEN": "8.5 4"})
         s = parse_scenario("[oracle]\nhidden = 1\n", environ=EMPTY_ENV)
         assert s.oracle.hidden == (1,)
 

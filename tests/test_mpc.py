@@ -29,7 +29,7 @@ from lbmpc.oracle import (L2nwEstimator, NetworkArch, OracleState,
                           new_oracle, predict_and_jacobian)
 from lbmpc.plant import MooreGreitzerParams, PlantModel, linearize_discretize
 from lbmpc.polytope import (NotSchurStable, Polytope, TighteningData,
-                            _solve_lp, max_invariant_set)
+                            _solve_lp, max_invariant_set, tube_margins)
 from lbmpc.runtime import InfeasibleAtStart, build_setup, run_closed_loop
 
 
@@ -99,6 +99,23 @@ class TestGainSynthesis:
     def test_tube_gain_fits_disturbance(self, model):
         K = synthesize_tube_gain(model, np.eye(2), np.array([[1.0]]))
         assert margin_ratio(model, K) < 1.0
+
+    @pytest.mark.parametrize("horizon", [1, 10, 80])
+    @pytest.mark.parametrize("plant", ["toy", "bundled"])
+    def test_margin_ratio_is_max_of_separate_margins(self, model, plant,
+                                                     horizon,
+                                                     bundled_problem):
+        # one support call on the stacked rows, bit for bit the ratio of
+        # the X and U K margins computed apart
+        if plant == "bundled":
+            model, K = bundled_problem.model, bundled_problem.cfg.K
+        else:
+            K = controller(model, N=6).K
+        A_cl = model.A + model.B @ K
+        mx = tube_margins(A_cl, model.W, model.X.F, horizon)[horizon]
+        mu = tube_margins(A_cl, model.W, model.U.F @ K, horizon)[horizon]
+        expected = max(np.max(mx / model.X.h), np.max(mu / model.U.h))
+        assert margin_ratio(model, K, horizon) == expected
 
     def test_weight_scale_invariant(self):
         # the doubling stops on the iterates of A, which do not change when

@@ -70,6 +70,28 @@ def random_stable_system(rng):
     return A_cl, X, U, K, Polytope.box(centre - half, centre + half)
 
 
+def reference_tube_margins(A_cl, W, normals, N):
+    """Stage by stage: margin_i = margin_{i-1} + sigma_W(dirs), then
+    dirs <- dirs A_cl."""
+    out = np.zeros((N + 1, normals.shape[0]))
+    dirs = normals.copy()
+    for i in range(1, N + 1):
+        out[i] = out[i - 1] + support_many(W, dirs)
+        dirs = dirs @ A_cl
+    return out
+
+
+def bundled_scenario(inflation=1.1):
+    scen = cfgmod.load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
+    return dataclasses.replace(scen, plant=dataclasses.replace(
+        scen.plant, w_inflation=inflation))
+
+
+@pytest.fixture(scope="module")
+def bundled_setup():
+    return runtime.build_setup(bundled_scenario())
+
+
 def counting_linprog(monkeypatch):
     """Count polytope's linprog calls; returns the list that grows."""
     calls = []
@@ -251,6 +273,31 @@ class TestTubeMargins:
         W = Polytope.box([-0.1] * 3, [0.1] * 3)
         m = tube_margins(A, W, rng.normal(size=(5, 3)), 10)
         assert np.all(np.diff(m, axis=0) >= -1e-12)
+
+    @pytest.mark.parametrize("N", [0, 1, 10, 80])
+    @pytest.mark.parametrize("case", ["box", "triangle", "bundled omega"])
+    def test_stacked_matches_stage_recurrence(self, case, N, bundled_setup):
+        # bit for bit: every stage's directions come from the same iterated
+        # product and the running sum adds in the same order
+        rng = np.random.default_rng(N)
+        if case == "bundled omega":
+            s = bundled_setup
+            A_cl = s.model.A + s.model.B @ s.cfg.K
+            W, normals = s.model.W, s.omega.F
+        elif case == "box":
+            A_cl = rng.normal(size=(3, 3))
+            A_cl *= 0.9 / spectral_radius(A_cl)
+            W = Polytope.box([-0.1, 0.0, -0.02], [0.05, 0.1, 0.03])
+            normals = rng.normal(size=(7, 3))
+        else:
+            A_cl = np.array([[0.8, 0.3], [-0.2, 0.7]])
+            W = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                         [0.1, 0.0, 0.0])
+            normals = rng.normal(size=(3, 2))
+        got = tube_margins(A_cl, W, normals, N)
+        expected = reference_tube_margins(A_cl, W, normals, N)
+        assert got.shape == expected.shape == (N + 1, normals.shape[0])
+        assert got.tobytes() == expected.tobytes()
 
     def test_unstable_map_rejected(self):
         A = np.array([[1.01]])
@@ -452,9 +499,7 @@ class TestInvariantSet:
 
     @pytest.mark.parametrize("inflation", [1.0, 1.1, 1.3, 1.5])
     def test_matches_reference_bundled_plant(self, monkeypatch, inflation):
-        scen = cfgmod.load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
-        scen = dataclasses.replace(scen, plant=dataclasses.replace(
-            scen.plant, w_inflation=inflation))
+        scen = bundled_scenario(inflation)
         seen = []
 
         def record(*args):
@@ -467,6 +512,31 @@ class TestInvariantSet:
         assert_matches_textbook(result, *args)
         if inflation == 1.1:
             assert (result.omega.num_facets, result.iterations) == (108, 30)
+
+    def test_pooled_end_points_save_walks(self, monkeypatch):
+        # walking every live row takes 108 walks on the bundled plant; the
+        # pooled end points decide the rest, and 47 walks remain
+        walks = []
+        lp_max = polytope._lp_max
+
+        def counting(*args, **kwargs):
+            walks.append(1)
+            return lp_max(*args, **kwargs)
+
+        pulled = []
+        pull_in = polytope._pull_in
+
+        def checked(Y, F, h, x):
+            out = pull_in(Y, F, h, x)
+            pulled.append(len(out))
+            assert np.all(out @ F.T <= h + 1e-12)
+            return out
+
+        monkeypatch.setattr(polytope, "_lp_max", counting)
+        monkeypatch.setattr(polytope, "_pull_in", checked)
+        runtime.build_setup(bundled_scenario(1.1))
+        assert len(walks) <= 54
+        assert sum(pulled) > 0
 
     def test_setup_lp_count(self, monkeypatch):
         # the terminal stage's emptiness check; the fixpoint walks from a
