@@ -291,6 +291,12 @@ class LbmpcProblem:
     Qbar: np.ndarray = field(init=False)
     Rbar: np.ndarray = field(init=False)
     H_lin: np.ndarray = field(init=False)
+    # constant factors of the SQP's H and g, products in the order the
+    # solves would form them (Tz'Qbar, Tv'Rbar, Tv'Rbar Tv, 1e-9 I)
+    TzQ: np.ndarray = field(init=False)
+    TvR: np.ndarray = field(init=False)
+    TvRTv: np.ndarray = field(init=False)
+    reg: np.ndarray = field(init=False)
     sqp_max_iter: int = 5
     sqp_tol: float = 1e-8
 
@@ -346,7 +352,10 @@ class LbmpcProblem:
         for i in range(N):
             Rbar[i * m:(i + 1) * m, i * m:(i + 1) * m] = cfg.R
         self.Qbar, self.Rbar = Qbar, Rbar
-        self.H_lin = 2.0 * (Tz.T @ Qbar @ Tz + Tv.T @ Rbar @ Tv)
+        self.TzQ, self.TvR = Tz.T @ Qbar, Tv.T @ Rbar
+        self.TvRTv = self.TvR @ Tv
+        self.reg = 1e-9 * np.eye(N * m)
+        self.H_lin = 2.0 * (self.TzQ @ Tz + self.TvRTv)
 
     @property
     def n_dec(self) -> int:
@@ -446,7 +455,7 @@ def solve_linear_mpc(p: LbmpcProblem, x) -> MpcSolution:
     x = np.asarray(x, dtype=float).reshape(-1)
     # Sz x and Sv x first: the product order fixes the rounding of the
     # pinned reference traces
-    g = 2.0 * (p.Tz.T @ p.Qbar @ (p.Sz @ x) + p.Tv.T @ p.Rbar @ (p.Sv @ x))
+    g = 2.0 * (p.TzQ @ (p.Sz @ x) + p.TvR @ (p.Sv @ x))
     prob = qpmod.QpProblem(H=p.H_lin, g=g, G=p.Gc, h_in=p.rhs0 - p.Gx @ x,
                            validate=False)
     return _make_solution(p, x, _qp_step(prob), "optimal", 1, t0)
@@ -475,11 +484,12 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
         c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
         for iters in range(1, p.sqp_max_iter + 1):
             zbar, v, z, Jz = _learned_rollout(p, x, c)
-            Jv = p.Tv
-            H = 2.0 * (Jz.T @ p.Qbar @ Jz + Jv.T @ p.Rbar @ Jv)
+            # dv/dc is Tv, so its terms are constants of the problem
+            JzQ = Jz.T @ p.Qbar
+            H = 2.0 * (JzQ @ Jz + p.TvRTv)
             # clip tiny negative curvature from the Gauss-Newton approximation
-            H = 0.5 * (H + H.T) + 1e-9 * np.eye(H.shape[0])
-            g = 2.0 * (Jz.T @ p.Qbar @ z + Jv.T @ p.Rbar @ v)
+            H = 0.5 * (H + H.T) + p.reg
+            g = 2.0 * (JzQ @ z + p.TvR @ v)
             prob = qpmod.QpProblem(H=H, g=g, G=p.Gc, h_in=rhs - p.Gc @ c,
                                    validate=False)
             step = _qp_step(prob)

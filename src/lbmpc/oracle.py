@@ -168,10 +168,14 @@ def predict_and_jacobian(state: OracleState, x, u):
 
 
 def project_columns(K_bar: np.ndarray, W_bar: np.ndarray) -> np.ndarray:
-    """Radially rescale any column whose norm exceeds its bound."""
-    norms = np.linalg.norm(K_bar, axis=0)
-    return K_bar * np.divide(W_bar, norms, out=np.ones_like(norms),
-                             where=norms > W_bar)
+    """Radially rescale any column whose norm exceeds its bound.
+
+    The norms are np.linalg.norm(K_bar, axis=0)'s arithmetic without its
+    wrapper.  A column within its bound gets the factor W/W = 1 exactly;
+    the bounds are positive, so no division is by zero.
+    """
+    norms = np.sqrt(np.add.reduce(K_bar * K_bar, axis=0))
+    return K_bar * (W_bar / np.maximum(norms, W_bar))
 
 
 def adapt(state: OracleState, x_t, u_t, x_next, model,
@@ -184,13 +188,15 @@ def adapt(state: OracleState, x_t, u_t, x_next, model,
     generation that produced u_t; it is recomputed if omitted.
     """
     x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    u_vec = np.atleast_1d(np.asarray(u_t, dtype=float)).reshape(-1)
+    u_vec = np.asarray(u_t, dtype=float).reshape(-1)
     x_next = np.asarray(x_next, dtype=float).reshape(-1)
     if phi is None:
         phi = features(state, x_t, u_vec)
     x_hat = model.A @ x_t + model.B @ u_vec + phi @ state.K
     x_tilde = x_hat - x_next
-    K_bar = state.K - state.gamma * np.outer(phi, x_tilde) / float(phi @ phi)
+    # phi x_tilde' by broadcasting, the product np.outer forms
+    K_bar = (state.K - state.gamma * (phi[:, None] * x_tilde)
+             / float(phi @ phi))
     # the same state with a new K of K's shape: nothing for __post_init__
     # to check, so the copy skips it
     new = object.__new__(OracleState)

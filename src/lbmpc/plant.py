@@ -69,7 +69,10 @@ def mg_rhs(state, u, params: MooreGreitzerParams):
 
     ``state`` is (z, y, r, rdot); broadcasting over a leading batch axis is
     supported.  The throttle flow is r*sqrt(y), the reading under which
-    (X_EQ, U_EQ) is an equilibrium.
+    (X_EQ, U_EQ) is an equilibrium.  The cube is the product z*z*z: each
+    multiplication is correctly rounded, so the one-state path of
+    step_truth, which forms the same product on Python floats, gives the
+    same bits.
     """
     s = np.asarray(state, dtype=float)
     u = np.squeeze(np.asarray(u, dtype=float))
@@ -79,7 +82,7 @@ def mg_rhs(state, u, params: MooreGreitzerParams):
     if np.any(y < 0.0):
         raise DomainError("negative square-root argument in throttle flow")
     b2 = params.beta ** 2
-    dz = -y + 1.0 + 1.5 * z - 0.5 * z ** 3
+    dz = -y + 1.0 + 1.5 * z - 0.5 * (z * z * z)
     dy = (z + 1.0 - r * np.sqrt(y)) / b2
     dr = rdot
     drr = params.omega_n ** 2 * (u - r) - 2.0 * params.zeta * params.omega_n * rdot
@@ -116,9 +119,10 @@ def _step_one(z, y, r, rd, u, params, h, substeps):
     """step_truth for one state: mg_rhs and RK4 written out on floats, with
     mg_rhs's DomainError checks (a NaN passes both, as in numpy).
 
-    The cube goes through np.power, the loop mg_rhs's ``z ** 3`` runs: with
-    SIMD it can round differently from Python's ``**`` (C pow), and any other
-    rounding would move the closed-loop states by an ulp now and then."""
+    The cube is the product z*z*z, as in mg_rhs: two correctly rounded
+    multiplications, the same on floats as on numpy rows, so both paths
+    agree bit for bit (a power routine may round differently between its
+    scalar and SIMD loops)."""
     b2 = params.beta ** 2
     wn2 = params.omega_n ** 2
     damp = 2.0 * params.zeta * params.omega_n
@@ -129,7 +133,7 @@ def _step_one(z, y, r, rd, u, params, h, substeps):
             raise DomainError("state outside numerical domain guard")
         if y < 0.0:
             raise DomainError("negative square-root argument in throttle flow")
-        return (-y + 1.0 + 1.5 * z - 0.5 * float(np.power(z, 3)),
+        return (-y + 1.0 + 1.5 * z - 0.5 * (z * z * z),
                 (z + 1.0 - r * math.sqrt(y)) / b2,
                 rd,
                 wn2 * (u - r) - damp * rd)

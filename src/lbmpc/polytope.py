@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 
@@ -247,20 +248,38 @@ def tube_margins(A_cl, W: Polytope, constraint_normals, N: int) -> np.ndarray:
     return np.cumsum(sums, axis=0)
 
 
+def _solve(A, b):
+    """A^-1 b by LAPACK's dgesv, the routine under np.linalg.solve and
+    np.linalg.inv, without their wrappers; a singular A raises
+    LinAlgError as they do."""
+    x, info = lapack.dgesv(A, b)[2:]
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
 def _split(c, G, active):
     """Multipliers of c on the active rows of G, and the part of c in their
     null space.
 
     The null-space part comes from an orthonormal basis, so it is accurate
     relative to its own size, not to c's: a step along it stays on the
-    active rows however small it is.
+    active rows however small it is.  The basis is the complete Q of the
+    active rows' QR, built by dgeqrf and dorgqr as np.linalg.qr(...,
+    mode="complete") builds it, and the multipliers solve R lam = Q'c by
+    dgesv as np.linalg.solve does; Q is copied to C order first, so that
+    the products with it round as they do with numpy's Q.  This is bit for
+    bit the numpy computation at a fraction of its wrapper cost.
     """
     if not active:
         return np.empty(0), c
     k = len(active)
-    Q, R = np.linalg.qr(G[active].T, mode="complete")
+    qr, tau = lapack.dgeqrf(G[active].T)[:2]
+    a = np.empty((G.shape[1],) * 2, order="F")
+    a[:, :k] = qr
+    Q = np.ascontiguousarray(lapack.dorgqr(a, tau, overwrite_a=1)[0])
     z = Q.T @ c
-    return np.linalg.solve(R[:k], z[:k]), Q[:, k:] @ z[k:]
+    return _solve(np.triu(qr[:k]), z[:k]), Q[:, k:] @ z[k:]
 
 
 def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
@@ -287,6 +306,7 @@ def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
     norms = np.sqrt(np.einsum("ij,ij->i", F, F))
     G, g = F / norms[:, None], h / norms
     n = G.shape[1]
+    eye = np.eye(n)
     if max_steps is None:
         max_steps = 2 * (G.shape[0] + n)
     tol = 1e-12 * np.sqrt(c @ c)
@@ -298,7 +318,7 @@ def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
     while True:
         if len(active) == n:
             # a vertex: D's columns are the edge directions, A D = I
-            D = np.linalg.inv(G[active])
+            D = _solve(G[active], eye)
             lam, p = c @ D, None
         else:
             lam, p = _split(c, G, active)

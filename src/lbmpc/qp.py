@@ -7,7 +7,11 @@ dropping an active row whenever its multiplier would turn negative, so every
 iterate is dual feasible and the first primal feasible one is optimal.
 Problems here are tiny (tens of decision variables, a few active rows), so
 one Cholesky factor of H per call and a fresh QR of the few active rows at
-each change cost less than any bookkeeping that would update them.
+each change cost less than any bookkeeping that would update them.  At
+these sizes the scipy.linalg wrappers' argument checks cost several times
+the arithmetic, so the solver calls the LAPACK routines under them
+(dpotrf, dpotrs, dtrtrs) directly, with the arguments scipy passes, which
+keeps every result bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,10 @@ def qp_solve(p: QpProblem) -> QpSolution:
     if not (np.isfinite(p.H).all() and np.isfinite(p.g).all()
             and np.isfinite(h).all()):
         return finish(np.zeros(n), "invalid", 0)
-    try:
-        L = sla.cholesky(p.H, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    L, info = lapack.dpotrf(p.H, lower=1, clean=1)
+    if info != 0:
         return finish(np.zeros(n), "invalid", 0)
-    x = -sla.cho_solve((L, True), p.g, check_finite=False)
+    x = -lapack.dpotrs(L, p.g, lower=1)[0]
 
     # a row is violated when (G x - h) / max(1, |h|) exceeds 1e-9; it
     # depends on the active rows when its normal, in the metric of H, keeps
@@ -134,13 +137,17 @@ def qp_solve(p: QpProblem) -> QpSolution:
         q = int(np.argmax(viol)) if m else 0
         if not m or viol[q] <= 1e-9:
             return finish(x, "optimal", changes)
-        v = sla.solve_triangular(L, G[q], lower=True, check_finite=False)
+        v = lapack.dtrtrs(L, G[q], lower=1)[0]
         while True:
             if changes >= max_changes:
                 return finish(x, "iteration_limit", changes)
             if active:
                 Q, R = np.linalg.qr(W)
-                r = sla.solve_triangular(R, Q.T @ v, check_finite=False)
+                # R is C-ordered: as scipy does, solve R r = Q'v as the
+                # lower triangular R' transposed
+                r, info = lapack.dtrtrs(R.T, Q.T @ v, lower=1, trans=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError("singular active-set factor")
                 w = v - W @ r
             else:
                 r = np.zeros(0)
@@ -161,8 +168,7 @@ def qp_solve(p: QpProblem) -> QpSolution:
             if t == np.inf:
                 return finish(x, "infeasible", changes)
             if t_full < np.inf:
-                x = x - t * sla.solve_triangular(L, w, lower=True, trans="T",
-                                                 check_finite=False)
+                x = x - t * lapack.dtrtrs(L, w, lower=1, trans=1)[0]
             if active:
                 lam[active] -= t * r
             lam[q] += t

@@ -391,6 +391,34 @@ class TestLpWalk:
                             np.zeros(2))
         assert status == 3
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_split_matches_numpy(self, k):
+        # _split and the vertex solve call dgeqrf, dorgqr and dgesv
+        # directly; they give np.linalg.qr's, solve's and inv's bits
+        rng = np.random.default_rng(k)
+        for _ in range(500):
+            G = rng.normal(size=(10, 4))
+            G /= np.linalg.norm(G, axis=1)[:, None]
+            c = rng.normal(size=4)
+            active = list(rng.choice(10, k, replace=False))
+            Q, R = np.linalg.qr(G[active].T, mode="complete")
+            z = Q.T @ c
+            lam, p = polytope._split(c, G, active)
+            assert np.array_equal(lam, np.linalg.solve(R[:k], z[:k]))
+            assert np.array_equal(p, Q[:, k:] @ z[k:])
+            if k == 4:
+                assert np.array_equal(polytope._solve(G[active], np.eye(4)),
+                                      np.linalg.inv(G[active]))
+
+    def test_singular_solves_raise(self):
+        # a repeated active row makes R singular, as two equal rows make
+        # the vertex matrix: both fail as numpy's do, never silently
+        G = np.vstack([np.eye(3), np.eye(3)])
+        with pytest.raises(np.linalg.LinAlgError):
+            polytope._split(np.ones(3), G, [0, 3])
+        with pytest.raises(np.linalg.LinAlgError):
+            polytope._solve(G[[0, 1, 3]], np.eye(3))
+
     @pytest.mark.parametrize("max_steps", [0, 1])
     def test_step_cap(self, max_steps):
         F = np.vstack([np.eye(2), -np.eye(2)])

@@ -4,12 +4,14 @@ system, and keeps the best primal-dual feasible candidate.  Exponential in
 the row count, so the random problems stay small, but it is exact.
 """
 
+import functools
 import itertools
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lbmpc import config, qp as qpmod, runtime
 from lbmpc.cli import SCENARIO_DIR
@@ -248,6 +250,11 @@ class TestInvalidInput:
                       G=np.eye(2), h_in=np.ones(2))
         assert qp_solve(p).status == "invalid"
 
+    def test_indefinite_nonsingular_hessian(self):
+        p = QpProblem(H=np.diag([1.0, -1.0]), g=np.array([0.0, -1.0]),
+                      G=np.eye(2), h_in=np.ones(2), validate=False)
+        assert qp_solve(p).status == "invalid"
+
 
 def _corner_runs():
     runs = [(name, None, None) for name in ("linear.ini", "dnn.ini", "l2nw.ini")]
@@ -255,6 +262,30 @@ def _corner_runs():
         for y in (-0.05, 0.07):
             runs += [("linear.ini", 40, (z, y)), ("dnn.ini", 100, (z, y))]
     return runs
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_run(name, steps=None, corner=None):
+    """(trace, [(problem, solution)]) of every QP of one closed-loop run of
+    a bundled scenario, with its steps and start (z, y) if given."""
+    sc = config.load_scenario(os.path.join(SCENARIO_DIR, name), environ={})
+    if corner is not None:
+        x0 = np.array([corner[0], corner[1], 0.0, 0.0])
+        sc = replace(sc, run=replace(sc.run, steps=steps, x0=x0))
+    solves = []
+    solve = qpmod.qp_solve
+
+    def recorded(p):
+        sol = solve(p)
+        solves.append((p, sol))
+        return sol
+
+    qpmod.qp_solve = recorded
+    try:
+        tr = runtime.run_closed_loop(sc)
+    finally:
+        qpmod.qp_solve = solve
+    return tr, solves
 
 
 class TestActiveSetChanges:
@@ -265,23 +296,108 @@ class TestActiveSetChanges:
 
     @pytest.mark.parametrize("name, steps, corner", _corner_runs(),
                              ids=lambda v: str(v).replace(" ", ""))
-    def test_bounded(self, monkeypatch, name, steps, corner):
-        sc = config.load_scenario(os.path.join(SCENARIO_DIR, name), environ={})
-        if corner is not None:
-            x0 = np.array([corner[0], corner[1], 0.0, 0.0])
-            sc = replace(sc, run=replace(sc.run, steps=steps, x0=x0))
-        solves = []
-        solve = qpmod.qp_solve
-
-        def recorded(p):
-            sol = solve(p)
-            solves.append((p.n, sol.status, sol.iterations))
-            return sol
-
-        monkeypatch.setattr(qpmod, "qp_solve", recorded)
-        tr = runtime.run_closed_loop(sc)
+    def test_bounded(self, name, steps, corner):
+        tr, solves = recorded_run(name, steps, corner)
         assert set(tr.status) == {"optimal"}
         assert len(solves) >= len(tr)
-        for n, status, changes in solves:
-            assert status == "optimal"
-            assert changes <= 2 * n
+        for p, sol in solves:
+            assert sol.status == "optimal"
+            assert sol.iterations <= 2 * p.n
+
+
+def reference_qp_solve(p: QpProblem) -> QpSolution:
+    """qp_solve written with the scipy.linalg wrappers, as it was before the
+    solver called LAPACK directly; the same iteration, line for line."""
+    n = p.n
+    G = p.G if p.G is not None else np.zeros((0, n))
+    h = p.h_in if p.h_in is not None else np.zeros(0)
+    m = h.size
+    lam = np.zeros(m)
+
+    def finish(x, status, changes):
+        return QpSolution(x=x, lam=lam, status=status, iterations=changes)
+
+    if not (np.isfinite(p.H).all() and np.isfinite(p.g).all()
+            and np.isfinite(h).all()):
+        return finish(np.zeros(n), "invalid", 0)
+    try:
+        L = sla.cholesky(p.H, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return finish(np.zeros(n), "invalid", 0)
+    x = -sla.cho_solve((L, True), p.g, check_finite=False)
+    scale = np.maximum(1.0, np.abs(h))
+    active = []
+    W = np.zeros((n, 0))
+    changes = 0
+    max_changes = 2 * (m + n)
+    while True:
+        viol = (G @ x - h) / scale
+        viol[active] = 0.0
+        q = int(np.argmax(viol)) if m else 0
+        if not m or viol[q] <= 1e-9:
+            return finish(x, "optimal", changes)
+        v = sla.solve_triangular(L, G[q], lower=True, check_finite=False)
+        while True:
+            if changes >= max_changes:
+                return finish(x, "iteration_limit", changes)
+            if active:
+                Q, R = np.linalg.qr(W)
+                r = sla.solve_triangular(R, Q.T @ v, check_finite=False)
+                w = v - W @ r
+            else:
+                r = np.zeros(0)
+                w = v
+            ww = float(w @ w)
+            t_full = np.inf
+            if ww > 1e-24 * float(v @ v):
+                t_full = float(G[q] @ x - h[q]) / ww
+            t_part, k = np.inf, -1
+            pos = np.flatnonzero(r > 0.0)
+            if pos.size:
+                ratios = lam[np.asarray(active)[pos]] / r[pos]
+                j = int(np.argmin(ratios))
+                t_part, k = float(ratios[j]), int(pos[j])
+            t = min(t_full, t_part)
+            if t == np.inf:
+                return finish(x, "infeasible", changes)
+            if t_full < np.inf:
+                x = x - t * sla.solve_triangular(L, w, lower=True, trans="T",
+                                                 check_finite=False)
+            if active:
+                lam[active] -= t * r
+            lam[q] += t
+            changes += 1
+            if t_full <= t_part:
+                active.append(q)
+                W = np.column_stack([W, v])
+                break
+            lam[active[k]] = 0.0
+            del active[k]
+            W = np.delete(W, k, axis=1)
+
+
+class TestLapackBitIdentity:
+    """qp_solve calls dpotrf, dpotrs and dtrtrs directly; on every QP of
+    the bundled 500-step runs it gives the wrapper-based solver's x, lam,
+    status and iteration count bit for bit."""
+
+    @pytest.mark.parametrize("name", ["linear.ini", "dnn.ini", "l2nw.ini"])
+    def test_bundled_qps(self, name):
+        _, solves = recorded_run(name)
+        assert solves
+        for i, (p, sol) in enumerate(solves):
+            ref = reference_qp_solve(p)
+            assert sol.status == ref.status, i
+            assert sol.iterations == ref.iterations, i
+            assert np.array_equal(sol.x, ref.x), i
+            assert np.array_equal(sol.lam, ref.lam), i
+
+    def test_random_qps(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            p = random_qp(rng, int(rng.integers(1, 12)),
+                          int(rng.integers(0, 20)))
+            sol, ref = qp_solve(p), reference_qp_solve(p)
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            assert np.array_equal(sol.x, ref.x)
+            assert np.array_equal(sol.lam, ref.lam)

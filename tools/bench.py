@@ -14,9 +14,10 @@ results file is written at the root of this repository.
 Each run's ``env`` line and final JSON line are stored as printed.  The
 summary gives, per workload, seed and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles and, with two checkouts, how many pairs
-the second side won (ties count for neither).  Next to the metrics it gives
-each side's ``failed/attempted`` steps over all its runs and whether every
-run was ``correct``.  The file is rewritten after every pair, so an
+the second side won (ties count for neither) and the ratio of the second
+side's median to the first's, under the key "<second>/<first>".  Next to
+the metrics it gives each side's ``failed/attempted`` steps over all its
+runs and whether every run was ``correct``.  The file is rewritten after every pair, so an
 interrupted session keeps what it measured.
 """
 
@@ -46,9 +47,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
 
 
 def summarize(runs, labels, metrics):
-    """Median, quartiles and pair wins per workload, seed and metric, and
-    per side the failed and attempted steps summed over its runs and
-    whether every run was correct."""
+    """Median, quartiles, pair wins and the ratio of medians per workload,
+    seed and metric, and per side the failed and attempted steps summed over
+    its runs and whether every run was correct."""
     out = {}
     groups = {(r["workload"], r["seed"]) for r in runs}
     for workload, seed in sorted(groups):
@@ -74,6 +75,10 @@ def summarize(runs, labels, metrics):
                 row["wins"] = sum(bool(sign * (a[p] - b[p]) > 0)
                                   for p in pairs)
                 row["pairs"] = len(pairs)
+                first, second = labels
+                if first in row and second in row and row[first]["median"]:
+                    row["%s/%s" % (second, first)] = (
+                        row[second]["median"] / row[first]["median"])
             table[name] = row
         sides = {label: [r["result"] for r in mine if r["checkout"] == label]
                  for label in labels}
