@@ -7,23 +7,22 @@ the oracle; the cost is evaluated on the learned trajectory z, which rolls
 the oracle estimate through the dynamics and is handled by a short
 Gauss-Newton SQP loop.
 
-An oracle adapter gives the solver one method, ``rollout(A, B, x, v)``: the
-learned trajectory z (z_0 = x, z_{i+1} = A z_i + B v_i + h(z_i, v_i)) stacked
-over i = 0..N, and the stage Jacobians dh/d(z_i, v_i) as an (N, d, d+m)
-array.  The network batches its chain-rule products over stages; the
-kernel and zero oracles go stage by stage.  The solver builds the dz/dc
-stage matrices before its recursion, one matmul and one add per stage.
+An oracle adapter (one per kind, in the oracle module) gives the solver a
+flag, ``is_zero``, that sends a solve to the linear baseline's single QP,
+and one method, ``rollout(A, B, x, v)``: the learned trajectory z (z_0 = x,
+z_{i+1} = A z_i + B v_i + h(z_i, v_i)) over i = 0..N and the stage
+Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array.  Only the closed loop
+updates an oracle.  The solver builds the dz/dc stage matrices first.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from . import oracle as om, qp as qpmod
+from . import qp as qpmod
 from .polytope import (Polytope, TighteningData, NotSchurStable, spectral_radius,
                        tube_margins)
 
@@ -174,94 +173,6 @@ class ControllerConfig:
         object.__setattr__(self, "P", np.atleast_2d(np.asarray(self.P, dtype=float)))
         if self.N < 1:
             raise ValueError("horizon must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# oracle handles seen by the solver
-
-
-def _stagewise_rollout(A, B, x, v, stage):
-    """Rollout through ``stage(z_i, v_i) -> (h, dh/dz, dh/dv)``, one stage
-    after the other."""
-    d, m = B.shape
-    N = v.size // m
-    z = np.zeros((N + 1) * d)
-    z[:d] = x
-    Jh = np.zeros((N, d, d + m))
-    for i in range(N):
-        zi = z[i * d:(i + 1) * d]
-        vi = v[i * m:(i + 1) * m]
-        hi, Jh[i, :, :d], Jh[i, :, d:] = stage(zi, vi)
-        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + hi
-    return z, Jh
-
-
-class ZeroOracle:
-    """h-hat == 0; collapses LBMPC to the linear tube MPC baseline."""
-
-    is_zero = True
-
-    def predict(self, x, u):
-        return np.zeros(np.asarray(x).reshape(-1).size)
-
-    def rollout(self, A, B, x, v):
-        d, m = B.shape
-        zero = (np.zeros(d), np.zeros((d, d)), np.zeros((d, m)))
-        return _stagewise_rollout(A, B, x, v, lambda z, u: zero)
-
-
-class DnnOracle:
-    """Adapter exposing the live network state to the SQP loop."""
-
-    is_zero = False
-
-    def __init__(self, state):
-        self.state = state
-
-    def rollout(self, A, B, x, v):
-        """Network rollout with the stage Jacobians batched.
-
-        The forward pass is sequential (each stage feeds the next), but the
-        tanh chain-rule products are independent across stages once the
-        activations are known, so they run as one batched matmul per layer.
-        Row i of ``zv`` is the input (z_i, v_i), its v half and B v_i set
-        before the loop; each tanh writes straight into its activation row.
-        """
-        d, m = B.shape
-        N = v.size // m
-        hidden = self.state.hidden
-        K0, K1 = self.state.K[0], self.state.K[1:]
-        zv = np.empty((N + 1, d + m))
-        zv[0, :d] = x
-        zv[:N, d:] = v.reshape(N, m)
-        Bv = zv[:N, d:] @ B.T
-        acts = [np.empty((N, Wl.shape[1])) for Wl, _ in hidden]
-        for i in range(N):
-            a = zv[i]
-            for (Wl, bl), al in zip(hidden, acts):
-                a = np.tanh(a @ Wl + bl, out=al[i])
-            zv[i + 1, :d] = A @ zv[i, :d] + Bv[i] + (K0 + a @ K1)
-        J = None
-        for (Wl, _), al in zip(hidden, acts):
-            layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
-            J = layer if J is None else layer @ J
-        return zv[:, :d].ravel(), np.matmul(K1.T, J)
-
-
-class L2nwOracle:
-    """Adapter around the kernel baseline estimator."""
-
-    is_zero = False
-
-    def __init__(self, est):
-        self.est = est
-
-    def predict(self, x, u):
-        return om.l2nw_predict(self.est, x, u)
-
-    def rollout(self, A, B, x, v):
-        return _stagewise_rollout(
-            A, B, x, v, partial(om.l2nw_predict_and_jacobian, self.est))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,19 @@ that keeps every weight column inside a known norm ball; the hidden stack is
 retrained separately on buffered data with the output layer frozen, and
 swapped in whole generations.  The network's replay buffer and the kernel
 baseline keep their samples in the same preallocated ring, ReplayBuffer.
+
+Each oracle kind is one adapter: ZeroOracle, DnnOracle or L2nwEstimator.
+The solver calls its ``rollout(A, B, x, v)`` (see mpc), the closed loop its
+``observe(t, x, u, x_next, h)`` once per step after the truth step, which
+returns the prediction made before any update and then learns.  ``k_fro``,
+``generation`` and ``swap_steps`` read 0, 0 and () but for the network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -27,6 +34,10 @@ class InsufficientData(OracleError):
 
 class ShapeMismatch(OracleError):
     """Hidden-stack snapshot does not match the architecture."""
+
+
+class TrainerFailed(OracleError):
+    """A trainer job raised; its exception is the ``__cause__``."""
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,6 @@ class OracleState:
             raise ValueError("learning rate must be in (0, 1)")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "W_bar", W_bar)
-
-    @property
-    def sigma(self) -> float:
-        return self.arch.sigma
 
 
 def new_oracle(arch: NetworkArch, W_bar, gamma: float, seed: int = 0) -> OracleState:
@@ -397,6 +404,122 @@ def train_hidden(state: OracleState, buf: ReplayBuffer, M: int, epochs: int,
 
 
 # ---------------------------------------------------------------------------
+# oracle adapters
+
+
+def _stagewise_rollout(A, B, x, v, stage):
+    """Rollout through ``stage(z_i, v_i) -> (h, dh/dz, dh/dv)``, one stage
+    after the other."""
+    d, m = B.shape
+    N = v.size // m
+    z = np.zeros((N + 1) * d)
+    z[:d] = x
+    Jh = np.zeros((N, d, d + m))
+    for i in range(N):
+        zi = z[i * d:(i + 1) * d]
+        vi = v[i * m:(i + 1) * m]
+        hi, Jh[i, :, :d], Jh[i, :, d:] = stage(zi, vi)
+        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + hi
+    return z, Jh
+
+
+class ZeroOracle:
+    """h-hat == 0; collapses LBMPC to the linear tube MPC baseline."""
+
+    is_zero = True
+    k_fro = 0.0
+    generation = 0
+    swap_steps = ()
+
+    def rollout(self, A, B, x, v):
+        d, m = B.shape
+        zero = (np.zeros(d), np.zeros((d, d)), np.zeros((d, m)))
+        return _stagewise_rollout(A, B, x, v, lambda z, u: zero)
+
+    def observe(self, t, x, u, x_next, h):
+        return np.zeros(x.size)
+
+
+class DnnOracle:
+    """The network oracle on both timescales.
+
+    ``observe`` adapts the output layer and stores the sample in
+    ``buffer``.  Every ``copy_period``-th step, once the buffer holds
+    ``train_fill`` of its capacity and ``min_new_samples`` new samples, it
+    retrains the hidden stack and installs it at that step.  ``schedule``
+    and ``training`` are a scenario's [schedule] and [oracle] sections.
+    """
+
+    is_zero = False
+
+    def __init__(self, state, model, buffer, schedule, training):
+        self.state = state
+        self.model = model
+        self.buffer = buffer
+        self.schedule = schedule
+        self.training = training
+        self.swap_steps = []
+        self._new_samples = 0
+
+    k_fro = property(lambda self: np.linalg.norm(self.state.K))
+    generation = property(lambda self: self.state.generation)
+
+    def rollout(self, A, B, x, v):
+        """Network rollout with the stage Jacobians batched.
+
+        The forward pass is sequential (each stage feeds the next), but the
+        tanh chain-rule products are independent across stages once the
+        activations are known, so they run as one batched matmul per layer.
+        Row i of ``zv`` is the input (z_i, v_i), its v half and B v_i set
+        before the loop; each tanh writes straight into its activation row.
+        """
+        d, m = B.shape
+        N = v.size // m
+        hidden = self.state.hidden
+        K0, K1 = self.state.K[0], self.state.K[1:]
+        zv = np.empty((N + 1, d + m))
+        zv[0, :d] = x
+        zv[:N, d:] = v.reshape(N, m)
+        Bv = zv[:N, d:] @ B.T
+        acts = [np.empty((N, Wl.shape[1])) for Wl, _ in hidden]
+        for i in range(N):
+            a = zv[i]
+            for (Wl, bl), al in zip(hidden, acts):
+                a = np.tanh(a @ Wl + bl, out=al[i])
+            zv[i + 1, :d] = A @ zv[i, :d] + Bv[i] + (K0 + a @ K1)
+        J = None
+        for (Wl, _), al in zip(hidden, acts):
+            layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
+            J = layer if J is None else layer @ J
+        return zv[:, :d].ravel(), np.matmul(K1.T, J)
+
+    def observe(self, t, x, u, x_next, h):
+        # predict and adapt share one forward pass: a swap comes after adapt,
+        # so both see the generation behind u
+        phi = features(self.state, x, u)
+        h_hat = predict_from_features(self.state, phi)
+        self.state = adapt(self.state, x, u, x_next, self.model, phi=phi)
+        buf, sched, tr = self.buffer, self.schedule, self.training
+        buffer_push(buf, np.concatenate([x, u]), h)
+        self._new_samples += 1
+        if (t > 0 and t % sched.copy_period == 0
+                and len(buf) >= sched.train_fill * buf.capacity
+                and self._new_samples >= sched.min_new_samples):
+            self._new_samples = 0
+            try:
+                hidden, _ = train_hidden(self.state, buf,
+                                         min(tr.train_batch, len(buf)),
+                                         tr.train_epochs, lr=tr.train_lr,
+                                         seed=sched.seed + t)
+            except Exception as exc:
+                raise TrainerFailed("trainer job failed at step %d: %s"
+                                    % (t, exc)) from exc
+            self.state = swap_hidden(self.state, hidden)
+            self.swap_steps.append(t)
+        return h_hat
+
+
+# ---------------------------------------------------------------------------
 # L2NW baseline
 
 
@@ -407,6 +530,11 @@ class L2nwEstimator:
     Only the filled rows of the ring enter the kernel sums, so the
     preallocated slots never bias the estimate.
     """
+
+    is_zero = False
+    k_fro = 0.0
+    generation = 0
+    swap_steps = ()
 
     capacity: int
     n_in: int
@@ -425,6 +553,15 @@ class L2nwEstimator:
 
     def push(self, xu, h):
         self.buffer.push(xu, h)
+
+    def rollout(self, A, B, x, v):
+        return _stagewise_rollout(
+            A, B, x, v, partial(l2nw_predict_and_jacobian, self))
+
+    def observe(self, t, x, u, x_next, h):
+        h_hat = l2nw_predict(self, x, u)
+        self.push(np.concatenate([x, u]), h)
+        return h_hat
 
 
 def _l2nw_kernel(est: L2nwEstimator, q: np.ndarray):

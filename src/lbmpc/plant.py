@@ -264,7 +264,7 @@ def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
 
     Returns an (samples, d) array of deviation-coordinate residuals.  With
     ``seed=None`` the sweep is the deterministic Halton sequence; a seed
-    switches to pseudo-random sampling (used by the resampling oracle).
+    switches to pseudo-random points, e.g. fresh residuals to test a bound.
     ``region_scale`` shrinks the sweep box around the equilibrium; the
     resulting bound then only covers that operating region.
     """

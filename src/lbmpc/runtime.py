@@ -1,9 +1,9 @@
 """Dual-timescale closed loop: real-time control with a slow trainer.
 
-The fast loop runs measure -> solve -> apply -> adapt -> log every sampling
-period.  The slow timescale is a trainer event every ``copy_period`` steps:
-it retrains the oracle's hidden stack on the live replay buffer and installs
-the result at that same step, on the loop's own thread.
+The fast loop runs measure -> solve -> apply -> observe -> log every
+sampling period through one oracle adapter, whose kind it never asks.  A
+network adapter retrains its hidden stack every ``copy_period`` steps and
+installs the result at that same step, on the loop's own thread.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class LoopSetup:
     margins: object
     problem: mpc.LbmpcProblem
     oracle_adapter: object
-    dnn_state: Optional[om.OracleState]
+    # the network's replay buffer and the kernel estimator, as in the adapter
     buffer: Optional[om.ReplayBuffer]
     l2nw: Optional[om.L2nwEstimator]
     x0: np.ndarray
@@ -174,35 +174,30 @@ def build_setup(scenario) -> LoopSetup:
     omega = inv.omega
     margins = mpc.build_margins(model, cfg, omega)
 
-    kind = oc.kind
-    dnn_state = None
-    buf = None
-    l2nw = None
-    if kind == "zero":
-        adapter = mpc.ZeroOracle()
-    elif kind == "dnn":
+    buf = l2nw = None
+    if oc.kind == "zero":
+        adapter = om.ZeroOracle()
+    elif oc.kind == "dnn":
         arch = om.NetworkArch(n_in=model.d + model.m, hidden=tuple(oc.hidden),
                               n_out=model.d)
-        W_bar = oc.w_bar_factor * _w_halfwidths(W)
-        dnn_state = om.new_oracle(arch, W_bar, oc.gamma,
-                                  seed=scenario.schedule.seed)
-        adapter = mpc.DnnOracle(dnn_state)
+        state = om.new_oracle(arch, oc.w_bar_factor * _w_halfwidths(W),
+                              oc.gamma, seed=scenario.schedule.seed)
         buf = om.ReplayBuffer(capacity=oc.buffer_capacity,
                               n_in=model.d + model.m, n_out=model.d,
                               policy=oc.buffer_policy)
-    elif kind == "l2nw":
+        adapter = om.DnnOracle(state, model, buf, scenario.schedule, oc)
+    elif oc.kind == "l2nw":
         lo_x, hi_x = plant.STATE_BOUNDS_ABS
         widths = np.concatenate([hi_x - lo_x,
                                  [plant.INPUT_BOUNDS_ABS[1]
                                   - plant.INPUT_BOUNDS_ABS[0]]])
         diameter = float(np.linalg.norm(widths))
-        l2nw = om.L2nwEstimator(capacity=oc.buffer_capacity,
-                                n_in=model.d + model.m, n_out=model.d,
-                                bandwidth=oc.l2nw_bandwidth_factor * diameter,
-                                lam=oc.l2nw_lambda)
-        adapter = mpc.L2nwOracle(l2nw)
+        adapter = l2nw = om.L2nwEstimator(
+            capacity=oc.buffer_capacity, n_in=model.d + model.m,
+            n_out=model.d, bandwidth=oc.l2nw_bandwidth_factor * diameter,
+            lam=oc.l2nw_lambda)
     else:
-        raise ValueError("unknown oracle kind %r" % kind)
+        raise ValueError("unknown oracle kind %r" % oc.kind)
 
     problem = mpc.LbmpcProblem(model, cfg, omega, margins, adapter,
                                sqp_max_iter=cc.sqp_max_iter,
@@ -210,8 +205,7 @@ def build_setup(scenario) -> LoopSetup:
     x0 = np.asarray(scenario.run.x0, dtype=float)
     return LoopSetup(params=params, model=model, cfg=cfg, omega=omega,
                      margins=margins, problem=problem,
-                     oracle_adapter=adapter, dnn_state=dnn_state, buffer=buf,
-                     l2nw=l2nw, x0=x0)
+                     oracle_adapter=adapter, buffer=buf, l2nw=l2nw, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +217,17 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
 
     Raises InfeasibleAtStart if the first solve has no feasible solution;
     later steps always produce an input because the shifted previous solution
-    is a feasible fallback (a failure there is a RuntimeFailure).  A trainer
-    event retrains the hidden stack inline and installs it at its own step;
-    a failed trainer job raises RuntimeFailure at that step.
+    is a feasible fallback (a failure there is a RuntimeFailure).  A failed
+    trainer job raises RuntimeFailure at its step, with the trainer's
+    exception as the cause.
     """
     setup = build_setup(scenario)
-    sched = scenario.schedule
-    oc = scenario.oracle
-    steps = scenario.run.steps
-    substeps = scenario.plant.substeps
-    model = setup.model
-    problem = setup.problem
-    W = model.W
-
-    m = model.m
+    model, problem = setup.model, setup.problem
+    oracle = setup.oracle_adapter
     rows = []
-    swap_steps: List[int] = []
-
-    state = setup.dnn_state
-    adapter = setup.oracle_adapter
-    buf = setup.buffer
-
     x = setup.x0.copy()
     warm = None
-    samples_since_train = 0
-    for t in range(steps):
+    for t in range(scenario.run.steps):
         try:
             sol = mpc.solve_lbmpc(problem, x, warm=warm)
         except mpc.MpcError as exc:
@@ -258,62 +238,34 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
                 "solver failed at step %d despite fallback: %s" % (t, exc))
 
         u = sol.u
-        phi = None
-        if state is not None:
-            # predict and adapt share one forward pass: a swap comes after
-            # adapt in the same step, so both see the generation behind u
-            phi = om.features(state, x, u)
-            h_hat = om.predict_from_features(state, phi)
-        else:
-            h_hat = np.asarray(adapter.predict(x, u), dtype=float)
-
         x_abs_next = plant.step_truth(x + model.x_eq, u + model.u_eq,
-                                      setup.params, substeps=substeps)
+                                      setup.params,
+                                      substeps=scenario.plant.substeps)
         x_next = x_abs_next - model.x_eq
         h = plant.truth_residual(x, u, x_next, model)
+        # the trace logs the oracle as it was when u was chosen
+        k_fro, generation = oracle.k_fro, oracle.generation
+        try:
+            h_hat = oracle.observe(t, x, u, x_next, h)
+        except om.TrainerFailed as exc:
+            raise RuntimeFailure(str(exc)) from exc.__cause__
         x_tilde = (model.A @ x + model.B @ u + h_hat) - x_next
 
-        c_shift = mpc.shift_solution(sol, m)
+        c_shift = mpc.shift_solution(sol, model.m)
         rows.append(dict(
-            x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde,
-            k_fro=np.linalg.norm(state.K) if state is not None else 0.0,
-            generation=state.generation if state is not None else 0,
-            status=sol.status, sqp_iters=sol.sqp_iters,
-            solver_time=sol.wall_time,
+            x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde, k_fro=k_fro,
+            generation=generation, status=sol.status,
+            sqp_iters=sol.sqp_iters, solver_time=sol.wall_time,
             state_margin=float(np.min(model.X.h - model.X.F @ x)),
             input_margin=float(np.min(model.U.h - model.U.F @ u)),
             shift_feasible=problem.feasible(x_next, c_shift),
-            h_in_w=W.contains(h)))
-
-        if state is not None:
-            state = om.adapt(state, x, u, x_next, model, phi=phi)
-            adapter.state = state
-            om.buffer_push(buf, np.concatenate([x, u]), h)
-            samples_since_train += 1
-        if setup.l2nw is not None:
-            setup.l2nw.push(np.concatenate([x, u]), h)
-
-        if (state is not None and t > 0 and t % sched.copy_period == 0
-                and len(buf) >= sched.train_fill * buf.capacity
-                and samples_since_train >= sched.min_new_samples):
-            samples_since_train = 0
-            M = min(oc.train_batch, len(buf))
-            try:
-                hidden, _ = om.train_hidden(state, buf, M, oc.train_epochs,
-                                            lr=oc.train_lr,
-                                            seed=sched.seed + t)
-            except Exception as exc:
-                raise RuntimeFailure(
-                    "trainer job failed at step %d: %s" % (t, exc)) from exc
-            state = om.swap_hidden(state, hidden)
-            adapter.state = state
-            swap_steps.append(t)
-
+            h_in_w=model.W.contains(h)))
         warm = {"c": c_shift}
         x = x_next
 
-    return ClosedLoopTrace.from_rows(rows, swap_steps=swap_steps,
-                                     deterministic=sched.deterministic)
+    return ClosedLoopTrace.from_rows(
+        rows, swap_steps=list(oracle.swap_steps),
+        deterministic=scenario.schedule.deterministic)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ from scipy.optimize import minimize
 
 from lbmpc import mpc, qp as qpmod
 from lbmpc.cli import SCENARIO_DIR
-from lbmpc.config import load_scenario
-from lbmpc.mpc import (ControllerConfig, DnnOracle, EmptyTightenedSet,
-                       L2nwOracle, LbmpcProblem, MpcError, MpcInfeasible,
-                       ZeroOracle, build_margins, margin_ratio, shift_solution,
-                       solve_linear_mpc, solve_lbmpc, solve_lyapunov_P,
-                       synthesize_gain, synthesize_tube_gain,
-                       _learned_rollout, _stagewise_rollout)
-from lbmpc.oracle import (L2nwEstimator, NetworkArch, OracleState,
-                          new_oracle, predict_and_jacobian)
+from lbmpc.config import OracleSection, ScheduleSection, load_scenario
+from lbmpc.mpc import (ControllerConfig, EmptyTightenedSet, LbmpcProblem,
+                       MpcError, MpcInfeasible, build_margins, margin_ratio,
+                       shift_solution, solve_linear_mpc, solve_lbmpc,
+                       solve_lyapunov_P, synthesize_gain,
+                       synthesize_tube_gain, _learned_rollout)
+from lbmpc.oracle import (DnnOracle, L2nwEstimator, NetworkArch, OracleState,
+                          ReplayBuffer, ZeroOracle, new_oracle,
+                          predict_and_jacobian, _stagewise_rollout)
 from lbmpc.plant import MooreGreitzerParams, PlantModel, linearize_discretize
 from lbmpc.polytope import (NotSchurStable, Polytope, TighteningData,
                             _solve_lp, max_invariant_set, tube_margins)
@@ -56,6 +56,13 @@ def controller(model, N):
     return ControllerConfig(N=N, Q=Q, R=R, K=K, P=P)
 
 
+def network_adapter(state, model):
+    """Network adapter for solver tests; its small ring is never filled."""
+    d, m = model.B.shape
+    return DnnOracle(state, model, ReplayBuffer(8, d + m, d),
+                     ScheduleSection(), OracleSection())
+
+
 def dnn_oracle():
     arch = NetworkArch(3, (6, 4), 2)
     state = new_oracle(arch, W_bar=[0.2, 0.2], gamma=0.3, seed=4)
@@ -64,7 +71,7 @@ def dnn_oracle():
     K = 0.05 * rng.normal(size=state.K.shape)
     state = state.__class__(arch=arch, hidden=state.hidden, K=K,
                             W_bar=state.W_bar, gamma=state.gamma)
-    return DnnOracle(state)
+    return network_adapter(state, toy_model())
 
 
 @pytest.fixture(scope="module")
@@ -386,14 +393,14 @@ def with_oracle(p, kind, rng):
     if kind == "dnn":
         arch = NetworkArch(d + m, (8, 6), d)
         st = new_oracle(arch, W_bar=np.full(d, 0.2), gamma=0.3, seed=5)
-        q.oracle = DnnOracle(OracleState(
+        q.oracle = network_adapter(OracleState(
             arch=arch, hidden=st.hidden, K=0.05 * rng.normal(size=st.K.shape),
-            W_bar=st.W_bar, gamma=st.gamma))
+            W_bar=st.W_bar, gamma=st.gamma), p.model)
     elif kind == "l2nw":
         est = L2nwEstimator(capacity=200, n_in=d + m, n_out=d, bandwidth=0.1)
         for _ in range(150):
             est.push(rng.uniform(-0.2, 0.2, d + m), 0.01 * rng.normal(size=d))
-        q.oracle = L2nwOracle(est)
+        q.oracle = est
     else:
         q.oracle = ZeroOracle()
     return q

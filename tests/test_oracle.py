@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from lbmpc import oracle as om
-from lbmpc.oracle import (InsufficientData, L2nwEstimator, NetworkArch,
-                          OracleState, ReplayBuffer, ShapeMismatch, adapt,
-                          batch_gradients,
+from lbmpc.config import OracleSection, ScheduleSection
+from lbmpc.oracle import (DnnOracle, InsufficientData, L2nwEstimator,
+                          NetworkArch, OracleState, ReplayBuffer,
+                          ShapeMismatch, ZeroOracle, adapt, batch_gradients,
                           batch_loss, features, init_hidden, l2nw_predict,
                           l2nw_predict_and_jacobian, lyapunov_Va, new_oracle,
                           predict, predict_and_jacobian, project_columns,
@@ -446,3 +447,89 @@ class TestL2nw:
             with pytest.raises(ValueError):
                 est.push(np.array(xu), np.array(h))
         assert est.count == 0
+
+
+class TestAdapterProtocol:
+    """observe(t, x, u, x_next, h) returns the prediction made before the
+    update, and k_fro and generation read before it describe that state."""
+
+    SCHEDULE = ScheduleSection(copy_period=3, train_fill=0.1,
+                               min_new_samples=2, seed=7)
+    TRAINING = OracleSection(train_batch=4, train_epochs=3, train_lr=0.01)
+
+    def adapter(self, kind, model):
+        if kind == "zero":
+            return ZeroOracle()
+        if kind == "l2nw":
+            return L2nwEstimator(capacity=6, n_in=3, n_out=2, bandwidth=0.8)
+        state = new_oracle(NetworkArch(3, (5, 4), 2), W_bar=[0.3, 0.3],
+                           gamma=0.4, seed=2)
+        return DnnOracle(state, model, ReplayBuffer(16, 3, 2), self.SCHEDULE,
+                         self.TRAINING)
+
+    @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
+    def test_observe_predicts_then_learns(self, kind):
+        rng = np.random.default_rng(31)
+        model = FakeModel(2, 1, rng)
+        oracle = self.adapter(kind, model)
+        ring = ReplayBuffer(16, 3, 2)
+        swaps = []
+        for t in range(8):
+            x, u = rng.normal(size=2), rng.normal(size=1)
+            h = 0.1 * rng.normal(size=2)
+            x_next = model.A @ x + model.B @ u + h
+            if kind == "dnn":
+                prior = oracle.state
+                h_expected = predict(prior, x, u)
+                k_fro, generation = np.linalg.norm(prior.K), prior.generation
+            elif kind == "l2nw":
+                h_expected = l2nw_predict(oracle, x, u)
+                k_fro, generation = 0.0, 0
+            else:
+                h_expected, k_fro, generation = np.zeros(2), 0.0, 0
+            assert oracle.k_fro == k_fro
+            assert oracle.generation == generation
+            h_hat = oracle.observe(t, x, u, x_next, h)
+            assert np.array_equal(h_hat, h_expected)
+
+            xu = np.concatenate([x, u])
+            if kind == "dnn":
+                # the adapter's update, spelled out: adapt, store, and on a
+                # scheduled step retrain and swap
+                expected = adapt(prior, x, u, x_next, model)
+                ring.push(xu, h)
+                if t in (3, 6):
+                    hidden, _ = train_hidden(expected, ring, 4, 3, lr=0.01,
+                                             seed=7 + t)
+                    expected = swap_hidden(expected, hidden)
+                    swaps.append(t)
+                assert np.array_equal(oracle.state.K, expected.K)
+                assert oracle.generation == expected.generation
+                for (W, b), (W_e, b_e) in zip(oracle.state.hidden,
+                                              expected.hidden):
+                    assert np.array_equal(W, W_e) and np.array_equal(b, b_e)
+                assert np.array_equal(oracle.buffer.inputs, ring.inputs)
+            elif kind == "l2nw":
+                assert oracle.count == min(t + 1, 6)
+                assert xu in oracle.buffer.inputs
+            assert list(oracle.swap_steps) == swaps
+        if kind == "dnn":
+            assert swaps == [3, 6] and oracle.generation == 2
+
+    def test_failed_trainer_job_names_its_step(self, monkeypatch):
+        def failing_train(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(om, "train_hidden", failing_train)
+        rng = np.random.default_rng(4)
+        model = FakeModel(2, 1, rng)
+        oracle = self.adapter("dnn", model)
+        for t in range(3):
+            oracle.observe(t, rng.normal(size=2), rng.normal(size=1),
+                           rng.normal(size=2), np.zeros(2))
+        with pytest.raises(om.TrainerFailed,
+                           match="trainer job failed at step 3") as info:
+            oracle.observe(3, np.zeros(2), np.zeros(1), np.zeros(2),
+                           np.zeros(2))
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert oracle.swap_steps == []

@@ -12,7 +12,8 @@ import pytest
 
 from lbmpc import oracle as om
 from lbmpc.cli import SCENARIO_DIR
-from lbmpc.config import ConfigError, load_scenario, parse_scenario
+from lbmpc.config import (ConfigError, OracleSection, Scenario, load_scenario,
+                          parse_scenario)
 from lbmpc.runtime import (TRACE_SPEC, ClosedLoopTrace, InfeasibleAtStart,
                            RuntimeFailure, build_setup, compare, metrics,
                            run_closed_loop)
@@ -274,8 +275,18 @@ class TestBuildSetup:
         s = scenario("dnn", steps=5)
         setup = build_setup(s)
         assert setup.problem.cfg.N == 10
-        assert setup.dnn_state is not None
-        assert setup.buffer is not None
+        adapter = setup.oracle_adapter
+        assert setup.problem.oracle is adapter
+        assert isinstance(adapter.state, om.OracleState)
+        assert adapter.state.arch.hidden == (8, 6)
+        assert adapter.state.generation == 0 and adapter.swap_steps == []
+        assert adapter.buffer is setup.buffer and len(setup.buffer) == 0
         # tube gain must leave slack for the estimated disturbance
         from lbmpc.mpc import margin_ratio
         assert margin_ratio(setup.model, setup.cfg.K) < 1.0
+
+    def test_unknown_oracle_kind_is_rejected(self):
+        # parse_scenario checks the kind; a Scenario built in code does not
+        s = Scenario(oracle=OracleSection(kind="bogus"))
+        with pytest.raises(ValueError, match="unknown oracle kind 'bogus'"):
+            build_setup(s)
