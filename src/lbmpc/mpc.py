@@ -12,7 +12,8 @@ flag, ``is_zero``, that sends a solve to the linear baseline's single QP,
 and one method, ``rollout(A, B, x, v)``: the learned trajectory z (z_0 = x,
 z_{i+1} = A z_i + B v_i + h(z_i, v_i)) over i = 0..N and the stage
 Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array.  Only the closed loop
-updates an oracle.  The solver builds the dz/dc stage matrices first.
+updates an oracle.  The solver gets dz/dc from those Jacobians by one
+triangular solve of the block-bidiagonal recursion (see _learned_rollout).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import qp as qpmod
 from .polytope import (Polytope, TighteningData, NotSchurStable, spectral_radius,
@@ -266,7 +268,9 @@ class LbmpcProblem:
         self.TzQ, self.TvR = Tz.T @ Qbar, Tv.T @ Rbar
         self.TvRTv = self.TvR @ Tv
         self.reg = 1e-9 * np.eye(N * m)
-        self.H_lin = 2.0 * (self.TzQ @ Tz + self.TvRTv)
+        H_lin = 2.0 * (self.TzQ @ Tz + self.TvRTv)
+        # symmetric to the last bit, as QpProblem(validate=False) keeps H
+        self.H_lin = 0.5 * (H_lin + H_lin.T)
 
     @property
     def n_dec(self) -> int:
@@ -320,28 +324,39 @@ def shift_solution(prev: MpcSolution, m: int):
 
 
 def _learned_rollout(p: LbmpcProblem, x, c):
-    """Nominal and learned trajectories, and dz/dc (stacked)."""
+    """Nominal inputs v, learned trajectory z and dz/dc (stacked).
+
+    dz/dc solves the unit lower block-bidiagonal system
+    Jz_{i+1} - (A + dh/dz_i) Jz_i = (B + dh/dv_i) Tv_i over i = 0..N-1,
+    with Jz_0 = 0 as its first block row, by one triangular solve.  The
+    matrix is stored transposed in C order, so that LAPACK reads it in
+    Fortran order without a copy.
+    """
     A, B = p.model.A, p.model.B
     d, m = B.shape
-    zbar, v = p.nominal_traj(x, c)
+    N, nc = p.cfg.N, p.n_dec
+    v = p.Sv @ x + p.Tv @ c
     z, Jh = p.oracle.rollout(A, B, x, v)
-    Az = A + Jh[:, :, :d]
-    Bc = np.matmul(B + Jh[:, :, d:], p.Tv.reshape(-1, m, p.n_dec))
-    Jz = np.zeros((p.cfg.N + 1, d, p.n_dec))
-    for i in range(p.cfg.N):
-        Jz[i + 1] = Az[i] @ Jz[i] + Bc[i]
-    return zbar, v, z, Jz.reshape(z.size, p.n_dec)
+    rhs = np.zeros((N + 1, d, nc))
+    np.matmul(B + Jh[:, :, d:], p.Tv.reshape(N, m, nc), out=rhs[1:])
+    Lt = np.zeros((N + 1, d, N + 1, d))
+    i = np.arange(N)
+    Lt[i, :, i + 1] = np.swapaxes(-A - Jh[:, :, :d], 1, 2)
+    n = (N + 1) * d
+    Jz, _ = lapack.dtrtrs(Lt.reshape(n, n).T, rhs.reshape(n, nc),
+                          lower=1, unitdiag=1)
+    return v, z, Jz
 
 
 def _objective(p: LbmpcProblem, z, v):
     return float(z @ p.Qbar @ z + v @ p.Rbar @ v)
 
 
-def _make_solution(p, x, c, status, sqp_iters, t0, rollout=None):
-    if rollout is not None:
-        zbar, v, z = rollout
-    else:
-        zbar, v, z, _ = _learned_rollout(p, x, c)
+def _make_solution(p, x, c, status, sqp_iters, t0, z=None):
+    """The solution at c; z is rolled out again unless given."""
+    zbar, v = p.nominal_traj(x, c)
+    if z is None:
+        z = _learned_rollout(p, x, c)[1]
     d, m, N = p.model.d, p.model.m, p.cfg.N
     return MpcSolution(c=c.copy(), zbar=zbar.reshape(N + 1, d),
                        z=z.reshape(N + 1, d), v=v.reshape(N, m),
@@ -394,12 +409,13 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
         rhs = p.rhs0 - p.Gx @ x
         c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
         for iters in range(1, p.sqp_max_iter + 1):
-            zbar, v, z, Jz = _learned_rollout(p, x, c)
-            # dv/dc is Tv, so its terms are constants of the problem
+            v, z, Jz = _learned_rollout(p, x, c)
+            # dv/dc is Tv, so its terms are constants of the problem; u + u'
+            # is 0.5 (2u + (2u)') bit for bit, exactly symmetric, and reg
+            # clips tiny negative curvature of the Gauss-Newton approximation
             JzQ = Jz.T @ p.Qbar
-            H = 2.0 * (JzQ @ Jz + p.TvRTv)
-            # clip tiny negative curvature from the Gauss-Newton approximation
-            H = 0.5 * (H + H.T) + p.reg
+            u = JzQ @ Jz + p.TvRTv
+            H = u + u.T + p.reg
             g = 2.0 * (JzQ @ z + p.TvR @ v)
             prob = qpmod.QpProblem(H=H, g=g, G=p.Gc, h_in=rhs - p.Gc @ c,
                                    validate=False)
@@ -409,10 +425,8 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
                 # the step is below the SQP tolerance, so a first-order
                 # update of the learned trajectory is accurate enough and
                 # saves one full network rollout
-                zbar, v = p.nominal_traj(x, c)
-                z = z + Jz @ step
                 return _make_solution(p, x, c, "optimal", iters, t0,
-                                      rollout=(zbar, v, z))
+                                      z=z + Jz @ step)
         return _make_solution(p, x, c, "optimal", iters, t0)
 
     except MpcError as exc:

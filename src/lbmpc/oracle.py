@@ -157,7 +157,11 @@ def predict_from_features(state: OracleState, phi: np.ndarray) -> np.ndarray:
 
 
 def predict_and_jacobian(state: OracleState, x, u):
-    """(h, dh/dx, dh/du) from a single forward pass (hot path of the SQP)."""
+    """(h, dh/dx, dh/du) from a single forward pass at one input.
+
+    The solver's rollout (``DnnOracle.rollout``) does not call it; it is
+    the one-point form of the same derivatives, for checks and tools.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
     u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
     xu = np.concatenate([x, u])
@@ -423,6 +427,28 @@ def _stagewise_rollout(A, B, x, v, stage):
     return z, Jh
 
 
+def _pack_layers(hidden: HiddenStack, n_out: int):
+    """(layers, KI): the hidden stack packed for ``DnnOracle.rollout``.
+
+    Layer 1 is [[b1, 0], [W1, C]] with n_out extra columns C, left for
+    [A'; B'], which each rollout writes.  Each further layer is
+    [[b_l, 0], [W_l, 0], [0, I]], which carries the last n_out entries of
+    its input row through.  ``KI`` is [K; I], K written by each rollout.
+    """
+    layers = []
+    for k, (W, b) in enumerate(hidden):
+        carry = n_out if k else 0
+        P = np.zeros((1 + W.shape[0] + carry, W.shape[1] + n_out))
+        P[0, :W.shape[1]] = b
+        P[1:1 + W.shape[0], :W.shape[1]] = W
+        if carry:
+            P[-n_out:, -n_out:] = np.eye(n_out)
+        layers.append(P)
+    KI = np.zeros((1 + hidden[-1][0].shape[1] + n_out, n_out))
+    KI[-n_out:] = np.eye(n_out)
+    return layers, KI
+
+
 class ZeroOracle:
     """h-hat == 0; collapses LBMPC to the linear tube MPC baseline."""
 
@@ -453,6 +479,7 @@ class DnnOracle:
     is_zero = False
 
     def __init__(self, state, model, buffer, schedule, training):
+        self._state = None
         self.state = state
         self.model = model
         self.buffer = buffer
@@ -464,34 +491,62 @@ class DnnOracle:
     k_fro = property(lambda self: np.linalg.norm(self.state.K))
     generation = property(lambda self: self.state.generation)
 
-    def rollout(self, A, B, x, v):
-        """Network rollout with the stage Jacobians batched.
+    @property
+    def state(self) -> OracleState:
+        return self._state
 
-        The forward pass is sequential (each stage feeds the next), but the
-        tanh chain-rule products are independent across stages once the
-        activations are known, so they run as one batched matmul per layer.
-        Row i of ``zv`` is the input (z_i, v_i), its v half and B v_i set
-        before the loop; each tanh writes straight into its activation row.
+    @state.setter
+    def state(self, state: OracleState):
+        # the packed layers hold the hidden stack only: adapt keeps the stack
+        # (and K is read from the state at each rollout), while a swap or any
+        # other assignment brings a new stack and packs it
+        if self._state is None or state.hidden is not self._state.hidden:
+            self._layers = _pack_layers(state.hidden, state.arch.n_out)
+        self._state = state
+
+    def rollout(self, A, B, x, v):
+        """Network rollout on packed layers, Jacobians from the output side.
+
+        Row i of ``zv`` is [1, z_i, v_i] and row i of layer l's buffer is
+        [1, a_l, A z_i + B v_i].  One product with the first packed layer
+        [[b1, 0], [W1, [A'; B']]] gives layer 1's pre-activation and
+        A z_i + B v_i; each further layer carries A z_i + B v_i through an
+        identity block, and the output layer [K; I] adds it to K'[1, a_L]
+        (K's first row is the bias, as in ``features``), which is z_{i+1}.
+        Every stage writes through row views into buffers made once per
+        call.  The stage Jacobians K1' diag(s_L) W_L' ... diag(s_1) W_1'
+        (s_l = 1 - a_l^2) are formed from the output side, one (N d, h)
+        product per layer.
         """
         d, m = B.shape
         N = v.size // m
-        hidden = self.state.hidden
-        K0, K1 = self.state.K[0], self.state.K[1:]
-        zv = np.empty((N + 1, d + m))
-        zv[0, :d] = x
-        zv[:N, d:] = v.reshape(N, m)
-        Bv = zv[:N, d:] @ B.T
-        acts = [np.empty((N, Wl.shape[1])) for Wl, _ in hidden]
+        layers, KI = self._layers
+        first = layers[0]
+        first[1:1 + d, -d:] = A.T
+        first[1 + d:, -d:] = B.T
+        KI[:-d] = self.state.K
+        zv = np.empty((N + 1, 1 + d + m))
+        zv[:, 0] = 1.0
+        zv[0, 1:1 + d] = x
+        zv[:N, 1 + d:] = v.reshape(N, m)
+        acts = [np.ones((N, 1 + P.shape[1])) for P in layers]
+        # per layer: rows, their product part and their pre-activation part
+        views = [(al, al[:, 1:], al[:, 1:-d]) for al in acts]
+        z_next = zv[1:, 1:1 + d]
         for i in range(N):
-            a = zv[i]
-            for (Wl, bl), al in zip(hidden, acts):
-                a = np.tanh(a @ Wl + bl, out=al[i])
-            zv[i + 1, :d] = A @ zv[i, :d] + Bv[i] + (K0 + a @ K1)
-        J = None
-        for (Wl, _), al in zip(hidden, acts):
-            layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
-            J = layer if J is None else layer @ J
-        return zv[:, :d].ravel(), np.matmul(K1.T, J)
+            row = zv[i]
+            for P, (al, prod, pre) in zip(layers, views):
+                np.dot(row, P, out=prod[i])
+                a = pre[i]
+                np.tanh(a, out=a)
+                row = al[i]
+            np.dot(row, KI, out=z_next[i])
+        G = self.state.K[1:].T
+        for (W, _), (_, _, a) in zip(reversed(self.state.hidden),
+                                     reversed(views)):
+            G = G * (1.0 - a * a)[:, None, :]
+            G = (G.reshape(-1, W.shape[1]) @ W.T).reshape(N, d, W.shape[0])
+        return zv[:, 1:1 + d].ravel(), G
 
     def observe(self, t, x, u, x_next, h):
         # predict and adapt share one forward pass: a swap comes after adapt,

@@ -29,19 +29,23 @@ class QpProblem:
     g: np.ndarray
     G: Optional[np.ndarray] = None
     h_in: Optional[np.ndarray] = None
-    validate: bool = True    # callers that build H symmetric PSD may skip
+    # a caller that builds H symmetric PSD and every array as the solver
+    # reads it (float, g and h_in 1-D) may skip validation: the problem then
+    # holds the caller's arrays as given
+    validate: bool = True
 
     def __post_init__(self):
+        if not self.validate:
+            return
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
         g = np.asarray(self.g, dtype=float).reshape(-1)
         n = g.size
         if H.shape != (n, n):
             raise ValueError("H must be n x n")
-        if self.validate:
-            if np.max(np.abs(H - H.T)) > 1e-10:
-                raise ValueError("H must be symmetric (tol 1e-10)")
-            if np.min(np.linalg.eigvalsh(0.5 * (H + H.T))) < -1e-9:
-                raise ValueError("H must be positive semidefinite (tol 1e-9)")
+        if np.max(np.abs(H - H.T)) > 1e-10:
+            raise ValueError("H must be symmetric (tol 1e-10)")
+        if np.min(np.linalg.eigvalsh(0.5 * (H + H.T))) < -1e-9:
+            raise ValueError("H must be positive semidefinite (tol 1e-9)")
         object.__setattr__(self, "H", 0.5 * (H + H.T))
         object.__setattr__(self, "g", g)
         if (self.G is None) != (self.h_in is None):

@@ -1,0 +1,117 @@
+"""tools/bench.py: the summary of paired runs and its argument checks, on
+synthetic run records shaped like the ones it stores."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench", os.path.join(ROOT, "tools", "bench.py"))
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+METRICS = {"solve_mean_ms": "lower", "steps_per_s": "higher"}
+
+
+def run(label, pair, values, failed=0, attempted=100, correct=True,
+        workload="transient-dnn", seed=301):
+    return {"checkout": label, "workload": workload, "seed": seed,
+            "pair": pair, "env": {},
+            "result": {"metrics": {k: {"value": v} for k, v in values.items()},
+                       "failed": failed, "attempted": attempted,
+                       "correct": correct}}
+
+
+def paired(parent, change, **kw):
+    """Runs of two checkouts, pair k holding parent[k] and change[k]."""
+    runs = []
+    for k, (a, b) in enumerate(zip(parent, change)):
+        runs.append(run("parent", k, a, **kw))
+        runs.append(run("change", k, b, **kw))
+    return runs
+
+
+class TestSummarize:
+    def test_wins_ties_and_ratio(self):
+        # lower is better for the solve time, higher for the step rate;
+        # pair 1 ties on both and counts for neither side
+        parent = [{"solve_mean_ms": 3.0, "steps_per_s": 10.0},
+                  {"solve_mean_ms": 2.0, "steps_per_s": 20.0},
+                  {"solve_mean_ms": 5.0, "steps_per_s": 30.0},
+                  {"solve_mean_ms": 4.0, "steps_per_s": 40.0}]
+        change = [{"solve_mean_ms": 2.5, "steps_per_s": 12.0},
+                  {"solve_mean_ms": 2.0, "steps_per_s": 20.0},
+                  {"solve_mean_ms": 6.0, "steps_per_s": 25.0},
+                  {"solve_mean_ms": 1.0, "steps_per_s": 41.0}]
+        out = bench.summarize(paired(parent, change), ["parent", "change"],
+                              METRICS)
+        table = out["transient-dnn seed 301"]
+        solve, rate = table["solve_mean_ms"], table["steps_per_s"]
+        assert (solve["wins"], solve["pairs"]) == (2, 4)
+        assert (rate["wins"], rate["pairs"]) == (2, 4)
+        assert solve["parent"]["median"] == 3.5
+        assert solve["change"]["median"] == 2.25
+        assert solve["change/parent"] == 2.25 / 3.5
+        q1, q3 = np.percentile([3.0, 2.0, 5.0, 4.0], [25, 75])
+        assert (solve["parent"]["q1"], solve["parent"]["q3"]) == (q1, q3)
+        assert solve["parent"]["n"] == 4
+        assert rate["change/parent"] == 22.5 / 25.0
+
+    def test_failed_attempted_and_correct(self):
+        runs = [run("parent", 0, {"solve_mean_ms": 1.0}, failed=1,
+                    attempted=40),
+                run("parent", 1, {"solve_mean_ms": 1.0}, failed=2,
+                    attempted=60),
+                run("change", 0, {"solve_mean_ms": 1.0}, attempted=40),
+                run("change", 1, {"solve_mean_ms": 1.0}, attempted=60,
+                    correct=False)]
+        table = bench.summarize(runs, ["parent", "change"],
+                                {"solve_mean_ms": "lower"})[
+                                    "transient-dnn seed 301"]
+        assert table["failed/attempted"] == {"parent": "3/100",
+                                             "change": "0/100"}
+        assert table["correct"] == {"parent": True, "change": False}
+
+    def test_one_checkout(self):
+        runs = [run("only", k, {"solve_mean_ms": v}, workload=w, seed=s)
+                for k, v in enumerate([1.0, 3.0, 2.0])
+                for w, s in (("cold-start", 301), ("cold-start", 311))]
+        out = bench.summarize(runs, ["only"], {"solve_mean_ms": "lower"})
+        assert sorted(out) == ["cold-start seed 301", "cold-start seed 311"]
+        row = out["cold-start seed 301"]["solve_mean_ms"]
+        assert set(row) == {"only"}
+        assert row["only"]["median"] == 2.0 and row["only"]["n"] == 3
+        assert out["cold-start seed 311"]["failed/attempted"] == {
+            "only": "0/300"}
+
+
+class TestParseArgs:
+    BASE = ["--tag", "t", "--workload", "cold-start", "--seed", "301"]
+
+    def test_accepts_one_or_two_checkouts(self):
+        args = bench.parse_args(self.BASE + ["--checkout", "a=.",
+                                             "--checkout", "b=../b"])
+        assert args.checkout == ["a=.", "b=../b"] and args.pairs == 10
+        assert bench.parse_args(self.BASE + ["--checkout", "a=."]).seed == [301]
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--checkout", "a=.", "--checkout", "b=.", "--checkout", "c=."],
+        ["--checkout", "a=.", "--pairs", "0"],
+    ], ids=["no-checkout", "three-checkouts", "zero-pairs"])
+    def test_rejects(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench.parse_args(self.BASE + extra)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("missing", ["--tag", "--workload", "--seed"])
+    def test_requires(self, missing, capsys):
+        argv = list(self.BASE)
+        i = argv.index(missing)
+        del argv[i:i + 2]
+        with pytest.raises(SystemExit) as exc:
+            bench.parse_args(argv + ["--checkout", "a=."])
+        assert exc.value.code == 2

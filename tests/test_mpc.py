@@ -312,8 +312,8 @@ class TestLearnedRollout:
         for _ in range(3):
             x = rng.uniform(-0.5, 0.5, 2)
             c = rng.uniform(-0.2, 0.2, p.n_dec)
-            za, va, zla, Ja = _learned_rollout(p, x, c)
-            zb, vb, zlb, Jb = _learned_rollout(q, x, c)
+            _, zla, Ja = _learned_rollout(p, x, c)
+            _, zlb, Jb = _learned_rollout(q, x, c)
             assert np.allclose(zla, zlb, atol=1e-13)
             assert np.allclose(Ja, Jb, atol=1e-13)
 
@@ -322,13 +322,13 @@ class TestLearnedRollout:
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.3, 0.3, 2)
         c = rng.uniform(-0.1, 0.1, p.n_dec)
-        _, _, z0, Jz = _learned_rollout(p, x, c)
+        _, z0, Jz = _learned_rollout(p, x, c)
         eps = 1e-6
         for j in range(p.n_dec):
             dc = np.zeros(p.n_dec)
             dc[j] = eps
-            _, _, zp, _ = _learned_rollout(p, x, c + dc)
-            _, _, zm, _ = _learned_rollout(p, x, c - dc)
+            _, zp, _ = _learned_rollout(p, x, c + dc)
+            _, zm, _ = _learned_rollout(p, x, c - dc)
             fd = (zp - zm) / (2 * eps)
             assert np.max(np.abs(Jz[:, j] - fd)) < 1e-4
 
@@ -342,7 +342,7 @@ class TestLearnedRollout:
         lin = solve_linear_mpc(problem(model, setup), x)
         zbar, v = p.nominal_traj(x, lin.c)
         from lbmpc.mpc import _objective
-        _, _, z_lin, _ = _learned_rollout(p, x, lin.c)
+        _, z_lin, _ = _learned_rollout(p, x, lin.c)
         assert sol.objective <= _objective(p, z_lin, v) + 1e-9
 
 
@@ -385,13 +385,13 @@ def reference_learned_rollout(p, x, c, rollout):
     return zbar, v, z, Jz
 
 
-def with_oracle(p, kind, rng):
-    """Copy of problem p whose oracle is a nonzero network, a filled kernel
-    estimator or zero."""
+def with_oracle(p, kind, rng, hidden=(8, 6)):
+    """Copy of problem p whose oracle is a nonzero network (of the given
+    hidden widths), a filled kernel estimator or zero."""
     d, m = p.model.B.shape
     q = copy.copy(p)
     if kind == "dnn":
-        arch = NetworkArch(d + m, (8, 6), d)
+        arch = NetworkArch(d + m, hidden, d)
         st = new_oracle(arch, W_bar=np.full(d, 0.2), gamma=0.3, seed=5)
         q.oracle = network_adapter(OracleState(
             arch=arch, hidden=st.hidden, K=0.05 * rng.normal(size=st.K.shape),
@@ -414,9 +414,16 @@ def bundled_problem():
 
 
 class TestRolloutBitEquality:
-    """The stage matrices built before the recursion and the network's row
-    buffer reorder no sum (with m = 1, as on both plants here), so z and
-    dz/dc match the stage-by-stage loops bit for bit."""
+    """The network's packed layers and output-side Jacobian, and the one
+    triangular solve for dz/dc, reorder sums: the network's z and stage
+    Jacobians and every oracle's dz/dc match the stage-by-stage loops at the
+    reference traces' tolerance.  What kept its arithmetic matches bit for
+    bit: v, the zero-oracle and kernel z, and a solve's zbar and v."""
+
+    @staticmethod
+    def assert_close(a, b):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @pytest.fixture(params=["toy", "bundled"])
     def plant_problem(self, request, model, setup, bundled_problem):
@@ -435,24 +442,75 @@ class TestRolloutBitEquality:
         for _ in range(5):
             x = rng.uniform(-0.1, 0.1, d)
             c = rng.uniform(-0.05, 0.05, p.n_dec)
-            got = _learned_rollout(p, x, c)
-            want = reference_learned_rollout(p, x, c, rollout)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                assert np.array_equal(a, b)
+            v, z, Jz = _learned_rollout(p, x, c)
+            _, v_ref, z_ref, Jz_ref = reference_learned_rollout(p, x, c,
+                                                                rollout)
+            assert np.array_equal(v, v_ref)
+            if kind == "dnn":
+                self.assert_close(z, z_ref)
+            else:
+                assert np.array_equal(z, z_ref)
+            self.assert_close(Jz, Jz_ref)
+
+    @pytest.mark.parametrize("kind", ["dnn", "l2nw", "zero"])
+    def test_solution_trajectories(self, plant_problem, kind):
+        # zbar and v of a solve are the nominal maps at its c
+        p = with_oracle(plant_problem, kind, np.random.default_rng(23))
+        x = 0.01 * np.ones(p.model.d)
+        sol = solve_lbmpc(p, x)
+        zbar, v = p.nominal_traj(x, sol.c)
+        assert np.array_equal(sol.zbar.ravel(), zbar)
+        assert np.array_equal(sol.v.ravel(), v)
+
+    def assert_rollout_matches(self, p, rng):
+        A, B = p.model.A, p.model.B
+        x = rng.uniform(-0.3, 0.3, p.model.d)
+        v = rng.uniform(-0.3, 0.3, p.n_dec)
+        z, Jh = p.oracle.rollout(A, B, x, v)
+        z_ref, Jh_ref = reference_dnn_rollout(p.oracle.state, A, B, x, v)
+        self.assert_close(z, z_ref)
+        self.assert_close(Jh, Jh_ref)
 
     def test_dnn_rollout(self, plant_problem):
         rng = np.random.default_rng(22)
         p = with_oracle(plant_problem, "dnn", rng)
-        A, B = p.model.A, p.model.B
         for _ in range(5):
-            x = rng.uniform(-0.3, 0.3, p.model.d)
-            v = rng.uniform(-0.3, 0.3, p.n_dec)
-            z, Jh = p.oracle.rollout(A, B, x, v)
-            z_ref, Jh_ref = reference_dnn_rollout(p.oracle.state, A, B, x, v)
-            assert z.shape == z_ref.shape and Jh.shape == Jh_ref.shape
-            assert np.array_equal(z, z_ref)
-            assert np.array_equal(Jh, Jh_ref)
+            self.assert_rollout_matches(p, rng)
+
+    @pytest.mark.parametrize("hidden", [(7,), (5, 9, 4)], ids=["1", "3"])
+    def test_dnn_rollout_depths(self, plant_problem, hidden):
+        rng = np.random.default_rng(25)
+        p = with_oracle(plant_problem, "dnn", rng, hidden)
+        for _ in range(5):
+            self.assert_rollout_matches(p, rng)
+
+    def test_no_stale_pack(self, plant_problem):
+        # the packed layers follow the hidden stack through a swap inside
+        # observe and through an assigned state, and K through adapt
+        rng = np.random.default_rng(24)
+        p = with_oracle(plant_problem, "dnn", rng)
+        d, m = p.model.B.shape
+        A, B = p.model.A, p.model.B
+        p.oracle = DnnOracle(
+            p.oracle.state, p.model, ReplayBuffer(16, d + m, d),
+            ScheduleSection(copy_period=3, train_fill=0.1, min_new_samples=2,
+                            seed=7),
+            OracleSection(train_batch=4, train_epochs=3, train_lr=0.01))
+        before = p.oracle.state
+        self.assert_rollout_matches(p, rng)
+        for t in range(4):
+            x, u = rng.uniform(-0.1, 0.1, d), rng.uniform(-0.1, 0.1, m)
+            h = 0.01 * rng.normal(size=d)
+            p.oracle.observe(t, x, u, A @ x + B @ u + h, h)
+            self.assert_rollout_matches(p, rng)
+        assert p.oracle.swap_steps == [3]
+        assert not np.array_equal(p.oracle.state.hidden[0][0],
+                                  before.hidden[0][0])
+        assert not np.array_equal(p.oracle.state.K, before.K)
+        fresh = new_oracle(before.arch, W_bar=before.W_bar,
+                           gamma=before.gamma, seed=9)
+        p.oracle.state = replace(fresh, K=before.K)
+        self.assert_rollout_matches(p, rng)
 
 
 class TestFallback:

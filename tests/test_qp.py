@@ -75,10 +75,12 @@ class TestValidation:
             QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2))
 
     def test_validate_false_skips_eig_check(self):
-        # with validation off the constructor must still symmetrize
-        p = QpProblem(H=np.array([[1.0, 0.3], [0.3, 1.0]]), g=np.zeros(2),
-                      validate=False)
-        assert np.allclose(p.H, p.H.T)
+        # with validation off the problem holds the caller's arrays as given,
+        # an indefinite H among them
+        H, g = np.diag([1.0, -1.0]), np.zeros(2)
+        G, h = np.eye(2), np.ones(2)
+        p = QpProblem(H=H, g=g, G=G, h_in=h, validate=False)
+        assert p.H is H and p.g is g and p.G is G and p.h_in is h
 
     def test_matrix_without_offsets_rejected(self):
         with pytest.raises(ValueError):
