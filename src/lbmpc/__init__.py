@@ -17,7 +17,7 @@ from .oracle import (NetworkArch, OracleState, new_oracle, predict, adapt,
                      l2nw_predict)
 from .qp import QpProblem, QpSolution, qp_solve
 from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, build_margins,
-                  solve_lbmpc, solve_linear_mpc, shift_solution,
+                  solve_lbmpc, shift_solution,
                   synthesize_gain, synthesize_tube_gain, solve_lyapunov_P,
                   MpcError, MpcInfeasible, EmptyTightenedSet)
 from .runtime import (ClosedLoopTrace, run_closed_loop,

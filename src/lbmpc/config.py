@@ -151,12 +151,13 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("oracle.buffer_policy must be fifo or diversity")
     if not (0.0 < s.oracle.gamma < 1.0):
         raise ConfigError("oracle.gamma must be in (0, 1)")
-    for name in ("w_bar_factor", "l2nw_bandwidth_factor", "l2nw_lambda"):
+    for name in ("w_bar_factor", "l2nw_bandwidth_factor", "l2nw_lambda",
+                 "train_lr"):
         if not 0.0 < getattr(s.oracle, name) < math.inf:
             raise ConfigError("oracle.%s must be finite and positive" % name)
     if not s.oracle.hidden or not all(w >= 1 for w in s.oracle.hidden):
         raise ConfigError("oracle.hidden needs one or more widths >= 1")
-    for name in ("buffer_capacity", "train_batch"):
+    for name in ("buffer_capacity", "train_batch", "train_epochs"):
         if getattr(s.oracle, name) < 1:
             raise ConfigError("oracle.%s must be >= 1" % name)
     for name in ("beta", "zeta", "omega_n", "T"):
@@ -182,6 +183,8 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("controller.tube_margin_target must be in (0, 1]")
     if s.controller.sqp_max_iter < 1:
         raise ConfigError("controller.sqp_max_iter must be >= 1")
+    if not 0.0 < s.controller.sqp_tol < math.inf:
+        raise ConfigError("controller.sqp_tol must be finite and positive")
     if s.controller.N < 1:
         raise ConfigError("controller.N must be >= 1")
     if s.schedule.copy_period < 1:

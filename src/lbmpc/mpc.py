@@ -7,13 +7,15 @@ the oracle; the cost is evaluated on the learned trajectory z, which rolls
 the oracle estimate through the dynamics and is handled by a short
 Gauss-Newton SQP loop.
 
-An oracle adapter (one per kind, in the oracle module) gives the solver a
-flag, ``is_zero``, that sends a solve to the linear baseline's single QP,
-and one method, ``rollout(A, B, x, v)``: the learned trajectory z (z_0 = x,
+An oracle adapter (one per kind, in the oracle module) gives the solver
+one method, ``rollout(A, B, x, v)``: the learned trajectory z (z_0 = x,
 z_{i+1} = A z_i + B v_i + h(z_i, v_i)) over i = 0..N and the stage
-Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array.  Only the closed loop
-updates an oracle.  The solver gets dz/dc from those Jacobians by one
-triangular solve of the block-bidiagonal recursion (see _learned_rollout).
+Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array, and a flag, ``is_zero``,
+that ends the SQP after its first step: with h = 0 the cost is exactly
+quadratic, so that step is the minimizer, and the linear tube MPC baseline
+is the same program as the learned one.  Only the closed loop updates an
+oracle.  The solver gets dz/dc from the stage Jacobians by one triangular
+solve of the block-bidiagonal recursion (see _learned_rollout).
 """
 
 from __future__ import annotations
@@ -203,10 +205,8 @@ class LbmpcProblem:
     # cost: quadratic weights stacked over the trajectory
     Qbar: np.ndarray = field(init=False)
     Rbar: np.ndarray = field(init=False)
-    H_lin: np.ndarray = field(init=False)
     # constant factors of the SQP's H and g, products in the order the
-    # solves would form them (Tz'Qbar, Tv'Rbar, Tv'Rbar Tv, 1e-9 I)
-    TzQ: np.ndarray = field(init=False)
+    # solves would form them (Tv'Rbar, Tv'Rbar Tv, 1e-9 I)
     TvR: np.ndarray = field(init=False)
     TvRTv: np.ndarray = field(init=False)
     reg: np.ndarray = field(init=False)
@@ -265,12 +265,9 @@ class LbmpcProblem:
         for i in range(N):
             Rbar[i * m:(i + 1) * m, i * m:(i + 1) * m] = cfg.R
         self.Qbar, self.Rbar = Qbar, Rbar
-        self.TzQ, self.TvR = Tz.T @ Qbar, Tv.T @ Rbar
+        self.TvR = Tv.T @ Rbar
         self.TvRTv = self.TvR @ Tv
         self.reg = 1e-9 * np.eye(N * m)
-        H_lin = 2.0 * (self.TzQ @ Tz + self.TvRTv)
-        # symmetric to the last bit, as QpProblem(validate=False) keeps H
-        self.H_lin = 0.5 * (H_lin + H_lin.T)
 
     @property
     def n_dec(self) -> int:
@@ -307,14 +304,10 @@ def build_margins(model, cfg: ControllerConfig, omega: Polytope) -> TighteningDa
 @dataclass(frozen=True)
 class MpcSolution:
     c: np.ndarray
-    zbar: np.ndarray      # (N+1, d) nominal trajectory
-    z: np.ndarray         # (N+1, d) learned trajectory
-    v: np.ndarray         # (N, m)
     u: np.ndarray         # applied input, v_0
     status: str           # 'optimal' | 'fallback'
     sqp_iters: int
     wall_time: float
-    objective: float
 
 
 def shift_solution(prev: MpcSolution, m: int):
@@ -348,21 +341,11 @@ def _learned_rollout(p: LbmpcProblem, x, c):
     return v, z, Jz
 
 
-def _objective(p: LbmpcProblem, z, v):
-    return float(z @ p.Qbar @ z + v @ p.Rbar @ v)
-
-
-def _make_solution(p, x, c, status, sqp_iters, t0, z=None):
-    """The solution at c; z is rolled out again unless given."""
-    zbar, v = p.nominal_traj(x, c)
-    if z is None:
-        z = _learned_rollout(p, x, c)[1]
-    d, m, N = p.model.d, p.model.m, p.cfg.N
-    return MpcSolution(c=c.copy(), zbar=zbar.reshape(N + 1, d),
-                       z=z.reshape(N + 1, d), v=v.reshape(N, m),
-                       u=v[:m].copy(), status=status, sqp_iters=sqp_iters,
-                       wall_time=time.perf_counter() - t0,
-                       objective=_objective(p, z, v))
+def _make_solution(p, x, c, status, sqp_iters, t0):
+    """The solution at c, its input v_0 from the nominal map."""
+    return MpcSolution(c=c, u=(p.Sv @ x + p.Tv @ c)[:p.model.m],
+                       status=status, sqp_iters=sqp_iters,
+                       wall_time=time.perf_counter() - t0)
 
 
 def _qp_step(prob) -> np.ndarray:
@@ -375,37 +358,23 @@ def _qp_step(prob) -> np.ndarray:
     return sol.x
 
 
-def solve_linear_mpc(p: LbmpcProblem, x) -> MpcSolution:
-    """Single tube-MPC QP (zero oracle); cost on the nominal trajectory."""
-    t0 = time.perf_counter()
-    x = np.asarray(x, dtype=float).reshape(-1)
-    # Sz x and Sv x first: the product order fixes the rounding of the
-    # pinned reference traces
-    g = 2.0 * (p.TzQ @ (p.Sz @ x) + p.TvR @ (p.Sv @ x))
-    prob = qpmod.QpProblem(H=p.H_lin, g=g, G=p.Gc, h_in=p.rhs0 - p.Gx @ x,
-                           validate=False)
-    return _make_solution(p, x, _qp_step(prob), "optimal", 1, t0)
-
-
-def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
+def solve_lbmpc(p: LbmpcProblem, x, warm_c=None) -> MpcSolution:
     """Gauss-Newton SQP on the learned-trajectory cost.
 
-    ``warm`` is None or a dict with the shifted previous perturbations
-    ``"c"``, the SQP's first linearization point.  Constraints stay linear
-    in c, so every iterate is feasible once the first QP succeeds.  On any
-    solver failure (a QP that does not end 'optimal', a non-finite oracle
-    output among them) the warm ``c`` is returned with status 'fallback' if
-    it is feasible at x; otherwise MpcInfeasible is raised.  The wall time
-    of either outcome counts from entry.
+    ``warm_c`` is None or the shifted previous perturbations, the SQP's
+    first linearization point.  Constraints stay linear in c, so every
+    iterate is feasible once the first QP succeeds.  The loop ends after a
+    step below ``sqp_tol``, after ``sqp_max_iter`` steps, or, for a zero
+    oracle, after the first step, which minimizes its exactly quadratic
+    cost.  On any solver failure (a QP that does not end 'optimal', a
+    non-finite oracle output among them) ``warm_c`` is returned with status
+    'fallback' if it is feasible at x; otherwise MpcInfeasible is raised.
+    The wall time of either outcome counts from entry.
     """
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
-    warm = warm or {}
-    warm_c = warm.get("c")
     iters = 0
     try:
-        if p.oracle.is_zero:
-            return solve_linear_mpc(p, x)
         rhs = p.rhs0 - p.Gx @ x
         c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
         for iters in range(1, p.sqp_max_iter + 1):
@@ -421,16 +390,12 @@ def solve_lbmpc(p: LbmpcProblem, x, warm=None) -> MpcSolution:
                                    validate=False)
             step = _qp_step(prob)
             c = c + step
-            if np.linalg.norm(step) < p.sqp_tol:
-                # the step is below the SQP tolerance, so a first-order
-                # update of the learned trajectory is accurate enough and
-                # saves one full network rollout
-                return _make_solution(p, x, c, "optimal", iters, t0,
-                                      z=z + Jz @ step)
+            if p.oracle.is_zero or np.linalg.norm(step) < p.sqp_tol:
+                break
         return _make_solution(p, x, c, "optimal", iters, t0)
 
     except MpcError as exc:
         if warm_c is not None and p.feasible(x, warm_c):
-            return _make_solution(p, x, np.asarray(warm_c, dtype=float),
+            return _make_solution(p, x, np.array(warm_c, dtype=float),
                                   "fallback", iters, t0)
         raise MpcInfeasible("%s; no feasible fallback" % exc) from exc

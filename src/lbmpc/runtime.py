@@ -226,10 +226,10 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     oracle = setup.oracle_adapter
     rows = []
     x = setup.x0.copy()
-    warm = None
+    c_shift = None
     for t in range(scenario.run.steps):
         try:
-            sol = mpc.solve_lbmpc(problem, x, warm=warm)
+            sol = mpc.solve_lbmpc(problem, x, warm_c=c_shift)
         except mpc.MpcError as exc:
             if t == 0:
                 raise InfeasibleAtStart(
@@ -260,7 +260,6 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
             input_margin=float(np.min(model.U.h - model.U.F @ u)),
             shift_feasible=problem.feasible(x_next, c_shift),
             h_in_w=model.W.contains(h)))
-        warm = {"c": c_shift}
         x = x_next
 
     return ClosedLoopTrace.from_rows(

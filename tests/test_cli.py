@@ -81,10 +81,15 @@ class TestSimulate:
     def test_env_override_validated(self, tmp_path, monkeypatch):
         # the environment override goes through the same validation as the
         # file, so a bad value is a config error, not a traceback
-        monkeypatch.setenv("LBMPC_SCHEDULE_MIN_NEW_SAMPLES", "0")
-        rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
+        for name, value in (("SCHEDULE_MIN_NEW_SAMPLES", "0"),
+                            ("CONTROLLER_SQP_TOL", "-1"),
+                            ("ORACLE_TRAIN_EPOCHS", "-5"),
+                            ("ORACLE_TRAIN_LR", "nan")):
+            with monkeypatch.context() as env:
+                env.setenv("LBMPC_" + name, value)
+                rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
+                           "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG, name
 
     def test_substeps_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LBMPC_PLANT_SUBSTEPS", "0")

@@ -100,8 +100,11 @@ class TestValidation:
 
     def test_controller_settings(self):
         # sqp_max_iter = 0 solved no QP, r <= 0 and a target outside (0, 1]
-        # ran, and a NaN weight ended as "no gain found"
-        for line in ("sqp_max_iter = 0", "r = -1", "r = 0", "r = nan",
+        # ran, a NaN weight ended as "no gain found", and sqp_tol = -1 ran
+        # every SQP to its iteration cap
+        for line in ("sqp_max_iter = 0", "sqp_tol = -1", "sqp_tol = 0",
+                     "sqp_tol = nan", "sqp_tol = inf", "r = -1", "r = 0",
+                     "r = nan",
                      "r = inf", "q_diag = -1 1 1 1", "q_diag = 1 nan 1 1",
                      "q_diag = 1 1 inf 1", "tube_margin_target = nan",
                      "tube_margin_target = -1", "tube_margin_target = 0",
@@ -110,17 +113,18 @@ class TestValidation:
                 parse_scenario("[controller]\n%s\n" % line,
                                environ=EMPTY_ENV)
         s = parse_scenario("[controller]\nsqp_max_iter = 1\nr = 0.01\n"
-                           "q_diag = 0 1 1 1\ntube_margin_target = 1\n",
-                           environ=EMPTY_ENV)
+                           "q_diag = 0 1 1 1\ntube_margin_target = 1\n"
+                           "sqp_tol = 1e-12\n", environ=EMPTY_ENV)
         assert (s.controller.sqp_max_iter, s.controller.r,
-                s.controller.q_diag, s.controller.tube_margin_target) \
-            == (1, 0.01, (0.0, 1.0, 1.0, 1.0), 1.0)
+                s.controller.q_diag, s.controller.tube_margin_target,
+                s.controller.sqp_tol) \
+            == (1, 0.01, (0.0, 1.0, 1.0, 1.0), 1.0, 1e-12)
 
     @pytest.mark.parametrize("name", ["l2nw_bandwidth_factor",
-                                      "l2nw_lambda"])
+                                      "l2nw_lambda", "train_lr"])
     def test_l2nw_settings_finite_and_positive(self, name):
         # 0 ended in a traceback; a NaN bandwidth made nearly every step a
-        # fallback and still exited 0
+        # fallback and still exited 0; a NaN learning rate parsed
         for value in ("0", "-1", "nan", "inf"):
             with pytest.raises(ConfigError):
                 parse_scenario("[oracle]\n%s = %s\n" % (name, value),
@@ -149,11 +153,14 @@ class TestValidation:
 
     def test_train_batch_at_least_one(self):
         # a batch of 0 failed at the first trainer event with "float
-        # division by zero"
-        with pytest.raises(ConfigError):
-            parse_scenario("[oracle]\ntrain_batch = 0\n", environ=EMPTY_ENV)
-        s = parse_scenario("[oracle]\ntrain_batch = 1\n", environ=EMPTY_ENV)
-        assert s.oracle.train_batch == 1
+        # division by zero"; a negative epoch count parsed
+        for line in ("train_batch = 0", "train_epochs = 0",
+                     "train_epochs = -5"):
+            with pytest.raises(ConfigError):
+                parse_scenario("[oracle]\n%s\n" % line, environ=EMPTY_ENV)
+        s = parse_scenario("[oracle]\ntrain_batch = 1\ntrain_epochs = 1\n",
+                           environ=EMPTY_ENV)
+        assert (s.oracle.train_batch, s.oracle.train_epochs) == (1, 1)
 
     def test_x0_finite(self):
         for value in ("nan 0 0 0", "-0.12 inf 0 0"):

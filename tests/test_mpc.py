@@ -21,7 +21,7 @@ from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import OracleSection, ScheduleSection, load_scenario
 from lbmpc.mpc import (ControllerConfig, EmptyTightenedSet, LbmpcProblem,
                        MpcError, MpcInfeasible, build_margins, margin_ratio,
-                       shift_solution, solve_linear_mpc, solve_lbmpc,
+                       shift_solution, solve_lbmpc,
                        solve_lyapunov_P, synthesize_gain,
                        synthesize_tube_gain, _learned_rollout)
 from lbmpc.oracle import (DnnOracle, L2nwEstimator, NetworkArch, OracleState,
@@ -86,6 +86,16 @@ def setup(model):
 def problem(model, setup, oracle=None):
     cfg, omega, margins = setup
     return LbmpcProblem(model, cfg, omega, margins, oracle or ZeroOracle())
+
+
+def nominal_cost(p, x, c):
+    zbar, v = p.nominal_traj(x, c)
+    return zbar @ p.Qbar @ zbar + v @ p.Rbar @ v
+
+
+def learned_cost(p, x, c):
+    v, z, _ = _learned_rollout(p, x, c)
+    return z @ p.Qbar @ z + v @ p.Rbar @ v
 
 
 class TestGainSynthesis:
@@ -220,34 +230,45 @@ class TestLinearMpc:
     def test_matches_slsqp(self, model, setup):
         p = problem(model, setup)
         rng = np.random.default_rng(2)
-
-        def obj(c, x):
-            zbar, v = p.nominal_traj(x, c)
-            return zbar @ p.Qbar @ zbar + v @ p.Rbar @ v
-
         for _ in range(4):
             x = rng.uniform(-0.6, 0.6, 2)
             sol = solve_lbmpc(p, x)
             rhs = p.rhs0 - p.Gx @ x
             cons = {"type": "ineq", "fun": lambda c: rhs - p.Gc @ c}
-            ref = minimize(obj, np.zeros(p.n_dec), args=(x,), method="SLSQP",
-                           constraints=[cons],
+            ref = minimize(lambda c: nominal_cost(p, x, c), np.zeros(p.n_dec),
+                           method="SLSQP", constraints=[cons],
                            options={"maxiter": 400, "ftol": 1e-12})
             assert ref.success
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+            assert nominal_cost(p, x, sol.c) == pytest.approx(ref.fun, abs=1e-6)
 
-    def test_zero_oracle_routes_to_linear(self, model, setup):
-        p = problem(model, setup)
-        x = np.array([0.4, -0.3])
-        a = solve_lbmpc(p, x)
-        b = solve_linear_mpc(p, x)
-        assert np.allclose(a.c, b.c, atol=1e-9)
-        assert np.allclose(a.z, a.zbar)   # zero oracle: learned == nominal
+    def test_zero_oracle_routes_to_linear(self, model, setup,
+                                          bundled_problem):
+        # the zero oracle's SQP stops after one step, cold or warm, at the
+        # minimizer of the nominal cost: one QP built here from the
+        # prediction maps (no active row at the first x, two at the others)
+        toy = problem(model, setup)
+        bundled = with_oracle(bundled_problem, "zero", None)
+        for p, x in ((toy, np.array([0.4, -0.3])),
+                     (toy, np.array([2.0, 2.5])),
+                     (bundled, np.array([-0.12, 0.06, 0.0, 0.0]))):
+            H = 2.0 * (p.Tz.T @ p.Qbar @ p.Tz + p.Tv.T @ p.Rbar @ p.Tv)
+            g = 2.0 * (p.Tz.T @ p.Qbar @ p.Sz @ x + p.Tv.T @ p.Rbar @ p.Sv @ x)
+            ref = qpmod.qp_solve(qpmod.QpProblem(H=H, g=g, G=p.Gc,
+                                                 h_in=p.rhs0 - p.Gx @ x))
+            assert ref.status == "optimal"
+            for warm in (None, np.full(p.n_dec, 0.05)):
+                sol = solve_lbmpc(p, x, warm_c=warm)
+                assert (sol.status, sol.sqp_iters) == ("optimal", 1)
+                np.testing.assert_allclose(sol.c, ref.x, rtol=0.0, atol=1e-9)
+            # zero oracle: the learned trajectory and its dz/dc are nominal
+            _, z, Jz = _learned_rollout(p, x, sol.c)
+            assert np.allclose(z, p.nominal_traj(x, sol.c)[0])
+            assert np.allclose(Jz, p.Tz)
 
     def test_infeasible_initial_state(self, model, setup):
         p = problem(model, setup)
         with pytest.raises(MpcInfeasible):
-            solve_linear_mpc(p, np.array([4.99, 4.99]))
+            solve_lbmpc(p, np.array([4.99, 4.99]))
 
     def test_shifted_solution_stays_feasible(self, model, setup):
         p = problem(model, setup)
@@ -258,7 +279,7 @@ class TestLinearMpc:
             x = model.A @ x + model.B @ sol.u     # no disturbance
             c_shift = shift_solution(sol, model.m)
             assert p.feasible(x, c_shift)
-            sol = solve_lbmpc(p, x, warm={"c": c_shift})
+            sol = solve_lbmpc(p, x, warm_c=c_shift)
         assert np.linalg.norm(x) < 0.8
 
 
@@ -339,11 +360,8 @@ class TestLearnedRollout:
         assert sol.status == "optimal"
         assert p.feasible(x, sol.c)
         # learned objective should not exceed the zero-oracle warm start cost
-        lin = solve_linear_mpc(problem(model, setup), x)
-        zbar, v = p.nominal_traj(x, lin.c)
-        from lbmpc.mpc import _objective
-        _, z_lin, _ = _learned_rollout(p, x, lin.c)
-        assert sol.objective <= _objective(p, z_lin, v) + 1e-9
+        lin = solve_lbmpc(problem(model, setup), x)
+        assert learned_cost(p, x, sol.c) <= learned_cost(p, x, lin.c) + 1e-9
 
 
 def reference_dnn_rollout(state, A, B, x, v):
@@ -418,7 +436,7 @@ class TestRolloutBitEquality:
     triangular solve for dz/dc, reorder sums: the network's z and stage
     Jacobians and every oracle's dz/dc match the stage-by-stage loops at the
     reference traces' tolerance.  What kept its arithmetic matches bit for
-    bit: v, the zero-oracle and kernel z, and a solve's zbar and v."""
+    bit: v, the zero-oracle and kernel z, and a solve's applied input."""
 
     @staticmethod
     def assert_close(a, b):
@@ -454,13 +472,11 @@ class TestRolloutBitEquality:
 
     @pytest.mark.parametrize("kind", ["dnn", "l2nw", "zero"])
     def test_solution_trajectories(self, plant_problem, kind):
-        # zbar and v of a solve are the nominal maps at its c
+        # the applied input of a solve is v_0 of the nominal map at its c
         p = with_oracle(plant_problem, kind, np.random.default_rng(23))
         x = 0.01 * np.ones(p.model.d)
         sol = solve_lbmpc(p, x)
-        zbar, v = p.nominal_traj(x, sol.c)
-        assert np.array_equal(sol.zbar.ravel(), zbar)
-        assert np.array_equal(sol.v.ravel(), v)
+        assert np.array_equal(sol.u, (p.Sv @ x + p.Tv @ sol.c)[:p.model.m])
 
     def assert_rollout_matches(self, p, rng):
         A, B = p.model.A, p.model.B
@@ -526,8 +542,8 @@ class TestFallback:
         first = solve_lbmpc(p, x)
         x = model.A @ x + model.B @ first.u
         # offset so the candidate differs from any c the solver could return
-        warm = {"c": shift_solution(first, model.m) + 0.01}
-        assert p.feasible(x, warm["c"])
+        warm = shift_solution(first, model.m) + 0.01
+        assert p.feasible(x, warm)
 
         def failing_qp(prob):
             time.sleep(0.01)
@@ -536,9 +552,9 @@ class TestFallback:
                                     status=failure, iterations=40)
 
         monkeypatch.setattr(qpmod, "qp_solve", failing_qp)
-        sol = solve_lbmpc(p, x, warm=warm)
+        sol = solve_lbmpc(p, x, warm_c=warm)
         assert sol.status == "fallback"
-        assert np.array_equal(sol.c, warm["c"])
+        assert np.array_equal(sol.c, warm)
         assert sol.wall_time >= 0.01
         # without a warm candidate there is nothing to fall back to
         with pytest.raises(MpcInfeasible):
@@ -554,9 +570,9 @@ class TestFallback:
         seen = {"step": -1, "poisoned": False}
         solve, rollout = mpc.solve_lbmpc, DnnOracle.rollout
 
-        def counted_solve(p, x, warm=None):
+        def counted_solve(p, x, warm_c=None):
             seen["step"] += 1
-            return solve(p, x, warm=warm)
+            return solve(p, x, warm_c=warm_c)
 
         def poisoned_rollout(self, A, B, x, v):
             z, Jh = rollout(self, A, B, x, v)

@@ -11,13 +11,15 @@ with ``LBMPC_RUN_STEPS=200``.  The dnn scenario also runs with
 ``deterministic = false``, which may only change the ``solver_time`` column:
 there it holds the measured wall times instead of zeros.  To regenerate the
 files after a deliberate change of behaviour (and say so in CHANGES.md), run
-from the repository root:
+from the repository root, naming only the scenarios whose trace moved
+(default: all three), so that the others keep their committed bits:
 
-    PYTHONPATH=src python tests/test_reference_traces.py
+    PYTHONPATH=src python tests/test_reference_traces.py [linear dnn l2nw]
 """
 
 import dataclasses
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -76,7 +78,9 @@ def test_matches_reference(name, deterministic):
 
 if __name__ == "__main__":
     os.makedirs(DATA, exist_ok=True)
-    for scenario in SCENARIOS:
+    for scenario in sys.argv[1:] or SCENARIOS:
+        # run before opening, so that a failed run truncates no file
+        text = trace_csv(scenario)
         with open(reference_path(scenario), "w") as fh:
-            fh.write(trace_csv(scenario))
+            fh.write(text)
         print("wrote", reference_path(scenario))
