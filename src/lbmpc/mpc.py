@@ -214,6 +214,11 @@ class LbmpcProblem:
     sqp_tol: float = 1e-8
 
     def __post_init__(self):
+        # sqp_max_iter = 0 would run no QP and return an unchecked c
+        if self.sqp_max_iter < 1:
+            raise ValueError("sqp_max_iter must be >= 1")
+        if not 0.0 < self.sqp_tol < np.inf:
+            raise ValueError("sqp_tol must be finite and positive")
         model, cfg = self.model, self.cfg
         d, m, N = model.d, model.m, cfg.N
         A, B, K = model.A, model.B, cfg.K

@@ -277,7 +277,8 @@ class ReplayBuffer:
     def labels(self) -> np.ndarray:
         return self._H[:self._count]
 
-    def push(self, xu, h):
+    def push(self, xu, h) -> int:
+        """Store one pair; returns the slot it wrote."""
         xu = np.asarray(xu, dtype=float).reshape(-1)
         h = np.asarray(h, dtype=float).reshape(-1)
         if xu.shape != (self.n_in,) or h.shape != (self.n_out,):
@@ -297,6 +298,7 @@ class ReplayBuffer:
         self._H[idx] = h
         if self.policy == "diversity":
             self._update_nearest(idx)
+        return idx
 
     def _distances(self, rows) -> np.ndarray:
         """Squared input distances from ``rows`` to every filled row, inf
@@ -578,12 +580,22 @@ class DnnOracle:
 # L2NW baseline
 
 
+_ONE = np.ones(1)
+
+
 @dataclass
 class L2nwEstimator:
     """Regularized Nadaraya-Watson regressor over a FIFO sample ring.
 
-    Only the filled rows of the ring enter the kernel sums, so the
-    preallocated slots never bias the estimate.
+    The prediction at q and its Jacobian need only kernel-weighted moments
+    of the stored samples, k_i = exp(-|xu_i - q|^2 / 2 bw^2).  So next to
+    the ring the estimator keeps one table row per stored sample, written at
+    the slot ``push`` fills: the exponent terms [xu_i / bw^2,
+    -|xu_i|^2 / (2 bw^2)] and the moments [1, h_i, xu_i, vec(h_i xu_i')].
+    A query is then one product for the exponents, one ``exp`` and one
+    product k @ moments (see ``l2nw_predict_and_jacobian``).  Only the
+    filled rows enter the sums, so the preallocated slots never bias the
+    estimate.
     """
 
     is_zero = False
@@ -601,13 +613,33 @@ class L2nwEstimator:
         if self.bandwidth <= 0.0 or self.lam <= 0.0:
             raise ValueError("bandwidth and lambda must be positive")
         self.buffer = ReplayBuffer(self.capacity, self.n_in, self.n_out)
+        self._bw2 = self.bandwidth ** 2
+        self._exponent_rows = np.zeros((self.capacity, self.n_in + 1))
+        self._moment_rows = np.zeros(
+            (self.capacity, 1 + self.n_out + self.n_in * (1 + self.n_out)))
 
     @property
     def count(self) -> int:
         return len(self.buffer)
 
     def push(self, xu, h):
-        self.buffer.push(xu, h)
+        slot = self.buffer.push(xu, h)
+        xu, h = self.buffer.inputs[slot], self.buffer.labels[slot]
+        self._exponent_rows[slot, :-1] = xu / self._bw2
+        self._exponent_rows[slot, -1] = -(xu @ xu) / (2.0 * self._bw2)
+        row = self._moment_rows[slot]
+        row[0] = 1.0
+        row[1:1 + self.n_out] = h
+        row[1 + self.n_out:1 + self.n_out + self.n_in] = xu
+        row[1 + self.n_out + self.n_in:] = (h[:, None] * xu).ravel()
+
+    def _moments(self, q: np.ndarray) -> np.ndarray:
+        """[sum k, sum k h, sum k xu, vec(sum k h xu')] at ``q``, which is
+        the query followed by a 1."""
+        n = len(self.buffer)
+        e = self._exponent_rows[:n] @ q
+        e -= (q[:-1] @ q[:-1]) / (2.0 * self._bw2)
+        return np.exp(e, out=e) @ self._moment_rows[:n]
 
     def rollout(self, A, B, x, v):
         return _stagewise_rollout(
@@ -619,30 +651,25 @@ class L2nwEstimator:
         return h_hat
 
 
-def _l2nw_kernel(est: L2nwEstimator, q: np.ndarray):
-    """Kernel weights of the stored inputs at q, with the stored rows."""
-    X, H = est.buffer.inputs, est.buffer.labels
-    d2 = np.sum((X - q) ** 2, axis=1)
-    return np.exp(-d2 / (2.0 * est.bandwidth ** 2)), X, H
-
-
 def l2nw_predict(est: L2nwEstimator, x, u) -> np.ndarray:
     """Kernel-weighted label average sum(k h) / (lambda + sum(k)); 0 if empty."""
-    q = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1),
-                        np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)])
-    k, _, H = _l2nw_kernel(est, q)
-    return (k @ H) / (est.lam + k.sum())
+    m = est._moments(np.concatenate((x, u, _ONE), axis=None))
+    return m[1:1 + est.n_out] / (est.lam + m[0])
 
 
 def l2nw_predict_and_jacobian(est: L2nwEstimator, x, u):
-    """(h, dh/dx, dh/du) sharing one kernel evaluation."""
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
-    q = np.concatenate([x, u])
-    k, X, H = _l2nw_kernel(est, q)
-    s = est.lam + k.sum()
-    num = k @ H
-    # dk_i/dq = k_i (x_i - q) / bw^2
-    dk = k[:, None] * (X - q) / est.bandwidth ** 2
-    J = (H.T @ dk) / s - np.outer(num, dk.sum(axis=0)) / s ** 2
-    return num / s, J[:, :x.size], J[:, x.size:]
+    """(h, dh/dx, dh/du) from one moment product.
+
+    With s = lambda + sum k and h = sum(k h) / s, dk_i/dq = k_i (xu_i - q)
+    / bw^2 gives dh/dq = (sum(k h xu') - sum(k h) q' - h (sum(k xu) -
+    (sum k) q)') / (bw^2 s), and sum(k h) - (sum k) h = lambda h, so
+    dh/dq = (sum(k h xu') - h (sum(k xu) + lambda q)') / (bw^2 s).
+    """
+    q = np.concatenate((x, u, _ONE), axis=None)
+    m = est._moments(q)
+    d, p, r = np.size(x), est.n_out, est.n_in
+    s = est.lam + m[0]
+    h = m[1:1 + p] / s
+    g = m[1 + p:1 + p + r] + est.lam * q[:-1]
+    J = (m[1 + p + r:].reshape(p, r) - h[:, None] * g) / (est._bw2 * s)
+    return h, J[:, :d], J[:, d:]

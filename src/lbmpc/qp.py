@@ -8,10 +8,11 @@ iterate is dual feasible and the first primal feasible one is optimal.
 Problems here are tiny (tens of decision variables, a few active rows), so
 one Cholesky factor of H per call and a fresh QR of the few active rows at
 each change cost less than any bookkeeping that would update them.  At
-these sizes the scipy.linalg wrappers' argument checks cost several times
-the arithmetic, so the solver calls the LAPACK routines under them
-(dpotrf, dpotrs, dtrtrs) directly, with the arguments scipy passes, which
-keeps every result bit for bit.
+these sizes the scipy.linalg and numpy.linalg wrappers' argument checks
+cost several times the arithmetic, so the solver calls the LAPACK routines
+under them (dpotrf, dpotrs, dtrtrs, and dgeqrf and dorgqr for the QR)
+directly, with the arguments the wrappers pass, which keeps every result
+bit for bit.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def qp_solve(p: QpProblem) -> QpSolution:
     move by -r and its own multiplier grows.  The full step makes row q
     active; a partial step stops where an active multiplier reaches zero
     and drops that row.  If neither step is finite (w = 0 and no r_k > 0),
-    no dual step can satisfy row q and the problem is infeasible.  The
+    no dual step can satisfy row q and the problem is infeasible; w counts
+    as 0 when it is below rounding or n rows are already active.  The
     method is finite but has no useful worst-case bound, so active-set
     changes are capped at 2 (m + n), every row entering and leaving once
     plus a full active set; the bundled problems take at most 2 n.
@@ -138,36 +140,42 @@ def qp_solve(p: QpProblem) -> QpSolution:
     while True:
         viol = (G @ x - h) / scale
         viol[active] = 0.0
-        q = int(np.argmax(viol)) if m else 0
+        q = int(viol.argmax()) if m else 0
         if not m or viol[q] <= 1e-9:
             return finish(x, "optimal", changes)
         v = lapack.dtrtrs(L, G[q], lower=1)[0]
         while True:
             if changes >= max_changes:
                 return finish(x, "iteration_limit", changes)
+            # partial step: the first active multiplier to reach zero
+            t_part, k = np.inf, -1
             if active:
-                Q, R = np.linalg.qr(W)
-                # R is C-ordered: as scipy does, solve R r = Q'v as the
-                # lower triangular R' transposed
-                r, info = lapack.dtrtrs(R.T, Q.T @ v, lower=1, trans=1)
+                # W = Q R by dgeqrf and dorgqr, as np.linalg.qr(W) builds
+                # it, with Q copied to C order so that Q'v rounds as it does
+                # with numpy's Q.  R r = Q'v is solved as scipy solves it
+                # for a C-ordered R, as the lower triangular R' transposed;
+                # that reads only R's upper triangle, so qr's top rows serve
+                qr, tau = lapack.dgeqrf(W)[:2]
+                Q = np.ascontiguousarray(lapack.dorgqr(qr, tau)[0])
+                r, info = lapack.dtrtrs(qr[:len(active)].T, Q.T @ v,
+                                        lower=1, trans=1)
                 if info != 0:
                     raise np.linalg.LinAlgError("singular active-set factor")
                 w = v - W @ r
+                pos = (r > 0.0).nonzero()[0]
+                if pos.size:
+                    ratios = lam[np.asarray(active)[pos]] / r[pos]
+                    j = int(ratios.argmin())
+                    t_part, k = float(ratios[j]), int(pos[j])
             else:
-                r = np.zeros(0)
                 w = v
             ww = float(w @ w)
-            # full step: the violation of row q falls at rate w'w
+            # full step: the violation of row q falls at rate w'w; with n
+            # active rows every normal depends on theirs, whatever w's
+            # rounding leaves
             t_full = np.inf
-            if ww > 1e-24 * float(v @ v):
+            if ww > 1e-24 * float(v @ v) and len(active) < n:
                 t_full = float(G[q] @ x - h[q]) / ww
-            # partial step: the first active multiplier to reach zero
-            t_part, k = np.inf, -1
-            pos = np.flatnonzero(r > 0.0)
-            if pos.size:
-                ratios = lam[np.asarray(active)[pos]] / r[pos]
-                j = int(np.argmin(ratios))
-                t_part, k = float(ratios[j]), int(pos[j])
             t = min(t_full, t_part)
             if t == np.inf:
                 return finish(x, "infeasible", changes)
@@ -179,8 +187,8 @@ def qp_solve(p: QpProblem) -> QpSolution:
             changes += 1
             if t_full <= t_part:
                 active.append(q)
-                W = np.column_stack([W, v])
+                W = np.concatenate((W, v[:, None]), axis=1)
                 break
             lam[active[k]] = 0.0
             del active[k]
-            W = np.delete(W, k, axis=1)
+            W = np.concatenate((W[:, :k], W[:, k + 1:]), axis=1)

@@ -283,6 +283,17 @@ class TestLinearMpc:
         assert np.linalg.norm(x) < 0.8
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sqp_max_iter", 0), ("sqp_max_iter", -1), ("sqp_tol", 0.0),
+    ("sqp_tol", -1e-8), ("sqp_tol", np.inf), ("sqp_tol", np.nan)])
+def test_problem_rejects_bad_sqp_settings(model, setup, field, value):
+    # with no SQP iteration the solver would return an unchecked c as optimal
+    cfg, omega, margins = setup
+    with pytest.raises(ValueError, match=field):
+        LbmpcProblem(model, cfg, omega, margins, ZeroOracle(),
+                     **{field: value})
+
+
 class TestTightening:
     def test_huge_disturbance_empties_a_stage(self):
         m = toy_model(w=1.2)

@@ -297,6 +297,12 @@ class TestReplayBuffer:
             assert np.array_equal(buf.inputs, X[:count])
             assert np.array_equal(buf.labels, H[:count])
 
+    def test_push_returns_slot_written(self):
+        buf = ReplayBuffer(3, 1, 1)
+        slots = [buf.push([v], [v]) for v in range(5)]
+        assert slots == [0, 1, 2, 0, 1]
+        assert buf.inputs[:, 0].tolist() == [3.0, 4.0, 2.0]
+
     def test_sample_and_insufficient(self):
         buf = ReplayBuffer(capacity=10, n_in=2, n_out=1)
         for i in range(4):
@@ -447,6 +453,70 @@ class TestL2nw:
             with pytest.raises(ValueError):
                 est.push(np.array(xu), np.array(h))
         assert est.count == 0
+
+    @staticmethod
+    def wrapped_estimator(bandwidth, seed=3):
+        """A 5-in, 4-out estimator after 1.5x its capacity of pushes."""
+        rng = np.random.default_rng(seed)
+        est = L2nwEstimator(capacity=40, n_in=5, n_out=4,
+                            bandwidth=bandwidth)
+        for _ in range(60):
+            est.push(rng.uniform(-0.5, 0.5, size=5),
+                     rng.normal(scale=0.01, size=4))
+        return est, rng
+
+    @staticmethod
+    def direct(est, x, u):
+        """The kernel sums formed over the stored rows, as (h, J)."""
+        q = np.concatenate([x, u])
+        X, H = est.buffer.inputs, est.buffer.labels
+        k = np.exp(-np.sum((X - q) ** 2, axis=1) / (2.0 * est.bandwidth ** 2))
+        s = est.lam + k.sum()
+        num = k @ H
+        dk = k[:, None] * (X - q) / est.bandwidth ** 2
+        J = (H.T @ dk) / s - np.outer(num, dk.sum(axis=0)) / s ** 2
+        return num / s, J
+
+    @pytest.mark.parametrize("bandwidth", [0.05, 2.0])
+    def test_moments_match_direct_sums(self, bandwidth):
+        # the moment form's rounding is relative to the moments: where one
+        # sample dominates the weights, J cancels down to lambda-sized terms
+        # that only an absolute tolerance on the moments' scale can judge,
+        # sum k |h| |xu| / (bw^2 s) <= max |h| max |xu| / bw^2
+        est, rng = self.wrapped_estimator(bandwidth)
+        X, H = est.buffer.inputs, est.buffer.labels
+        scale = np.abs(H).max() * np.abs(X).max() / bandwidth ** 2
+        for i in range(20):
+            q = X[i % len(X)] + rng.normal(scale=bandwidth, size=5)
+            h_ref, J_ref = self.direct(est, q[:4], q[4:])
+            h, Jx, Ju = l2nw_predict_and_jacobian(est, q[:4], q[4:])
+            np.testing.assert_allclose(h, h_ref, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(l2nw_predict(est, q[:4], q[4:]),
+                                       h_ref, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(np.hstack([Jx, Ju]), J_ref,
+                                       rtol=1e-10, atol=1e-13 * scale)
+
+    def test_table_rows_follow_the_ring(self):
+        est, _ = self.wrapped_estimator(2.0)
+        assert est.count == est.capacity
+        X, H = est.buffer.inputs, est.buffer.labels
+        rows = np.hstack([np.ones((len(X), 1)), H, X,
+                          (H[:, :, None] * X[:, None, :]).reshape(len(X), -1)])
+        assert np.array_equal(est._moment_rows[:len(X)], rows)
+        expo = np.hstack([X / 4.0, -np.sum(X * X, axis=1, keepdims=True) / 8.0])
+        np.testing.assert_allclose(est._exponent_rows[:len(X)], expo,
+                                   rtol=1e-15)
+
+    def test_empty_rollout_is_zero(self):
+        est = L2nwEstimator(capacity=8, n_in=3, n_out=2, bandwidth=1.0)
+        A, B = np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0], [0.1]])
+        x, v = np.array([0.3, -0.2]), np.array([0.5, -0.1, 0.2])
+        z, Jh = est.rollout(A, B, x, v)
+        assert not Jh.any()
+        ref = [x]
+        for vi in v:
+            ref.append(A @ ref[-1] + B @ [vi])
+        assert np.array_equal(z, np.concatenate(ref))
 
 
 class TestAdapterProtocol:

@@ -236,6 +236,21 @@ class TestDegenerate:
             assert active_set_oracle(p) is None
             assert qp_solve(p).status == "infeasible"
 
+    @pytest.mark.parametrize("seed", [957, 2740, 3204, 4090])
+    def test_full_active_set_proves_infeasibility(self, seed):
+        # ill-conditioned infeasible problems where, with n rows active,
+        # rounding leaves w'w of the next row above its threshold: such a
+        # row depends on the active rows all the same, and must not enter
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(4, 4))
+        G = rng.normal(size=(8, 4))
+        G[1] = 2.0 * G[0]
+        p = QpProblem(H=M @ M.T + 0.1 * np.eye(4),
+                      g=rng.normal(size=4) * 3, G=G,
+                      h_in=rng.normal(size=8) - 3.0)
+        assert active_set_oracle(p) is None
+        assert qp_solve(p).status == "infeasible"
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize("field", ["H", "g", "h_in"])
@@ -351,7 +366,7 @@ def reference_qp_solve(p: QpProblem) -> QpSolution:
                 w = v
             ww = float(w @ w)
             t_full = np.inf
-            if ww > 1e-24 * float(v @ v):
+            if ww > 1e-24 * float(v @ v) and len(active) < n:
                 t_full = float(G[q] @ x - h[q]) / ww
             t_part, k = np.inf, -1
             pos = np.flatnonzero(r > 0.0)
@@ -379,9 +394,9 @@ def reference_qp_solve(p: QpProblem) -> QpSolution:
 
 
 class TestLapackBitIdentity:
-    """qp_solve calls dpotrf, dpotrs and dtrtrs directly; on every QP of
-    the bundled 500-step runs it gives the wrapper-based solver's x, lam,
-    status and iteration count bit for bit."""
+    """qp_solve calls dpotrf, dpotrs, dtrtrs, dgeqrf and dorgqr directly;
+    on every QP of the bundled 500-step runs it gives the wrapper-based
+    solver's x, lam, status and iteration count bit for bit."""
 
     @pytest.mark.parametrize("name", ["linear.ini", "dnn.ini", "l2nw.ini"])
     def test_bundled_qps(self, name):
