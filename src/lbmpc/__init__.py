@@ -3,8 +3,9 @@
 The package splits along the control architecture: set algebra (polytope),
 the jet-engine surge plant and its discretized model (plant), the adaptive
 network and kernel estimators (oracle), a dense QP solver (qp), the tube MPC
-and SQP layer (mpc), the dual-timescale closed loop (runtime), scenario files
-(config) and a command-line front end (cli).
+and its one Gauss-Newton step per control step (mpc), the dual-timescale
+closed loop (runtime), scenario files (config) and a command-line front end
+(cli).
 """
 
 from .polytope import (Polytope, PolytopeError, EmptyResult, Unbounded,

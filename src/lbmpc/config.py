@@ -41,8 +41,6 @@ class ControllerSection:
     q_diag: tuple = (1.0, 1.0, 0.1, 0.1)
     r: float = 1.0
     tube_margin_target: float = 0.95
-    sqp_max_iter: int = 5
-    sqp_tol: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -181,10 +179,6 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("controller.r must be finite and positive")
     if not 0.0 < s.controller.tube_margin_target <= 1.0:
         raise ConfigError("controller.tube_margin_target must be in (0, 1]")
-    if s.controller.sqp_max_iter < 1:
-        raise ConfigError("controller.sqp_max_iter must be >= 1")
-    if not 0.0 < s.controller.sqp_tol < math.inf:
-        raise ConfigError("controller.sqp_tol must be finite and positive")
     if s.controller.N < 1:
         raise ConfigError("controller.N must be >= 1")
     if s.schedule.copy_period < 1:

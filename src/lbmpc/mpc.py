@@ -4,18 +4,18 @@ The optimization decides perturbations c_i on top of the pre-stabilizing
 feedback v_i = K zbar_i + c_i.  Constraints act on the nominal trajectory
 zbar (linear in c) with tube-tightened sets, so feasibility is untouched by
 the oracle; the cost is evaluated on the learned trajectory z, which rolls
-the oracle estimate through the dynamics and is handled by a short
-Gauss-Newton SQP loop.
+the oracle estimate through the dynamics.  Each control step takes one
+Gauss-Newton step on that cost from the shifted warm start, the real-time
+iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005).
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``rollout(A, B, x, v)``: the learned trajectory z (z_0 = x,
 z_{i+1} = A z_i + B v_i + h(z_i, v_i)) over i = 0..N and the stage
-Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array, and a flag, ``is_zero``,
-that ends the SQP after its first step: with h = 0 the cost is exactly
-quadratic, so that step is the minimizer, and the linear tube MPC baseline
-is the same program as the learned one.  Only the closed loop updates an
-oracle.  The solver gets dz/dc from the stage Jacobians by one triangular
-solve of the block-bidiagonal recursion (see _learned_rollout).
+Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array.  With h = 0 the cost is
+exactly quadratic, so the one step is its minimizer, and the linear tube
+MPC baseline is the same program as the learned one.  Only the closed loop
+updates an oracle.  The solver gets dz/dc from the stage Jacobians by one
+triangular solve of the block-bidiagonal recursion (see _learned_rollout).
 """
 
 from __future__ import annotations
@@ -202,23 +202,15 @@ class LbmpcProblem:
     Gc: np.ndarray = field(init=False)
     Gx: np.ndarray = field(init=False)
     rhs0: np.ndarray = field(init=False)
-    # cost: quadratic weights stacked over the trajectory
+    # cost: the state weights stacked over the trajectory, and constant
+    # factors of the QP's H and g, products in the order the solve would
+    # form them (Tv'Rbar, Tv'Rbar Tv, 1e-9 I) with Rbar = I_N (x) R
     Qbar: np.ndarray = field(init=False)
-    Rbar: np.ndarray = field(init=False)
-    # constant factors of the SQP's H and g, products in the order the
-    # solves would form them (Tv'Rbar, Tv'Rbar Tv, 1e-9 I)
     TvR: np.ndarray = field(init=False)
     TvRTv: np.ndarray = field(init=False)
     reg: np.ndarray = field(init=False)
-    sqp_max_iter: int = 5
-    sqp_tol: float = 1e-8
 
     def __post_init__(self):
-        # sqp_max_iter = 0 would run no QP and return an unchecked c
-        if self.sqp_max_iter < 1:
-            raise ValueError("sqp_max_iter must be >= 1")
-        if not 0.0 < self.sqp_tol < np.inf:
-            raise ValueError("sqp_tol must be finite and positive")
         model, cfg = self.model, self.cfg
         d, m, N = model.d, model.m, cfg.N
         A, B, K = model.A, model.B, cfg.K
@@ -266,22 +258,14 @@ class LbmpcProblem:
         for i in range(N):
             Qbar[i * d:(i + 1) * d, i * d:(i + 1) * d] = cfg.Q
         Qbar[N * d:, N * d:] = cfg.P
-        Rbar = np.zeros((N * m, N * m))
-        for i in range(N):
-            Rbar[i * m:(i + 1) * m, i * m:(i + 1) * m] = cfg.R
-        self.Qbar, self.Rbar = Qbar, Rbar
-        self.TvR = Tv.T @ Rbar
+        self.Qbar = Qbar
+        self.TvR = Tv.T @ np.kron(np.eye(N), cfg.R)
         self.TvRTv = self.TvR @ Tv
         self.reg = 1e-9 * np.eye(N * m)
 
     @property
     def n_dec(self) -> int:
         return self.cfg.N * self.model.m
-
-    def nominal_traj(self, x, c):
-        zbar = self.Sz @ x + self.Tz @ c
-        v = self.Sv @ x + self.Tv @ c
-        return zbar, v
 
     def feasible(self, x, c, tol: float = 1e-7) -> bool:
         return bool(np.all(self.Gc @ c <= self.rhs0 - self.Gx @ x + tol))
@@ -311,7 +295,7 @@ class MpcSolution:
     c: np.ndarray
     u: np.ndarray         # applied input, v_0
     status: str           # 'optimal' | 'fallback'
-    sqp_iters: int
+    sqp_iters: int        # Gauss-Newton steps taken, always 1
     wall_time: float
 
 
@@ -346,61 +330,45 @@ def _learned_rollout(p: LbmpcProblem, x, c):
     return v, z, Jz
 
 
-def _make_solution(p, x, c, status, sqp_iters, t0):
+def _make_solution(p, x, c, status, t0):
     """The solution at c, its input v_0 from the nominal map."""
     return MpcSolution(c=c, u=(p.Sv @ x + p.Tv @ c)[:p.model.m],
-                       status=status, sqp_iters=sqp_iters,
+                       status=status, sqp_iters=1,
                        wall_time=time.perf_counter() - t0)
 
 
-def _qp_step(prob) -> np.ndarray:
-    """Minimizer of one QP; any outcome but 'optimal' is an MpcError."""
-    sol = qpmod.qp_solve(prob)
-    if sol.status == "infeasible":
-        raise MpcInfeasible("QP infeasible")
-    if sol.status != "optimal":
-        raise MpcError("QP ended '%s'" % sol.status)
-    return sol.x
-
-
 def solve_lbmpc(p: LbmpcProblem, x, warm_c=None) -> MpcSolution:
-    """Gauss-Newton SQP on the learned-trajectory cost.
+    """One Gauss-Newton step on the learned-trajectory cost.
 
-    ``warm_c`` is None or the shifted previous perturbations, the SQP's
-    first linearization point.  Constraints stay linear in c, so every
-    iterate is feasible once the first QP succeeds.  The loop ends after a
-    step below ``sqp_tol``, after ``sqp_max_iter`` steps, or, for a zero
-    oracle, after the first step, which minimizes its exactly quadratic
-    cost.  On any solver failure (a QP that does not end 'optimal', a
-    non-finite oracle output among them) ``warm_c`` is returned with status
-    'fallback' if it is feasible at x; otherwise MpcInfeasible is raised.
-    The wall time of either outcome counts from entry.
+    ``warm_c`` is None or the shifted previous perturbations, the point the
+    cost is linearized at (zero without it).  One rollout and one QP give
+    the step; constraints are linear in c, so c + step is feasible.  On any
+    solver failure (a QP that does not end 'optimal', a non-finite oracle
+    output among them) ``warm_c`` is returned with status 'fallback' if it
+    is feasible at x; otherwise MpcInfeasible is raised.  The wall time of
+    either outcome counts from entry.
     """
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
-    iters = 0
     try:
-        rhs = p.rhs0 - p.Gx @ x
         c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
-        for iters in range(1, p.sqp_max_iter + 1):
-            v, z, Jz = _learned_rollout(p, x, c)
-            # dv/dc is Tv, so its terms are constants of the problem; u + u'
-            # is 0.5 (2u + (2u)') bit for bit, exactly symmetric, and reg
-            # clips tiny negative curvature of the Gauss-Newton approximation
-            JzQ = Jz.T @ p.Qbar
-            u = JzQ @ Jz + p.TvRTv
-            H = u + u.T + p.reg
-            g = 2.0 * (JzQ @ z + p.TvR @ v)
-            prob = qpmod.QpProblem(H=H, g=g, G=p.Gc, h_in=rhs - p.Gc @ c,
-                                   validate=False)
-            step = _qp_step(prob)
-            c = c + step
-            if p.oracle.is_zero or np.linalg.norm(step) < p.sqp_tol:
-                break
-        return _make_solution(p, x, c, "optimal", iters, t0)
+        v, z, Jz = _learned_rollout(p, x, c)
+        # dv/dc is Tv, so its terms are constants of the problem; u + u' is
+        # 0.5 (2u + (2u)') bit for bit, exactly symmetric, and reg clips
+        # tiny negative curvature of the Gauss-Newton approximation
+        JzQ = Jz.T @ p.Qbar
+        u = JzQ @ Jz + p.TvRTv
+        sol = qpmod.qp_solve(qpmod.QpProblem(
+            H=u + u.T + p.reg, g=2.0 * (JzQ @ z + p.TvR @ v), G=p.Gc,
+            h_in=p.rhs0 - p.Gx @ x - p.Gc @ c, validate=False))
+        if sol.status == "infeasible":
+            raise MpcInfeasible("QP infeasible")
+        if sol.status != "optimal":
+            raise MpcError("QP ended '%s'" % sol.status)
+        return _make_solution(p, x, c + sol.x, "optimal", t0)
 
     except MpcError as exc:
         if warm_c is not None and p.feasible(x, warm_c):
             return _make_solution(p, x, np.array(warm_c, dtype=float),
-                                  "fallback", iters, t0)
+                                  "fallback", t0)
         raise MpcInfeasible("%s; no feasible fallback" % exc) from exc

@@ -454,7 +454,6 @@ def _pack_layers(hidden: HiddenStack, n_out: int):
 class ZeroOracle:
     """h-hat == 0; collapses LBMPC to the linear tube MPC baseline."""
 
-    is_zero = True
     k_fro = 0.0
     generation = 0
     swap_steps = ()
@@ -477,8 +476,6 @@ class DnnOracle:
     retrains the hidden stack and installs it at that step.  ``schedule``
     and ``training`` are a scenario's [schedule] and [oracle] sections.
     """
-
-    is_zero = False
 
     def __init__(self, state, model, buffer, schedule, training):
         self._state = None
@@ -598,7 +595,6 @@ class L2nwEstimator:
     estimate.
     """
 
-    is_zero = False
     k_fro = 0.0
     generation = 0
     swap_steps = ()

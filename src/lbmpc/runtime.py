@@ -65,9 +65,10 @@ class ClosedLoopTrace:
     Column order is fixed (see TRACE_SPEC): time index, deviation state,
     applied input, oracle prediction h_hat, realized residual h, one-step
     prediction error x_tilde, output-layer Frobenius norm, live oracle
-    generation, solver status / SQP iterations / wall time, worst-case state
-    and input constraint margins (positive = satisfied), and the two
-    certificate flags (shifted candidate feasible, realized h inside W).
+    generation, solver status / Gauss-Newton steps (always 1) / wall time,
+    worst-case state and input constraint margins (positive = satisfied),
+    and the two certificate flags (shifted candidate feasible, realized h
+    inside W).
     """
 
     x: np.ndarray
@@ -199,9 +200,7 @@ def build_setup(scenario) -> LoopSetup:
     else:
         raise ValueError("unknown oracle kind %r" % oc.kind)
 
-    problem = mpc.LbmpcProblem(model, cfg, omega, margins, adapter,
-                               sqp_max_iter=cc.sqp_max_iter,
-                               sqp_tol=cc.sqp_tol)
+    problem = mpc.LbmpcProblem(model, cfg, omega, margins, adapter)
     x0 = np.asarray(scenario.run.x0, dtype=float)
     return LoopSetup(params=params, model=model, cfg=cfg, omega=omega,
                      margins=margins, problem=problem,

@@ -78,18 +78,25 @@ class TestSimulate:
         rc = main(["simulate", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
-    def test_env_override_validated(self, tmp_path, monkeypatch):
+    def test_env_override_validated(self, tmp_path, monkeypatch, capsys):
         # the environment override goes through the same validation as the
-        # file, so a bad value is a config error, not a traceback
-        for name, value in (("SCHEDULE_MIN_NEW_SAMPLES", "0"),
-                            ("CONTROLLER_SQP_TOL", "-1"),
-                            ("ORACLE_TRAIN_EPOCHS", "-5"),
-                            ("ORACLE_TRAIN_LR", "nan")):
+        # file, so a bad value is a config error, not a traceback; a solve
+        # takes one Gauss-Newton step, so there is no iteration cap or
+        # tolerance to set, and naming either is an unknown key
+        for name, value, message in (
+                ("SCHEDULE_MIN_NEW_SAMPLES", "0", "min_new_samples"),
+                ("CONTROLLER_SQP_TOL", "1e-8",
+                 "unknown key controller.sqp_tol"),
+                ("CONTROLLER_SQP_MAX_ITER", "0",
+                 "unknown key controller.sqp_max_iter"),
+                ("ORACLE_TRAIN_EPOCHS", "-5", "train_epochs"),
+                ("ORACLE_TRAIN_LR", "nan", "train_lr")):
             with monkeypatch.context() as env:
                 env.setenv("LBMPC_" + name, value)
                 rc = main(["simulate", os.path.join(SCENARIO_DIR, "dnn.ini"),
                            "--out", str(tmp_path / "o")])
             assert rc == EXIT_CONFIG, name
+            assert message in capsys.readouterr().err, name
 
     def test_substeps_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LBMPC_PLANT_SUBSTEPS", "0")
@@ -114,7 +121,7 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("name,value", [
-        ("SQP_MAX_ITER", "0"), ("R", "-1"), ("R", "0"), ("R", "nan"),
+        ("R", "-1"), ("R", "0"), ("R", "nan"),
         ("Q_DIAG", "-1 1 1 1"), ("TUBE_MARGIN_TARGET", "nan"),
         ("TUBE_MARGIN_TARGET", "-1")])
     def test_controller_setting_validated(self, tmp_path, monkeypatch, name,

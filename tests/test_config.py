@@ -99,12 +99,9 @@ class TestValidation:
         assert s.plant.w_inflation == 1.0
 
     def test_controller_settings(self):
-        # sqp_max_iter = 0 solved no QP, r <= 0 and a target outside (0, 1]
-        # ran, a NaN weight ended as "no gain found", and sqp_tol = -1 ran
-        # every SQP to its iteration cap
-        for line in ("sqp_max_iter = 0", "sqp_tol = -1", "sqp_tol = 0",
-                     "sqp_tol = nan", "sqp_tol = inf", "r = -1", "r = 0",
-                     "r = nan",
+        # r <= 0 and a target outside (0, 1] ran, and a NaN weight ended as
+        # "no gain found"
+        for line in ("r = -1", "r = 0", "r = nan",
                      "r = inf", "q_diag = -1 1 1 1", "q_diag = 1 nan 1 1",
                      "q_diag = 1 1 inf 1", "tube_margin_target = nan",
                      "tube_margin_target = -1", "tube_margin_target = 0",
@@ -112,13 +109,23 @@ class TestValidation:
             with pytest.raises(ConfigError):
                 parse_scenario("[controller]\n%s\n" % line,
                                environ=EMPTY_ENV)
-        s = parse_scenario("[controller]\nsqp_max_iter = 1\nr = 0.01\n"
-                           "q_diag = 0 1 1 1\ntube_margin_target = 1\n"
-                           "sqp_tol = 1e-12\n", environ=EMPTY_ENV)
-        assert (s.controller.sqp_max_iter, s.controller.r,
-                s.controller.q_diag, s.controller.tube_margin_target,
-                s.controller.sqp_tol) \
-            == (1, 0.01, (0.0, 1.0, 1.0, 1.0), 1.0, 1e-12)
+        s = parse_scenario("[controller]\nr = 0.01\n"
+                           "q_diag = 0 1 1 1\ntube_margin_target = 1\n",
+                           environ=EMPTY_ENV)
+        assert (s.controller.r, s.controller.q_diag,
+                s.controller.tube_margin_target) \
+            == (0.01, (0.0, 1.0, 1.0, 1.0), 1.0)
+        # a solve takes one Gauss-Newton step, so there is no iteration cap
+        # or tolerance to set: a scenario or override naming either fails
+        for key, value in (("sqp_max_iter", "1"), ("sqp_tol", "1e-12")):
+            with pytest.raises(ConfigError,
+                               match="unknown key controller.%s" % key):
+                parse_scenario("[controller]\n%s = %s\n" % (key, value),
+                               environ=EMPTY_ENV)
+            with pytest.raises(ConfigError,
+                               match="unknown key controller.%s" % key):
+                parse_scenario("", environ={
+                    "LBMPC_CONTROLLER_" + key.upper(): value})
 
     @pytest.mark.parametrize("name", ["l2nw_bandwidth_factor",
                                       "l2nw_lambda", "train_lr"])

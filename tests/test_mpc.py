@@ -88,14 +88,24 @@ def problem(model, setup, oracle=None):
     return LbmpcProblem(model, cfg, omega, margins, oracle or ZeroOracle())
 
 
+def nominal_traj(p, x, c):
+    """Nominal trajectory zbar and inputs v of the perturbations c at x."""
+    return p.Sz @ x + p.Tz @ c, p.Sv @ x + p.Tv @ c
+
+
+def input_weight(p):
+    """Rbar: the input weight R stacked over the horizon."""
+    return np.kron(np.eye(p.cfg.N), p.cfg.R)
+
+
 def nominal_cost(p, x, c):
-    zbar, v = p.nominal_traj(x, c)
-    return zbar @ p.Qbar @ zbar + v @ p.Rbar @ v
+    zbar, v = nominal_traj(p, x, c)
+    return zbar @ p.Qbar @ zbar + v @ input_weight(p) @ v
 
 
 def learned_cost(p, x, c):
     v, z, _ = _learned_rollout(p, x, c)
-    return z @ p.Qbar @ z + v @ p.Rbar @ v
+    return z @ p.Qbar @ z + v @ input_weight(p) @ v
 
 
 class TestGainSynthesis:
@@ -192,7 +202,7 @@ class TestPredictionMatrices:
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
             c = rng.uniform(-0.5, 0.5, p.n_dec)
-            zbar, v = p.nominal_traj(x, c)
+            zbar, v = nominal_traj(p, x, c)
             z_i = x.copy()
             for i in range(cfg.N):
                 v_i = K @ z_i + c[i:i + 1]
@@ -209,7 +219,7 @@ class TestPredictionMatrices:
         for _ in range(100):
             x = rng.uniform(-2, 2, 2)
             c = rng.uniform(-1, 1, p.n_dec)
-            zbar, v = p.nominal_traj(x, c)
+            zbar, v = nominal_traj(p, x, c)
             ok = True
             for i in range(cfg.N):
                 zi = zbar[i * 2:(i + 1) * 2]
@@ -243,7 +253,7 @@ class TestLinearMpc:
 
     def test_zero_oracle_routes_to_linear(self, model, setup,
                                           bundled_problem):
-        # the zero oracle's SQP stops after one step, cold or warm, at the
+        # the zero oracle's one Gauss-Newton step, cold or warm, ends at the
         # minimizer of the nominal cost: one QP built here from the
         # prediction maps (no active row at the first x, two at the others)
         toy = problem(model, setup)
@@ -251,8 +261,9 @@ class TestLinearMpc:
         for p, x in ((toy, np.array([0.4, -0.3])),
                      (toy, np.array([2.0, 2.5])),
                      (bundled, np.array([-0.12, 0.06, 0.0, 0.0]))):
-            H = 2.0 * (p.Tz.T @ p.Qbar @ p.Tz + p.Tv.T @ p.Rbar @ p.Tv)
-            g = 2.0 * (p.Tz.T @ p.Qbar @ p.Sz @ x + p.Tv.T @ p.Rbar @ p.Sv @ x)
+            Rbar = input_weight(p)
+            H = 2.0 * (p.Tz.T @ p.Qbar @ p.Tz + p.Tv.T @ Rbar @ p.Tv)
+            g = 2.0 * (p.Tz.T @ p.Qbar @ p.Sz @ x + p.Tv.T @ Rbar @ p.Sv @ x)
             ref = qpmod.qp_solve(qpmod.QpProblem(H=H, g=g, G=p.Gc,
                                                  h_in=p.rhs0 - p.Gx @ x))
             assert ref.status == "optimal"
@@ -262,7 +273,7 @@ class TestLinearMpc:
                 np.testing.assert_allclose(sol.c, ref.x, rtol=0.0, atol=1e-9)
             # zero oracle: the learned trajectory and its dz/dc are nominal
             _, z, Jz = _learned_rollout(p, x, sol.c)
-            assert np.allclose(z, p.nominal_traj(x, sol.c)[0])
+            assert np.allclose(z, nominal_traj(p, x, sol.c)[0])
             assert np.allclose(Jz, p.Tz)
 
     def test_infeasible_initial_state(self, model, setup):
@@ -281,17 +292,6 @@ class TestLinearMpc:
             assert p.feasible(x, c_shift)
             sol = solve_lbmpc(p, x, warm_c=c_shift)
         assert np.linalg.norm(x) < 0.8
-
-
-@pytest.mark.parametrize("field, value", [
-    ("sqp_max_iter", 0), ("sqp_max_iter", -1), ("sqp_tol", 0.0),
-    ("sqp_tol", -1e-8), ("sqp_tol", np.inf), ("sqp_tol", np.nan)])
-def test_problem_rejects_bad_sqp_settings(model, setup, field, value):
-    # with no SQP iteration the solver would return an unchecked c as optimal
-    cfg, omega, margins = setup
-    with pytest.raises(ValueError, match=field):
-        LbmpcProblem(model, cfg, omega, margins, ZeroOracle(),
-                     **{field: value})
 
 
 class TestTightening:
@@ -333,8 +333,6 @@ class TestLearnedRollout:
 
         class Generic:
             # same network rolled out stage by stage, as the kernel oracle is
-            is_zero = False
-
             def rollout(self, A, B, x, v):
                 return _stagewise_rollout(
                     A, B, x, v, partial(predict_and_jacobian, state))
@@ -403,7 +401,7 @@ def reference_learned_rollout(p, x, c, rollout):
     """dz/dc with each stage's matrices formed inside the recursion."""
     A, B = p.model.A, p.model.B
     d, m = B.shape
-    zbar, v = p.nominal_traj(x, c)
+    zbar, v = nominal_traj(p, x, c)
     z, Jh = rollout(A, B, x, v)
     Jz = np.zeros((z.size, p.n_dec))
     for i in range(p.cfg.N):
@@ -538,6 +536,37 @@ class TestRolloutBitEquality:
                            gamma=before.gamma, seed=9)
         p.oracle.state = replace(fresh, K=before.K)
         self.assert_rollout_matches(p, rng)
+
+
+@pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
+def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
+    # the real-time iteration: each solve, cold or warm, linearizes once and
+    # solves one QP; dnn is the scenario's own network, l2nw a filled ring
+    p = bundled_problem
+    if kind != "dnn":
+        p = with_oracle(p, kind, np.random.default_rng(26))
+    calls = {"rollout": 0, "qp": 0}
+    rollout, qp_solve = mpc._learned_rollout, qpmod.qp_solve
+
+    def counted_rollout(*args):
+        calls["rollout"] += 1
+        return rollout(*args)
+
+    def counted_qp(prob):
+        calls["qp"] += 1
+        return qp_solve(prob)
+
+    monkeypatch.setattr(mpc, "_learned_rollout", counted_rollout)
+    monkeypatch.setattr(qpmod, "qp_solve", counted_qp)
+    x = np.array([-0.12, 0.06, 0.0, 0.0])
+    warm = None
+    for start in ("cold", "warm"):
+        sol = solve_lbmpc(p, x, warm_c=warm)
+        assert (sol.status, sol.sqp_iters) == ("optimal", 1), start
+        assert calls == {"rollout": 1, "qp": 1}, start
+        assert p.feasible(x, sol.c)
+        calls.update(rollout=0, qp=0)
+        warm = sol.c
 
 
 class TestFallback:

@@ -507,7 +507,7 @@ class TestL2nw:
         np.testing.assert_allclose(est._exponent_rows[:len(X)], expo,
                                    rtol=1e-15)
 
-    def test_empty_rollout_is_zero(self):
+    def test_empty_rollout_adds_nothing(self):
         est = L2nwEstimator(capacity=8, n_in=3, n_out=2, bandwidth=1.0)
         A, B = np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0], [0.1]])
         x, v = np.array([0.3, -0.2]), np.array([0.5, -0.1, 0.2])
