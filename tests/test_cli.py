@@ -120,10 +120,12 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    # SQP_MAX_ITER is no longer a key: a solve takes one Gauss-Newton step,
+    # so setting it is rejected as an unknown key, still a config error
     @pytest.mark.parametrize("name,value", [
         ("R", "-1"), ("R", "0"), ("R", "nan"),
         ("Q_DIAG", "-1 1 1 1"), ("TUBE_MARGIN_TARGET", "nan"),
-        ("TUBE_MARGIN_TARGET", "-1")])
+        ("TUBE_MARGIN_TARGET", "-1"), ("SQP_MAX_ITER", "0")])
     def test_controller_setting_validated(self, tmp_path, monkeypatch, name,
                                           value):
         monkeypatch.setenv("LBMPC_CONTROLLER_" + name, value)
