@@ -9,13 +9,18 @@ Gauss-Newton step on that cost from the shifted warm start, the real-time
 iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005).
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
-one method, ``rollout(A, B, x, v)``: the learned trajectory z (z_0 = x,
-z_{i+1} = A z_i + B v_i + h(z_i, v_i)) over i = 0..N and the stage
-Jacobians dh/d(z_i, v_i) as an (N, d, d+m) array.  With h = 0 the cost is
-exactly quadratic, so the one step is its minimizer, and the linear tube
-MPC baseline is the same program as the learned one.  Only the closed loop
-updates an oracle.  The solver gets dz/dc from the stage Jacobians by one
-triangular solve of the block-bidiagonal recursion (see _learned_rollout).
+one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
+dh/dz, dh/dv at each row of a batch of stages.  The solver calls it once per
+solve, at the N stages (zbar_i, v_i) of the nominal trajectory, and takes
+the learned trajectory as the first-order expansion around it:
+z = zbar + e with e_0 = 0 and e_{i+1} = (A + dh/dz_i) e_i + h_i, whose error
+is second order in z - zbar, which is of the size of W.  The nominal
+trajectory needs no state carried between steps, and LBMPC's constraints
+act on it alone (Aswani et al., Automatica 2013), so they do not change.  With h = 0 the cost is exactly quadratic,
+so the one step is its minimizer, and the linear tube MPC baseline is the
+same program as the learned one.  Only the closed loop updates an oracle.
+One triangular solve of the block-bidiagonal recursion gives e and dz/dc
+together (see _learned_rollout).
 """
 
 from __future__ import annotations
@@ -308,26 +313,33 @@ def shift_solution(prev: MpcSolution, m: int):
 def _learned_rollout(p: LbmpcProblem, x, c):
     """Nominal inputs v, learned trajectory z and dz/dc (stacked).
 
-    dz/dc solves the unit lower block-bidiagonal system
-    Jz_{i+1} - (A + dh/dz_i) Jz_i = (B + dh/dv_i) Tv_i over i = 0..N-1,
-    with Jz_0 = 0 as its first block row, by one triangular solve.  The
-    matrix is stored transposed in C order, so that LAPACK reads it in
-    Fortran order without a copy.
+    One oracle call gives h and its Jacobians at the N nominal stages
+    (zbar_i, v_i).  The learned trajectory is its first-order expansion
+    z = zbar + e, with e_0 = 0 and e_{i+1} = (A + dh/dz_i) e_i + h_i, and
+    dz/dc solves Jz_{i+1} - (A + dh/dz_i) Jz_i = (B + dh/dv_i) Tv_i with
+    Jz_0 = 0.  Both recursions have the same unit lower block-bidiagonal
+    matrix, so one triangular solve with [h | (B + dh/dv) Tv] on the right
+    gives [e | dz/dc]; dz/dc holds the stage Jacobians at their values, as
+    the Gauss-Newton model does.  The matrix is stored transposed in C
+    order, so that LAPACK reads it in Fortran order without a copy.
     """
     A, B = p.model.A, p.model.B
     d, m = B.shape
     N, nc = p.cfg.N, p.n_dec
+    zbar = p.Sz @ x + p.Tz @ c
     v = p.Sv @ x + p.Tv @ c
-    z, Jh = p.oracle.rollout(A, B, x, v)
-    rhs = np.zeros((N + 1, d, nc))
-    np.matmul(B + Jh[:, :, d:], p.Tv.reshape(N, m, nc), out=rhs[1:])
+    h, dh_dz, dh_dv = p.oracle.predict_and_jacobian(
+        zbar[:N * d].reshape(N, d), v.reshape(N, m))
+    rhs = np.zeros((N + 1, d, 1 + nc))
+    rhs[1:, :, 0] = h
+    np.matmul(B + dh_dv, p.Tv.reshape(N, m, nc), out=rhs[1:, :, 1:])
     Lt = np.zeros((N + 1, d, N + 1, d))
     i = np.arange(N)
-    Lt[i, :, i + 1] = np.swapaxes(-A - Jh[:, :, :d], 1, 2)
+    Lt[i, :, i + 1] = np.swapaxes(-A - dh_dz, 1, 2)
     n = (N + 1) * d
-    Jz, _ = lapack.dtrtrs(Lt.reshape(n, n).T, rhs.reshape(n, nc),
+    eJ, _ = lapack.dtrtrs(Lt.reshape(n, n).T, rhs.reshape(n, 1 + nc),
                           lower=1, unitdiag=1)
-    return v, z, Jz
+    return v, zbar + eJ[:, 0], eJ[:, 1:]
 
 
 def _make_solution(p, x, c, status, t0):
@@ -341,8 +353,8 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None) -> MpcSolution:
     """One Gauss-Newton step on the learned-trajectory cost.
 
     ``warm_c`` is None or the shifted previous perturbations, the point the
-    cost is linearized at (zero without it).  One rollout and one QP give
-    the step; constraints are linear in c, so c + step is feasible.  On any
+    cost is linearized at (zero without it).  One learned rollout (one
+    oracle call) and one QP give the step; constraints are linear in c, so c + step is feasible.  On any
     solver failure (a QP that does not end 'optimal', a non-finite oracle
     output among them) ``warm_c`` is returned with status 'fallback' if it
     is feasible at x; otherwise MpcInfeasible is raised.  The wall time of

@@ -8,9 +8,12 @@ swapped in whole generations.  The network's replay buffer and the kernel
 baseline keep their samples in the same preallocated ring, ReplayBuffer.
 
 Each oracle kind is one adapter: ZeroOracle, DnnOracle or L2nwEstimator.
-The solver calls its ``rollout(A, B, x, v)`` (see mpc), the closed loop its
-``observe(t, x, u, x_next, h)`` once per step after the truth step, which
-returns the prediction made before any update and then learns.  ``k_fro``,
+The solver calls its ``predict_and_jacobian(z, v)`` once per solve, with
+all N nominal stages as the rows of z and v (see mpc); the closed loop calls
+its ``observe(t, x, u, x_next, h)`` once per step after the truth step,
+which returns the prediction made before any update and then learns.  The
+adapters look the module-level functions up at call time, so a wrapper set
+on the module sees every call.  ``k_fro``,
 ``generation`` and ``swap_steps`` read 0, 0 and () but for the network.
 """
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -157,25 +159,26 @@ def predict_from_features(state: OracleState, phi: np.ndarray) -> np.ndarray:
 
 
 def predict_and_jacobian(state: OracleState, x, u):
-    """(h, dh/dx, dh/du) from a single forward pass at one input.
+    """(h, dh/dx, dh/du) at one input, or at each row of a batch.
 
-    The solver's rollout (``DnnOracle.rollout``) does not call it; it is
-    the one-point form of the same derivatives, for checks and tools.
+    x (..., d) and u (..., m) give h (..., d), dh/dx (..., d, d) and
+    dh/du (..., d, m); a batch takes one forward pass.  The Jacobians
+    K1' diag(s_L) W_L' ... diag(s_1) W_1' (s_l = 1 - a_l^2) are formed from
+    the output side, one product per layer for all rows.  The solver calls
+    this once per solve, at the N nominal stages (``DnnOracle``).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
-    xu = np.concatenate([x, u])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    xu = np.concatenate([x, u], axis=-1)
     acts = _forward_hidden(state.hidden, xu)
-    J = None
-    for (W, _), a_out in zip(state.hidden, acts[1:]):
-        layer = (1.0 - a_out ** 2)[:, None] * W.T
-        J = layer if J is None else layer @ J
-    if J is None:
-        J = np.eye(xu.size)
     h = state.K[0] + acts[-1] @ state.K[1:]
-    # bias feature contributes nothing; K rows 1.. act on the hidden output
-    Jh = state.K[1:, :].T @ J
-    return h, Jh[:, :x.size], Jh[:, x.size:]
+    # the bias feature contributes nothing; K rows 1.. act on the hidden output
+    G = state.K[1:].T
+    for (W, _), a in zip(reversed(state.hidden), reversed(acts[1:])):
+        G = G * (1.0 - a * a)[..., None, :]
+        G = (G.reshape(-1, W.shape[1]) @ W.T).reshape(G.shape[:-1]
+                                                       + W.shape[:1])
+    return h, G[..., :x.shape[-1]], G[..., x.shape[-1]:]
 
 
 def project_columns(K_bar: np.ndarray, W_bar: np.ndarray) -> np.ndarray:
@@ -413,44 +416,6 @@ def train_hidden(state: OracleState, buf: ReplayBuffer, M: int, epochs: int,
 # oracle adapters
 
 
-def _stagewise_rollout(A, B, x, v, stage):
-    """Rollout through ``stage(z_i, v_i) -> (h, dh/dz, dh/dv)``, one stage
-    after the other."""
-    d, m = B.shape
-    N = v.size // m
-    z = np.zeros((N + 1) * d)
-    z[:d] = x
-    Jh = np.zeros((N, d, d + m))
-    for i in range(N):
-        zi = z[i * d:(i + 1) * d]
-        vi = v[i * m:(i + 1) * m]
-        hi, Jh[i, :, :d], Jh[i, :, d:] = stage(zi, vi)
-        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + hi
-    return z, Jh
-
-
-def _pack_layers(hidden: HiddenStack, n_out: int):
-    """(layers, KI): the hidden stack packed for ``DnnOracle.rollout``.
-
-    Layer 1 is [[b1, 0], [W1, C]] with n_out extra columns C, left for
-    [A'; B'], which each rollout writes.  Each further layer is
-    [[b_l, 0], [W_l, 0], [0, I]], which carries the last n_out entries of
-    its input row through.  ``KI`` is [K; I], K written by each rollout.
-    """
-    layers = []
-    for k, (W, b) in enumerate(hidden):
-        carry = n_out if k else 0
-        P = np.zeros((1 + W.shape[0] + carry, W.shape[1] + n_out))
-        P[0, :W.shape[1]] = b
-        P[1:1 + W.shape[0], :W.shape[1]] = W
-        if carry:
-            P[-n_out:, -n_out:] = np.eye(n_out)
-        layers.append(P)
-    KI = np.zeros((1 + hidden[-1][0].shape[1] + n_out, n_out))
-    KI[-n_out:] = np.eye(n_out)
-    return layers, KI
-
-
 class ZeroOracle:
     """h-hat == 0; collapses LBMPC to the linear tube MPC baseline."""
 
@@ -458,10 +423,10 @@ class ZeroOracle:
     generation = 0
     swap_steps = ()
 
-    def rollout(self, A, B, x, v):
-        d, m = B.shape
-        zero = (np.zeros(d), np.zeros((d, d)), np.zeros((d, m)))
-        return _stagewise_rollout(A, B, x, v, lambda z, u: zero)
+    def predict_and_jacobian(self, z, v):
+        N, d = z.shape
+        return (np.zeros((N, d)), np.zeros((N, d, d)),
+                np.zeros((N, d, v.shape[-1])))
 
     def observe(self, t, x, u, x_next, h):
         return np.zeros(x.size)
@@ -478,7 +443,6 @@ class DnnOracle:
     """
 
     def __init__(self, state, model, buffer, schedule, training):
-        self._state = None
         self.state = state
         self.model = model
         self.buffer = buffer
@@ -490,62 +454,8 @@ class DnnOracle:
     k_fro = property(lambda self: np.linalg.norm(self.state.K))
     generation = property(lambda self: self.state.generation)
 
-    @property
-    def state(self) -> OracleState:
-        return self._state
-
-    @state.setter
-    def state(self, state: OracleState):
-        # the packed layers hold the hidden stack only: adapt keeps the stack
-        # (and K is read from the state at each rollout), while a swap or any
-        # other assignment brings a new stack and packs it
-        if self._state is None or state.hidden is not self._state.hidden:
-            self._layers = _pack_layers(state.hidden, state.arch.n_out)
-        self._state = state
-
-    def rollout(self, A, B, x, v):
-        """Network rollout on packed layers, Jacobians from the output side.
-
-        Row i of ``zv`` is [1, z_i, v_i] and row i of layer l's buffer is
-        [1, a_l, A z_i + B v_i].  One product with the first packed layer
-        [[b1, 0], [W1, [A'; B']]] gives layer 1's pre-activation and
-        A z_i + B v_i; each further layer carries A z_i + B v_i through an
-        identity block, and the output layer [K; I] adds it to K'[1, a_L]
-        (K's first row is the bias, as in ``features``), which is z_{i+1}.
-        Every stage writes through row views into buffers made once per
-        call.  The stage Jacobians K1' diag(s_L) W_L' ... diag(s_1) W_1'
-        (s_l = 1 - a_l^2) are formed from the output side, one (N d, h)
-        product per layer.
-        """
-        d, m = B.shape
-        N = v.size // m
-        layers, KI = self._layers
-        first = layers[0]
-        first[1:1 + d, -d:] = A.T
-        first[1 + d:, -d:] = B.T
-        KI[:-d] = self.state.K
-        zv = np.empty((N + 1, 1 + d + m))
-        zv[:, 0] = 1.0
-        zv[0, 1:1 + d] = x
-        zv[:N, 1 + d:] = v.reshape(N, m)
-        acts = [np.ones((N, 1 + P.shape[1])) for P in layers]
-        # per layer: rows, their product part and their pre-activation part
-        views = [(al, al[:, 1:], al[:, 1:-d]) for al in acts]
-        z_next = zv[1:, 1:1 + d]
-        for i in range(N):
-            row = zv[i]
-            for P, (al, prod, pre) in zip(layers, views):
-                np.dot(row, P, out=prod[i])
-                a = pre[i]
-                np.tanh(a, out=a)
-                row = al[i]
-            np.dot(row, KI, out=z_next[i])
-        G = self.state.K[1:].T
-        for (W, _), (_, _, a) in zip(reversed(self.state.hidden),
-                                     reversed(views)):
-            G = G * (1.0 - a * a)[:, None, :]
-            G = (G.reshape(-1, W.shape[1]) @ W.T).reshape(N, d, W.shape[0])
-        return zv[:, 1:1 + d].ravel(), G
+    def predict_and_jacobian(self, z, v):
+        return predict_and_jacobian(self.state, z, v)
 
     def observe(self, t, x, u, x_next, h):
         # predict and adapt share one forward pass: a swap comes after adapt,
@@ -630,16 +540,16 @@ class L2nwEstimator:
         row[1 + self.n_out + self.n_in:] = (h[:, None] * xu).ravel()
 
     def _moments(self, q: np.ndarray) -> np.ndarray:
-        """[sum k, sum k h, sum k xu, vec(sum k h xu')] at ``q``, which is
-        the query followed by a 1."""
+        """[sum k, sum k h, sum k xu, vec(sum k h xu')] at ``q``, the query
+        followed by a 1, or at each row of a batch of them."""
         n = len(self.buffer)
-        e = self._exponent_rows[:n] @ q
-        e -= (q[:-1] @ q[:-1]) / (2.0 * self._bw2)
-        return np.exp(e, out=e) @ self._moment_rows[:n]
+        xu = q[..., :-1]
+        e = self._exponent_rows[:n] @ q.T
+        e -= np.einsum("...i,...i", xu, xu) / (2.0 * self._bw2)
+        return np.exp(e, out=e).T @ self._moment_rows[:n]
 
-    def rollout(self, A, B, x, v):
-        return _stagewise_rollout(
-            A, B, x, v, partial(l2nw_predict_and_jacobian, self))
+    def predict_and_jacobian(self, z, v):
+        return l2nw_predict_and_jacobian(self, z, v)
 
     def observe(self, t, x, u, x_next, h):
         h_hat = l2nw_predict(self, x, u)
@@ -654,18 +564,23 @@ def l2nw_predict(est: L2nwEstimator, x, u) -> np.ndarray:
 
 
 def l2nw_predict_and_jacobian(est: L2nwEstimator, x, u):
-    """(h, dh/dx, dh/du) from one moment product.
+    """(h, dh/dx, dh/du) from one moment product, at one input or at each
+    row of a batch (shapes as in ``predict_and_jacobian``).
 
     With s = lambda + sum k and h = sum(k h) / s, dk_i/dq = k_i (xu_i - q)
     / bw^2 gives dh/dq = (sum(k h xu') - sum(k h) q' - h (sum(k xu) -
     (sum k) q)') / (bw^2 s), and sum(k h) - (sum k) h = lambda h, so
     dh/dq = (sum(k h xu') - h (sum(k xu) + lambda q)') / (bw^2 s).
+    A batch of N rows is one (N x n) exponent product, one ``exp`` and one
+    moment product over the n stored samples.
     """
-    q = np.concatenate((x, u, _ONE), axis=None)
+    x, u = np.atleast_1d(x, u)
+    q = np.concatenate((x, u, np.ones(x.shape[:-1] + (1,))), axis=-1)
     m = est._moments(q)
-    d, p, r = np.size(x), est.n_out, est.n_in
-    s = est.lam + m[0]
-    h = m[1:1 + p] / s
-    g = m[1 + p:1 + p + r] + est.lam * q[:-1]
-    J = (m[1 + p + r:].reshape(p, r) - h[:, None] * g) / (est._bw2 * s)
-    return h, J[:, :d], J[:, d:]
+    d, p, r = x.shape[-1], est.n_out, est.n_in
+    s = est.lam + m[..., :1]
+    h = m[..., 1:1 + p] / s
+    g = m[..., 1 + p:1 + p + r] + est.lam * q[..., :-1]
+    J = ((m[..., 1 + p + r:].reshape(m.shape[:-1] + (p, r))
+          - h[..., :, None] * g[..., None, :]) / (est._bw2 * s)[..., None])
+    return h, J[..., :d], J[..., d:]

@@ -1,7 +1,9 @@
 """Dual-timescale closed loop: real-time control with a slow trainer.
 
 The fast loop runs measure -> solve -> apply -> observe -> log every
-sampling period through one oracle adapter, whose kind it never asks.  A
+sampling period through one oracle adapter, whose kind it never asks: the
+solve calls the adapter's ``predict_and_jacobian`` once, at the nominal
+stages, and the loop calls its ``observe`` once after the truth step.  A
 network adapter retrains its hidden stack every ``copy_period`` steps and
 installs the result at that same step, on the loop's own thread.
 """

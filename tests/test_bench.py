@@ -1,8 +1,11 @@
 """tools/bench.py: the summary of paired runs and its argument checks, on
-synthetic run records shaped like the ones it stores."""
+synthetic run records shaped like the ones it stores; tools/resolve.py: a
+short replay of the bundled scenarios."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,3 +118,26 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as exc:
             bench.parse_args(argv + ["--checkout", "a=."])
         assert exc.value.code == 2
+
+
+def test_resolve_smoke():
+    # three steps per scenario, two rounds of least-of-2: a round line per
+    # replay and one summary line per oracle, every time positive; the
+    # replay's own check that each applied input matches the recorded run
+    # would end it with a traceback
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "resolve.py"),
+         "--k", "2", "--rounds", "2", "--steps", "3"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "k 2, rounds 2, steps linear 3, dnn 3, l2nw 3"
+    assert [line.split(":")[0] for line in lines[1:3]] == ["round 1",
+                                                           "round 2"]
+    summary = {line.split()[0]: line.split() for line in lines[4:]}
+    assert sorted(summary) == ["dnn", "l2nw", "linear"]
+    for fields in summary.values():
+        # name, then (stat, median, "(spread", spread) per statistic
+        medians = [float(fields[i]) for i in (2, 6, 10)]
+        assert 0.0 < medians[0] <= medians[1] <= medians[2]
+        assert fields[-1].count(",") == 1

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from lbmpc import mpc, qp as qpmod
+from lbmpc import mpc, oracle as om, qp as qpmod
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import OracleSection, ScheduleSection, load_scenario
 from lbmpc.mpc import (ControllerConfig, EmptyTightenedSet, LbmpcProblem,
@@ -25,8 +25,8 @@ from lbmpc.mpc import (ControllerConfig, EmptyTightenedSet, LbmpcProblem,
                        solve_lyapunov_P, synthesize_gain,
                        synthesize_tube_gain, _learned_rollout)
 from lbmpc.oracle import (DnnOracle, L2nwEstimator, NetworkArch, OracleState,
-                          ReplayBuffer, ZeroOracle, new_oracle,
-                          predict_and_jacobian, _stagewise_rollout)
+                          ReplayBuffer, ZeroOracle, l2nw_predict_and_jacobian,
+                          new_oracle, predict_and_jacobian)
 from lbmpc.plant import MooreGreitzerParams, PlantModel, linearize_discretize
 from lbmpc.polytope import (NotSchurStable, Polytope, TighteningData,
                             _solve_lp, max_invariant_set, tube_margins)
@@ -271,10 +271,13 @@ class TestLinearMpc:
                 sol = solve_lbmpc(p, x, warm_c=warm)
                 assert (sol.status, sol.sqp_iters) == ("optimal", 1)
                 np.testing.assert_allclose(sol.c, ref.x, rtol=0.0, atol=1e-9)
-            # zero oracle: the learned trajectory and its dz/dc are nominal
+            # zero oracle: the learned trajectory is the nominal one, and
+            # dz/dc is Tz up to rounding (the solve forms it through A, B
+            # and Tv, Tz through A + BK)
             _, z, Jz = _learned_rollout(p, x, sol.c)
-            assert np.allclose(z, nominal_traj(p, x, sol.c)[0])
-            assert np.allclose(Jz, p.Tz)
+            assert np.array_equal(z, nominal_traj(p, x, sol.c)[0])
+            np.testing.assert_allclose(Jz, p.Tz, rtol=1e-12,
+                                       atol=1e-15 * np.abs(p.Tz).max())
 
     def test_infeasible_initial_state(self, model, setup):
         p = problem(model, setup)
@@ -332,10 +335,11 @@ class TestLearnedRollout:
         p, state = self.dnn_problem(model, setup)
 
         class Generic:
-            # same network rolled out stage by stage, as the kernel oracle is
-            def rollout(self, A, B, x, v):
-                return _stagewise_rollout(
-                    A, B, x, v, partial(predict_and_jacobian, state))
+            # same network evaluated stage by stage, one point per call
+            def predict_and_jacobian(self, z, v):
+                rows = [predict_and_jacobian(state, zi, vi)
+                        for zi, vi in zip(z, v)]
+                return tuple(np.array(part) for part in zip(*rows))
 
         q = problem(model, setup, Generic())
         rng = np.random.default_rng(3)
@@ -348,17 +352,29 @@ class TestLearnedRollout:
             assert np.allclose(Ja, Jb, atol=1e-13)
 
     def test_rollout_jacobian_matches_fd(self, model, setup):
-        p, _ = self.dnn_problem(model, setup)
+        # dz/dc is the Gauss-Newton derivative of z = zbar + e: h moves with
+        # the nominal stages, the stage Jacobians stay at their values at c
+        p, state = self.dnn_problem(model, setup)
         rng = np.random.default_rng(5)
         x = rng.uniform(-0.3, 0.3, 2)
         c = rng.uniform(-0.1, 0.1, p.n_dec)
         _, z0, Jz = _learned_rollout(p, x, c)
+        zbar, v = nominal_traj(p, x, c)
+        N = p.cfg.N
+        _, Jx, Ju = predict_and_jacobian(state, zbar[:2 * N].reshape(N, 2),
+                                         v.reshape(N, 1))
+
+        class Frozen:
+            def predict_and_jacobian(self, z, v):
+                return predict_and_jacobian(state, z, v)[0], Jx, Ju
+
+        q = problem(model, setup, Frozen())
         eps = 1e-6
         for j in range(p.n_dec):
             dc = np.zeros(p.n_dec)
             dc[j] = eps
-            _, zp, _ = _learned_rollout(p, x, c + dc)
-            _, zm, _ = _learned_rollout(p, x, c - dc)
+            _, zp, _ = _learned_rollout(q, x, c + dc)
+            _, zm, _ = _learned_rollout(q, x, c - dc)
             fd = (zp - zm) / (2 * eps)
             assert np.max(np.abs(Jz[:, j] - fd)) < 1e-4
 
@@ -373,43 +389,51 @@ class TestLearnedRollout:
         assert learned_cost(p, x, sol.c) <= learned_cost(p, x, lin.c) + 1e-9
 
 
-def reference_dnn_rollout(state, A, B, x, v):
-    """The network rollout with its inputs concatenated stage by stage and
-    B v_i formed inside the loop, the layout the row buffer replaced."""
-    d, m = B.shape
-    N = v.size // m
+def reference_dnn_stages(state, Z, V):
+    """The network's h and stage Jacobians, one stage after the other, the
+    Jacobian a product of layer Jacobians from the input side."""
     K0, K1 = state.K[0], state.K[1:]
-    z = np.zeros((N + 1) * d)
-    z[:d] = x
-    acts = [np.empty((N, Wl.shape[1])) for Wl, _ in state.hidden]
-    for i in range(N):
-        zi = z[i * d:(i + 1) * d]
-        vi = v[i * m:(i + 1) * m]
+    d = Z.shape[1]
+    h, J = [], []
+    for zi, vi in zip(Z, V):
         a = np.concatenate([zi, vi])
-        for li, (Wl, bl) in enumerate(state.hidden):
+        Ji = np.eye(a.size)
+        for Wl, bl in state.hidden:
             a = np.tanh(a @ Wl + bl)
-            acts[li][i] = a
-        z[(i + 1) * d:(i + 2) * d] = A @ zi + B @ vi + (K0 + a @ K1)
-    J = None
-    for (Wl, _), al in zip(state.hidden, acts):
-        layer = (1.0 - al ** 2)[:, :, None] * Wl.T[None]
-        J = layer if J is None else layer @ J
-    return z, np.matmul(K1.T, J)
+            Ji = ((1.0 - a ** 2)[:, None] * Wl.T) @ Ji
+        h.append(K0 + a @ K1)
+        J.append(K1.T @ Ji)
+    J = np.array(J)
+    return np.array(h), J[:, :, :d], J[:, :, d:]
 
 
-def reference_learned_rollout(p, x, c, rollout):
-    """dz/dc with each stage's matrices formed inside the recursion."""
+def one_point_stage(oracle):
+    """(h, dh/dz, dh/dv) of ``oracle`` at one stage (z_i, v_i)."""
+    if isinstance(oracle, DnnOracle):
+        return partial(predict_and_jacobian, oracle.state)
+    if isinstance(oracle, L2nwEstimator):
+        return partial(l2nw_predict_and_jacobian, oracle)
+    return lambda z, v: (np.zeros(z.size), np.zeros((z.size, z.size)),
+                         np.zeros((z.size, v.size)))
+
+
+def reference_learned_rollout(p, x, c):
+    """The first-order expansion z = zbar + e around the nominal trajectory
+    and dz/dc, one stage after the other, each stage's matrices formed
+    inside the recursion."""
     A, B = p.model.A, p.model.B
     d, m = B.shape
+    stage = one_point_stage(p.oracle)
     zbar, v = nominal_traj(p, x, c)
-    z, Jh = rollout(A, B, x, v)
-    Jz = np.zeros((z.size, p.n_dec))
+    e = np.zeros_like(zbar)
+    Jz = np.zeros((zbar.size, p.n_dec))
     for i in range(p.cfg.N):
-        dv_dc = p.Tv[i * m:(i + 1) * m]
+        h, Jx, Ju = stage(zbar[i * d:(i + 1) * d], v[i * m:(i + 1) * m])
+        e[(i + 1) * d:(i + 2) * d] = (A + Jx) @ e[i * d:(i + 1) * d] + h
         Jz[(i + 1) * d:(i + 2) * d] = (
-            (A + Jh[i, :, :d]) @ Jz[i * d:(i + 1) * d]
-            + (B + Jh[i, :, d:]) @ dv_dc)
-    return zbar, v, z, Jz
+            (A + Jx) @ Jz[i * d:(i + 1) * d]
+            + (B + Ju) @ p.Tv[i * m:(i + 1) * m])
+    return zbar, v, zbar + e, Jz
 
 
 def with_oracle(p, kind, rng, hidden=(8, 6)):
@@ -441,11 +465,12 @@ def bundled_problem():
 
 
 class TestRolloutBitEquality:
-    """The network's packed layers and output-side Jacobian, and the one
-    triangular solve for dz/dc, reorder sums: the network's z and stage
-    Jacobians and every oracle's dz/dc match the stage-by-stage loops at the
-    reference traces' tolerance.  What kept its arithmetic matches bit for
-    bit: v, the zero-oracle and kernel z, and a solve's applied input."""
+    """The learned rollout's batched oracle call and its one triangular
+    solve for [e | dz/dc] reorder sums: z and dz/dc match the stage-by-stage
+    expansion at the reference traces' tolerance, and the network's batched
+    h and Jacobians match a stage-by-stage network.  What kept its
+    arithmetic matches bit for bit: v, the zero-oracle z, and a solve's
+    applied input."""
 
     @staticmethod
     def assert_close(a, b):
@@ -462,21 +487,18 @@ class TestRolloutBitEquality:
     def test_learned_rollout(self, plant_problem, kind):
         rng = np.random.default_rng(21)
         p = with_oracle(plant_problem, kind, rng)
-        rollout = p.oracle.rollout
-        if kind == "dnn":
-            rollout = partial(reference_dnn_rollout, p.oracle.state)
         d = p.model.d
         for _ in range(5):
             x = rng.uniform(-0.1, 0.1, d)
             c = rng.uniform(-0.05, 0.05, p.n_dec)
             v, z, Jz = _learned_rollout(p, x, c)
-            _, v_ref, z_ref, Jz_ref = reference_learned_rollout(p, x, c,
-                                                                rollout)
+            zbar, v_ref, z_ref, Jz_ref = reference_learned_rollout(p, x, c)
             assert np.array_equal(v, v_ref)
-            if kind == "dnn":
-                self.assert_close(z, z_ref)
+            if kind == "zero":
+                # e is exactly zero, so z is the nominal trajectory
+                assert np.array_equal(z, zbar)
             else:
-                assert np.array_equal(z, z_ref)
+                self.assert_close(z, z_ref)
             self.assert_close(Jz, Jz_ref)
 
     @pytest.mark.parametrize("kind", ["dnn", "l2nw", "zero"])
@@ -488,13 +510,13 @@ class TestRolloutBitEquality:
         assert np.array_equal(sol.u, (p.Sv @ x + p.Tv @ sol.c)[:p.model.m])
 
     def assert_rollout_matches(self, p, rng):
-        A, B = p.model.A, p.model.B
-        x = rng.uniform(-0.3, 0.3, p.model.d)
-        v = rng.uniform(-0.3, 0.3, p.n_dec)
-        z, Jh = p.oracle.rollout(A, B, x, v)
-        z_ref, Jh_ref = reference_dnn_rollout(p.oracle.state, A, B, x, v)
-        self.assert_close(z, z_ref)
-        self.assert_close(Jh, Jh_ref)
+        # the network adapter's one call at N stages, as the rollout makes it
+        d, m = p.model.B.shape
+        Z = rng.uniform(-0.3, 0.3, (p.cfg.N, d))
+        V = rng.uniform(-0.3, 0.3, (p.cfg.N, m))
+        got = p.oracle.predict_and_jacobian(Z, V)
+        for a, b in zip(got, reference_dnn_stages(p.oracle.state, Z, V)):
+            self.assert_close(a, b)
 
     def test_dnn_rollout(self, plant_problem):
         rng = np.random.default_rng(22)
@@ -509,9 +531,9 @@ class TestRolloutBitEquality:
         for _ in range(5):
             self.assert_rollout_matches(p, rng)
 
-    def test_no_stale_pack(self, plant_problem):
-        # the packed layers follow the hidden stack through a swap inside
-        # observe and through an assigned state, and K through adapt
+    def test_no_stale_state(self, plant_problem):
+        # the adapter's Jacobians follow the hidden stack through a swap
+        # inside observe and through an assigned state, and K through adapt
         rng = np.random.default_rng(24)
         p = with_oracle(plant_problem, "dnn", rng)
         d, m = p.model.B.shape
@@ -541,12 +563,16 @@ class TestRolloutBitEquality:
 @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
 def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
     # the real-time iteration: each solve, cold or warm, linearizes once and
-    # solves one QP; dnn is the scenario's own network, l2nw a filled ring
+    # solves one QP; the oracle is called once, at all N nominal stages,
+    # through the adapter and (dnn, l2nw) the module-level function that
+    # loopbench wraps; dnn is the scenario's own network, l2nw a filled ring
     p = bundled_problem
     if kind != "dnn":
         p = with_oracle(p, kind, np.random.default_rng(26))
-    calls = {"rollout": 0, "qp": 0}
+    N, (d, m) = p.cfg.N, p.model.B.shape
+    calls = {"rollout": 0, "qp": 0, "jac": [], "module": 0}
     rollout, qp_solve = mpc._learned_rollout, qpmod.qp_solve
+    adapter_jac = p.oracle.predict_and_jacobian
 
     def counted_rollout(*args):
         calls["rollout"] += 1
@@ -556,16 +582,32 @@ def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
         calls["qp"] += 1
         return qp_solve(prob)
 
+    def counted_jac(z, v):
+        calls["jac"].append((z.shape, v.shape))
+        return adapter_jac(z, v)
+
     monkeypatch.setattr(mpc, "_learned_rollout", counted_rollout)
     monkeypatch.setattr(qpmod, "qp_solve", counted_qp)
+    monkeypatch.setattr(p.oracle, "predict_and_jacobian", counted_jac)
+    module_name = {"dnn": "predict_and_jacobian",
+                   "l2nw": "l2nw_predict_and_jacobian"}.get(kind)
+    if module_name:
+        module_jac = getattr(om, module_name)
+
+        def counted_module(*args):
+            calls["module"] += 1
+            return module_jac(*args)
+
+        monkeypatch.setattr(om, module_name, counted_module)
     x = np.array([-0.12, 0.06, 0.0, 0.0])
     warm = None
     for start in ("cold", "warm"):
         sol = solve_lbmpc(p, x, warm_c=warm)
         assert (sol.status, sol.sqp_iters) == ("optimal", 1), start
-        assert calls == {"rollout": 1, "qp": 1}, start
+        assert calls == {"rollout": 1, "qp": 1, "jac": [((N, d), (N, m))],
+                         "module": int(module_name is not None)}, start
         assert p.feasible(x, sol.c)
-        calls.update(rollout=0, qp=0)
+        calls.update(rollout=0, qp=0, jac=[], module=0)
         warm = sol.c
 
 
@@ -603,35 +645,37 @@ class TestFallback:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("step", [0, 40])
     def test_non_finite_oracle_output(self, monkeypatch, bad, step):
-        # the first network rollout of one step of the bundled dnn run
-        # returns a non-finite learned state
+        # the network's one Jacobian call of one step of the bundled dnn run
+        # returns a non-finite entry in h, in dh/dz or in dh/dv
         scenario = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
         scenario = replace(scenario, run=replace(scenario.run, steps=60))
-        seen = {"step": -1, "poisoned": False}
-        solve, rollout = mpc.solve_lbmpc, DnnOracle.rollout
+        solve, jacobian = mpc.solve_lbmpc, DnnOracle.predict_and_jacobian
+        for part in range(3):
+            seen = {"step": -1, "poisoned": False}
 
-        def counted_solve(p, x, warm_c=None):
-            seen["step"] += 1
-            return solve(p, x, warm_c=warm_c)
+            def counted_solve(p, x, warm_c=None):
+                seen["step"] += 1
+                return solve(p, x, warm_c=warm_c)
 
-        def poisoned_rollout(self, A, B, x, v):
-            z, Jh = rollout(self, A, B, x, v)
-            if seen["step"] == step and not seen["poisoned"]:
-                seen["poisoned"] = True
-                z[-1] = bad
-            return z, Jh
+            def poisoned_jacobian(self, z, v):
+                out = jacobian(self, z, v)
+                if seen["step"] == step and not seen["poisoned"]:
+                    seen["poisoned"] = True
+                    out[part][-1, 0] = bad
+                return out
 
-        monkeypatch.setattr(mpc, "solve_lbmpc", counted_solve)
-        monkeypatch.setattr(DnnOracle, "rollout", poisoned_rollout)
-        if step == 0:
-            # nothing to fall back to before the first solution
-            with pytest.raises(InfeasibleAtStart):
-                run_closed_loop(scenario)
-            return
-        tr = run_closed_loop(scenario)
-        assert seen["poisoned"]
-        assert tr.status[step] == "fallback"
-        assert list(tr.status).count("fallback") == 1
-        assert np.min(tr.state_margin) >= 0.0
-        assert np.min(tr.input_margin) >= 0.0
-        assert np.all(tr.shift_feasible)
+            monkeypatch.setattr(mpc, "solve_lbmpc", counted_solve)
+            monkeypatch.setattr(DnnOracle, "predict_and_jacobian",
+                                poisoned_jacobian)
+            if step == 0:
+                # nothing to fall back to before the first solution
+                with pytest.raises(InfeasibleAtStart):
+                    run_closed_loop(scenario)
+                continue
+            tr = run_closed_loop(scenario)
+            assert seen["poisoned"], part
+            assert tr.status[step] == "fallback", part
+            assert list(tr.status).count("fallback") == 1, part
+            assert np.min(tr.state_margin) >= 0.0
+            assert np.min(tr.input_margin) >= 0.0
+            assert np.all(tr.shift_feasible)

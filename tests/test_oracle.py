@@ -4,6 +4,7 @@ gradients and Jacobians checked against central finite differences.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ def reference_diversity_slot(X, xu):
     if d2b.min() > current_min:
         return nearest
     return None
+
+
+def assert_batch_matches_points(jacobian, Z, V):
+    """Each row of one batched (h, dh/dx, dh/du) call matches the call at
+    that row alone, in shape, and in value to rtol 1e-12 with an absolute
+    floor of 1e-14 of the array's largest entry: the batch's products only
+    reorder the sums."""
+    batch = jacobian(Z, V)
+    assert [b.shape for b in batch] == [
+        Z.shape, Z.shape + Z.shape[-1:], Z.shape + V.shape[-1:]]
+    for i in range(len(Z)):
+        for b, one in zip(batch, jacobian(Z[i], V[i])):
+            assert b[i].shape == one.shape
+            np.testing.assert_allclose(b[i], one, rtol=1e-12,
+                                       atol=1e-14 * np.abs(b).max())
 
 
 @pytest.fixture
@@ -100,6 +116,14 @@ class TestNetwork:
                 assert np.allclose(Jx[:, j], fd, atol=1e-7)
             fd = (predict(st, x, u + eps) - predict(st, x, u - eps)) / (2 * eps)
             assert np.allclose(Ju[:, 0], fd, atol=1e-7)
+
+    def test_batch_rows_match_single_points(self, state):
+        rng = np.random.default_rng(4)
+        st = replace(state, K=rng.normal(size=state.K.shape) * 0.1,
+                     W_bar=np.full(4, 10.0))
+        assert_batch_matches_points(partial(predict_and_jacobian, st),
+                                    rng.normal(size=(10, 4)),
+                                    rng.normal(size=(10, 1)))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_column_bounds_finite_and_positive(self, arch, bad):
@@ -507,16 +531,19 @@ class TestL2nw:
         np.testing.assert_allclose(est._exponent_rows[:len(X)], expo,
                                    rtol=1e-15)
 
+    def test_batch_rows_match_single_points(self):
+        est, rng = self.wrapped_estimator(0.3)
+        assert_batch_matches_points(partial(l2nw_predict_and_jacobian, est),
+                                    rng.uniform(-0.5, 0.5, (10, 4)),
+                                    rng.uniform(-0.5, 0.5, (10, 1)))
+
     def test_empty_rollout_adds_nothing(self):
+        # an empty estimator's one call at N stages: zero h and Jacobians
         est = L2nwEstimator(capacity=8, n_in=3, n_out=2, bandwidth=1.0)
-        A, B = np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0], [0.1]])
-        x, v = np.array([0.3, -0.2]), np.array([0.5, -0.1, 0.2])
-        z, Jh = est.rollout(A, B, x, v)
-        assert not Jh.any()
-        ref = [x]
-        for vi in v:
-            ref.append(A @ ref[-1] + B @ [vi])
-        assert np.array_equal(z, np.concatenate(ref))
+        z, v = np.full((6, 2), 0.3), np.full((6, 1), -0.1)
+        h, Jz, Jv = est.predict_and_jacobian(z, v)
+        assert (h.shape, Jz.shape, Jv.shape) == ((6, 2), (6, 2, 2), (6, 2, 1))
+        assert not (h.any() or Jz.any() or Jv.any())
 
 
 class TestAdapterProtocol:
