@@ -339,6 +339,8 @@ def _learned_rollout(p: LbmpcProblem, x, c):
     n = (N + 1) * d
     eJ, _ = lapack.dtrtrs(Lt.reshape(n, n).T, rhs.reshape(n, 1 + nc),
                           lower=1, unitdiag=1)
+    if not np.isfinite(eJ).all():
+        raise MpcError("oracle output not finite")
     return v, zbar + eJ[:, 0], eJ[:, 1:]
 
 
@@ -355,8 +357,8 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None) -> MpcSolution:
     ``warm_c`` is None or the shifted previous perturbations, the point the
     cost is linearized at (zero without it).  One learned rollout (one
     oracle call) and one QP give the step; constraints are linear in c, so c + step is feasible.  On any
-    solver failure (a QP that does not end 'optimal', a non-finite oracle
-    output among them) ``warm_c`` is returned with status 'fallback' if it
+    solver failure (a non-finite learned rollout, or a QP that does not end
+    'optimal') ``warm_c`` is returned with status 'fallback' if it
     is feasible at x; otherwise MpcInfeasible is raised.  The wall time of
     either outcome counts from entry.
     """

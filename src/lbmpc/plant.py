@@ -64,80 +64,75 @@ class MooreGreitzerParams:
                 raise ValueError("%s must be positive" % name)
 
 
+def _field(params: MooreGreitzerParams, u, rows: bool):
+    """The vector field f(z, y, r, rdot) -> (dz, dy, dr, drdot) at input
+    ``u``, over Python floats for one state or over numpy arrays (``rows``)
+    for a batch.
+
+    Only the DomainError guard (a NaN passes it, as in numpy) and the square
+    root differ by type, so both give the same bits.  The throttle flow is
+    r*sqrt(y), the reading under which (X_EQ, U_EQ) is an equilibrium.  The
+    cube is the product z*z*z: two correctly rounded multiplications, the
+    same on floats as on arrays (a power routine may round differently
+    between its scalar and SIMD loops).
+    """
+    b2 = params.beta ** 2
+    wn2 = params.omega_n ** 2
+    damp = 2.0 * params.zeta * params.omega_n
+    sqrt = np.sqrt if rows else math.sqrt
+
+    def f(z, y, r, rd):
+        if rows:
+            outside = any(np.any(np.abs(c) > _DOMAIN_GUARD)
+                          for c in (z, y, r, rd))
+            negative = np.any(y < 0.0)
+        else:
+            outside = (abs(z) > _DOMAIN_GUARD or abs(y) > _DOMAIN_GUARD
+                       or abs(r) > _DOMAIN_GUARD or abs(rd) > _DOMAIN_GUARD)
+            negative = y < 0.0
+        if outside:
+            raise DomainError("state outside numerical domain guard")
+        if negative:
+            raise DomainError("negative square-root argument in throttle flow")
+        return (-y + 1.0 + 1.5 * z - 0.5 * (z * z * z),
+                (z + 1.0 - r * sqrt(y)) / b2,
+                rd,
+                wn2 * (u - r) - damp * rd)
+
+    return f
+
+
 def mg_rhs(state, u, params: MooreGreitzerParams):
     """Continuous-time vector field of the compressor plus actuator.
 
     ``state`` is (z, y, r, rdot); broadcasting over a leading batch axis is
-    supported.  The throttle flow is r*sqrt(y), the reading under which
-    (X_EQ, U_EQ) is an equilibrium.  The cube is the product z*z*z: each
-    multiplication is correctly rounded, so the one-state path of
-    step_truth, which forms the same product on Python floats, gives the
-    same bits.
+    supported.
     """
     s = np.asarray(state, dtype=float)
     u = np.squeeze(np.asarray(u, dtype=float))
-    z, y, r, rdot = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
-    if np.any(np.abs(s) > _DOMAIN_GUARD):
-        raise DomainError("state outside numerical domain guard")
-    if np.any(y < 0.0):
-        raise DomainError("negative square-root argument in throttle flow")
-    b2 = params.beta ** 2
-    dz = -y + 1.0 + 1.5 * z - 0.5 * (z * z * z)
-    dy = (z + 1.0 - r * np.sqrt(y)) / b2
-    dr = rdot
-    drr = params.omega_n ** 2 * (u - r) - 2.0 * params.zeta * params.omega_n * rdot
-    return np.stack([dz, dy, dr, drr], axis=-1)
+    return np.stack(_field(params, u, rows=True)(*np.moveaxis(s, -1, 0)),
+                    axis=-1)
 
 
 def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10):
     """Advance the truth model by one sampling period T with input held.
 
-    One state (shape (4,)) is integrated on Python floats, a batch (shape
-    (n, 4)) on numpy rows; both run the same operations in the same order.
+    One state (shape (4,)) runs on Python floats, a batch (shape (n, 4)) on
+    numpy columns: the same field and the same RK4 loop over the components,
+    so both give the same bits.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    h = params.T / substeps
     x = np.asarray(state, dtype=float)
-    if x.ndim == 1:
-        u1 = np.asarray(u, dtype=float).item()
-        return np.array(_step_one(*x.tolist(), u1, params, h, substeps))
-
-    def f(s):
-        return mg_rhs(s, u, params)
-
-    for _ in range(substeps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
-def _step_one(z, y, r, rd, u, params, h, substeps):
-    """step_truth for one state: mg_rhs and RK4 written out on floats, with
-    mg_rhs's DomainError checks (a NaN passes both, as in numpy).
-
-    The cube is the product z*z*z, as in mg_rhs: two correctly rounded
-    multiplications, the same on floats as on numpy rows, so both paths
-    agree bit for bit (a power routine may round differently between its
-    scalar and SIMD loops)."""
-    b2 = params.beta ** 2
-    wn2 = params.omega_n ** 2
-    damp = 2.0 * params.zeta * params.omega_n
-
-    def f(z, y, r, rd):
-        if (abs(z) > _DOMAIN_GUARD or abs(y) > _DOMAIN_GUARD
-                or abs(r) > _DOMAIN_GUARD or abs(rd) > _DOMAIN_GUARD):
-            raise DomainError("state outside numerical domain guard")
-        if y < 0.0:
-            raise DomainError("negative square-root argument in throttle flow")
-        return (-y + 1.0 + 1.5 * z - 0.5 * (z * z * z),
-                (z + 1.0 - r * math.sqrt(y)) / b2,
-                rd,
-                wn2 * (u - r) - damp * rd)
-
+    rows = x.ndim > 1
+    if rows:
+        u = np.squeeze(np.asarray(u, dtype=float))
+        z, y, r, rd = np.moveaxis(x, -1, 0)
+    else:
+        u = np.asarray(u, dtype=float).item()
+        z, y, r, rd = x.tolist()
+    f = _field(params, u, rows)
+    h = params.T / substeps
     a = 0.5 * h
     c = h / 6.0
     for _ in range(substeps):
@@ -146,9 +141,9 @@ def _step_one(z, y, r, rd, u, params, h, substeps):
         k3 = f(z + a * k2[0], y + a * k2[1], r + a * k2[2], rd + a * k2[3])
         k4 = f(z + h * k3[0], y + h * k3[1], r + h * k3[2], rd + h * k3[3])
         z, y, r, rd = (
-            x + c * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-            for x, p1, p2, p3, p4 in zip((z, y, r, rd), k1, k2, k3, k4))
-    return z, y, r, rd
+            v + c * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            for v, p1, p2, p3, p4 in zip((z, y, r, rd), k1, k2, k3, k4))
+    return np.stack((z, y, r, rd), axis=-1) if rows else np.array((z, y, r, rd))
 
 
 def mg_jacobians(params: MooreGreitzerParams, x_e, u_e):

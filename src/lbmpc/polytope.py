@@ -112,9 +112,7 @@ class Polytope:
         return bool(np.all(self.F @ x <= self.h + tol))
 
     def is_empty(self) -> bool:
-        if "empty" not in self._cache:
-            self._cache["empty"] = self.is_empty_at(self.h)
-        return self._cache["empty"]
+        return self.is_empty_at(self.h)
 
     def is_empty_at(self, h) -> bool:
         """True iff {x : F x <= h} is empty, for offsets ``h`` in place of self.h.
@@ -162,38 +160,36 @@ class TighteningData:
 
 
 def support(P: Polytope, direction) -> float:
-    """Support function max_{x in P} d'x via a dense LP.
-
-    Raises ``Unbounded`` if P is unbounded along ``direction`` and
-    ``Infeasible`` if P is empty.
-    """
-    d = np.asarray(direction, dtype=float).reshape(-1)
-    box = P._cache.get("box_bounds")
-    if box is not None:
-        if P.is_empty():
-            raise Infeasible("polytope is empty")
-        lo, hi = box
-        return float(np.where(d > 0, d * hi, d * lo).sum())
-    res = _solve_lp(-d, P.F, P.h)
-    if res.status == 3:
-        raise Unbounded("support LP unbounded along %s" % d)
-    if res.status == 2:
-        raise Infeasible("polytope is empty")
-    if res.status != 0:
-        raise PolytopeError("support LP failed: %s" % res.message)
-    return float(-res.fun)
+    """Support function max_{x in P} d'x (see :func:`support_many`)."""
+    d = np.asarray(direction, dtype=float)
+    return float(support_many(P, d.reshape(1, -1))[0])
 
 
 def support_many(P: Polytope, directions: np.ndarray) -> np.ndarray:
-    """Support values for each row of ``directions``."""
-    directions = np.atleast_2d(directions)
+    """Support values max_{x in P} d'x for each row d of ``directions``.
+
+    A box's are in closed form, any other polytope's are one dense LP per
+    row.  Raises ``Unbounded`` if P is unbounded along a row and
+    ``Infeasible`` if P is empty.
+    """
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
     box = P._cache.get("box_bounds")
     if box is not None:
         if P.is_empty():
             raise Infeasible("polytope is empty")
         lo, hi = box
         return np.where(directions > 0, directions * hi, directions * lo).sum(axis=1)
-    return np.array([support(P, d) for d in directions])
+    out = np.empty(len(directions))
+    for k, d in enumerate(directions):
+        res = _solve_lp(-d, P.F, P.h)
+        if res.status == 3:
+            raise Unbounded("support LP unbounded along %s" % d)
+        if res.status == 2:
+            raise Infeasible("polytope is empty")
+        if res.status != 0:
+            raise PolytopeError("support LP failed: %s" % res.message)
+        out[k] = -res.fun
+    return out
 
 
 def pontryagin_diff(P: Polytope, S: Polytope) -> Polytope:

@@ -319,12 +319,9 @@ def metrics(trace: ClosedLoopTrace, Q, R, band: float = 0.02) -> MetricsReport:
         settling = 0
         rise = 0
     else:
-        inside = err <= band * e0
-        settling = len(trace)
-        for t in range(len(trace)):
-            if inside[t:].all():
-                settling = t
-                break
+        # a NaN error counts as outside the band
+        outside = np.flatnonzero(~(err <= band * e0))
+        settling = outside[-1] + 1 if outside.size else 0
         risen = np.where(err <= 0.1 * e0)[0]
         rise = int(risen[0]) if risen.size else len(trace)
 

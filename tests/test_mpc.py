@@ -642,6 +642,7 @@ class TestFallback:
         with pytest.raises(MpcInfeasible):
             solve_lbmpc(p, x)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("step", [0, 40])
     def test_non_finite_oracle_output(self, monkeypatch, bad, step):

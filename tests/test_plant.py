@@ -180,6 +180,49 @@ class TestIntegrator:
             step_truth(X_EQ, U_EQ, params, substeps=0)
 
 
+class TestGoldenBits:
+    """step_truth and mg_rhs pinned to recorded bits, one state at a time and
+    as one batch.  reference_step_one calls mg_rhs, so it cannot catch a
+    change to the vector field itself; these literals can.  Only IEEE
+    arithmetic and a correctly rounded sqrt are involved, so the bits do not
+    depend on the platform."""
+
+    STATES = np.array([X_EQ, X_EQ + [-0.12, 0.06, 0.0, 0.0],
+                       [0.3, 1.4, 0.8, -3.0], [0.75, 2.0, 1.9, 7.5]])
+    INPUTS = np.array([U_EQ, U_EQ, 0.6, 1.8])
+    STEP = [
+        ("0x1.fffffff0cf910p-2", "0x1.b0000094786e2p+0",
+         "0x1.279a6b50b0f28p+0", "0x0.0p+0"),
+        ("0x1.7a7a11420d764p-2", "0x1.bd70b5046ed65p+0",
+         "0x1.279a6b50b0f28p+0", "0x0.0p+0"),
+        ("0x1.3496db40bfd7cp-2", "0x1.6c1d1884b2f37p+0",
+         "0x1.4bc0f1e58c6e1p-1", "-0x1.1698a20f6d517p+1"),
+        ("0x1.7e6a392b92e23p-1", "0x1.f31a49f0105d4p+0",
+         "0x1.f13acb65f0cc6p+0", "-0x1.3937b1a68c656p+1"),
+    ]
+    RHS = [
+        ("0x0.0p+0", "0x1.777963f600000p-21", "0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.a3b57c4e2f380p-3", "-0x1.2be51601a4528p-3",
+         "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.2b020c49ba5eap-5", "0x1.69e8d43a47550p-2",
+         "-0x1.8000000000000p+1", "-0x1.0757fbc43154cp+6"),
+        ("-0x1.6000000000000p-4", "-0x1.dfbf3857d1670p-1",
+         "0x1.e000000000000p+2", "-0x1.b36902a5612b3p+8"),
+    ]
+
+    @staticmethod
+    def bits(rows):
+        return np.array([[float.fromhex(v) for v in row] for row in rows])
+
+    @pytest.mark.parametrize("fn, table", [(step_truth, "STEP"),
+                                           (mg_rhs, "RHS")])
+    def test_recorded_bits(self, params, fn, table):
+        want = self.bits(getattr(self, table))
+        for x, u, row in zip(self.STATES, self.INPUTS, want):
+            assert np.array_equal(fn(x, u, params), row)
+        assert np.array_equal(fn(self.STATES, self.INPUTS, params), want)
+
+
 class TestResiduals:
     def test_truth_residual_definition(self, model):
         rng = np.random.default_rng(2)
