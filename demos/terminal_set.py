@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from lbmpc import cli, config, runtime
-from lbmpc.polytope import support_many
+from lbmpc.polytope import bounding_box
 
 
 def main():
@@ -19,8 +19,7 @@ def main():
     setup = runtime.build_setup(scenario)
     model = setup.model
 
-    eye = np.eye(model.d)
-    lo, hi = -support_many(model.W, -eye), support_many(model.W, eye)
+    lo, hi = bounding_box(model.W)
     print("estimated disturbance box W:")
     for i, (a, b) in enumerate(zip(lo, hi)):
         print("  h%d in [%+.2e, %+.2e]" % (i + 1, a, b))

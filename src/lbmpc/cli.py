@@ -22,7 +22,7 @@ from . import runtime
 from .config import ConfigError
 from .mpc import EmptyTightenedSet, MpcError
 from .plant import PlantError
-from .polytope import EmptyResult, support_many
+from .polytope import EmptyResult, bounding_box
 from .runtime import InfeasibleAtStart, RuntimeFailure, format_value
 
 EXIT_OK = 0
@@ -123,9 +123,8 @@ def invariance_violations(setup, samples, seed=0) -> int:
     omega = setup.omega
     model = setup.model
     A_cl = model.A + model.B @ setup.cfg.K
-    eye = np.eye(model.d)
-    lo, hi = -support_many(omega, -eye), support_many(omega, eye)
-    w_lo, w_hi = -support_many(model.W, -eye), support_many(model.W, eye)
+    lo, hi = bounding_box(omega)
+    w_lo, w_hi = bounding_box(model.W)
     rng = np.random.default_rng(seed)
     hits = 0
     violations = 0

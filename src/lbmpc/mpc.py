@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import qp as qpmod
-from .polytope import (Polytope, TighteningData, NotSchurStable, spectral_radius,
-                       tube_margins)
+from .polytope import (Polytope, TighteningData, NotSchurStable,
+                       _require_schur, tube_margins)
 
 
 class MpcError(Exception):
@@ -99,16 +99,14 @@ def synthesize_gain(model, Q, R):
     R = np.atleast_2d(np.asarray(R, dtype=float))
     P = _doubling(A, B @ np.linalg.solve(R, B.T), Q)
     K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    if spectral_radius(A + B @ K) >= 1.0 - 1e-8:
-        raise NotSchurStable("Riccati gain failed the Schur check")
+    _require_schur(A + B @ K)
     return K
 
 
 def solve_lyapunov_P(model, K, Q, R):
     """P with A_cl' P A_cl - P = -(Q + K'RK), by doubling with G = 0."""
     A_cl = model.A + model.B @ np.atleast_2d(K)
-    if spectral_radius(A_cl) >= 1.0 - 1e-8:
-        raise NotSchurStable("A + BK is not Schur stable")
+    _require_schur(A_cl)
     K = np.atleast_2d(np.asarray(K, dtype=float))
     S = np.atleast_2d(np.asarray(Q, dtype=float)) + K.T @ np.atleast_2d(np.asarray(R, dtype=float)) @ K
     return _doubling(A_cl, np.zeros_like(A_cl), S)
@@ -118,12 +116,11 @@ def margin_ratio(model, K, horizon: int = 80) -> float:
     """Worst asymptotic tube-margin ratio over all constraint rows.
 
     A value below 1 means the limit tube fits strictly inside the state and
-    input sets, which is what the terminal-set construction needs.
+    input sets, which is what the terminal-set construction needs.  A gain
+    whose closed loop is not Schur stable has no limit tube: infinity.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     A_cl = model.A + model.B @ K
-    if spectral_radius(A_cl) >= 1.0 - 1e-8:
-        return np.inf
     normals = np.vstack([model.X.F, model.U.F @ K])
     try:
         m = tube_margins(A_cl, model.W, normals, horizon)[horizon]

@@ -18,7 +18,7 @@ where the walk starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -63,6 +63,8 @@ class Polytope:
 
     F: np.ndarray
     h: np.ndarray
+    # read from the rows: exactly [I; -I] is the box [-h[d:], h[:d]]
+    is_box: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
@@ -75,7 +77,9 @@ class Polytope:
             raise ValueError("zero rows in F are not allowed")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "_cache", {})
+        eye = np.eye(F.shape[1])
+        object.__setattr__(self, "is_box",
+                           np.array_equal(F, np.vstack([eye, -eye])))
 
     # -- constructors ------------------------------------------------------
 
@@ -86,13 +90,8 @@ class Polytope:
         hi = np.asarray(hi, dtype=float).reshape(-1)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same length")
-        d = lo.size
-        eye = np.eye(d)
-        F = np.vstack([eye, -eye])
-        h = np.concatenate([hi, -lo])
-        P = Polytope(F, h)
-        P._cache["box_bounds"] = (lo.copy(), hi.copy())
-        return P
+        eye = np.eye(lo.size)
+        return Polytope(np.vstack([eye, -eye]), np.concatenate([hi, -lo]))
 
     @property
     def dim(self) -> int:
@@ -123,7 +122,7 @@ class Polytope:
         so that the verdict is the LP's.
         """
         h = np.asarray(h, dtype=float).reshape(-1)
-        if "box_bounds" in self._cache:
+        if self.is_box:
             d = self.dim
             return bool(np.any(-h[d:] > h[:d] + 1e-7))
         return _solve_lp(np.zeros(self.dim), self.F, h).status == 2
@@ -173,11 +172,8 @@ def support_many(P: Polytope, directions: np.ndarray) -> np.ndarray:
     ``Infeasible`` if P is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    box = P._cache.get("box_bounds")
-    if box is not None:
-        if P.is_empty():
-            raise Infeasible("polytope is empty")
-        lo, hi = box
+    if P.is_box:
+        lo, hi = bounding_box(P)
         return np.where(directions > 0, directions * hi, directions * lo).sum(axis=1)
     out = np.empty(len(directions))
     for k, d in enumerate(directions):
@@ -192,12 +188,27 @@ def support_many(P: Polytope, directions: np.ndarray) -> np.ndarray:
     return out
 
 
+def bounding_box(P: Polytope):
+    """(lo, hi) of the smallest axis-aligned box containing P.
+
+    A box's are its own ends; any other polytope's are its supports along
+    -e_i and e_i.  Raises ``Infeasible`` if P is empty.
+    """
+    if not P.is_box:
+        eye = np.eye(P.dim)
+        return -support_many(P, -eye), support_many(P, eye)
+    if P.is_empty():
+        raise Infeasible("polytope is empty")
+    d = P.dim
+    return -P.h[d:], P.h[:d].copy()
+
+
 def pontryagin_diff(P: Polytope, S: Polytope) -> Polytope:
     """Exact Pontryagin difference P (-) S for H-rep P.
 
     The result is {x : F x <= h - sigma_S(F)} with sigma_S the support
-    function of S evaluated at every facet normal of P.  Raises
-    ``EmptyResult`` if the tightened set is empty.
+    function of S evaluated at every facet normal of P, so a difference of
+    boxes is a box.  Raises ``EmptyResult`` if the tightened set is empty.
     """
     margins = support_many(S, P.F)
     result = Polytope(P.F, P.h - margins)
@@ -400,9 +411,8 @@ def _nonredundant_rows(F, h, cand_F, cand_h, x, pool):
 
 def _point_of(W: Polytope) -> np.ndarray:
     """A point of W: a box's centre, else the point of a feasibility LP."""
-    box = W._cache.get("box_bounds")
-    if box is not None:
-        return 0.5 * (box[0] + box[1])
+    if W.is_box:
+        return 0.5 * np.add(*bounding_box(W))
     res = _solve_lp(np.zeros(W.dim), W.F, W.h)
     if res.status == 2:
         raise Infeasible("polytope is empty")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mpc, oracle as om, plant
 from .config import ConfigError
-from .polytope import Polytope, max_invariant_set, support_many
+from .polytope import Polytope, bounding_box, max_invariant_set
 
 
 class RuntimeFailure(Exception):
@@ -147,9 +147,9 @@ class LoopSetup:
 
 
 def _w_halfwidths(W: Polytope) -> np.ndarray:
-    """Largest |w_i| over W, from its support in -e_i and e_i."""
-    eye = np.eye(W.dim)
-    return np.maximum(support_many(W, -eye), support_many(W, eye))
+    """Largest |w_i| over W, from its bounding box."""
+    lo, hi = bounding_box(W)
+    return np.maximum(-lo, hi)
 
 
 def build_setup(scenario) -> LoopSetup:

@@ -18,7 +18,7 @@ import pytest
 from lbmpc import config as cfgmod
 from lbmpc import mpc, oracle as om, plant, runtime
 from lbmpc.cli import SCENARIO_DIR
-from lbmpc.polytope import Polytope, pontryagin_diff, support
+from lbmpc.polytope import Polytope, bounding_box, pontryagin_diff, support
 from lbmpc.qp import QpProblem, qp_solve, solution_residuals
 
 from test_qp import active_set_oracle, random_qp
@@ -377,7 +377,7 @@ def test_criterion_11_sets(bundled):
     d = model.d
     lo = np.array([-support(omega, -np.eye(d)[i]) for i in range(d)])
     hi = np.array([support(omega, np.eye(d)[i]) for i in range(d)])
-    w_lo, w_hi = model.W._cache["box_bounds"]
+    w_lo, w_hi = bounding_box(model.W)
     rng = np.random.default_rng(4)
     hits = 0
     violations = 0

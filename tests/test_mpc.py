@@ -127,6 +127,26 @@ class TestGainSynthesis:
         K = synthesize_tube_gain(model, np.eye(2), np.array([[1.0]]))
         assert margin_ratio(model, K) < 1.0
 
+    @pytest.mark.parametrize("a, stable", [(1.0 - 2e-8, True),
+                                           (1.0 - 5e-9, False),
+                                           (1.0, False)])
+    def test_one_schur_verdict(self, a, stable):
+        # the gain, the Lyapunov cost and the margin ratio share polytope's
+        # test: spectral radius below 1 - SCHUR_TOL
+        m = PlantModel(A=np.array([[a]]), B=np.array([[1.0]]),
+                       X=Polytope.box([-1.0], [1.0]),
+                       U=Polytope.box([-1.0], [1.0]),
+                       W=Polytope.box([-1e-9], [1e-9]),
+                       x_eq=np.zeros(1), u_eq=0.0)
+        K, one = np.zeros((1, 1)), np.eye(1)
+        if stable:
+            assert np.isfinite(margin_ratio(m, K))
+            assert np.isfinite(solve_lyapunov_P(m, K, one, one)).all()
+        else:
+            assert margin_ratio(m, K) == np.inf
+            with pytest.raises(NotSchurStable):
+                solve_lyapunov_P(m, K, one, one)
+
     @pytest.mark.parametrize("horizon", [1, 10, 80])
     @pytest.mark.parametrize("plant", ["toy", "bundled"])
     def test_margin_ratio_is_max_of_separate_margins(self, model, plant,

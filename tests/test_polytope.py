@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 
 from lbmpc import config as cfgmod, polytope, runtime
 from lbmpc.polytope import (EmptyResult, Infeasible, NotSchurStable, Polytope,
-                            Unbounded, _lp_max, max_invariant_set,
+                            Unbounded, _lp_max, bounding_box, max_invariant_set,
                             pontryagin_diff, spectral_radius, support,
                             support_many, tube_margins)
 
@@ -168,6 +168,41 @@ class TestConstruction:
         P = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
         assert not P.is_empty_at([1.0, 0.0, 0.0])
         assert P.is_empty_at([-0.5, 0.0, 0.0])
+
+
+class TestBoxFromRows:
+    def test_box_read_from_rows(self):
+        # box-ness is a property of the rows, however the set was built
+        B = Polytope.box([-1.0, 0.5], [2.0, 3.0])
+        assert B.is_box and Polytope(B.F, B.h).is_box
+        assert not Polytope(B.F[::-1], B.h[::-1]).is_box
+        assert not Polytope(np.vstack([B.F, [[1.0, 1.0]]]),
+                            np.append(B.h, 9.0)).is_box
+        D = pontryagin_diff(B, Polytope.box([-0.1, -0.2], [0.1, 0.2]))
+        assert D.is_box
+        # [lo, hi] (-) [wlo, whi] = [lo - wlo, hi - whi], rounded once
+        assert np.array_equal(np.stack(bounding_box(D)),
+                              [np.subtract([-1.0, 0.5], [-0.1, -0.2]),
+                               np.subtract([2.0, 3.0], [0.1, 0.2])])
+
+    def test_bounding_box(self):
+        lo, hi = np.array([-1.0, -3.0, 0.0]), np.array([2.0, 5.0, 0.0])
+        got = bounding_box(Polytope.box(lo, hi))
+        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+        # a box with its rows reordered goes through the LPs, same ends
+        B = Polytope.box(lo, hi)
+        got = bounding_box(Polytope(B.F[::-1], B.h[::-1]))
+        assert np.allclose(got[0], lo, atol=1e-12)
+        assert np.allclose(got[1], hi, atol=1e-12)
+        T = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+        got = bounding_box(T)
+        assert np.allclose(got[0], [0.0, 0.0], atol=1e-12)
+        assert np.allclose(got[1], [1.0, 1.0], atol=1e-12)
+        slanted = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]])
+        for empty in (Polytope.box([1.0], [-1.0]),
+                      Polytope(slanted, [-1.0, 1.0, -1.0, 1.0, 5.0])):
+            with pytest.raises(Infeasible):
+                bounding_box(empty)
 
 
 class TestSupport:
