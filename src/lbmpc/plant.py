@@ -37,14 +37,16 @@ class NotStabilizable(PlantError):
     """(A, B) fails the PBH stabilizability test."""
 
 
-# Absolute-coordinate operating constraints: z, y, r, rdot and input u.
-STATE_BOUNDS_ABS = (np.array([0.0, 1.1875, 0.1547, -20.0]),
-                    np.array([1.0, 2.1875, 2.1547, 20.0]))
-INPUT_BOUNDS_ABS = (0.1547, 2.1547)
+# Surge equilibrium at z = 0.5 from the field's relations, whatever the plant
+# constants: the compressor characteristic y = 1 + 1.5 z - 0.5 z^3, the
+# throttle z + 1 = r sqrt(y) and the actuator at rest, r = u.
+_Z_EQ = 0.5
+_Y_EQ = 1.0 + 1.5 * _Z_EQ - 0.5 * (_Z_EQ * _Z_EQ * _Z_EQ)
+U_EQ = (_Z_EQ + 1.0) / math.sqrt(_Y_EQ)
+X_EQ = np.array([_Z_EQ, _Y_EQ, U_EQ, 0.0])
 
-# Surge equilibrium of the benchmark parameters.
-X_EQ = np.array([0.5, 1.6875, 1.1547, 0.0])
-U_EQ = 1.1547
+# Operating box about (X_EQ, U_EQ): half-widths of z, y, r, rdot and u.
+HALF_WIDTHS = np.array([0.5, 0.5, 1.0, 20.0, 1.0])
 
 _DOMAIN_GUARD = 1e6
 
@@ -213,11 +215,10 @@ def _check_stabilizable(A, B):
 
 
 def deviation_constraint_sets():
-    """State/input boxes of the benchmark, shifted to deviation coordinates."""
-    lo, hi = STATE_BOUNDS_ABS
-    X = Polytope.box(lo - X_EQ, hi - X_EQ)
-    U = Polytope.box([INPUT_BOUNDS_ABS[0] - U_EQ], [INPUT_BOUNDS_ABS[1] - U_EQ])
-    return X, U
+    """State and input sets in deviation coordinates: the operating box
+    -HALF_WIDTHS <= (x, u) <= HALF_WIDTHS."""
+    half_x, half_u = HALF_WIDTHS[:4], HALF_WIDTHS[4:]
+    return Polytope.box(-half_x, half_x), Polytope.box(-half_u, half_u)
 
 
 def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ,
@@ -260,24 +261,18 @@ def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
     Returns an (samples, d) array of deviation-coordinate residuals.  With
     ``seed=None`` the sweep is the deterministic Halton sequence; a seed
     switches to pseudo-random points, e.g. fresh residuals to test a bound.
-    ``region_scale`` shrinks the sweep box around the equilibrium; the
-    resulting bound then only covers that operating region.
+    The box is (x_eq, u_eq) +- ``region_scale`` * HALF_WIDTHS; a bound from
+    a scale below 1 only covers that smaller operating region.
     """
-    lo_x, hi_x = STATE_BOUNDS_ABS
-    lo = np.concatenate([lo_x, [INPUT_BOUNDS_ABS[0]]])
-    hi = np.concatenate([hi_x, [INPUT_BOUNDS_ABS[1]]])
-    scale = np.broadcast_to(np.asarray(region_scale, dtype=float), (5,)).copy()
+    scale = np.broadcast_to(np.asarray(region_scale, dtype=float), (5,))
     if np.any(scale <= 0.0) or np.any(scale > 1.0):
         raise ValueError("region_scale entries must be in (0, 1]")
-    if np.any(scale != 1.0):
-        center = np.concatenate([model.x_eq, [model.u_eq]])
-        lo = center + scale * (lo - center)
-        hi = center + scale * (hi - center)
+    center = np.concatenate([model.x_eq, [model.u_eq]])
     if seed is None:
         pts = qmc.Halton(d=5, scramble=False).random(samples)
     else:
         pts = np.random.default_rng(seed).random((samples, 5))
-    pts = lo + pts * (hi - lo)
+    pts = center + (2.0 * pts - 1.0) * (scale * HALF_WIDTHS)
     states_abs = pts[:, :4]
     inputs_abs = pts[:, 4]
     nxt = step_truth(states_abs, inputs_abs, params, substeps=substeps)

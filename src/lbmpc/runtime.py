@@ -190,11 +190,7 @@ def build_setup(scenario) -> LoopSetup:
                               policy=oc.buffer_policy)
         adapter = om.DnnOracle(state, model, buf, scenario.schedule, oc)
     elif oc.kind == "l2nw":
-        lo_x, hi_x = plant.STATE_BOUNDS_ABS
-        widths = np.concatenate([hi_x - lo_x,
-                                 [plant.INPUT_BOUNDS_ABS[1]
-                                  - plant.INPUT_BOUNDS_ABS[0]]])
-        diameter = float(np.linalg.norm(widths))
+        diameter = float(np.linalg.norm(2.0 * plant.HALF_WIDTHS))
         adapter = l2nw = om.L2nwEstimator(
             capacity=oc.buffer_capacity, n_in=model.d + model.m,
             n_out=model.d, bandwidth=oc.l2nw_bandwidth_factor * diameter,

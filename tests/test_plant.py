@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lbmpc.plant import (DomainError, INPUT_BOUNDS_ABS, MooreGreitzerParams,
-                         NotEquilibrium, PlantModel, STATE_BOUNDS_ABS,
-                         U_EQ, X_EQ,
+from lbmpc.polytope import bounding_box
+from lbmpc.plant import (DomainError, HALF_WIDTHS, MooreGreitzerParams,
+                         NotEquilibrium, PlantModel, U_EQ, X_EQ,
                          deviation_constraint_sets, estimate_W,
                          linearize_discretize, mg_jacobians, mg_rhs,
                          residual_sweep, step_truth, truth_residual)
@@ -46,6 +46,14 @@ class TestVectorField:
     def test_equilibrium_residual_tiny(self, params):
         r = mg_rhs(X_EQ, U_EQ, params)
         assert np.linalg.norm(r, np.inf) < 1e-6
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.836, 1.0, 3.0])
+    def test_equilibrium_for_every_beta(self, beta):
+        # the point is derived from the field's relations at full
+        # precision, and beta only scales the pressure-rise row's residual
+        params = MooreGreitzerParams(beta=beta)
+        assert np.linalg.norm(mg_rhs(X_EQ, U_EQ, params), np.inf) < 1e-12
+        linearize_discretize(params)
 
     def test_hand_computed_point(self, params):
         # z=0.25, y=1.0, r=1.0, rdot=0, u=1.0 with beta=1
@@ -115,6 +123,10 @@ class TestDiscretization:
         assert U.contains([0.0])
         assert X.contains([0.5, 0.5, 1.0, 20.0])
         assert not X.contains([0.51, 0.0, 0.0, 0.0])
+        # exactly the operating box's half-widths about the origin
+        for P, half in ((X, HALF_WIDTHS[:4]), (U, HALF_WIDTHS[4:])):
+            lo, hi = bounding_box(P)
+            assert np.array_equal(lo, -half) and np.array_equal(hi, half)
 
 
 class TestIntegrator:
@@ -134,8 +146,8 @@ class TestIntegrator:
         # the product z*z*z in both, correctly rounded, so they agree bit for
         # bit with each other and with the numpy RK4 on one state
         rng = np.random.default_rng(31)
-        lo = np.append(STATE_BOUNDS_ABS[0], INPUT_BOUNDS_ABS[0])
-        hi = np.append(STATE_BOUNDS_ABS[1], INPUT_BOUNDS_ABS[1])
+        center = np.append(X_EQ, U_EQ)
+        lo, hi = center - HALF_WIDTHS, center + HALF_WIDTHS
         pts = lo + rng.random((1000, 5)) * (hi - lo)
         special = np.array([
             [0.5, 1.6875, 1.1547, 2e6, 1.0],          # past the guard
@@ -185,11 +197,14 @@ class TestGoldenBits:
     as one batch.  reference_step_one calls mg_rhs, so it cannot catch a
     change to the vector field itself; these literals can.  Only IEEE
     arithmetic and a correctly rounded sqrt are involved, so the bits do not
-    depend on the platform."""
+    depend on the platform.  The inputs are literals too: the first two are
+    near the surge equilibrium with r = u = 1.1547, as recorded, not the
+    full-precision X_EQ and U_EQ."""
 
-    STATES = np.array([X_EQ, X_EQ + [-0.12, 0.06, 0.0, 0.0],
+    OLD_EQ = np.array([0.5, 1.6875, 1.1547, 0.0])
+    STATES = np.array([OLD_EQ, OLD_EQ + [-0.12, 0.06, 0.0, 0.0],
                        [0.3, 1.4, 0.8, -3.0], [0.75, 2.0, 1.9, 7.5]])
-    INPUTS = np.array([U_EQ, U_EQ, 0.6, 1.8])
+    INPUTS = np.array([1.1547, 1.1547, 0.6, 1.8])
     STEP = [
         ("0x1.fffffff0cf910p-2", "0x1.b0000094786e2p+0",
          "0x1.279a6b50b0f28p+0", "0x0.0p+0"),

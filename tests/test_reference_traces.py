@@ -15,6 +15,10 @@ from the repository root, naming only the scenarios whose trace moved
 (default: all three), so that the others keep their committed bits:
 
     PYTHONPATH=src python tests/test_reference_traces.py [linear dnn l2nw]
+
+Before it overwrites a file, the script prints each column's largest
+absolute change from the committed copy (for exact columns, the number of
+changed rows), the numbers a CHANGES.md entry states.
 """
 
 import dataclasses
@@ -76,11 +80,37 @@ def test_matches_reference(name, deterministic):
                 rtol=1e-12, atol=1e-14, err_msg=col)
 
 
+def deviations(old, new):
+    """Per column of the new trace: the largest absolute change from the old
+    one for a real-valued column, the number of changed rows otherwise."""
+    _, before = columns(old)
+    header, after = columns(new)
+    out = {}
+    for col in header:
+        if col not in before or len(before[col]) != len(after[col]):
+            out[col] = "new"
+        elif col in EXACT:
+            out[col] = sum(a != b for a, b in zip(before[col], after[col]))
+        else:
+            out[col] = float(np.max(np.abs(np.array(after[col], dtype=float)
+                                           - np.array(before[col],
+                                                      dtype=float))))
+    return out
+
+
 if __name__ == "__main__":
     os.makedirs(DATA, exist_ok=True)
     for scenario in sys.argv[1:] or SCENARIOS:
         # run before opening, so that a failed run truncates no file
         text = trace_csv(scenario)
-        with open(reference_path(scenario), "w") as fh:
+        path = reference_path(scenario)
+        if os.path.exists(path):
+            with open(path) as fh:
+                moved = deviations(fh.read(), text)
+            print("%s, largest change per column:" % scenario)
+            for col, value in moved.items():
+                print("  %-14s %s" % (col, "%.3g" % value
+                                      if isinstance(value, float) else value))
+        with open(path, "w") as fh:
             fh.write(text)
-        print("wrote", reference_path(scenario))
+        print("wrote", path)
