@@ -71,12 +71,16 @@ def _field(params: MooreGreitzerParams, u, rows: bool):
     ``u``, over Python floats for one state or over numpy arrays (``rows``)
     for a batch.
 
-    Only the DomainError guard (a NaN passes it, as in numpy) and the square
-    root differ by type, so both give the same bits.  The throttle flow is
-    r*sqrt(y), the reading under which (X_EQ, U_EQ) is an equilibrium.  The
-    cube is the product z*z*z: two correctly rounded multiplications, the
-    same on floats as on arrays (a power routine may round differently
-    between its scalar and SIMD loops).
+    Only the DomainError guard and the square root differ by type, so both
+    give the same bits.  A batch's guard is one fmax and one fmin reduction
+    per column (fmin alone for y < 0), which skip NaNs, so it gives each
+    row's verdict: a NaN passes, as a comparison with it is false, but does
+    not hide a huge or negative entry elsewhere in its column; an all-NaN
+    or empty column reduces to its -inf or inf start and passes.  The
+    throttle flow is r*sqrt(y), the reading under which (X_EQ, U_EQ) is an
+    equilibrium.  The cube is the product z*z*z: two correctly rounded
+    multiplications, the same on floats as on arrays (a power routine may
+    round differently between its scalar and SIMD loops).
     """
     b2 = params.beta ** 2
     wn2 = params.omega_n ** 2
@@ -85,9 +89,11 @@ def _field(params: MooreGreitzerParams, u, rows: bool):
 
     def f(z, y, r, rd):
         if rows:
-            outside = any(np.any(np.abs(c) > _DOMAIN_GUARD)
-                          for c in (z, y, r, rd))
-            negative = np.any(y < 0.0)
+            outside = any(
+                np.fmax.reduce(c, axis=None, initial=-np.inf) > _DOMAIN_GUARD
+                or np.fmin.reduce(c, axis=None, initial=np.inf) < -_DOMAIN_GUARD
+                for c in (z, y, r, rd))
+            negative = np.fmin.reduce(y, axis=None, initial=np.inf) < 0.0
         else:
             outside = (abs(z) > _DOMAIN_GUARD or abs(y) > _DOMAIN_GUARD
                        or abs(r) > _DOMAIN_GUARD or abs(rd) > _DOMAIN_GUARD)

@@ -10,14 +10,15 @@ whose k-step candidate is implied stays implied at every later step
 Eng. 1998), so each step tests only the rows still live.  Each test is a
 tiny LP that a dense active-set walk decides exactly, from a point every
 invariant set contains: the fixed point of x -> A_cl x + w for a w in W.
-The points where earlier walks ended form a pool; pulled into the current
-set along the segment to that fixed point, a pool point that violates a
-row proves the row is kept without a walk, and otherwise the best one is
-where the walk starts.
+The points where earlier walks ended form a pool, carried from level to
+level and pulled into each new level's rows along the segment to that
+fixed point; a pool point that violates a row proves the row is kept
+without a walk, and otherwise the best one is where the walk starts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,50 +274,69 @@ def _split(c, G, active):
     relative to its own size, not to c's: a step along it stays on the
     active rows however small it is.  The basis is the complete Q of the
     active rows' QR, built by dgeqrf and dorgqr as np.linalg.qr(...,
-    mode="complete") builds it, and the multipliers solve R lam = Q'c by
-    dgesv as np.linalg.solve does; Q is copied to C order first, so that
-    the products with it round as they do with numpy's Q.  This is bit for
-    bit the numpy computation at a fraction of its wrapper cost.
+    mode="complete") builds it; Q is copied to C order first, so that the
+    products with it round as they do with numpy's Q.  The multipliers
+    solve R lam = Q'c by one dtrtrs on the upper triangle that dgeqrf
+    leaves in place.  np.linalg.solve's dgesv would factor R as L = I,
+    U = R (every entry below a pivot is zero) and then run the same
+    triangular solve, so this is bit for bit the numpy computation at a
+    fraction of its wrapper cost; a zero on R's diagonal raises
+    LinAlgError as dgesv's does.
     """
     if not active:
         return np.empty(0), c
     k = len(active)
-    qr, tau = lapack.dgeqrf(G[active].T)[:2]
+    qr, tau = lapack.dgeqrf(G.take(active, axis=0).T)[:2]
     a = np.empty((G.shape[1],) * 2, order="F")
     a[:, :k] = qr
     Q = np.ascontiguousarray(lapack.dorgqr(a, tau, overwrite_a=1)[0])
     z = Q.T @ c
-    return _solve(np.triu(qr[:k]), z[:k]), Q[:, k:] @ z[k:]
+    lam, info = lapack.dtrtrs(qr[:k], z[:k])
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return lam, Q[:, k:] @ z[k:]
+
+
+def _unit_rows(F, h):
+    """The rows of {F x <= h} scaled to unit norm: the same set."""
+    norms = np.sqrt(np.einsum("ij,ij->i", F, F))
+    return F / norms[:, None], h / norms
 
 
 def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
-    """Maximize c'x over {F x <= h} by a primal active-set walk from ``x``.
+    """Maximize c'x over {F x <= h} by :func:`_walk` on the rows scaled to
+    unit norm, with ``max_steps`` defaulting to 2 (rows + dim)."""
+    G, g = _unit_rows(F, h)
+    if max_steps is None:
+        max_steps = 2 * (G.shape[0] + G.shape[1])
+    return _walk(c, G, g, x, max_steps, stop)
 
+
+def _walk(c, G, g, x, max_steps, stop):
+    """Maximize c'x over {G x <= g} by a primal active-set walk from ``x``.
+
+    The rows of G have unit norm, so the ratio test is relative to each
+    row's length and the step's, however fast the rows' scales decay.
     ``x`` must be feasible; a row it violates by a rounding error blocks the
     first step it would cross.  Each step moves along c projected onto the
-    null space of the active rows, up to the first row it would cross.  Rows
-    are scaled to unit norm, so that ratio test is relative to each row's
-    length and the step's, however fast the rows' scales decay.  Where the
-    projected c vanishes, c is a combination of the active rows: with no
-    negative multiplier the point is optimal (a vertex or, with fewer than
-    dim active rows, a face), otherwise the row with the most negative one
-    is dropped.  After a degenerate (zero-length) step the dropped and the
+    null space of the active rows, up to the first row it would cross: the
+    slacks g - G x are formed once, divided by G p where the step moves
+    toward a row, and the least ratio wins.  Where the projected c
+    vanishes, c is a combination of the active rows: with no negative
+    multiplier the point is optimal (a vertex or, with fewer than dim
+    active rows, a face), otherwise the row with the most negative one is
+    dropped.  After a degenerate (zero-length) step the dropped and the
     entering row are the lowest-indexed candidates (Bland's rule), which
     cannot cycle.
 
-    Returns ``(status, x)`` with linprog's codes: 0 optimal, 1 step cap
-    (default 2 (rows + dim)) reached, 3 unbounded; ``x`` is the last point.
-    The objective rises with every step, so a walk that reaches c'x > stop
-    ends there with status 0: the maximum exceeds ``stop``, which is all a
-    redundancy test needs to know.
+    Returns ``(status, x)`` with linprog's codes: 0 optimal, 1 ``max_steps``
+    reached, 3 unbounded; ``x`` is the last point.  The objective rises with
+    every step, so a walk that reaches c'x > stop ends there with status 0:
+    the maximum exceeds ``stop``, which is all a redundancy test needs to
+    know.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", F, F))
-    G, g = F / norms[:, None], h / norms
     n = G.shape[1]
-    eye = np.eye(n)
-    if max_steps is None:
-        max_steps = 2 * (G.shape[0] + n)
-    tol = 1e-12 * np.sqrt(c @ c)
+    tol = 1e-12 * math.sqrt(c @ c)
     zero_slack = 1e-14 * (1.0 + np.abs(g).max())
     x = np.array(x, dtype=float)
     active = []
@@ -325,7 +345,7 @@ def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
     while True:
         if len(active) == n:
             # a vertex: D's columns are the edge directions, A D = I
-            D = _solve(G[active], eye)
+            D = _solve(G.take(active, axis=0), np.eye(n))
             lam, p = c @ D, None
         else:
             lam, p = _split(c, G, active)
@@ -342,17 +362,17 @@ def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
         if steps == max_steps:
             return 1, x
         Gp = G @ p
-        blocking = Gp > 1e-12 * np.sqrt(p @ p)
-        blocking[active] = False
-        rows = np.flatnonzero(blocking)
-        if rows.size == 0:
-            return 3, x
-        slack = g[rows] - G[rows] @ x
+        blocking = Gp > 1e-12 * math.sqrt(p @ p)
+        blocking.put(active, False)
+        slack = g - G @ x
         slack[slack <= zero_slack] = 0.0
-        t = slack / Gp[rows]
-        i = np.argmin(t)  # the first of equal ratios: the lowest row
+        t = np.divide(slack, Gp, out=np.full_like(Gp, np.inf),
+                      where=blocking)
+        i = t.argmin()  # the first of equal ratios: the lowest row
+        if t[i] == np.inf:  # no row blocks the step
+            return 3, x
         x = x + t[i] * p
-        active.append(rows[i])
+        active.append(i)
         bland = bland or t[i] == 0.0
         steps += 1
         if c @ x > stop:
@@ -375,38 +395,39 @@ def _pull_in(Y, F, h, x):
     return x + theta[:, None] * D
 
 
-def _nonredundant_rows(F, h, cand_F, cand_h, x, pool):
-    """Indices of candidate rows not implied by {Fx <= h}, a set containing x.
+def _nonredundant_rows(G, g, cand_F, cand_h, x, Y):
+    """Indices of candidate rows not implied by {Gx <= g}, a set containing
+    x whose rows have unit norm, and ``Y`` with the walks' end points
+    appended.
 
-    Row i is implied when max cand_F[i]'x over {Fx <= h} is at most
-    cand_h[i] + LP_TOL.  ``pool`` is a list of points where earlier walks
-    ended, for kept and dropped rows alike; each is pulled into the set by
-    ``_pull_in``.  A pulled point above cand_h[i] + LP_TOL is a feasible
-    point that violates the row, which proves that a walk would keep it, so
-    the row is kept without one.  Otherwise the walk starts from the pulled
-    point highest along cand_F[i] if it is higher there than x, else from
-    x, and its end point is appended to ``pool``.  A walk that stops
-    unbounded or at its step cap keeps the row.
+    Row i is implied when max cand_F[i]'x over {Gx <= g} is at most
+    cand_h[i] + LP_TOL.  The rows of ``Y`` are points of the set: where
+    earlier walks ended, already pulled into it.  A point above
+    cand_h[i] + LP_TOL is a feasible point that violates the row, which
+    proves that a walk would keep it, so the row is kept without one.
+    Otherwise the walk starts from the point highest along cand_F[i] if it
+    is higher there than x, else from x, and its end point, which lies in
+    the set, joins ``Y`` for the rows after it.  A walk that stops
+    unbounded or at its step cap of 2 (rows + dim) keeps the row.
     """
-    Y = _pull_in(np.reshape(pool, (-1, x.size)), F, h, x)
+    max_steps = 2 * (G.shape[0] + G.shape[1])
     at_x = cand_F @ x
     keep = []
     for i, (f, b) in enumerate(zip(cand_F, cand_h)):
         start = x
         if len(Y):
             vals = Y @ f
-            j = np.argmax(vals)
+            j = vals.argmax()
             if vals[j] > b + LP_TOL:
                 keep.append(i)
                 continue
             if vals[j] > at_x[i]:
                 start = Y[j]
-        status, x_max = _lp_max(f, F, h, start, stop=b + LP_TOL)
-        pool.append(x_max)
+        status, x_max = _walk(f, G, g, start, max_steps, b + LP_TOL)
         Y = np.vstack([Y, x_max])
         if status != 0 or f @ x_max > b + LP_TOL:
             keep.append(i)
-    return np.array(keep, dtype=int)
+    return np.array(keep, dtype=int), Y
 
 
 def _point_of(W: Polytope) -> np.ndarray:
@@ -452,12 +473,17 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     (Kolmanovsky and Gilbert 1998).  Every base and candidate row holds on
     such an S.  So a row that xbar violates by more than ``LP_TOL`` proves
     that no invariant set exists, and xbar satisfies every row kept, so
-    Omega is not empty.  The end points of all walks so far are pooled and,
-    at each level, pulled toward xbar into the current set; a pulled point
-    that violates a candidate row keeps it without a walk, and otherwise
-    the highest one along the row starts the walk when it beats xbar (see
-    ``_nonredundant_rows``).  The kept rows are those of walking every
-    candidate from xbar.
+    Omega is not empty.  The end points of all walks so far are pooled as
+    points of the current set; a pooled point that violates a candidate row
+    keeps it without a walk, and otherwise the highest one along the row
+    starts the walk when it beats xbar (see ``_nonredundant_rows``).  The
+    pool is carried from level to level: after a level adds its rows, each
+    point is pulled toward xbar along the segment between them, until it
+    meets that level's new rows only (``_pull_in``).  That suffices: a
+    pooled point lies in O_{k-1}, xbar lies in O_k, and the set is convex,
+    so the whole segment keeps O_{k-1}'s rows.  The walks read the rows at
+    unit norm, which are scaled once, when a level adds them.  The kept
+    rows are those of walking every candidate from xbar.
 
     The result Omega satisfies Omega subset X_t, K Omega subset U_t and
     A_cl Omega (+) W subset Omega.  Raises ``EmptyResult`` if no invariant
@@ -472,7 +498,8 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
 
     base_F = np.vstack([X_t.F, U_t.F @ K])
     base_h = np.concatenate([X_t.h, U_t.h])
-    F, h = base_F.copy(), base_h.copy()
+    # the rows of Omega, level by level
+    F, h = [base_F], [base_h]
 
     # level-k normals and margins of every base row, k = 1, 2, ...; the
     # live rows are indexed out of them, so a chain's values do not depend
@@ -483,23 +510,28 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     if np.any(base_F @ xbar > base_h + LP_TOL):
         raise EmptyResult("no disturbance-invariant set within constraints")
     live = np.arange(base_h.size)
-    pool = []
+    G, g = _unit_rows(base_F, base_h)
+    Y = np.empty((0, xbar.size))
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
-        cand_h = base_h - w_margin
-        if np.any(dirs[live] @ xbar > cand_h[live] + LP_TOL):
+        cand_F, cand_h = dirs[live], (base_h - w_margin)[live]
+        if np.any(cand_F @ xbar > cand_h + LP_TOL):
             raise EmptyResult("no disturbance-invariant set within "
                               "constraints")
-        live = live[_nonredundant_rows(F, h, dirs[live], cand_h[live], xbar,
-                                       pool)]
+        keep, Y = _nonredundant_rows(G, g, cand_F, cand_h, xbar, Y)
+        live = live[keep]
         if live.size == 0:
             converged = True
             break
-        F = np.vstack([F, dirs[live]])
-        h = np.concatenate([h, cand_h[live]])
+        F.append(cand_F[keep])
+        h.append(cand_h[keep])
+        new_G, new_g = _unit_rows(F[-1], h[-1])
+        G = np.vstack([G, new_G])
+        g = np.concatenate([g, new_g])
+        Y = _pull_in(Y, new_G, new_g, xbar)
         w_margin = w_margin + support_many(W, dirs)
         dirs = dirs @ A_cl
 
-    return InvariantSetResult(omega=Polytope(F, h), converged=converged,
-                              iterations=k)
+    return InvariantSetResult(omega=Polytope(np.vstack(F), np.concatenate(h)),
+                              converged=converged, iterations=k)

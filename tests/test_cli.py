@@ -162,6 +162,18 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
 
+    def test_beta_three_no_gain_exit(self, tmp_path, monkeypatch, capsys):
+        # the equilibrium and linearization hold at beta = 3, but no rung
+        # of the tube-gain ladder has a tube that fits: a numerical failure
+        # with a message, not a traceback
+        monkeypatch.setenv("LBMPC_PLANT_BETA", "3")
+        rc = main(["sets", os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERICAL
+        assert "no gain found with a feasible disturbance tube" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "sets"])
     def test_unconverged_invariant_set_exit(self, command, tmp_path,
                                             monkeypatch):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from lbmpc.polytope import bounding_box
 from lbmpc.plant import (DomainError, HALF_WIDTHS, MooreGreitzerParams,
-                         NotEquilibrium, PlantModel, U_EQ, X_EQ,
+                         NotEquilibrium, PlantModel, U_EQ, X_EQ, _field,
                          deviation_constraint_sets, estimate_W,
                          linearize_discretize, mg_jacobians, mg_rhs,
                          residual_sweep, step_truth, truth_residual)
@@ -191,6 +191,69 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             step_truth(X_EQ, U_EQ, params, substeps=0)
 
+
+
+OUTSIDE = "state outside numerical domain guard"
+NEGATIVE = "negative square-root argument in throttle flow"
+PAST_GUARD = np.nextafter(1e6, np.inf)
+
+# batches of (z, y, r, rdot) and the field's verdict on them: the message
+# it raises, or None where every row passes
+GUARD_CASES = {
+    "nan": ([[np.nan, 1.6875, 1.1547, 0.0], [0.5, 1.6875, 1.1547, np.nan]],
+            None),
+    "inf": ([[0.5, 1.6875, np.inf, 0.0]], OUTSIDE),
+    "minus_inf": ([[0.5, 1.6875, 1.1547, -np.inf]], OUTSIDE),
+    "at_guard": ([[0.5, 1.6875, 1.1547, 1e6]], None),
+    "at_minus_guard": ([[0.5, 1.6875, -1e6, 0.0]], None),
+    "past_guard": ([[0.5, 1.6875, 1.1547, PAST_GUARD]], OUTSIDE),
+    "past_minus_guard": ([[-PAST_GUARD, 1.6875, 1.1547, 0.0]], OUTSIDE),
+    "negative_y": ([[0.5, -1e-3, 1.1547, 0.0]], NEGATIVE),
+    "nan_beside_huge": ([[np.nan, 1.6875, 1.1547, 0.0],
+                         [2e6, 1.6875, 1.1547, 0.0]], OUTSIDE),
+    "all_nan_column": ([[0.5, np.nan, 1.1547, 0.0],
+                        [0.4, np.nan, 1.2, 0.0]], None),
+    "empty": (np.empty((0, 4)), None),
+}
+
+
+class TestDomainGuard:
+    """A batch's guard reduces each column once; it must give the verdict
+    of the one-state path, which compares Python floats, row by row."""
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_batch_matches_one_state(self, params, case):
+        rows, verdict = GUARD_CASES[case]
+        X = np.array(rows, dtype=float).reshape(-1, 4)
+        u = np.full(len(X), U_EQ)
+        field_one = _field(params, U_EQ, rows=False)
+        paths = (
+            ("field", lambda: mg_rhs(X, u, params),
+             lambda x: np.array(field_one(*x.tolist()))),
+            ("step", lambda: step_truth(X, u, params),
+             lambda x: step_truth(x, U_EQ, params)),
+        )
+        for path, batch, one in paths:
+            outcomes = []
+            for x in X:
+                try:
+                    outcomes.append(one(x))
+                except DomainError as exc:
+                    outcomes.append(str(exc))
+            messages = {o for o in outcomes if isinstance(o, str)}
+            if path == "field":
+                assert messages == {verdict} - {None}
+            if messages:
+                # each case's raising rows agree on the message
+                message, = messages
+                with pytest.raises(DomainError) as info:
+                    batch()
+                assert str(info.value) == message
+            else:
+                out = batch()
+                assert out.shape == X.shape
+                assert np.array_equal(out, np.reshape(outcomes, X.shape),
+                                      equal_nan=True)
 
 class TestGoldenBits:
     """step_truth and mg_rhs pinned to recorded bits, one state at a time and

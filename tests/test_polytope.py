@@ -578,28 +578,40 @@ class TestInvariantSet:
 
     def test_pooled_end_points_save_walks(self, monkeypatch):
         # walking every live row takes 108 walks on the bundled plant; the
-        # pooled end points decide the rest, and 47 walks remain
+        # pooled end points decide the rest, and 47 walks remain.  Every
+        # walk goes through _walk, so a fixpoint that stopped calling it
+        # would count 0 and fail here rather than pass with nothing checked
         walks = []
-        lp_max = polytope._lp_max
+        walk = polytope._walk
 
         def counting(*args, **kwargs):
             walks.append(1)
-            return lp_max(*args, **kwargs)
+            return walk(*args, **kwargs)
 
         pulled = []
         pull_in = polytope._pull_in
 
-        def checked(Y, F, h, x):
+        def pulling(Y, F, h, x):
             out = pull_in(Y, F, h, x)
             pulled.append(len(out))
-            assert np.all(out @ F.T <= h + 1e-12)
             return out
 
-        monkeypatch.setattr(polytope, "_lp_max", counting)
-        monkeypatch.setattr(polytope, "_pull_in", checked)
+        # the pool a level starts with was pulled against the new rows
+        # only; its points must satisfy every row of the current set
+        tested = []
+        nonredundant_rows = polytope._nonredundant_rows
+
+        def checked(G, g, cand_F, cand_h, x, Y):
+            tested.append(len(Y))
+            assert np.all(Y @ G.T <= g + 1e-12)
+            return nonredundant_rows(G, g, cand_F, cand_h, x, Y)
+
+        monkeypatch.setattr(polytope, "_walk", counting)
+        monkeypatch.setattr(polytope, "_pull_in", pulling)
+        monkeypatch.setattr(polytope, "_nonredundant_rows", checked)
         runtime.build_setup(bundled_scenario(1.1))
-        assert len(walks) <= 54
-        assert sum(pulled) > 0
+        assert 0 < len(walks) <= 54
+        assert sum(pulled) > 0 and sum(tested) > 0
 
     def test_setup_lp_count(self, monkeypatch):
         # the terminal stage's emptiness check; the fixpoint walks from a

@@ -16,9 +16,15 @@ equals the recorded one.
 A step's time is the least of its k solves' own ``wall_time``, so a host
 stall has to hit all k of them to count, and a slow phase of the host hits
 the three oracles at the same steps.  Per oracle the report gives the p50,
-p95 and max over steps of these least-of-k times, in ms, the step of the
-max, and for each statistic its median over the rounds and its spread
-(largest minus smallest round).
+p95 and max over steps of these least-of-k times, in ms, and then the
+statistics that criterion 7 of the acceptance tests reads, with the cold
+step apart from the warm ones: the time of step 0 ("step0") and the max
+over steps 1 on ("max1+").  The dnn line adds the ratio of the dnn median
+to the linear median ("p50/linear"), and with more than 500 steps (e.g.
+``--steps 600``) the l2nw line adds its filled-buffer max over steps
+500-599 ("max500-599").  Each statistic is given as its median over the
+rounds and its spread (largest minus smallest round); the line ends with
+the step of the max in each round.
 """
 
 from __future__ import annotations
@@ -87,19 +93,37 @@ def stats(times):
     return (p50, p95, ms.max()), int(np.argmax(ms))
 
 
+def criterion7(times):
+    """{name: [(label, value)]}: the statistics criterion 7 reads, from one
+    round's {name: per-step times}; times in ms."""
+    out = {}
+    for name, t in times.items():
+        ms = 1e3 * t
+        out[name] = [("step0", ms[0]),
+                     ("max1+", ms[1:].max() if len(ms) > 1 else np.nan)]
+    out["dnn"].append(("p50/linear",
+                       np.median(times["dnn"]) / np.median(times["linear"])))
+    if len(times["l2nw"]) > 500:
+        out["l2nw"].append(("max500-599", 1e3 * times["l2nw"][500:600].max()))
+    return out
+
+
 def report(rounds):
     """Lines of the summary over rounds of {name: per-step times}."""
+    extra = [criterion7(r) for r in rounds]
     lines = []
     for name in rounds[0]:
         per_round = [stats(r[name]) for r in rounds]
-        values = np.array([v for v, _ in per_round])
+        labels = list(STATS) + [label for label, _ in extra[0][name]]
+        values = np.array([list(v) + [x for _, x in e[name]]
+                           for (v, _), e in zip(per_round, extra)])
         steps = [s for _, s in per_round]
         med = np.median(values, axis=0)
         spread = values.max(axis=0) - values.min(axis=0)
         lines.append(
             "%-6s  " % name
             + "  ".join("%s %.4f (spread %.4f)" % (stat, m, s)
-                        for stat, m, s in zip(STATS, med, spread))
+                        for stat, m, s in zip(labels, med, spread))
             + "  max at steps %s" % ",".join(map(str, steps)))
     return lines
 
@@ -136,8 +160,8 @@ def main(argv=None) -> int:
             (_, _, top), step = stats(times)
             maxima.append("%s max %.4f ms at step %d" % (name, top, step))
         print("round %d: %s" % (r + 1, "; ".join(maxima)), flush=True)
-    print("least-of-%d solve times over steps, ms; median over %d rounds"
-          % (args.k, args.rounds))
+    print("least-of-%d solve times over steps, ms (p50/linear a ratio); "
+          "median over %d rounds" % (args.k, args.rounds))
     for line in report(rounds):
         print(line)
     return 0
