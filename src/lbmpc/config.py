@@ -159,8 +159,8 @@ def _validate(s: Scenario) -> Scenario:
         if getattr(s.oracle, name) < 1:
             raise ConfigError("oracle.%s must be >= 1" % name)
     for name in ("beta", "zeta", "omega_n", "T"):
-        if not getattr(s.plant, name) > 0.0:
-            raise ConfigError("plant.%s must be positive" % name)
+        if not 0.0 < getattr(s.plant, name) < math.inf:
+            raise ConfigError("plant.%s must be finite and positive" % name)
     if s.plant.substeps < 1:
         raise ConfigError("plant.substeps must be >= 1")
     if s.plant.w_samples < 1000:

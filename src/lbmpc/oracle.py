@@ -518,6 +518,9 @@ class L2nwEstimator:
     def __post_init__(self):
         if self.bandwidth <= 0.0 or self.lam <= 0.0:
             raise ValueError("bandwidth and lambda must be positive")
+        if not math.isfinite(self.bandwidth * self.bandwidth):
+            raise ValueError("bandwidth %g has no finite square"
+                             % self.bandwidth)
         self.buffer = ReplayBuffer(self.capacity, self.n_in, self.n_out)
         self._bw2 = self.bandwidth ** 2
         self._exponent_rows = np.zeros((self.capacity, self.n_in + 1))

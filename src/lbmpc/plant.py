@@ -62,8 +62,8 @@ class MooreGreitzerParams:
 
     def __post_init__(self):
         for name in ("beta", "zeta", "omega_n", "T"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError("%s must be positive" % name)
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and positive" % name)
 
 
 def _field(params: MooreGreitzerParams, u, rows: bool):
@@ -233,10 +233,14 @@ def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ,
 
     The equilibrium claim is verified (residual < 1e-6) before the Jacobians
     are trusted; discretization uses the augmented matrix exponential
-    [[A_c, B_c], [0, 0]] so there is no discretization-order error.
+    [[A_c, B_c], [0, 0]] so there is no discretization-order error.  Raises
+    ``PlantError`` when the field's constants or that exponential overflow.
     """
     x_e = np.asarray(x_e, dtype=float)
-    resid = mg_rhs(x_e, u_e, params)
+    try:
+        resid = mg_rhs(x_e, u_e, params)
+    except OverflowError as exc:  # beta ** 2 or omega_n ** 2
+        raise PlantError("plant constants overflow the vector field") from exc
     if np.linalg.norm(resid, ord=np.inf) >= 1e-6:
         raise NotEquilibrium("equilibrium residual %.3g" % np.linalg.norm(resid, np.inf))
     A_c, B_c = mg_jacobians(params, x_e, u_e)
@@ -245,6 +249,8 @@ def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ,
     aug[:d, :d] = A_c
     aug[:d, d:] = B_c
     M = expm(aug * params.T)
+    if not np.isfinite(M).all():
+        raise PlantError("ZOH exponential not finite at T = %g" % params.T)
     A = M[:d, :d]
     B = M[:d, d:]
     X, U = deviation_constraint_sets()

@@ -256,32 +256,23 @@ def tube_margins(A_cl, W: Polytope, constraint_normals, N: int) -> np.ndarray:
     return np.cumsum(sums, axis=0)
 
 
-def _solve(A, b):
-    """A^-1 b by LAPACK's dgesv, the routine under np.linalg.solve and
-    np.linalg.inv, without their wrappers; a singular A raises
-    LinAlgError as they do."""
-    x, info = lapack.dgesv(A, b)[2:]
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return x
-
-
 def _split(c, G, active):
     """Multipliers of c on the active rows of G, and the part of c in their
-    null space.
+    null space: the one factorization behind every step of :func:`_walk`.
 
     The null-space part comes from an orthonormal basis, so it is accurate
     relative to its own size, not to c's: a step along it stays on the
-    active rows however small it is.  The basis is the complete Q of the
-    active rows' QR, built by dgeqrf and dorgqr as np.linalg.qr(...,
-    mode="complete") builds it; Q is copied to C order first, so that the
-    products with it round as they do with numpy's Q.  The multipliers
-    solve R lam = Q'c by one dtrtrs on the upper triangle that dgeqrf
-    leaves in place.  np.linalg.solve's dgesv would factor R as L = I,
-    U = R (every entry below a pivot is zero) and then run the same
+    active rows however small it is.  With dim active rows (a vertex) the
+    null space is empty and the part is a zero vector.  The basis is the
+    complete Q of the active rows' QR, built by dgeqrf and dorgqr as
+    np.linalg.qr(..., mode="complete") builds it; Q is copied to C order
+    first, so that the products with it round as they do with numpy's Q.
+    The multipliers solve R lam = Q'c by one dtrtrs on the upper triangle
+    that dgeqrf leaves in place.  np.linalg.solve's dgesv would factor R as
+    L = I, U = R (every entry below a pivot is zero) and then run the same
     triangular solve, so this is bit for bit the numpy computation at a
-    fraction of its wrapper cost; a zero on R's diagonal raises
-    LinAlgError as dgesv's does.
+    fraction of its wrapper cost; a zero on R's diagonal (dependent active
+    rows) raises LinAlgError as dgesv's does.
     """
     if not active:
         return np.empty(0), c
@@ -303,62 +294,47 @@ def _unit_rows(F, h):
     return F / norms[:, None], h / norms
 
 
-def _lp_max(c, F, h, x, max_steps=None, stop=np.inf):
-    """Maximize c'x over {F x <= h} by :func:`_walk` on the rows scaled to
-    unit norm, with ``max_steps`` defaulting to 2 (rows + dim)."""
-    G, g = _unit_rows(F, h)
-    if max_steps is None:
-        max_steps = 2 * (G.shape[0] + G.shape[1])
-    return _walk(c, G, g, x, max_steps, stop)
-
-
-def _walk(c, G, g, x, max_steps, stop):
+def _walk(c, G, g, x, max_steps=None, stop=np.inf):
     """Maximize c'x over {G x <= g} by a primal active-set walk from ``x``.
 
-    The rows of G have unit norm, so the ratio test is relative to each
-    row's length and the step's, however fast the rows' scales decay.
-    ``x`` must be feasible; a row it violates by a rounding error blocks the
-    first step it would cross.  Each step moves along c projected onto the
-    null space of the active rows, up to the first row it would cross: the
-    slacks g - G x are formed once, divided by G p where the step moves
-    toward a row, and the least ratio wins.  Where the projected c
-    vanishes, c is a combination of the active rows: with no negative
-    multiplier the point is optimal (a vertex or, with fewer than dim
-    active rows, a face), otherwise the row with the most negative one is
-    dropped.  After a degenerate (zero-length) step the dropped and the
-    entering row are the lowest-indexed candidates (Bland's rule), which
-    cannot cycle.
+    The rows of G have unit norm (see :func:`_unit_rows`), so the ratio
+    test is relative to each row's length and the step's, however fast the
+    rows' scales decay.  ``x`` must be feasible; a row it violates by a
+    rounding error blocks the first step it would cross.  Every step takes
+    the multipliers of c on the active rows and c's part in their null
+    space from one :func:`_split`, and moves along that part up to the
+    first row it would cross: the slacks g - G x are formed once, divided
+    by G p where the step moves toward a row, and the least ratio wins.
+    Where the part vanishes (always at a vertex), c is a combination of
+    the active rows: with no negative multiplier the point is optimal,
+    otherwise the lowest-indexed active row with a negative multiplier is
+    dropped and the step moves along c's part in the remaining rows' null
+    space.  Entering rows are the lowest-indexed of equal ratios, so both
+    choices follow Bland's rule (Math. Oper. Res. 1977), which cannot
+    cycle on degenerate (zero-length) steps.
 
     Returns ``(status, x)`` with linprog's codes: 0 optimal, 1 ``max_steps``
-    reached, 3 unbounded; ``x`` is the last point.  The objective rises with
-    every step, so a walk that reaches c'x > stop ends there with status 0:
-    the maximum exceeds ``stop``, which is all a redundancy test needs to
-    know.
+    reached (by default twice rows plus dim), 3 unbounded; ``x`` is the last
+    point.  The objective rises with every step, so a walk that reaches
+    c'x > stop ends there with status 0: the maximum exceeds ``stop``,
+    which is all a redundancy test needs to know.
     """
     n = G.shape[1]
+    if max_steps is None:
+        max_steps = 2 * (G.shape[0] + n)
     tol = 1e-12 * math.sqrt(c @ c)
     zero_slack = 1e-14 * (1.0 + np.abs(g).max())
     x = np.array(x, dtype=float)
     active = []
-    bland = False
     steps = 0
     while True:
-        if len(active) == n:
-            # a vertex: D's columns are the edge directions, A D = I
-            D = _solve(G.take(active, axis=0), np.eye(n))
-            lam, p = c @ D, None
-        else:
-            lam, p = _split(c, G, active)
-        if p is None or p @ p <= tol * tol:
+        lam, p = _split(c, G, active)
+        if p @ p <= tol * tol:
             neg = np.flatnonzero(lam < -tol)
             if neg.size == 0:
                 return 0, x
-            if bland:
-                j = min(neg, key=active.__getitem__)
-            else:
-                j = neg[np.argmin(lam[neg])]
-            del active[j]
-            p = -D[:, j] if p is None else _split(c, G, active)[1]
+            del active[min(neg, key=active.__getitem__)]
+            p = _split(c, G, active)[1]
         if steps == max_steps:
             return 1, x
         Gp = G @ p
@@ -373,7 +349,6 @@ def _walk(c, G, g, x, max_steps, stop):
             return 3, x
         x = x + t[i] * p
         active.append(i)
-        bland = bland or t[i] == 0.0
         steps += 1
         if c @ x > stop:
             return 0, x
@@ -387,12 +362,12 @@ def _pull_in(Y, F, h, x):
     (h - F x) / (F (y - x))) is in it.  A row that x violates by a rounding
     error counts as having zero slack.
     """
-    D = Y - x
-    FD = D @ F.T
+    V = Y - x
+    FV = V @ F.T
     slack = np.maximum(h - F @ x, 0.0)
-    ratio = np.divide(slack, FD, out=np.full_like(FD, np.inf), where=FD > 0)
+    ratio = np.divide(slack, FV, out=np.full_like(FV, np.inf), where=FV > 0)
     theta = np.minimum(1.0, ratio.min(axis=1))
-    return x + theta[:, None] * D
+    return x + theta[:, None] * V
 
 
 def _nonredundant_rows(G, g, cand_F, cand_h, x, Y):
@@ -408,9 +383,8 @@ def _nonredundant_rows(G, g, cand_F, cand_h, x, Y):
     Otherwise the walk starts from the point highest along cand_F[i] if it
     is higher there than x, else from x, and its end point, which lies in
     the set, joins ``Y`` for the rows after it.  A walk that stops
-    unbounded or at its step cap of 2 (rows + dim) keeps the row.
+    unbounded or at its step cap keeps the row.
     """
-    max_steps = 2 * (G.shape[0] + G.shape[1])
     at_x = cand_F @ x
     keep = []
     for i, (f, b) in enumerate(zip(cand_F, cand_h)):
@@ -423,7 +397,7 @@ def _nonredundant_rows(G, g, cand_F, cand_h, x, Y):
                 continue
             if vals[j] > at_x[i]:
                 start = Y[j]
-        status, x_max = _walk(f, G, g, start, max_steps, b + LP_TOL)
+        status, x_max = _walk(f, G, g, start, stop=b + LP_TOL)
         Y = np.vstack([Y, x_max])
         if status != 0 or f @ x_max > b + LP_TOL:
             keep.append(i)

@@ -191,10 +191,14 @@ def build_setup(scenario) -> LoopSetup:
         adapter = om.DnnOracle(state, model, buf, scenario.schedule, oc)
     elif oc.kind == "l2nw":
         diameter = float(np.linalg.norm(2.0 * plant.HALF_WIDTHS))
-        adapter = l2nw = om.L2nwEstimator(
-            capacity=oc.buffer_capacity, n_in=model.d + model.m,
-            n_out=model.d, bandwidth=oc.l2nw_bandwidth_factor * diameter,
-            lam=oc.l2nw_lambda)
+        try:
+            adapter = l2nw = om.L2nwEstimator(
+                capacity=oc.buffer_capacity, n_in=model.d + model.m,
+                n_out=model.d, bandwidth=oc.l2nw_bandwidth_factor * diameter,
+                lam=oc.l2nw_lambda)
+        except ValueError as exc:
+            raise ConfigError("oracle.l2nw_bandwidth_factor: %s"
+                              % exc) from exc
     else:
         raise ValueError("unknown oracle kind %r" % oc.kind)
 

@@ -174,6 +174,26 @@ class TestSimulate:
         assert "no gain found with a feasible disturbance tube" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name,value,code,message", [
+        ("T", "inf", EXIT_CONFIG, "plant.T must be finite and positive"),
+        ("OMEGA_N", "inf", EXIT_CONFIG,
+         "plant.omega_n must be finite and positive"),
+        ("ZETA", "inf", EXIT_CONFIG, "plant.zeta must be finite and positive"),
+        ("T", "1e300", EXIT_NUMERICAL, "ZOH exponential not finite"),
+        ("ZETA", "1e300", EXIT_NUMERICAL, "ZOH exponential not finite"),
+        ("BETA", "1e300", EXIT_NUMERICAL,
+         "plant constants overflow the vector field")])
+    def test_extreme_plant_constant_exit(self, tmp_path, monkeypatch, capsys,
+                                         name, value, code, message):
+        # each of these ended in a LinAlgError or OverflowError traceback
+        monkeypatch.setenv("LBMPC_PLANT_" + name, value)
+        rc = main(["sets", os.path.join(SCENARIO_DIR, "linear.ini"),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "sets"])
     def test_unconverged_invariant_set_exit(self, command, tmp_path,
                                             monkeypatch):
@@ -207,15 +227,20 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("value", ["0", "nan"])
-    def test_l2nw_bandwidth_validated(self, tmp_path, monkeypatch, value):
+    @pytest.mark.parametrize("value", ["0", "nan", "1e300"])
+    def test_l2nw_bandwidth_validated(self, tmp_path, monkeypatch, capsys,
+                                      value):
         # 0 ended in a traceback, NaN in a run of fallback steps that
-        # exited 0
+        # exited 0, and 1e300, a bandwidth with no finite square, in an
+        # OverflowError traceback from the estimator
         monkeypatch.setenv("LBMPC_ORACLE_L2NW_BANDWIDTH_FACTOR", value)
         monkeypatch.setenv("LBMPC_RUN_STEPS", "20")
         rc = main(["simulate", os.path.join(SCENARIO_DIR, "l2nw.ini"),
                    "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
+        assert "oracle.l2nw_bandwidth_factor" in err
+        assert "Traceback" not in err
 
     def test_missing_scenario_file(self, tmp_path):
         rc = main(["simulate", str(tmp_path / "nope.ini"),

@@ -189,9 +189,11 @@ class TestValidation:
                 parse_scenario("[schedule]\n%s\n" % line, environ=EMPTY_ENV)
 
     def test_plant_constants(self):
-        # each of these reached the plant, which raised a ValueError
+        # each of these reached the plant, which raised a ValueError (for
+        # an inf, a LinAlgError)
         for line in ("beta = -1", "zeta = 0", "omega_n = -3", "T = 0",
-                     "beta = nan", "w_samples = 999"):
+                     "beta = nan", "w_samples = 999", "T = inf",
+                     "omega_n = inf", "zeta = inf", "beta = inf"):
             with pytest.raises(ConfigError):
                 parse_scenario("[plant]\n%s\n" % line, environ=EMPTY_ENV)
         s = parse_scenario("[plant]\nw_samples = 1000\n", environ=EMPTY_ENV)

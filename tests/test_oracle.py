@@ -464,6 +464,13 @@ class TestL2nw:
         fd = (l2nw_predict(est, x, u + eps) - l2nw_predict(est, x, u - eps)) / (2 * eps)
         assert np.allclose(Ju[:, 0], fd, atol=1e-7)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), 1e200,
+                                           float("inf")])
+    def test_bandwidth_validated(self, bandwidth):
+        # 1e200 is finite, but its square overflowed in __post_init__
+        with pytest.raises(ValueError):
+            L2nwEstimator(capacity=2, n_in=1, n_out=1, bandwidth=bandwidth)
+
     def test_ring_overwrite(self):
         est = L2nwEstimator(capacity=2, n_in=1, n_out=1, bandwidth=1.0)
         for v in (1.0, 2.0, 3.0):

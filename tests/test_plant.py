@@ -9,8 +9,8 @@ from scipy.linalg import expm
 
 from lbmpc.polytope import bounding_box
 from lbmpc.plant import (DomainError, HALF_WIDTHS, MooreGreitzerParams,
-                         NotEquilibrium, PlantModel, U_EQ, X_EQ, _field,
-                         deviation_constraint_sets, estimate_W,
+                         NotEquilibrium, PlantError, PlantModel, U_EQ, X_EQ,
+                         _field, deviation_constraint_sets, estimate_W,
                          linearize_discretize, mg_jacobians, mg_rhs,
                          residual_sweep, step_truth, truth_residual)
 
@@ -54,6 +54,21 @@ class TestVectorField:
         params = MooreGreitzerParams(beta=beta)
         assert np.linalg.norm(mg_rhs(X_EQ, U_EQ, params), np.inf) < 1e-12
         linearize_discretize(params)
+
+    @pytest.mark.parametrize("name", ["beta", "zeta", "omega_n", "T"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_constants_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MooreGreitzerParams(**{name: value})
+
+    @pytest.mark.parametrize("kwargs", [dict(T=1e300), dict(zeta=1e300),
+                                        dict(beta=1e300),
+                                        dict(omega_n=1e300)])
+    def test_overflowing_constants_raise_plant_error(self, kwargs):
+        # finite constants whose squares or ZOH exponential overflow
+        with pytest.raises(PlantError):
+            linearize_discretize(MooreGreitzerParams(**kwargs))
 
     def test_hand_computed_point(self, params):
         # z=0.25, y=1.0, r=1.0, rdot=0, u=1.0 with beta=1

@@ -14,9 +14,10 @@ from scipy.optimize import linprog
 
 from lbmpc import config as cfgmod, polytope, runtime
 from lbmpc.polytope import (EmptyResult, Infeasible, NotSchurStable, Polytope,
-                            Unbounded, _lp_max, bounding_box, max_invariant_set,
-                            pontryagin_diff, spectral_radius, support,
-                            support_many, tube_margins)
+                            Unbounded, _unit_rows, _walk, bounding_box,
+                            max_invariant_set, pontryagin_diff,
+                            spectral_radius, support, support_many,
+                            tube_margins)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(runtime.__file__), "scenarios")
 
@@ -350,7 +351,7 @@ def linprog_max(c, F, h):
 
 def assert_walk_optimal(c, F, h, x0):
     c, F, h = (np.asarray(a, dtype=float) for a in (c, F, h))
-    status, x = _lp_max(c, F, h, x0)
+    status, x = _walk(c, *_unit_rows(F, h), x0)
     assert status == 0
     assert np.all(F @ x <= h + 1e-12)
     expected = linprog_max(c, F, h)
@@ -390,7 +391,7 @@ class TestLpWalk:
         F = np.vstack([np.eye(2), -np.eye(2), [[1e-12, 1e-12]]])
         h = np.array([1.0, 1.0, 1.0, 1.0, 1.5e-12])
         for c, x0 in (([1.0, 0.3], [0.0, 0.0]), ([0.3, 1.0], [0.9, -0.9])):
-            status, x = _lp_max(np.array(c), F, h, np.array(x0))
+            status, x = _walk(np.array(c), *_unit_rows(F, h), np.array(x0))
             expected = linprog_max(c, np.vstack([F[:4], [1.0, 1.0]]),
                                    np.append(h[:4], 1.5))
             assert status == 0
@@ -398,7 +399,7 @@ class TestLpWalk:
 
     def test_many_rows_through_optimal_vertex(self):
         # a pyramid whose apex (0, 0, 1) lies on 7 side facets: pivots there
-        # are zero-length steps, after which the walk follows Bland's rule
+        # are zero-length steps, which Bland's rule keeps from cycling
         angles = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
         sides = np.column_stack([np.cos(angles), np.sin(angles),
                                  np.ones(7)])
@@ -416,20 +417,20 @@ class TestLpWalk:
     def test_optimal_face(self):
         # c is normal to a face: the walk stops on it with 1 active row
         F = np.vstack([np.eye(3), -np.eye(3)])
-        status, x = _lp_max(np.array([0.0, 0.0, 2.0]), F, np.ones(6),
-                            np.zeros(3))
+        status, x = _walk(np.array([0.0, 0.0, 2.0]),
+                          *_unit_rows(F, np.ones(6)), np.zeros(3))
         assert status == 0 and x[2] == 1.0
 
     def test_unbounded(self):
         F = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        status, _ = _lp_max(np.array([-1.0, 0.2]), F, np.ones(3),
-                            np.zeros(2))
+        status, _ = _walk(np.array([-1.0, 0.2]), *_unit_rows(F, np.ones(3)),
+                          np.zeros(2))
         assert status == 3
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_split_matches_numpy(self, k):
-        # _split and the vertex solve call dgeqrf, dorgqr and dgesv
-        # directly; they give np.linalg.qr's, solve's and inv's bits
+        # _split calls dgeqrf, dorgqr and dtrtrs directly; it gives
+        # np.linalg.qr's and solve's bits, at a vertex (k = 4) too
         rng = np.random.default_rng(k)
         for _ in range(500):
             G = rng.normal(size=(10, 4))
@@ -441,24 +442,22 @@ class TestLpWalk:
             lam, p = polytope._split(c, G, active)
             assert np.array_equal(lam, np.linalg.solve(R[:k], z[:k]))
             assert np.array_equal(p, Q[:, k:] @ z[k:])
-            if k == 4:
-                assert np.array_equal(polytope._solve(G[active], np.eye(4)),
-                                      np.linalg.inv(G[active]))
 
     def test_singular_solves_raise(self):
-        # a repeated active row makes R singular, as two equal rows make
-        # the vertex matrix: both fail as numpy's do, never silently
+        # a repeated active row makes R singular, on a face and at a
+        # vertex (k = dim): _split fails as numpy's solve does, never
+        # silently
         G = np.vstack([np.eye(3), np.eye(3)])
         with pytest.raises(np.linalg.LinAlgError):
             polytope._split(np.ones(3), G, [0, 3])
         with pytest.raises(np.linalg.LinAlgError):
-            polytope._solve(G[[0, 1, 3]], np.eye(3))
+            polytope._split(np.ones(3), G, [0, 1, 3])
 
     @pytest.mark.parametrize("max_steps", [0, 1])
     def test_step_cap(self, max_steps):
         F = np.vstack([np.eye(2), -np.eye(2)])
-        status, x = _lp_max(np.array([1.0, 0.3]), F, np.ones(4),
-                            np.zeros(2), max_steps=max_steps)
+        status, x = _walk(np.array([1.0, 0.3]), *_unit_rows(F, np.ones(4)),
+                          np.zeros(2), max_steps=max_steps)
         assert status == 1
         assert np.all(F @ x <= 1.0)
 
