@@ -211,6 +211,10 @@ class LbmpcProblem:
     TvR: np.ndarray = field(init=False)
     TvRTv: np.ndarray = field(init=False)
     reg: np.ndarray = field(init=False)
+    # for _learned_rollout: Tv by stage (a view), and the flat positions in
+    # its transposed triangular matrix of entry [i, b, a] of (-A - dh/dz_i)
+    Tv_stages: np.ndarray = field(init=False)
+    sub_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
         model, cfg = self.model, self.cfg
@@ -264,13 +268,16 @@ class LbmpcProblem:
         self.TvR = Tv.T @ np.kron(np.eye(N), cfg.R)
         self.TvRTv = self.TvR @ Tv
         self.reg = 1e-9 * np.eye(N * m)
+        self.Tv_stages = Tv.reshape(N, m, N * m)
+        i, b, a = np.ogrid[:N, :d, :d]
+        self.sub_index = ((i * d + a) * (N + 1) + i + 1) * d + b
 
     @property
     def n_dec(self) -> int:
         return self.cfg.N * self.model.m
 
     def feasible(self, x, c, tol: float = 1e-7) -> bool:
-        return bool(np.all(self.Gc @ c <= self.rhs0 - self.Gx @ x + tol))
+        return bool((self.Gc @ c <= self.rhs0 - self.Gx @ x + tol).all())
 
 
 def _check_nonempty(P, h, stage, kind):
@@ -318,7 +325,8 @@ def _learned_rollout(p: LbmpcProblem, x, c):
     matrix, so one triangular solve with [h | (B + dh/dv) Tv] on the right
     gives [e | dz/dc]; dz/dc holds the stage Jacobians at their values, as
     the Gauss-Newton model does.  The matrix is stored transposed in C
-    order, so that LAPACK reads it in Fortran order without a copy.
+    order, so that LAPACK reads it in Fortran order without a copy; its
+    sub-diagonal blocks go in through the problem's flat ``sub_index``.
     """
     A, B = p.model.A, p.model.B
     d, m = B.shape
@@ -329,11 +337,10 @@ def _learned_rollout(p: LbmpcProblem, x, c):
         zbar[:N * d].reshape(N, d), v.reshape(N, m))
     rhs = np.zeros((N + 1, d, 1 + nc))
     rhs[1:, :, 0] = h
-    np.matmul(B + dh_dv, p.Tv.reshape(N, m, nc), out=rhs[1:, :, 1:])
-    Lt = np.zeros((N + 1, d, N + 1, d))
-    i = np.arange(N)
-    Lt[i, :, i + 1] = np.swapaxes(-A - dh_dz, 1, 2)
+    np.matmul(B + dh_dv, p.Tv_stages, out=rhs[1:, :, 1:])
     n = (N + 1) * d
+    Lt = np.zeros(n * n)
+    Lt[p.sub_index] = -A - dh_dz
     eJ, _ = lapack.dtrtrs(Lt.reshape(n, n).T, rhs.reshape(n, 1 + nc),
                           lower=1, unitdiag=1)
     if not np.isfinite(eJ).all():

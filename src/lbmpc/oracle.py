@@ -78,6 +78,9 @@ class NetworkArch:
 
 HiddenStack = List[Tuple[np.ndarray, np.ndarray]]
 
+# the constant feature, and the 1 that ends a kernel query
+_ONE = np.ones(1)
+
 
 def init_hidden(arch: NetworkArch, seed: int) -> HiddenStack:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
@@ -143,10 +146,8 @@ def new_oracle(arch: NetworkArch, W_bar, gamma: float, seed: int = 0) -> OracleS
 
 def features(state: OracleState, x, u) -> np.ndarray:
     """Bounded feature vector phi(x, u) with leading constant 1."""
-    xu = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1),
-                         np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)])
-    a = _forward_hidden(state.hidden, xu)[-1]
-    return np.concatenate([[1.0], a])
+    xu = np.concatenate((x, u), axis=None, dtype=float)
+    return np.concatenate((_ONE, _forward_hidden(state.hidden, xu)[-1]))
 
 
 def predict(state: OracleState, x, u) -> np.ndarray:
@@ -198,15 +199,13 @@ def adapt(state: OracleState, x_t, u_t, x_next, model,
 
     The prediction error is xtilde = (A x + B u + K'phi) - x_next; the raw
     update K - gamma * phi xtilde' / |phi|^2 is projected column-wise back
-    onto the norm bounds.  ``phi`` should be the cached feature vector of the
-    generation that produced u_t; it is recomputed if omitted.
+    onto the norm bounds.  ``x_t``, ``u_t`` and ``x_next`` are 1-D float
+    arrays.  ``phi`` should be the cached feature vector of the generation
+    that produced u_t; it is recomputed if omitted.
     """
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    u_vec = np.asarray(u_t, dtype=float).reshape(-1)
-    x_next = np.asarray(x_next, dtype=float).reshape(-1)
     if phi is None:
-        phi = features(state, x_t, u_vec)
-    x_hat = model.A @ x_t + model.B @ u_vec + phi @ state.K
+        phi = features(state, x_t, u_t)
+    x_hat = model.A @ x_t + model.B @ u_t + phi @ state.K
     x_tilde = x_hat - x_next
     # phi x_tilde' by broadcasting, the product np.outer forms
     K_bar = (state.K - state.gamma * (phi[:, None] * x_tilde)
@@ -286,7 +285,7 @@ class ReplayBuffer:
         h = np.asarray(h, dtype=float).reshape(-1)
         if xu.shape != (self.n_in,) or h.shape != (self.n_out,):
             raise ValueError("sample shape does not match the buffer")
-        if not (np.all(np.isfinite(xu)) and np.all(np.isfinite(h))):
+        if not (np.isfinite(xu).all() and np.isfinite(h).all()):
             raise ValueError("non-finite sample")
         if self._count < self.capacity:
             idx = self._count
@@ -381,7 +380,8 @@ def batch_gradients(hidden: HiddenStack, K: np.ndarray, X: np.ndarray, H: np.nda
         a_out = acts[layer + 1]
         dz = da * (1.0 - a_out ** 2)
         grads[layer] = (acts[layer].T @ dz, dz.sum(axis=0))
-        da = dz @ hidden[layer][0].T
+        if layer:  # the input layer's da would have no reader
+            da = dz @ hidden[layer][0].T
     return grads, loss
 
 
@@ -464,7 +464,7 @@ class DnnOracle:
         h_hat = predict_from_features(self.state, phi)
         self.state = adapt(self.state, x, u, x_next, self.model, phi=phi)
         buf, sched, tr = self.buffer, self.schedule, self.training
-        buffer_push(buf, np.concatenate([x, u]), h)
+        buffer_push(buf, np.concatenate((x, u)), h)
         self._new_samples += 1
         if (t > 0 and t % sched.copy_period == 0
                 and len(buf) >= sched.train_fill * buf.capacity
@@ -485,9 +485,6 @@ class DnnOracle:
 
 # ---------------------------------------------------------------------------
 # L2NW baseline
-
-
-_ONE = np.ones(1)
 
 
 @dataclass
@@ -518,8 +515,10 @@ class L2nwEstimator:
     def __post_init__(self):
         if self.bandwidth <= 0.0 or self.lam <= 0.0:
             raise ValueError("bandwidth and lambda must be positive")
-        if not math.isfinite(self.bandwidth * self.bandwidth):
-            raise ValueError("bandwidth %g has no finite square"
+        # a square that overflows, or underflows to 0, makes the kernel
+        # Jacobian NaN
+        if not 0.0 < self.bandwidth * self.bandwidth < math.inf:
+            raise ValueError("bandwidth %g has no finite positive square"
                              % self.bandwidth)
         self.buffer = ReplayBuffer(self.capacity, self.n_in, self.n_out)
         self._bw2 = self.bandwidth ** 2

@@ -144,13 +144,14 @@ def step_truth(state, u, params: MooreGreitzerParams, substeps: int = 10):
     a = 0.5 * h
     c = h / 6.0
     for _ in range(substeps):
-        k1 = f(z, y, r, rd)
-        k2 = f(z + a * k1[0], y + a * k1[1], r + a * k1[2], rd + a * k1[3])
-        k3 = f(z + a * k2[0], y + a * k2[1], r + a * k2[2], rd + a * k2[3])
-        k4 = f(z + h * k3[0], y + h * k3[1], r + h * k3[2], rd + h * k3[3])
-        z, y, r, rd = (
-            v + c * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-            for v, p1, p2, p3, p4 in zip((z, y, r, rd), k1, k2, k3, k4))
+        z1, y1, r1, d1 = f(z, y, r, rd)
+        z2, y2, r2, d2 = f(z + a * z1, y + a * y1, r + a * r1, rd + a * d1)
+        z3, y3, r3, d3 = f(z + a * z2, y + a * y2, r + a * r2, rd + a * d2)
+        z4, y4, r4, d4 = f(z + h * z3, y + h * y3, r + h * r3, rd + h * d3)
+        z = z + c * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
+        y = y + c * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+        r = r + c * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        rd = rd + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     return np.stack((z, y, r, rd), axis=-1) if rows else np.array((z, y, r, rd))
 
 

@@ -66,6 +66,8 @@ class Polytope:
     h: np.ndarray
     # read from the rows: exactly [I; -I] is the box [-h[d:], h[:d]]
     is_box: bool = field(init=False, repr=False)
+    # a box whose ends cross, decided once, here (False for other sets)
+    empty_box: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
@@ -81,6 +83,8 @@ class Polytope:
         eye = np.eye(F.shape[1])
         object.__setattr__(self, "is_box",
                            np.array_equal(F, np.vstack([eye, -eye])))
+        object.__setattr__(self, "empty_box",
+                           self.is_box and self.is_empty_at(h))
 
     # -- constructors ------------------------------------------------------
 
@@ -109,7 +113,7 @@ class Polytope:
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError("dimension mismatch")
-        return bool(np.all(self.F @ x <= self.h + tol))
+        return bool((self.F @ x <= self.h + tol).all())
 
     def is_empty(self) -> bool:
         return self.is_empty_at(self.h)
@@ -198,7 +202,7 @@ def bounding_box(P: Polytope):
     if not P.is_box:
         eye = np.eye(P.dim)
         return -support_many(P, -eye), support_many(P, eye)
-    if P.is_empty():
+    if P.empty_box:
         raise Infeasible("polytope is empty")
     d = P.dim
     return -P.h[d:], P.h[:d].copy()

@@ -225,6 +225,9 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     setup = build_setup(scenario)
     model, problem = setup.model, setup.problem
     oracle = setup.oracle_adapter
+    A, B, X, U, W = model.A, model.B, model.X, model.U, model.W
+    x_eq, u_eq, m = model.x_eq, model.u_eq, model.m
+    params, substeps = setup.params, scenario.plant.substeps
     rows = []
     x = setup.x0.copy()
     c_shift = None
@@ -239,28 +242,29 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
                 "solver failed at step %d despite fallback: %s" % (t, exc))
 
         u = sol.u
-        x_abs_next = plant.step_truth(x + model.x_eq, u + model.u_eq,
-                                      setup.params,
-                                      substeps=scenario.plant.substeps)
-        x_next = x_abs_next - model.x_eq
-        h = plant.truth_residual(x, u, x_next, model)
+        x_next = plant.step_truth(x + x_eq, u + u_eq, params,
+                                  substeps=substeps) - x_eq
+        # A x and B u serve both h (plant.truth_residual's sum, in its
+        # order) and the one-step prediction error x_tilde
+        Ax, Bu = A @ x, B @ u
+        h = x_next - Ax - Bu
         # the trace logs the oracle as it was when u was chosen
         k_fro, generation = oracle.k_fro, oracle.generation
         try:
             h_hat = oracle.observe(t, x, u, x_next, h)
         except om.TrainerFailed as exc:
             raise RuntimeFailure(str(exc)) from exc.__cause__
-        x_tilde = (model.A @ x + model.B @ u + h_hat) - x_next
+        x_tilde = (Ax + Bu + h_hat) - x_next
 
-        c_shift = mpc.shift_solution(sol, model.m)
+        c_shift = mpc.shift_solution(sol, m)
         rows.append(dict(
             x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde, k_fro=k_fro,
             generation=generation, status=sol.status,
             sqp_iters=sol.sqp_iters, solver_time=sol.wall_time,
-            state_margin=float(np.min(model.X.h - model.X.F @ x)),
-            input_margin=float(np.min(model.U.h - model.U.F @ u)),
+            state_margin=float((X.h - X.F @ x).min()),
+            input_margin=float((U.h - U.F @ u).min()),
             shift_feasible=problem.feasible(x_next, c_shift),
-            h_in_w=model.W.contains(h)))
+            h_in_w=W.contains(h)))
         x = x_next
 
     return ClosedLoopTrace.from_rows(

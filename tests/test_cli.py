@@ -227,12 +227,13 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("value", ["0", "nan", "1e300"])
+    @pytest.mark.parametrize("value", ["0", "nan", "1e300", "1e-300"])
     def test_l2nw_bandwidth_validated(self, tmp_path, monkeypatch, capsys,
                                       value):
         # 0 ended in a traceback, NaN in a run of fallback steps that
-        # exited 0, and 1e300, a bandwidth with no finite square, in an
-        # OverflowError traceback from the estimator
+        # exited 0, 1e300, a bandwidth with no finite square, in an
+        # OverflowError traceback from the estimator, and 1e-300, whose
+        # square underflows to 0, in a RuntimeWarning and exit 3
         monkeypatch.setenv("LBMPC_ORACLE_L2NW_BANDWIDTH_FACTOR", value)
         monkeypatch.setenv("LBMPC_RUN_STEPS", "20")
         rc = main(["simulate", os.path.join(SCENARIO_DIR, "l2nw.ini"),

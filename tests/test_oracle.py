@@ -465,9 +465,10 @@ class TestL2nw:
         assert np.allclose(Ju[:, 0], fd, atol=1e-7)
 
     @pytest.mark.parametrize("bandwidth", [0.0, float("nan"), 1e200,
-                                           float("inf")])
+                                           float("inf"), 1e-300])
     def test_bandwidth_validated(self, bandwidth):
-        # 1e200 is finite, but its square overflowed in __post_init__
+        # 1e200 is finite, but its square overflowed in __post_init__; the
+        # square of 1e-300 underflows to 0 and made the kernel Jacobian NaN
         with pytest.raises(ValueError):
             L2nwEstimator(capacity=2, n_in=1, n_out=1, bandwidth=bandwidth)
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lbmpc import oracle as om
+from lbmpc import oracle as om, plant, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import (ConfigError, OracleSection, Scenario, load_scenario,
                           parse_scenario)
@@ -100,6 +100,54 @@ class TestClosedLoop:
         s = replace(s, run=replace(s.run, x0=(0.49, 0.49, 0.9, 15.0)))
         with pytest.raises(InfeasibleAtStart):
             run_closed_loop(s)
+
+    def test_wrapped_names_called_once_per_step(self, monkeypatch):
+        # loopbench times the step's layers by wrapping these module
+        # attributes, so the loop must reach each through its module, once
+        # per step; the counting starts when build_setup returns, as
+        # loopbench's per-step spans do
+        names = ((plant, "step_truth"), (om, "features"),
+                 (om, "predict_from_features"), (om, "adapt"),
+                 (om, "buffer_push"), (om, "predict_and_jacobian"))
+        log = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                log.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in names:
+            monkeypatch.setattr(module, name,
+                                logged(name, getattr(module, name)))
+        setup_fn = runtime.build_setup
+
+        def setup_then_count(s):
+            setup = setup_fn(s)
+            log.clear()
+            return setup
+
+        monkeypatch.setattr(runtime, "build_setup", setup_then_count)
+        tr = run_closed_loop(scenario("dnn", steps=30))
+        assert set(tr.status) == {"optimal"}
+        # each step opens with its solve's one oracle linearization
+        starts = [i for i, n in enumerate(log) if n == "predict_and_jacobian"]
+        assert len(starts) == 30 and starts[0] == 0
+        for a, b in zip(starts, starts[1:] + [len(log)]):
+            assert sorted(log[a:b]) == sorted(n for _, n in names)
+
+    def test_h_and_x_tilde_from_shared_products(self, dnn_trace):
+        # the loop forms A x and B u once for both; the bits must be those
+        # of plant.truth_residual and of the prediction error's own sum
+        tr = dnn_trace
+        model = build_setup(scenario("dnn")).model
+        for t in range(len(tr) - 1):
+            x, u, x_next = tr.x[t], tr.u[t], tr.x[t + 1]
+            assert np.array_equal(
+                tr.h[t], plant.truth_residual(x, u, x_next, model))
+            assert np.array_equal(
+                tr.x_tilde[t],
+                (model.A @ x + model.B @ u + tr.h_hat[t]) - x_next)
 
     def test_trace_csv_shape(self, dnn_trace):
         from lbmpc.runtime import TRACE_COLUMNS
