@@ -2,17 +2,19 @@
 
 Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h_in  for a positive definite H.
 The iteration starts at the unconstrained minimizer -H^-1 g, which is dual
-feasible with no active rows, and adds the most violated row at a time,
-dropping an active row whenever its multiplier would turn negative, so every
-iterate is dual feasible and the first primal feasible one is optimal.
-Problems here are tiny (tens of decision variables, a few active rows), so
-one Cholesky factor of H per call and a fresh QR of the few active rows at
-each change cost less than any bookkeeping that would update them.  At
-these sizes the scipy.linalg and numpy.linalg wrappers' argument checks
-cost several times the arithmetic, so the solver calls the LAPACK routines
-under them (dpotrf, dpotrs, dtrtrs, and dgeqrf and dorgqr for the QR)
-directly, with the arguments the wrappers pass, which keeps every result
-bit for bit.
+feasible with no active rows, and adds one violated row at a time, the one
+farthest from the iterate in the metric of H, dropping an active row
+whenever its multiplier would turn negative, so every iterate is dual
+feasible and the first primal feasible one is optimal.  Any violated row may
+enter; the farthest one leaves fewer rows to drop again, and every QP of the
+bundled scenarios ends within two changes.  Problems here are tiny (tens of
+decision variables, a few active rows), so one Cholesky factor of H per call
+and a fresh QR of the few active rows at each change cost less than any
+bookkeeping that would update them.  At these sizes the scipy.linalg and
+numpy.linalg wrappers' argument checks cost several times the arithmetic, so
+the solver calls the LAPACK routines under them (dpotrf, dpotrs, dtrtrs, and
+dgeqrf and dorgqr for the QR) directly, with the arguments the wrappers
+pass, which keeps every result bit for bit.
 """
 
 from __future__ import annotations
@@ -101,7 +103,10 @@ def qp_solve(p: QpProblem) -> QpSolution:
     """Goldfarb-Idnani dual active-set solve.
 
     With H = L L' and the active rows' normals mapped to W = L^-1 G_A', the
-    most violated row q (v = L^-1 G_q') moves the primal iterate along
+    entering row q is, of the violated rows V, the one with the largest
+    (G_q x - h_q) / |v|, v = L^-1 G_q', its distance from x in the metric of
+    H (ties to the lowest index; L^-1 G_V' is formed for V alone, so a
+    feasible start solves nothing).  Row q moves the primal iterate along
     -z, z = L^-T w, w = v - W r, r = W^+ v, while the active multipliers
     move by -r and its own multiplier grows.  The full step makes row q
     active; a partial step stops where an active multiplier reaches zero
@@ -138,12 +143,18 @@ def qp_solve(p: QpProblem) -> QpSolution:
     changes = 0
     max_changes = 2 * (m + n)
     while True:
-        viol = (G @ x - h) / scale
+        slack = G @ x - h
+        viol = slack / scale
         viol[active] = 0.0
-        q = int(viol.argmax()) if m else 0
-        if not m or viol[q] <= 1e-9:
+        V = (viol > 1e-9).nonzero()[0]
+        if not V.size:
             return finish(x, "optimal", changes)
-        v = lapack.dtrtrs(L, G[q], lower=1)[0]
+        # enter the violated row farthest from x in the metric of H; a zero
+        # normal scores +inf, enters first and proves infeasibility
+        B = lapack.dtrtrs(L, G[V].T, lower=1)[0]
+        with np.errstate(divide="ignore"):
+            j = int((slack[V] / np.sqrt((B * B).sum(axis=0))).argmax())
+        q, v = int(V[j]), B[:, j]
         while True:
             if changes >= max_changes:
                 return finish(x, "iteration_limit", changes)

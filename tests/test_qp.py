@@ -7,6 +7,7 @@ the row count, so the random problems stay small, but it is exact.
 import functools
 import itertools
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,18 @@ class TestInfeasibility:
                       h_in=np.array([-1.0, -1.0]))
         sol = qp_solve(p)
         assert sol.status == "infeasible"
+
+    def test_violated_zero_row(self):
+        # 0 x <= -1 is at no distance from x in any metric: it enters first,
+        # before the two rows violated as much, and proves infeasibility
+        # without a division warning
+        p = QpProblem(H=np.eye(2), g=np.zeros(2),
+                      G=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+                      h_in=np.array([-1.0, -1.0, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = qp_solve(p)
+        assert (sol.status, sol.iterations) == ("infeasible", 0)
 
 
 class TestCacheSafety:
@@ -322,9 +335,26 @@ class TestActiveSetChanges:
             assert sol.iterations <= 2 * p.n
 
 
-def reference_qp_solve(p: QpProblem) -> QpSolution:
+def enter_by_distance(L, G, slack, viol, V):
+    """qp_solve's entering rule: of the violated rows V, the one farthest
+    from x in the metric of H, with L^-1 G_V' formed in one solve."""
+    B = sla.solve_triangular(L, G[V].T, lower=True, check_finite=False)
+    with np.errstate(divide="ignore"):
+        j = int(np.argmax(slack[V] / np.sqrt(np.sum(B * B, axis=0))))
+    return int(V[j]), B[:, j]
+
+
+def enter_most_violated(L, G, slack, viol, V):
+    """The entering rule qp_solve had before: the largest scaled violation,
+    with v solved for that row alone."""
+    q = int(V[np.argmax(viol[V])])
+    return q, sla.solve_triangular(L, G[q], lower=True, check_finite=False)
+
+
+def reference_qp_solve(p: QpProblem, enter=enter_by_distance) -> QpSolution:
     """qp_solve written with the scipy.linalg wrappers, as it was before the
-    solver called LAPACK directly; the same iteration, line for line."""
+    solver called LAPACK directly; the same iteration, line for line, with
+    the entering row picked by ``enter``."""
     n = p.n
     G = p.G if p.G is not None else np.zeros((0, n))
     h = p.h_in if p.h_in is not None else np.zeros(0)
@@ -348,12 +378,13 @@ def reference_qp_solve(p: QpProblem) -> QpSolution:
     changes = 0
     max_changes = 2 * (m + n)
     while True:
-        viol = (G @ x - h) / scale
+        slack = G @ x - h
+        viol = slack / scale
         viol[active] = 0.0
-        q = int(np.argmax(viol)) if m else 0
-        if not m or viol[q] <= 1e-9:
+        V = np.flatnonzero(viol > 1e-9)
+        if not V.size:
             return finish(x, "optimal", changes)
-        v = sla.solve_triangular(L, G[q], lower=True, check_finite=False)
+        q, v = enter(L, G, slack, viol, V)
         while True:
             if changes >= max_changes:
                 return finish(x, "iteration_limit", changes)
@@ -418,3 +449,35 @@ class TestLapackBitIdentity:
             assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
             assert np.array_equal(sol.x, ref.x)
             assert np.array_equal(sol.lam, ref.lam)
+
+
+class TestEnteringRule:
+    """qp_solve enters the violated row farthest from x in the metric of H;
+    the largest scaled violation, its rule before, is kept as a reference."""
+
+    def test_farthest_row_ends_in_one_change(self):
+        # from x = 0, row 0 (|h| 0.9) is the most violated but 0.088 from x,
+        # row 1 (|h| 0.5) is 0.5 away; x's projection on row 1, (0, 0.5),
+        # satisfies row 0, so entering row 1 first ends the solve, while
+        # entering row 0 first must drop it again before row 1 enters
+        p = QpProblem(H=np.eye(2), g=np.zeros(2),
+                      G=np.array([[-10.0, -2.0], [0.0, -1.0]]),
+                      h_in=np.array([-0.9, -0.5]))
+        sol = qp_solve(p)
+        old = reference_qp_solve(p, enter_most_violated)
+        assert (sol.status, sol.iterations) == ("optimal", 1)
+        assert old.status == "optimal" and old.iterations >= 3
+        assert np.allclose(sol.x, [0.0, 0.5], atol=1e-12)
+        assert np.allclose(old.x, sol.x, atol=1e-12)
+
+    @pytest.mark.parametrize("name, steps, corner", _corner_runs(),
+                             ids=lambda v: str(v).replace(" ", ""))
+    def test_no_more_changes_than_most_violated(self, name, steps, corner):
+        _, solves = recorded_run(name, steps, corner)
+        changes = old_changes = 0
+        for i, (p, sol) in enumerate(solves):
+            old = reference_qp_solve(p, enter_most_violated)
+            assert sol.status == old.status, i
+            changes += sol.iterations
+            old_changes += old.iterations
+        assert changes <= old_changes
