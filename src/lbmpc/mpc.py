@@ -350,7 +350,8 @@ def _learned_rollout(p: LbmpcProblem, x, c):
 
 def _make_solution(p, x, c, status, t0):
     """The solution at c, its input v_0 from the nominal map."""
-    return MpcSolution(c=c, u=(p.Sv @ x + p.Tv @ c)[:p.model.m],
+    m = p.model.m
+    return MpcSolution(c=c, u=p.Sv[:m] @ x + p.Tv[:m] @ c,
                        status=status, sqp_iters=1,
                        wall_time=time.perf_counter() - t0)
 
