@@ -146,11 +146,13 @@ def qp_solve(p: QpProblem) -> QpSolution:
         slack = G @ x - h
         viol = slack / scale
         viol[active] = 0.0
-        V = (viol > 1e-9).nonzero()[0]
-        if not V.size:
+        q = int(viol.argmax()) if m else 0
+        if not m or viol[q] <= 1e-9:
             return finish(x, "optimal", changes)
         # enter the violated row farthest from x in the metric of H; a zero
-        # normal scores +inf, enters first and proves infeasibility
+        # normal scores +inf, enters first and proves infeasibility, and a
+        # NaN row, never satisfied, enters first and ends the solve
+        V = (~(viol <= 1e-9)).nonzero()[0]
         B = lapack.dtrtrs(L, G[V].T, lower=1)[0]
         with np.errstate(divide="ignore"):
             j = int((slack[V] / np.sqrt((B * B).sum(axis=0))).argmax())

@@ -150,6 +150,14 @@ class TestInfeasibility:
             sol = qp_solve(p)
         assert (sol.status, sol.iterations) == ("infeasible", 0)
 
+    def test_nan_row_is_not_satisfied(self):
+        # a row whose violation reads NaN never counts as satisfied, so the
+        # solve cannot end 'optimal' at the point where rows 0 and 2 hold
+        p = QpProblem(H=np.eye(2), g=np.array([-1.0, -1.0]),
+                      G=np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]),
+                      h_in=np.array([0.5, 0.5, 2.0]))
+        assert qp_solve(p).status == "infeasible"
+
 
 class TestCacheSafety:
     def test_distinct_matrices_not_conflated(self):
@@ -381,10 +389,10 @@ def reference_qp_solve(p: QpProblem, enter=enter_by_distance) -> QpSolution:
         slack = G @ x - h
         viol = slack / scale
         viol[active] = 0.0
-        V = np.flatnonzero(viol > 1e-9)
-        if not V.size:
+        q = int(np.argmax(viol)) if m else 0
+        if not m or viol[q] <= 1e-9:
             return finish(x, "optimal", changes)
-        q, v = enter(L, G, slack, viol, V)
+        q, v = enter(L, G, slack, viol, np.flatnonzero(~(viol <= 1e-9)))
         while True:
             if changes >= max_changes:
                 return finish(x, "iteration_limit", changes)
