@@ -353,8 +353,8 @@ def enter_by_distance(L, G, slack, viol, V):
 
 
 def enter_most_violated(L, G, slack, viol, V):
-    """The entering rule qp_solve had before: the largest scaled violation,
-    with v solved for that row alone."""
+    """The textbook entering rule, kept as a reference: the largest scaled
+    violation, with v solved for that row alone."""
     q = int(V[np.argmax(viol[V])])
     return q, sla.solve_triangular(L, G[q], lower=True, check_finite=False)
 
@@ -460,8 +460,8 @@ class TestLapackBitIdentity:
 
 
 class TestEnteringRule:
-    """qp_solve enters the violated row farthest from x in the metric of H;
-    the largest scaled violation, its rule before, is kept as a reference."""
+    """qp_solve enters the violated row farthest from x in the metric of H,
+    compared with the textbook rule, the largest scaled violation."""
 
     def test_farthest_row_ends_in_one_change(self):
         # from x = 0, row 0 (|h| 0.9) is the most violated but 0.088 from x,
