@@ -16,7 +16,7 @@ from .plant import (MooreGreitzerParams, PlantModel,
 from .oracle import (NetworkArch, OracleState, new_oracle, predict, adapt,
                      train_hidden, swap_hidden, ReplayBuffer, L2nwEstimator,
                      l2nw_predict)
-from .qp import QpProblem, QpSolution, qp_solve
+from .qp import QpSolution, qp_solve
 from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, build_margins,
                   solve_lbmpc, shift_solution,
                   synthesize_gain, synthesize_tube_gain, solve_lyapunov_P,

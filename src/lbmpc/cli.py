@@ -53,14 +53,15 @@ def _write(out_dir, name, text):
 
 
 def _load(path, args):
-    """Scenario from file with command-line flag overrides applied."""
-    scenario = cfgmod.load_scenario(path)
-    sched = scenario.schedule
+    """Scenario from file with command-line flag overrides applied.  The
+    flags become LBMPC_SCHEDULE_* overrides that replace the environment's,
+    so they are parsed and validated as every other override is."""
+    environ = dict(os.environ)
     if args.deterministic:
-        sched = dataclasses.replace(sched, deterministic=True)
+        environ["LBMPC_SCHEDULE_DETERMINISTIC"] = "true"
     if args.seed is not None:
-        sched = dataclasses.replace(sched, seed=args.seed)
-    return dataclasses.replace(scenario, schedule=sched)
+        environ["LBMPC_SCHEDULE_SEED"] = str(args.seed)
+    return cfgmod.load_scenario(path, environ=environ)
 
 
 def _metrics_text(rep):
@@ -178,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--deterministic", action="store_true",
-                       help="write solver times as zero (byte-identical trace)")
+                       help="write solver times as zero (byte-identical "
+                       "trace), overriding a scenario that sets "
+                       "schedule.deterministic = false; true is the default")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", required=True, help="output directory")

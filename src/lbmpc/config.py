@@ -187,6 +187,8 @@ def _validate(s: Scenario) -> Scenario:
         raise ConfigError("schedule.train_fill must be in (0, 1]")
     if s.schedule.min_new_samples < 1:
         raise ConfigError("schedule.min_new_samples must be >= 1")
+    if s.schedule.seed < 0:
+        raise ConfigError("schedule.seed must be >= 0")
     if not (0.0 < s.run.band < 1.0):
         raise ConfigError("run.band must be in (0, 1)")
     wr = s.plant.w_region

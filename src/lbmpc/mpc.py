@@ -377,11 +377,8 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None) -> MpcSolution:
         # tiny negative curvature of the Gauss-Newton approximation
         JzQ = Jz.T @ p.Qbar
         u = JzQ @ Jz + p.TvRTv
-        sol = qpmod.qp_solve(qpmod.QpProblem(
-            H=u + u.T + p.reg, g=2.0 * (JzQ @ z + p.TvR @ v), G=p.Gc,
-            h_in=p.rhs0 - p.Gx @ x - p.Gc @ c, validate=False))
-        if sol.status == "infeasible":
-            raise MpcInfeasible("QP infeasible")
+        sol = qpmod.qp_solve(u + u.T + p.reg, 2.0 * (JzQ @ z + p.TvR @ v),
+                             p.Gc, p.rhs0 - p.Gx @ x - p.Gc @ c)
         if sol.status != "optimal":
             raise MpcError("QP ended '%s'" % sol.status)
         return _make_solution(p, x, c + sol.x, "optimal", t0)

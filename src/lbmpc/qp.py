@@ -1,6 +1,6 @@
 """Dense convex QP solver: the dual active-set method of Goldfarb and Idnani.
 
-Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h_in  for a positive definite H.
+Solves  min 1/2 x'Hx + g'x  s.t.  Gx <= h  for a positive definite H.
 The iteration starts at the unconstrained minimizer -H^-1 g, which is dual
 feasible with no active rows, and adds one violated row at a time, the one
 farthest from the iterate in the metric of H, dropping an active row
@@ -20,87 +20,34 @@ pass, which keeps every result bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import lapack
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    H: np.ndarray
-    g: np.ndarray
-    G: Optional[np.ndarray] = None
-    h_in: Optional[np.ndarray] = None
-    # a caller that builds H symmetric PSD and every array as the solver
-    # reads it (float, g and h_in 1-D) may skip validation: the problem then
-    # holds the caller's arrays as given
-    validate: bool = True
-
-    def __post_init__(self):
-        if not self.validate:
-            return
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        g = np.asarray(self.g, dtype=float).reshape(-1)
-        n = g.size
-        if H.shape != (n, n):
-            raise ValueError("H must be n x n")
-        if np.max(np.abs(H - H.T)) > 1e-10:
-            raise ValueError("H must be symmetric (tol 1e-10)")
-        if np.min(np.linalg.eigvalsh(0.5 * (H + H.T))) < -1e-9:
-            raise ValueError("H must be positive semidefinite (tol 1e-9)")
-        object.__setattr__(self, "H", 0.5 * (H + H.T))
-        object.__setattr__(self, "g", g)
-        if (self.G is None) != (self.h_in is None):
-            raise ValueError("G and its offsets must be given together")
-        if self.G is not None:
-            G = np.atleast_2d(np.asarray(self.G, dtype=float))
-            h_in = np.asarray(self.h_in, dtype=float).reshape(-1)
-            if G.shape != (h_in.size, n):
-                raise ValueError("G shape mismatch")
-            object.__setattr__(self, "G", G)
-            object.__setattr__(self, "h_in", h_in)
-
-    @property
-    def n(self) -> int:
-        return self.g.size
-
-    def objective(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.H @ x + self.g @ x)
-
-
-@dataclass(frozen=True)
 class QpSolution:
     x: np.ndarray
     lam: np.ndarray            # inequality multipliers (>= 0 at optimum)
-    # 'optimal' | 'infeasible' | 'iteration_limit' | 'invalid' (H, g or h_in
+    # 'optimal' | 'infeasible' | 'iteration_limit' | 'invalid' (H, g or h
     # not finite, or H not positive definite)
     status: str
     iterations: int            # active-set changes
 
 
-def kkt_residuals(p: QpProblem, x, lam) -> Tuple[float, float, float, float]:
-    """(stationarity, primal, dual, complementarity) infinity norms."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    stat = p.H @ x + p.g
-    primal = dual = comp = 0.0
-    if p.G is not None:
-        slack = p.G @ x - p.h_in
-        stat = stat + p.G.T @ lam
-        primal = max(primal, float(np.max(slack, initial=0.0)))
-        dual = float(np.max(-lam, initial=0.0))
-        comp = float(np.max(np.abs(lam * slack), initial=0.0))
-    return (float(np.max(np.abs(stat), initial=0.0)), primal, dual, comp)
+def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray,
+             h: np.ndarray) -> QpSolution:
+    """Goldfarb-Idnani dual active-set solve of min 1/2 x'Hx + g'x
+    s.t. Gx <= h, for float arrays H (n, n), g (n,), G (m, n) and h (m,);
+    m may be 0, so a (0, n) G poses the unconstrained problem.
 
-
-def solution_residuals(p: QpProblem, sol: QpSolution):
-    return kkt_residuals(p, sol.x, sol.lam)
-
-
-def qp_solve(p: QpProblem) -> QpSolution:
-    """Goldfarb-Idnani dual active-set solve.
+    H is taken from its lower triangle, as LAPACK's dpotrf(lower=1) reads
+    it: finite values in its strict upper triangle do not change a bit of
+    the result, and symmetry is not checked.  Mismatched shapes raise
+    ValueError.  A non-finite entry of H, g or h, or an H whose lower
+    triangle dpotrf cannot factor (not positive definite), ends 'invalid'.
+    G's entries are not checked: a row whose violation reads NaN is never
+    satisfied, enters first and ends the solve 'infeasible'.
 
     With H = L L' and the active rows' normals mapped to W = L^-1 G_A', the
     entering row q is, of the violated rows V, the one with the largest
@@ -117,22 +64,23 @@ def qp_solve(p: QpProblem) -> QpSolution:
     changes are capped at 2 (m + n), every row entering and leaving once
     plus a full active set; the bundled problems take at most 2 n.
     """
-    n = p.n
-    G = p.G if p.G is not None else np.zeros((0, n))
-    h = p.h_in if p.h_in is not None else np.zeros(0)
-    m = h.size
+    n, m = g.size, h.size
+    if (g.ndim != 1 or h.ndim != 1 or H.shape != (n, n)
+            or G.shape != (m, n)):
+        raise ValueError("qp_solve: H %s, g %s, G %s and h %s do not match"
+                         % (H.shape, g.shape, G.shape, h.shape))
     lam = np.zeros(m)
 
     def finish(x, status, changes):
         return QpSolution(x=x, lam=lam, status=status, iterations=changes)
 
-    if not (np.isfinite(p.H).all() and np.isfinite(p.g).all()
+    if not (np.isfinite(H).all() and np.isfinite(g).all()
             and np.isfinite(h).all()):
         return finish(np.zeros(n), "invalid", 0)
-    L, info = lapack.dpotrf(p.H, lower=1, clean=1)
+    L, info = lapack.dpotrf(H, lower=1, clean=1)
     if info != 0:
         return finish(np.zeros(n), "invalid", 0)
-    x = -lapack.dpotrs(L, p.g, lower=1)[0]
+    x = -lapack.dpotrs(L, g, lower=1)[0]
 
     # a row is violated when (G x - h) / max(1, |h|) exceeds 1e-9; it
     # depends on the active rows when its normal, in the metric of H, keeps

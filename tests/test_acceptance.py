@@ -19,9 +19,9 @@ from lbmpc import config as cfgmod
 from lbmpc import mpc, oracle as om, plant, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.polytope import Polytope, bounding_box, pontryagin_diff, support
-from lbmpc.qp import QpProblem, qp_solve, solution_residuals
+from lbmpc.qp import qp_solve
 
-from test_qp import active_set_oracle, random_qp
+from test_qp import active_set_oracle, random_qp, solution_residuals
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_criterion_08_qp_against_exhaustive_oracle():
         n = int(rng.integers(2, 6))
         m_in = int(rng.integers(1, 8))
         p = random_qp(rng, n, m_in)
-        sol = qp_solve(p)
+        sol = qp_solve(*p)
         assert sol.status == "optimal", "trial %d" % trial
         ref = active_set_oracle(p)
         assert ref is not None, "trial %d: oracle found no optimum" % trial

@@ -99,6 +99,24 @@ class TestSimulate:
             assert rc == EXIT_CONFIG, name
             assert message in capsys.readouterr().err, name
 
+    @pytest.mark.parametrize("route", ["file", "environment", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys,
+                                    route):
+        # numpy's generators take no negative seed; each route that sets
+        # schedule.seed goes through the scenario validation and exits 2
+        ini, flags = os.path.join(SCENARIO_DIR, "dnn.ini"), []
+        if route == "file":
+            ini = tmp_path / "seed.ini"
+            ini.write_text("[schedule]\nseed = -1\n")
+        elif route == "environment":
+            monkeypatch.setenv("LBMPC_SCHEDULE_SEED", "-1")
+        else:
+            flags = ["--seed", "-1"]
+        rc = main(["simulate", str(ini), "--out", str(tmp_path / "o")]
+                  + flags)
+        assert rc == EXIT_CONFIG
+        assert "schedule.seed must be >= 0" in capsys.readouterr().err
+
     def test_substeps_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LBMPC_PLANT_SUBSTEPS", "0")
         rc = main(["simulate", os.path.join(SCENARIO_DIR, "linear.ini"),

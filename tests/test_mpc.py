@@ -284,8 +284,7 @@ class TestLinearMpc:
             Rbar = input_weight(p)
             H = 2.0 * (p.Tz.T @ p.Qbar @ p.Tz + p.Tv.T @ Rbar @ p.Tv)
             g = 2.0 * (p.Tz.T @ p.Qbar @ p.Sz @ x + p.Tv.T @ Rbar @ p.Sv @ x)
-            ref = qpmod.qp_solve(qpmod.QpProblem(H=H, g=g, G=p.Gc,
-                                                 h_in=p.rhs0 - p.Gx @ x))
+            ref = qpmod.qp_solve(H, g, p.Gc, p.rhs0 - p.Gx @ x)
             assert ref.status == "optimal"
             for warm in (None, np.full(p.n_dec, 0.05)):
                 sol = solve_lbmpc(p, x, warm_c=warm)
@@ -601,9 +600,9 @@ def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
         calls["rollout"] += 1
         return rollout(*args)
 
-    def counted_qp(prob):
+    def counted_qp(*args):
         calls["qp"] += 1
-        return qp_solve(prob)
+        return qp_solve(*args)
 
     def counted_jac(z, v):
         calls["jac"].append((z.shape, v.shape))
@@ -650,10 +649,9 @@ class TestFallback:
         warm = shift_solution(first, model.m) + 0.01
         assert p.feasible(x, warm)
 
-        def failing_qp(prob):
+        def failing_qp(H, g, G, h):
             time.sleep(0.01)
-            return qpmod.QpSolution(x=np.zeros(prob.n),
-                                    lam=np.zeros(prob.h_in.size),
+            return qpmod.QpSolution(x=np.zeros(g.size), lam=np.zeros(h.size),
                                     status=failure, iterations=40)
 
         monkeypatch.setattr(qpmod, "qp_solve", failing_qp)

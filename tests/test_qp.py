@@ -1,7 +1,9 @@
 """QP solver tests.  The reference oracle enumerates every active subset of
 the inequality rows, solves the corresponding equality-constrained KKT
 system, and keeps the best primal-dual feasible candidate.  Exponential in
-the row count, so the random problems stay small, but it is exact.
+the row count, so the random problems stay small, but it is exact.  A
+problem is a ``Qp`` record, which ``qp_solve(*p)`` solves; the record, its
+objective and the KKT residuals are test references, not package code.
 """
 
 import functools
@@ -9,6 +11,7 @@ import itertools
 import os
 import warnings
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,15 +19,39 @@ import scipy.linalg as sla
 
 from lbmpc import config, qp as qpmod, runtime
 from lbmpc.cli import SCENARIO_DIR
-from lbmpc.qp import (QpProblem, QpSolution, kkt_residuals, qp_solve,
-                      solution_residuals)
+from lbmpc.qp import QpSolution, qp_solve
+
+
+class Qp(NamedTuple):
+    """min 1/2 x'Hx + g'x s.t. G x <= h_in, in qp_solve's argument order."""
+    H: np.ndarray
+    g: np.ndarray
+    G: np.ndarray
+    h_in: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.g.size
+
+    def objective(self, x) -> float:
+        return float(0.5 * x @ self.H @ x + self.g @ x)
+
+
+def solution_residuals(p: Qp, sol: QpSolution):
+    """The KKT residuals of sol: (stationarity, primal, dual,
+    complementarity) infinity norms."""
+    slack = p.G @ sol.x - p.h_in
+    stat = p.H @ sol.x + p.g + p.G.T @ sol.lam
+    return (float(np.max(np.abs(stat), initial=0.0)),
+            float(np.max(slack, initial=0.0)),
+            float(np.max(-sol.lam, initial=0.0)),
+            float(np.max(np.abs(sol.lam * slack), initial=0.0)))
 
 
 def active_set_oracle(p, tol=1e-9):
     """Exhaustive active-set solve; returns (x, objective) or None."""
     n = p.n
-    G = p.G if p.G is not None else np.zeros((0, n))
-    h = p.h_in if p.h_in is not None else np.zeros(0)
+    G, h = p.G, p.h_in
     m = G.shape[0]
     best = None
     for r in range(m + 1):
@@ -63,40 +90,37 @@ def random_qp(rng, n, m_in):
     # offsets chosen so a known point is strictly feasible
     x_feas = rng.normal(size=n) * 0.3
     h = G @ x_feas + rng.uniform(0.05, 1.0, m_in)
-    return QpProblem(H=H, g=g, G=G, h_in=h)
+    return Qp(H, g, G, h)
 
 
 class TestValidation:
-    def test_asymmetric_H_rejected(self):
-        with pytest.raises(ValueError):
-            QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2))
-
-    def test_indefinite_H_rejected(self):
-        with pytest.raises(ValueError):
-            QpProblem(H=np.diag([1.0, -1.0]), g=np.zeros(2))
-
-    def test_validate_false_skips_eig_check(self):
-        # with validation off the problem holds the caller's arrays as given,
-        # an indefinite H among them
-        H, g = np.diag([1.0, -1.0]), np.zeros(2)
-        G, h = np.eye(2), np.ones(2)
-        p = QpProblem(H=H, g=g, G=G, h_in=h, validate=False)
-        assert p.H is H and p.g is g and p.G is G and p.h_in is h
-
-    def test_matrix_without_offsets_rejected(self):
-        with pytest.raises(ValueError):
-            QpProblem(H=np.eye(2), g=np.zeros(2), G=np.eye(2))
-
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            QpProblem(H=np.eye(2), g=np.zeros(2), G=np.eye(3), h_in=np.ones(3))
+        H, g, G, h = np.eye(2), np.zeros(2), np.eye(2), np.ones(2)
+        for args in ((np.eye(3), g, G, h), (H[:1], g, G, h),
+                     (H, g, np.eye(3), np.ones(3)), (H, g, G[:, :1], h),
+                     (H, g, G, np.ones(3)), (H, g, G, np.ones((2, 1))),
+                     (H, g[:, None], G, h)):
+            with pytest.raises(ValueError):
+                qp_solve(*args)
+
+    def test_only_lower_triangle_of_H_read(self):
+        # H is taken from its lower triangle, as dpotrf(lower=1) reads it:
+        # finite garbage above the diagonal changes no bit of the result
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = random_qp(rng, int(rng.integers(2, 8)), int(rng.integers(0, 10)))
+            H = np.tril(p.H) + np.triu(rng.normal(size=p.H.shape) * 1e3, 1)
+            sol, ref = qp_solve(H, *p[1:]), qp_solve(*p)
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            assert np.array_equal(sol.x, ref.x)
+            assert np.array_equal(sol.lam, ref.lam)
 
 
 class TestUnconstrained:
     def test_closed_form(self):
         H = np.diag([2.0, 4.0])
         g = np.array([-2.0, -8.0])
-        sol = qp_solve(QpProblem(H=H, g=g))
+        sol = qp_solve(H, g, np.zeros((0, 2)), np.zeros(0))
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 2.0], atol=1e-8)
 
@@ -106,7 +130,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(42)
         for trial in range(60):
             p = random_qp(rng, rng.integers(2, 5), rng.integers(1, 7))
-            sol = qp_solve(p)
+            sol = qp_solve(*p)
             ref = active_set_oracle(p)
             assert ref is not None
             assert sol.status == "optimal", "trial %d" % trial
@@ -117,46 +141,46 @@ class TestAgainstOracle:
         rng = np.random.default_rng(13)
         for _ in range(20):
             p = random_qp(rng, 3, 4)
-            sol = qp_solve(p)
+            sol = qp_solve(*p)
             res = solution_residuals(p, sol)
             assert max(res) < 1e-6
 
     def test_active_constraint_case(self):
         # min (x-2)^2 s.t. x <= 1: optimum pinned at the boundary
-        p = QpProblem(H=np.array([[2.0]]), g=np.array([-4.0]),
-                      G=np.array([[1.0]]), h_in=np.array([1.0]))
-        sol = qp_solve(p)
+        p = Qp(H=np.array([[2.0]]), g=np.array([-4.0]),
+               G=np.array([[1.0]]), h_in=np.array([1.0]))
+        sol = qp_solve(*p)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
         assert sol.lam[0] == pytest.approx(2.0, abs=1e-6)
 
 
 class TestInfeasibility:
     def test_contradictory_inequalities(self):
-        p = QpProblem(H=np.eye(1), g=np.zeros(1),
-                      G=np.array([[1.0], [-1.0]]),
-                      h_in=np.array([-1.0, -1.0]))
-        sol = qp_solve(p)
+        p = Qp(H=np.eye(1), g=np.zeros(1),
+               G=np.array([[1.0], [-1.0]]),
+               h_in=np.array([-1.0, -1.0]))
+        sol = qp_solve(*p)
         assert sol.status == "infeasible"
 
     def test_violated_zero_row(self):
         # 0 x <= -1 is at no distance from x in any metric: it enters first,
         # before the two rows violated as much, and proves infeasibility
         # without a division warning
-        p = QpProblem(H=np.eye(2), g=np.zeros(2),
-                      G=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
-                      h_in=np.array([-1.0, -1.0, -1.0]))
+        p = Qp(H=np.eye(2), g=np.zeros(2),
+               G=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+               h_in=np.array([-1.0, -1.0, -1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = qp_solve(p)
+            sol = qp_solve(*p)
         assert (sol.status, sol.iterations) == ("infeasible", 0)
 
     def test_nan_row_is_not_satisfied(self):
         # a row whose violation reads NaN never counts as satisfied, so the
         # solve cannot end 'optimal' at the point where rows 0 and 2 hold
-        p = QpProblem(H=np.eye(2), g=np.array([-1.0, -1.0]),
-                      G=np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]),
-                      h_in=np.array([0.5, 0.5, 2.0]))
-        assert qp_solve(p).status == "infeasible"
+        p = Qp(H=np.eye(2), g=np.array([-1.0, -1.0]),
+               G=np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]]),
+               h_in=np.array([0.5, 0.5, 2.0]))
+        assert qp_solve(*p).status == "infeasible"
 
 
 class TestCacheSafety:
@@ -165,13 +189,13 @@ class TestCacheSafety:
         # in either order
         H = np.eye(2)
         g = np.array([-1.0, -1.0])
-        p1 = QpProblem(H=H, g=g, G=np.array([[1.0, 0.0]]),
-                       h_in=np.array([0.2]))
-        p2 = QpProblem(H=H, g=g, G=np.array([[0.0, 1.0]]),
-                       h_in=np.array([0.3]))
-        s1 = qp_solve(p1)
-        s2 = qp_solve(p2)
-        s1b = qp_solve(p1)
+        p1 = Qp(H=H, g=g, G=np.array([[1.0, 0.0]]),
+                h_in=np.array([0.2]))
+        p2 = Qp(H=H, g=g, G=np.array([[0.0, 1.0]]),
+                h_in=np.array([0.3]))
+        s1 = qp_solve(*p1)
+        s2 = qp_solve(*p2)
+        s1b = qp_solve(*p1)
         assert s1.x[0] == pytest.approx(0.2, abs=1e-7)
         assert s2.x[1] == pytest.approx(0.3, abs=1e-7)
         assert np.allclose(s1b.x, s1.x, atol=1e-9)
@@ -180,18 +204,18 @@ class TestCacheSafety:
         # same G object, different h_in
         H = np.eye(1)
         G = np.array([[2.0]])
-        pa = QpProblem(H=H, g=np.array([-10.0]), G=G, h_in=np.array([2.0]))
-        pb = QpProblem(H=H, g=np.array([-10.0]), G=G, h_in=np.array([4.0]))
-        assert qp_solve(pa).x[0] == pytest.approx(1.0, abs=1e-7)
-        assert qp_solve(pb).x[0] == pytest.approx(2.0, abs=1e-7)
+        pa = Qp(H=H, g=np.array([-10.0]), G=G, h_in=np.array([2.0]))
+        pb = Qp(H=H, g=np.array([-10.0]), G=G, h_in=np.array([4.0]))
+        assert qp_solve(*pa).x[0] == pytest.approx(1.0, abs=1e-7)
+        assert qp_solve(*pb).x[0] == pytest.approx(2.0, abs=1e-7)
 
 
 class TestDeterminism:
     def test_repeat_solves_bitwise_equal(self):
         rng = np.random.default_rng(21)
         p = random_qp(rng, 4, 5)
-        a = qp_solve(p)
-        b = qp_solve(p)
+        a = qp_solve(*p)
+        b = qp_solve(*p)
         assert np.array_equal(a.x, b.x)
         assert a.iterations == b.iterations
 
@@ -212,7 +236,7 @@ def degenerate_qp(rng, n, extra):
     for row, off in extra(a, ha, b, hb):
         rows.append(row)
         offs.append(off)
-    return QpProblem(H=H, g=g, G=np.array(rows), h_in=np.array(offs)), x_star
+    return Qp(H=H, g=g, G=np.array(rows), h_in=np.array(offs)), x_star
 
 
 class TestDegenerate:
@@ -233,7 +257,7 @@ class TestDegenerate:
         for trial in range(30):
             p, x_star = degenerate_qp(rng, int(rng.integers(2, 5)),
                                       self.CASES[case])
-            sol = qp_solve(p)
+            sol = qp_solve(*p)
             ref = active_set_oracle(p)
             if ref is None:
                 # the tighter dependent row can cut the slack rows' region
@@ -255,7 +279,7 @@ class TestDegenerate:
             p, _ = degenerate_qp(rng, 3, lambda a, ha, b, hb:
                                  [(-(a + b), -(ha + hb) - 1.0)])
             assert active_set_oracle(p) is None
-            assert qp_solve(p).status == "infeasible"
+            assert qp_solve(*p).status == "infeasible"
 
     @pytest.mark.parametrize("seed", [957, 2740, 3204, 4090])
     def test_full_active_set_proves_infeasibility(self, seed):
@@ -266,11 +290,11 @@ class TestDegenerate:
         M = rng.normal(size=(4, 4))
         G = rng.normal(size=(8, 4))
         G[1] = 2.0 * G[0]
-        p = QpProblem(H=M @ M.T + 0.1 * np.eye(4),
-                      g=rng.normal(size=4) * 3, G=G,
-                      h_in=rng.normal(size=8) - 3.0)
+        p = Qp(H=M @ M.T + 0.1 * np.eye(4),
+               g=rng.normal(size=4) * 3, G=G,
+               h_in=rng.normal(size=8) - 3.0)
         assert active_set_oracle(p) is None
-        assert qp_solve(p).status == "infeasible"
+        assert qp_solve(*p).status == "infeasible"
 
 
 class TestInvalidInput:
@@ -280,18 +304,18 @@ class TestInvalidInput:
         p = random_qp(np.random.default_rng(1), 3, 4)
         data = {"H": p.H.copy(), "g": p.g.copy(), "G": p.G, "h_in": p.h_in.copy()}
         data[field].flat[1] = bad
-        sol = qp_solve(QpProblem(validate=False, **data))
+        sol = qp_solve(*Qp(**data))
         assert sol.status == "invalid"
 
     def test_singular_hessian(self):
-        p = QpProblem(H=np.diag([1.0, 0.0]), g=np.array([0.0, -1.0]),
-                      G=np.eye(2), h_in=np.ones(2))
-        assert qp_solve(p).status == "invalid"
+        p = Qp(H=np.diag([1.0, 0.0]), g=np.array([0.0, -1.0]),
+               G=np.eye(2), h_in=np.ones(2))
+        assert qp_solve(*p).status == "invalid"
 
     def test_indefinite_nonsingular_hessian(self):
-        p = QpProblem(H=np.diag([1.0, -1.0]), g=np.array([0.0, -1.0]),
-                      G=np.eye(2), h_in=np.ones(2), validate=False)
-        assert qp_solve(p).status == "invalid"
+        p = Qp(H=np.diag([1.0, -1.0]), g=np.array([0.0, -1.0]),
+               G=np.eye(2), h_in=np.ones(2))
+        assert qp_solve(*p).status == "invalid"
 
 
 def _corner_runs():
@@ -313,9 +337,9 @@ def recorded_run(name, steps=None, corner=None):
     solves = []
     solve = qpmod.qp_solve
 
-    def recorded(p):
-        sol = solve(p)
-        solves.append((p, sol))
+    def recorded(*args):
+        sol = solve(*args)
+        solves.append((Qp(*args), sol))
         return sol
 
     qpmod.qp_solve = recorded
@@ -359,27 +383,25 @@ def enter_most_violated(L, G, slack, viol, V):
     return q, sla.solve_triangular(L, G[q], lower=True, check_finite=False)
 
 
-def reference_qp_solve(p: QpProblem, enter=enter_by_distance) -> QpSolution:
+def reference_qp_solve(p: Qp, enter=enter_by_distance) -> QpSolution:
     """qp_solve written with the scipy.linalg wrappers, as it was before the
     solver called LAPACK directly; the same iteration, line for line, with
     the entering row picked by ``enter``."""
-    n = p.n
-    G = p.G if p.G is not None else np.zeros((0, n))
-    h = p.h_in if p.h_in is not None else np.zeros(0)
-    m = h.size
+    H, g, G, h = p
+    n, m = g.size, h.size
     lam = np.zeros(m)
 
     def finish(x, status, changes):
         return QpSolution(x=x, lam=lam, status=status, iterations=changes)
 
-    if not (np.isfinite(p.H).all() and np.isfinite(p.g).all()
+    if not (np.isfinite(H).all() and np.isfinite(g).all()
             and np.isfinite(h).all()):
         return finish(np.zeros(n), "invalid", 0)
     try:
-        L = sla.cholesky(p.H, lower=True, check_finite=False)
+        L = sla.cholesky(H, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return finish(np.zeros(n), "invalid", 0)
-    x = -sla.cho_solve((L, True), p.g, check_finite=False)
+    x = -sla.cho_solve((L, True), g, check_finite=False)
     scale = np.maximum(1.0, np.abs(h))
     active = []
     W = np.zeros((n, 0))
@@ -453,7 +475,7 @@ class TestLapackBitIdentity:
         for _ in range(200):
             p = random_qp(rng, int(rng.integers(1, 12)),
                           int(rng.integers(0, 20)))
-            sol, ref = qp_solve(p), reference_qp_solve(p)
+            sol, ref = qp_solve(*p), reference_qp_solve(p)
             assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
             assert np.array_equal(sol.x, ref.x)
             assert np.array_equal(sol.lam, ref.lam)
@@ -468,10 +490,10 @@ class TestEnteringRule:
         # row 1 (|h| 0.5) is 0.5 away; x's projection on row 1, (0, 0.5),
         # satisfies row 0, so entering row 1 first ends the solve, while
         # entering row 0 first must drop it again before row 1 enters
-        p = QpProblem(H=np.eye(2), g=np.zeros(2),
-                      G=np.array([[-10.0, -2.0], [0.0, -1.0]]),
-                      h_in=np.array([-0.9, -0.5]))
-        sol = qp_solve(p)
+        p = Qp(H=np.eye(2), g=np.zeros(2),
+               G=np.array([[-10.0, -2.0], [0.0, -1.0]]),
+               h_in=np.array([-0.9, -0.5]))
+        sol = qp_solve(*p)
         old = reference_qp_solve(p, enter_most_violated)
         assert (sol.status, sol.iterations) == ("optimal", 1)
         assert old.status == "optimal" and old.iterations >= 3
