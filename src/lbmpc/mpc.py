@@ -238,27 +238,34 @@ class LbmpcProblem:
         self.Sz, self.Tz, self.Sv, self.Tv = Sz, Tz, Sv, Tv
 
         X, U = model.X, model.U
-        rows_G, rows_X, rows_rhs = [], [], []
+        rows_G, rows_X, rows_rhs, checks = [], [], [], []
         for i in range(N):
             rhs = X.h - self.margins.state[i]
-            _check_nonempty(X, rhs, i, "state")
+            checks.append((X, rhs, i, "state"))
             rows_G.append(X.F @ Tz[i * d:(i + 1) * d])
             rows_X.append(X.F @ Sz[i * d:(i + 1) * d])
             rows_rhs.append(rhs)
         for i in range(N):
             rhs = U.h - self.margins.inputs[i]
-            _check_nonempty(U, rhs, i, "input")
+            checks.append((U, rhs, i, "input"))
             rows_G.append(U.F @ Tv[i * m:(i + 1) * m])
             rows_X.append(U.F @ Sv[i * m:(i + 1) * m])
             rows_rhs.append(rhs)
         rhs = self.omega.h - self.margins.terminal
-        _check_nonempty(self.omega, rhs, N, "terminal")
+        checks.append((self.omega, rhs, N, "terminal"))
         rows_G.append(self.omega.F @ Tz[N * d:])
         rows_X.append(self.omega.F @ Sz[N * d:])
         rows_rhs.append(rhs)
         self.Gc = np.vstack(rows_G)
         self.Gx = np.vstack(rows_X)
         self.rhs0 = np.concatenate(rows_rhs)
+        # a NaN would end every QP 'invalid' or make linprog raise its own
+        # ValueError, so non-finite data is refused before any emptiness test
+        for name in ("Gc", "Gx", "rhs0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise MpcError("constraint data %s not finite" % name)
+        for args in checks:
+            _check_nonempty(*args)
 
         Qbar = np.zeros(((N + 1) * d, (N + 1) * d))
         for i in range(N):

@@ -5,7 +5,10 @@ pressure rise y, throttle opening r and its rate) driven through a
 second-order throttle actuator.  The controller sees an exact zero-order-hold
 discretization of the Jacobian linearization around the surge equilibrium;
 whatever the linear model misses shows up as the bounded residual that the
-oracle has to learn.
+oracle has to learn.  Its bound W comes from a sweep of the operating box at
+the first points of the unscrambled Halton sequence in bases 2, 3, 5, 7 and
+11 (Halton, Numer. Math. 1960), which are scipy's unscrambled Halton points
+bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import qmc
 
 from .polytope import Polytope
 
@@ -266,14 +268,41 @@ def truth_residual(x_t, u_t, x_next, model: PlantModel):
     return x_next - model.A @ x_t - model.B @ u_t
 
 
+def _halton(n: int, bases) -> np.ndarray:
+    """The first ``n`` points of the unscrambled Halton sequence in ``bases``,
+    an (n, len(bases)) array.
+
+    Each column is the van der Corput sequence in its base, built as
+    scipy's unscrambled Halton sampler builds it, so the bits are the
+    same: from the least significant digit up, adding digit * b2r with b2r
+    starting at 1/base and divided by the base after each digit.  A point
+    whose digits have run out adds 0.0, which leaves it as it is.  The
+    indices are floats; floor(q / base) and the digit are exact while the
+    indices stay far below 2**52 / base.  The array is column-major, as
+    scipy's is, so the sweep's RK4 reads each coordinate contiguously.
+    """
+    idx = np.arange(n, dtype=float)
+    pts = np.zeros((n, len(bases)), order="F")
+    for col, base in zip(pts.T, bases):
+        q, b2r = idx, 1.0 / base
+        while n and q[-1] > 0.0:
+            quot = np.floor(q / base)
+            col += (q - quot * base) * b2r
+            b2r /= base
+            q = quot
+    return pts
+
+
 def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
                    substeps: int = 10, seed: Optional[int] = None,
                    region_scale: float = 1.0):
     """Truth residuals over a low-discrepancy (or random) sweep of X x U.
 
     Returns an (samples, d) array of deviation-coordinate residuals.  With
-    ``seed=None`` the sweep is the deterministic Halton sequence; a seed
-    switches to pseudo-random points, e.g. fresh residuals to test a bound.
+    ``seed=None`` the points are the first ``samples`` points of the
+    unscrambled Halton sequence in bases 2, 3, 5, 7 and 11, scipy's
+    unscrambled Halton points bit for bit; a seed switches to pseudo-random
+    points, e.g. fresh residuals to test a bound.
     The box is (x_eq, u_eq) +- ``region_scale`` * HALF_WIDTHS; a bound from
     a scale below 1 only covers that smaller operating region.
     """
@@ -282,7 +311,7 @@ def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
         raise ValueError("region_scale entries must be in (0, 1]")
     center = np.concatenate([model.x_eq, [model.u_eq]])
     if seed is None:
-        pts = qmc.Halton(d=5, scramble=False).random(samples)
+        pts = _halton(samples, (2, 3, 5, 7, 11))
     else:
         pts = np.random.default_rng(seed).random((samples, 5))
     pts = center + (2.0 * pts - 1.0) * (scale * HALF_WIDTHS)

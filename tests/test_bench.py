@@ -91,6 +91,23 @@ class TestSummarize:
             "only": "0/300"}
 
 
+def test_failed_run_reports_its_stderr(tmp_path):
+    # a checkout whose loopbench run prints 25 lines to stderr and exits 1:
+    # the error names the run and keeps the last 20 of them
+    (tmp_path / "loopbench").mkdir()
+    (tmp_path / "loopbench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(25):\n"
+        "    print('line %d' % i, file=sys.stderr)\n"
+        "sys.exit(1)\n")
+    with pytest.raises(RuntimeError) as err:
+        bench.run_once(tmp_path, "cold-start", 301, 1.0)
+    head, *lines = str(err.value).splitlines()
+    assert str(tmp_path) in head
+    assert "workload cold-start, seed 301 exited 1" in head
+    assert lines == ["line %d" % i for i in range(5, 25)]
+
+
 class TestParseArgs:
     BASE = ["--tag", "t", "--workload", "cold-start", "--seed", "301"]
 

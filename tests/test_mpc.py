@@ -344,6 +344,25 @@ class TestTightening:
             LbmpcProblem(model, cfg, omega, tight, ZeroOracle())
         assert (err.value.stage, err.value.kind) == (3, "state")
 
+    @pytest.mark.parametrize("part", ["state", "inputs", "terminal", "omega"])
+    def test_non_finite_constraint_data_rejected(self, model, setup, part):
+        # a NaN margin or a NaN in a row of omega's F is refused when the
+        # problem is assembled, before an emptiness test could misread it
+        cfg, omega, margins = setup
+        parts = {"state": margins.state.copy(),
+                 "inputs": margins.inputs.copy(),
+                 "terminal": margins.terminal.copy()}
+        if part == "omega":
+            F = omega.F.copy()
+            F[-1, 0] = np.nan
+            omega = Polytope(F, omega.h)
+        else:
+            parts[part].flat[0] = np.nan
+        tight = TighteningData(**parts)
+        with pytest.raises(MpcError) as err:
+            LbmpcProblem(model, cfg, omega, tight, ZeroOracle())
+        assert not isinstance(err.value, EmptyTightenedSet)
+
 
 class TestLearnedRollout:
     def dnn_problem(self, model, setup):

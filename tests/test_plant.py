@@ -1,18 +1,29 @@
 """Plant model tests: vector field against hand-derived values, Jacobians
 against central differences, exact discretization against the matrix
-exponential, and the residual-bound estimator against fresh random sweeps.
+exponential, the residual-bound estimator against fresh random sweeps, and
+its Halton points against scipy's.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import qmc
 
+from lbmpc.cli import SCENARIO_DIR
+from lbmpc.config import load_scenario
 from lbmpc.polytope import bounding_box
 from lbmpc.plant import (DomainError, HALF_WIDTHS, MooreGreitzerParams,
                          NotEquilibrium, PlantError, PlantModel, U_EQ, X_EQ,
-                         _field, deviation_constraint_sets, estimate_W,
-                         linearize_discretize, mg_jacobians, mg_rhs,
-                         residual_sweep, step_truth, truth_residual)
+                         _field, _halton, deviation_constraint_sets,
+                         estimate_W, linearize_discretize, mg_jacobians,
+                         mg_rhs, residual_sweep, step_truth, truth_residual)
+from lbmpc.runtime import build_setup
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def reference_step_one(x, u, params, substeps=10):
@@ -350,3 +361,40 @@ class TestResiduals:
     def test_region_scale_validated(self, params, model):
         with pytest.raises(ValueError):
             residual_sweep(model, params, 1000, region_scale=0.0)
+
+
+class TestHaltonSweep:
+    """The W sweep's points are scipy's unscrambled Halton points, bit for
+    bit, without the package loading scipy.stats."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 4096, 10007])
+    def test_matches_scipy_bits(self, n):
+        want = qmc.Halton(d=5, scramble=False).random(n)
+        assert np.array_equal(_halton(n, (2, 3, 5, 7, 11)), want)
+
+    def test_bundled_W_bits(self):
+        # the ends of the linear scenario's W as recorded when the sweep
+        # still called scipy's Halton sampler
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, "linear.ini"),
+                                 environ={})
+        lo, hi = bounding_box(build_setup(scenario).model.W)
+        want_lo = ["-0x1.cc4f2d973df3bp-8", "-0x1.19efea3fa985ap-8",
+                   "-0x1.05a237f703334p-18", "-0x1.6d3022520999ap-15"]
+        want_hi = ["0x1.150a34bb9bf5cp-14", "0x1.39a4218829b3ep-8",
+                   "0x1.0307d37243334p-18", "0x1.6dd718bb43334p-15"]
+        assert [float(v).hex() for v in lo] == want_lo
+        assert [float(v).hex() for v in hi] == want_hi
+
+    def test_package_does_not_import_scipy_stats(self):
+        # a fresh interpreter: this test process has loaded scipy.stats
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
+            if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import lbmpc, lbmpc.cli, sys; "
+             "print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -35,11 +35,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """(env, result) of one loopbench run inside ``checkout``."""
+    """(env, result) of one loopbench run inside ``checkout``.
+
+    A run that exits non-zero raises RuntimeError naming the checkout,
+    workload and seed, with the last 20 lines of the run's stderr.
+    """
     proc = subprocess.run(
         [sys.executable, "loopbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RuntimeError("loopbench run in %s, workload %s, seed %d exited "
+                           "%d:\n%s" % (checkout, workload, seed,
+                                        proc.returncode, tail))
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in lines
                if line.startswith("env "))
