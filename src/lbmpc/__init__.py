@@ -8,6 +8,16 @@ closed loop (runtime), scenario files (config) and a command-line front end
 (cli).
 """
 
+import os
+import sys
+
+# The matrices are small, so more BLAS threads only add scheduler stalls to
+# the solves; this has to happen before numpy is imported, and a value set
+# in the environment wins.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 from .polytope import (Polytope, PolytopeError, EmptyResult, Unbounded,
                        NotSchurStable, support, pontryagin_diff, tube_margins,
                        max_invariant_set)
@@ -22,7 +32,7 @@ from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, build_margins,
                   synthesize_gain, synthesize_tube_gain, solve_lyapunov_P,
                   MpcError, MpcInfeasible, EmptyTightenedSet)
 from .runtime import (ClosedLoopTrace, run_closed_loop,
-                      build_setup, metrics, compare, MetricsReport,
+                      build_setup, metrics, MetricsReport,
                       RuntimeFailure, InfeasibleAtStart)
 from .config import (Scenario, ConfigError, parse_scenario, load_scenario,
                      echo_scenario)

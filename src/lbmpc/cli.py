@@ -2,6 +2,9 @@
 
 Every command writes into an output directory and leaves behind the echoed
 effective configuration, so a run can be reproduced from its artifacts alone.
+``simulate`` writes config.ini, trace.csv and metrics.txt; ``compare`` writes
+the same three files per scenario into a subdirectory named after the
+scenario file, plus one metrics.csv row per scenario.
 Exit codes are fixed for scripting: 0 success, 2 configuration error,
 3 infeasible initial state, 4 numerical failure, 5 empty tightened set.
 ``compare`` runs every scenario and exits as ``simulate`` would for the
@@ -69,51 +72,56 @@ def _metrics_text(rep):
                    for key, val in dataclasses.asdict(rep).items())
 
 
-def cmd_simulate(args) -> int:
-    scenario = _load(args.scenario, args)
-    os.makedirs(args.out, exist_ok=True)
-    _write(args.out, "config.ini", cfgmod.echo_scenario(scenario))
+def _run_into(scenario, out_dir):
+    """Echo the scenario's config into ``out_dir``, then run its closed loop
+    and write the trace and its metrics there.  Returns the metrics."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write(out_dir, "config.ini", cfgmod.echo_scenario(scenario))
     trace = runtime.run_closed_loop(scenario)
     rep = runtime.metrics(trace, np.diag(scenario.controller.q_diag),
                           np.array([[scenario.controller.r]]),
                           band=scenario.run.band)
-    _write(args.out, "trace.csv", trace.to_csv())
-    _write(args.out, "metrics.txt", _metrics_text(rep))
-    print("wrote %d steps to %s" % (len(trace), args.out))
+    _write(out_dir, "trace.csv", trace.to_csv())
+    _write(out_dir, "metrics.txt", _metrics_text(rep))
+    print("wrote %d steps to %s" % (len(trace), out_dir))
+    return rep
+
+
+def cmd_simulate(args) -> int:
+    _run_into(_load(args.scenario, args), args.out)
     return EXIT_OK
-
-
-def _figure_dat(columns, k) -> str:
-    """Gnuplot-style data: step index then one column per scenario."""
-    lines = ["# t " + " ".join(n for n, _ in columns)]
-    rows = zip(*(cols[k] for _, cols in columns))
-    lines += ["%d %s" % (t, " ".join(map(format_value, row)))
-              for t, row in enumerate(rows)]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise ConfigError("compare needs at least two scenarios")
     scenarios = [_load(p, args) for p in args.scenarios]
-    os.makedirs(args.out, exist_ok=True)
+    names = [s.name for s in scenarios]
+    if len(set(names)) < len(names):
+        raise ConfigError("scenario file names must differ: %s"
+                          % " ".join(names))
+    # the traces are comparable step for step only from one x0 and seed
+    if len({(s.run.x0, s.schedule.seed) for s in scenarios}) > 1:
+        raise ConfigError("scenarios must share x0 and seed")
+    cols = [f.name for f in dataclasses.fields(runtime.MetricsReport)]
+    table = [",".join(["name", *cols, "error"])]
+    failed = []
     for s in scenarios:
-        _write(args.out, "config_%s.ini" % s.name, cfgmod.echo_scenario(s))
-    report = runtime.compare(scenarios)
-    columns = report.aligned()
-    for k, figure in enumerate(("massflow", "pressure", "solvertime")):
-        _write(args.out, "fig_%s.dat" % figure, _figure_dat(columns, k))
-    _write(args.out, "metrics.csv", report.table_csv())
-    _write(args.out, "aligned.csv", report.aligned_csv())
-    failed = [(n, e) for n, e in zip(report.names, report.errors)
-              if e is not None]
-    for name, err in failed:
-        print("%s failed: %s: %s" % (name, type(err).__name__, err),
-              file=sys.stderr)
+        try:
+            rep = _run_into(s, os.path.join(args.out, s.name))
+            values = [format_value(v) for v in dataclasses.astuple(rep)]
+            error = ""
+        except Exception as exc:  # kept as its row, the others still run
+            failed.append(exc)
+            values = [""] * len(cols)
+            error = "%s: %s" % (type(exc).__name__, exc)
+            print("%s failed: %s" % (s.name, error), file=sys.stderr)
+        table.append(",".join([s.name, *values, error]))
+    _write(args.out, "metrics.csv", "\n".join(table) + "\n")
     if failed:
         # exit as simulate would for the first failed scenario
-        raise failed[0][1]
-    print("compared %s into %s" % ("/".join(report.names), args.out))
+        raise failed[0]
+    print("compared %s into %s" % ("/".join(names), args.out))
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ installs the result at that same step, on the loop's own thread.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -289,7 +289,7 @@ class MetricsReport:
 
 
 def format_value(value) -> str:
-    """One metric or per-step value as every report writes it."""
+    """One metric value as metrics.txt and metrics.csv write it."""
     return "%.17g" % value if isinstance(value, float) else "%d" % value
 
 
@@ -338,73 +338,3 @@ def metrics(trace: ClosedLoopTrace, Q, R, band: float = 0.02) -> MetricsReport:
         solver_median=float(np.median(st)),
         solver_p95=float(st[min(len(st) - 1, int(np.ceil(0.95 * len(st))) - 1)]),
         solver_max=float(st[-1]))
-
-
-# ---------------------------------------------------------------------------
-# comparison
-
-
-@dataclass
-class ComparisonReport:
-    names: List[str]
-    traces: List[Optional[ClosedLoopTrace]]
-    reports: List[Optional[MetricsReport]]
-    errors: List[Optional[Exception]]
-
-    def table_csv(self) -> str:
-        cols = [f.name for f in fields(MetricsReport)]
-        lines = [",".join(["name", *cols, "error"])]
-        for name, rep, err in zip(self.names, self.reports, self.errors):
-            values = ([""] * len(cols) if rep is None
-                      else [format_value(v) for v in astuple(rep)])
-            error = "" if err is None else "%s: %s" % (type(err).__name__, err)
-            lines.append(",".join([name, *values, error]))
-        return "\n".join(lines) + "\n"
-
-    def aligned(self):
-        """(name, (z, y, solver time)) per scenario that ran, each column
-        cut to the shortest trace."""
-        ok = [(n, tr) for n, tr in zip(self.names, self.traces)
-              if tr is not None]
-        T = min((len(tr) for _, tr in ok), default=0)
-        return [(n, (tr.x[:T, 0].tolist(), tr.x[:T, 1].tolist(),
-                     tr.solver_time[:T].tolist())) for n, tr in ok]
-
-    def aligned_csv(self) -> str:
-        """Per-step mass flow, pressure rise and solver time per scenario."""
-        columns = self.aligned()
-        header = ["t"] + ["%s_%s" % (n, c) for n, _ in columns
-                          for c in ("z", "y", "solver")]
-        rows = zip(*(col for _, cols in columns for col in cols))
-        lines = [",".join(header)]
-        lines += [",".join([str(t), *map(format_value, row)])
-                  for t, row in enumerate(rows)]
-        return "\n".join(lines) + "\n"
-
-
-def compare(scenarios) -> ComparisonReport:
-    """Run several scenarios side by side; a failed scenario doesn't abort.
-
-    All scenarios must share the plant seed and the initial state so the
-    traces are comparable step for step.  Each scenario's metrics use its
-    own ``run.band``, and a failure is kept as its exception in ``errors``.
-    """
-    scenarios = list(scenarios)
-    x0s = {tuple(np.asarray(s.run.x0, dtype=float)) for s in scenarios}
-    if len(x0s) > 1 or len({s.schedule.seed for s in scenarios}) > 1:
-        raise ConfigError("scenarios must share x0 and seed")
-    traces, reports, errors = [], [], []
-    for s in scenarios:
-        try:
-            tr = run_closed_loop(s)
-            rep = metrics(tr, np.diag(s.controller.q_diag),
-                          np.array([[s.controller.r]]), band=s.run.band)
-            err = None
-        except Exception as exc:  # kept per scenario, the others still run
-            tr = rep = None
-            err = exc
-        traces.append(tr)
-        reports.append(rep)
-        errors.append(err)
-    return ComparisonReport(names=[s.name for s in scenarios], traces=traces,
-                            reports=reports, errors=errors)

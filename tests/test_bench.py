@@ -121,7 +121,10 @@ class TestParseArgs:
         [],
         ["--checkout", "a=.", "--checkout", "b=.", "--checkout", "c=."],
         ["--checkout", "a=.", "--pairs", "0"],
-    ], ids=["no-checkout", "three-checkouts", "zero-pairs"])
+        ["--checkout", "a=../p", "--checkout", "a=."],
+        ["--checkout", "nolabel"],
+    ], ids=["no-checkout", "three-checkouts", "zero-pairs", "duplicate-label",
+            "no-label"])
     def test_rejects(self, extra, capsys):
         with pytest.raises(SystemExit) as exc:
             bench.parse_args(self.BASE + extra)

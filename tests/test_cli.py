@@ -6,6 +6,8 @@ each invocation stays fast.
 import dataclasses
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -369,24 +371,125 @@ class TestFailureTable:
 
 
 class TestCompare:
-    def test_artifacts(self, fast_ini, tmp_path):
-        out = str(tmp_path / "cmp")
-        rc = main(["compare", fast_ini("zero"), fast_ini("l2nw"),
-                   "--out", out])
-        assert rc == EXIT_OK
-        for name in ("config_zero.ini", "config_l2nw.ini", "metrics.csv",
-                     "aligned.csv", "fig_massflow.dat", "fig_pressure.dat",
-                     "fig_solvertime.dat"):
-            assert os.path.exists(os.path.join(out, name))
-        with open(os.path.join(out, "fig_massflow.dat")) as fh:
-            header = fh.readline()
-        assert header.startswith("# t ")
-        assert "zero" in header and "l2nw" in header
+    def test_artifacts(self, fast_ini, tmp_path, monkeypatch):
+        # with the scenarios' own setting off, --deterministic alone makes
+        # the traces repeat; each is the trace simulate writes
+        monkeypatch.setenv("LBMPC_SCHEDULE_DETERMINISTIC", "false")
+        names = ("zero", "l2nw")
+        inis = [fast_ini(kind) for kind in names]
+        outs = [tmp_path / "cmp1", tmp_path / "cmp2"]
+        for out in outs:
+            assert main(["compare", *inis, "--deterministic",
+                         "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(outs[0])) == ["l2nw", "metrics.csv", "zero"]
+        for ini, name in zip(inis, names):
+            assert sorted(os.listdir(outs[0] / name)) == [
+                "config.ini", "metrics.txt", "trace.csv"]
+            sim = tmp_path / ("sim_" + name)
+            assert main(["simulate", ini, "--deterministic",
+                         "--out", str(sim)]) == EXIT_OK
+            want = (sim / "trace.csv").read_bytes()
+            for out in outs:
+                assert (out / name / "trace.csv").read_bytes() == want
+
+    def test_rows_in_argument_order_each_with_its_own_band(self, tmp_path):
+        # 60 steps, long enough for the wide band to settle first
+        inis = []
+        for kind, band in (("l2nw", 0.9), ("zero", 0.02)):
+            text = (FAST % kind).replace("steps = 40", "steps = 60")
+            inis.append(tmp_path / ("%s.ini" % kind))
+            inis[-1].write_text(text + "band = %s\n" % band)
+        out = tmp_path / "o"
+        assert main(["compare", *map(str, inis),
+                     "--out", str(out)]) == EXIT_OK
+        header, *lines = (out / "metrics.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(",")))
+                for line in lines]
+        assert [r.pop("name") for r in rows] == ["l2nw", "zero"]
+        for name, row in zip(("l2nw", "zero"), rows):
+            assert row.pop("error") == ""
+            text = (out / name / "metrics.txt").read_text().splitlines()
+            assert row == dict(line.split(" = ") for line in text)
+        assert int(rows[0]["settling_steps"]) < int(rows[1]["settling_steps"])
+
+    def test_failed_scenario_keeps_its_config_and_row(self, fast_ini,
+                                                      tmp_path, monkeypatch):
+        import lbmpc.runtime as rt
+        run = rt.run_closed_loop
+
+        def fails_for_l2nw(scenario):
+            if scenario.oracle.kind == "l2nw":
+                raise MpcError("no gain found")
+            return run(scenario)
+
+        monkeypatch.setattr(rt, "run_closed_loop", fails_for_l2nw)
+        out = tmp_path / "o"
+        rc = main(["compare", fast_ini("l2nw"), fast_ini("zero"),
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert os.listdir(out / "l2nw") == ["config.ini"]
+        assert sorted(os.listdir(out / "zero")) == [
+            "config.ini", "metrics.txt", "trace.csv"]
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[1] == "l2nw,,,,,,,,,MpcError: no gain found"
+        assert lines[2].startswith("zero,") and lines[2].endswith(",")
+
+    @pytest.mark.parametrize("old,new", [
+        ("x0 = -0.12 0.06 0 0", "x0 = -0.1 0.05 0 0"),
+        ("[schedule]\n", "[schedule]\nseed = 5\n"),
+    ], ids=["x0", "seed"])
+    def test_mismatched_x0_or_seed_rejected(self, old, new, fast_ini,
+                                            tmp_path):
+        other = tmp_path / "other.ini"
+        other.write_text((FAST % "l2nw").replace(old, new))
+        out = tmp_path / "o"
+        rc = main(["compare", fast_ini("zero"), str(other),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_duplicate_file_stems_rejected(self, tmp_path):
+        # both would write into <out>/a/
+        inis = []
+        for kind, d in (("zero", "x"), ("l2nw", "y")):
+            (tmp_path / d).mkdir()
+            inis.append(tmp_path / d / "a.ini")
+            inis[-1].write_text(FAST % kind)
+        out = tmp_path / "o"
+        rc = main(["compare", *map(str, inis), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
 
     def test_single_scenario_rejected(self, fast_ini, tmp_path):
         rc = main(["compare", fast_ini("zero"),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+
+class TestBlasThreads:
+    # the package pins one BLAS thread when it is imported before numpy;
+    # each case needs a fresh interpreter
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("preset,imports,want", [
+        (None, "lbmpc", ["1", "1", "1"]),
+        ("2", "lbmpc", ["2", "1", "1"]),
+        (None, "numpy, lbmpc", [None, None, None]),
+    ], ids=["unset", "preset", "numpy-first"])
+    def test_pin(self, preset, imports, want):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        src = os.path.dirname(os.path.dirname(SCENARIO_DIR))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        if preset is not None:
+            env[self.VARS[0]] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os; import %s; print([os.environ.get(v) for v in %r])"
+             % (imports, self.VARS)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(want)
 
 
 class TestSets:

@@ -1,7 +1,7 @@
 """Closed-loop runtime tests: short deterministic runs of each oracle kind,
-byte-identical repeatability, trace invariants, hand-checked metrics, and the
-comparison guardrails.  Runs are kept short; the long-horizon behavior is
-covered by the acceptance suite.
+byte-identical repeatability, trace invariants and hand-checked metrics.
+Runs are kept short; the long-horizon behavior is covered by the acceptance
+suite.
 """
 
 import os
@@ -12,10 +12,10 @@ import pytest
 
 from lbmpc import oracle as om, plant, runtime
 from lbmpc.cli import SCENARIO_DIR
-from lbmpc.config import (ConfigError, OracleSection, Scenario, load_scenario,
+from lbmpc.config import (OracleSection, Scenario, load_scenario,
                           parse_scenario)
 from lbmpc.runtime import (TRACE_SPEC, ClosedLoopTrace, InfeasibleAtStart,
-                           RuntimeFailure, build_setup, compare, metrics,
+                           RuntimeFailure, build_setup, metrics,
                            run_closed_loop)
 
 
@@ -266,56 +266,6 @@ class TestTrace:
         tr = self.synthetic_trace([[1.0, 0.0, 0.0, 0.0]] * 3)
         with pytest.raises(ValueError):
             replace(tr, **{name: getattr(tr, name)[:2]})
-
-
-class TestCompare:
-    def test_mismatched_x0_rejected(self):
-        a = scenario("zero", steps=5)
-        b = replace(a, run=replace(a.run, x0=(-0.1, 0.05, 0.0, 0.0)))
-        with pytest.raises(ConfigError):
-            compare([a, b])
-
-    def test_reports_and_errors_aligned(self):
-        a = scenario("zero", steps=30)
-        b = scenario("l2nw", steps=30)
-        rep = compare([a, b])
-        assert rep.names == ["zero", "l2nw"]
-        assert rep.errors == [None, None]
-        assert all(r is not None for r in rep.reports)
-        csv = rep.table_csv()
-        assert csv.startswith("name,")
-        assert "zero," in csv and "l2nw," in csv
-        aligned = rep.aligned_csv()
-        header = aligned.split("\n", 1)[0].split(",")
-        assert header[0] == "t"
-        assert "zero_z" in header and "l2nw_solver" in header
-
-    def test_each_scenario_uses_its_own_band(self):
-        a = scenario("zero")
-        b = replace(scenario("l2nw"), run=replace(a.run, band=0.9))
-        rep = compare([a, b])
-        for s, tr, got in zip((a, b), rep.traces, rep.reports):
-            assert got == metrics(tr, np.diag(s.controller.q_diag),
-                                  np.array([[s.controller.r]]),
-                                  band=s.run.band)
-        assert rep.reports[1].settling_steps < rep.reports[0].settling_steps
-
-    def test_failure_kept_as_exception(self, monkeypatch):
-        import lbmpc.runtime as rt
-        from lbmpc.mpc import MpcError
-        run = rt.run_closed_loop
-
-        def fails_for_l2nw(s):
-            if s.oracle.kind == "l2nw":
-                raise MpcError("no gain found")
-            return run(s)
-
-        monkeypatch.setattr(rt, "run_closed_loop", fails_for_l2nw)
-        rep = compare([scenario("zero", steps=5), scenario("l2nw", steps=5)])
-        assert rep.errors[0] is None and isinstance(rep.errors[1], MpcError)
-        assert rep.traces[1] is None and rep.reports[1] is None
-        assert rep.table_csv().endswith(
-            "\nl2nw,,,,,,,,,MpcError: no gain found\n")
 
 
 class TestBuildSetup:

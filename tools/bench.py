@@ -112,6 +112,11 @@ def parse_args(argv=None):
     args = ap.parse_args(argv)
     if len(args.checkout) not in (1, 2):
         ap.error("give one or two checkouts")
+    if any("=" not in c for c in args.checkout):
+        ap.error("give each checkout as LABEL=PATH")
+    labels = [c.split("=", 1)[0] for c in args.checkout]
+    if len(set(labels)) < len(labels):
+        ap.error("checkout labels must differ")
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     return args
