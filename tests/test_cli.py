@@ -392,7 +392,8 @@ class TestCompare:
             for out in outs:
                 assert (out / name / "trace.csv").read_bytes() == want
 
-    def test_rows_in_argument_order_each_with_its_own_band(self, tmp_path):
+    @staticmethod
+    def _compare_bands(tmp_path):
         # 60 steps, long enough for the wide band to settle first
         inis = []
         for kind, band in (("l2nw", 0.9), ("zero", 0.02)):
@@ -405,11 +406,19 @@ class TestCompare:
         header, *lines = (out / "metrics.csv").read_text().splitlines()
         rows = [dict(zip(header.split(","), line.split(",")))
                 for line in lines]
+        return out, rows
+
+    def test_rows_in_argument_order_match_metrics_txt(self, tmp_path):
+        out, rows = self._compare_bands(tmp_path)
         assert [r.pop("name") for r in rows] == ["l2nw", "zero"]
         for name, row in zip(("l2nw", "zero"), rows):
             assert row.pop("error") == ""
             text = (out / name / "metrics.txt").read_text().splitlines()
             assert row == dict(line.split(" = ") for line in text)
+
+    def test_each_scenario_uses_its_own_band(self, tmp_path):
+        _, rows = self._compare_bands(tmp_path)
+        assert [r["name"] for r in rows] == ["l2nw", "zero"]
         assert int(rows[0]["settling_steps"]) < int(rows[1]["settling_steps"])
 
     def test_failed_scenario_keeps_its_config_and_row(self, fast_ini,
