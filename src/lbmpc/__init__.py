@@ -27,8 +27,8 @@ from .oracle import (NetworkArch, OracleState, new_oracle, predict, adapt,
                      train_hidden, swap_hidden, ReplayBuffer, L2nwEstimator,
                      l2nw_predict)
 from .qp import QpSolution, qp_solve
-from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, build_margins,
-                  solve_lbmpc, shift_solution,
+from .mpc import (ControllerConfig, LbmpcProblem, MpcSolution, Preparation,
+                  build_margins, prepare, solve_lbmpc, shift_solution,
                   synthesize_gain, synthesize_tube_gain, solve_lyapunov_P,
                   MpcError, MpcInfeasible, EmptyTightenedSet)
 from .runtime import (ClosedLoopTrace, run_closed_loop,

@@ -187,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--deterministic", action="store_true",
-                       help="write solver times as zero (byte-identical "
-                       "trace), overriding a scenario that sets "
+                       help="write both timing columns, solver_time and "
+                       "prepare_time, as zero (byte-identical trace), "
+                       "overriding a scenario that sets "
                        "schedule.deterministic = false; true is the default")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")

@@ -66,9 +66,9 @@ class ScheduleSection:
     (the T_k sequence); training only fires once the buffer holds at least
     ``train_fill`` of its capacity and ``min_new_samples`` new labels have
     arrived since the previous event.  A trainer event retrains inline and
-    installs the result at its own step.  ``deterministic`` writes the
-    ``solver_time`` column of ``trace.csv`` as zero, so repeated runs give
-    byte-identical files.
+    installs the result at its own step.  ``deterministic`` writes both
+    timing columns of ``trace.csv``, ``solver_time`` and ``prepare_time``,
+    as zero, so repeated runs give byte-identical files.
     """
 
     copy_period: int = 50

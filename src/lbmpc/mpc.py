@@ -6,19 +6,28 @@ zbar (linear in c) with tube-tightened sets, so feasibility is untouched by
 the oracle; the cost is evaluated on the learned trajectory z, which rolls
 the oracle estimate through the dynamics.  Each control step takes one
 Gauss-Newton step on that cost from the shifted warm start, the real-time
-iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005).
+iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005), in
+its two phases.  The preparation (``prepare``) needs no measurement: it
+linearizes the cost at a predicted state x_pred and forms the QP's Hessian,
+its gradient g0 at x_pred and the gradient's slope M in x.  The feedback
+(``solve_lbmpc``) takes the measured x, shifts the gradient to
+g0 + M (x - x_pred), forms the constraints at x and solves one QP.  A solve
+without a preparation prepares at x itself, so both phases run at the
+measurement; that is the one path, and the zero shift adds nothing.
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
-dh/dz, dh/dv at each row of a batch of stages.  The solver calls it once per
-solve, at the N stages (zbar_i, v_i) of the nominal trajectory, and takes
+dh/dz, dh/dv at each row of a batch of stages.  The preparation calls it
+once, at the N stages (zbar_i, v_i) of the nominal trajectory, and takes
 the learned trajectory as the first-order expansion around it:
 z = zbar + e with e_0 = 0 and e_{i+1} = (A + dh/dz_i) e_i + h_i, whose error
 is second order in z - zbar, which is of the size of W.  The nominal
 trajectory needs no state carried between steps, and LBMPC's constraints
-act on it alone (Aswani et al., Automatica 2013), so they do not change.  With h = 0 the cost is exactly quadratic,
-so the one step is its minimizer, and the linear tube MPC baseline is the
-same program as the learned one.  Only the closed loop updates an oracle.
+act on it alone (Aswani et al., Automatica 2013), so they do not change.
+With h = 0 the cost is exactly quadratic and its gradient affine in x, so
+the one step is its minimizer wherever it was prepared, and the linear tube
+MPC baseline is the same program as the learned one.  Only the closed loop
+updates an oracle.
 One triangular solve of the block-bidiagonal recursion gives e and dz/dc
 together (see _learned_rollout).
 """
@@ -204,13 +213,15 @@ class LbmpcProblem:
     Gc: np.ndarray = field(init=False)
     Gx: np.ndarray = field(init=False)
     rhs0: np.ndarray = field(init=False)
-    # cost: the state weights stacked over the trajectory, and constant
-    # factors of the QP's H and g, products in the order the solve would
-    # form them (Tv'Rbar, Tv'Rbar Tv, 1e-9 I) with Rbar = I_N (x) R
+    # cost: the state weights stacked over the trajectory, and the constant
+    # parts of the QP's H and g and of the gradient's slope in x, for half
+    # the cost (see prepare): Tv'Rbar Tv + 5e-10 I, Tv'Rbar, Qbar Sz and
+    # Tv'Rbar Sv, with Rbar = I_N (x) R
     Qbar: np.ndarray = field(init=False)
+    H_v: np.ndarray = field(init=False)
     TvR: np.ndarray = field(init=False)
-    TvRTv: np.ndarray = field(init=False)
-    reg: np.ndarray = field(init=False)
+    QbarSz: np.ndarray = field(init=False)
+    TvRSv: np.ndarray = field(init=False)
     # for _learned_rollout: Tv by stage (a view), and the flat positions in
     # its transposed triangular matrix of entry [i, b, a] of (-A - dh/dz_i)
     Tv_stages: np.ndarray = field(init=False)
@@ -273,8 +284,9 @@ class LbmpcProblem:
         Qbar[N * d:, N * d:] = cfg.P
         self.Qbar = Qbar
         self.TvR = Tv.T @ np.kron(np.eye(N), cfg.R)
-        self.TvRTv = self.TvR @ Tv
-        self.reg = 1e-9 * np.eye(N * m)
+        self.H_v = self.TvR @ Tv + 5e-10 * np.eye(N * m)
+        self.QbarSz = Qbar @ Sz
+        self.TvRSv = self.TvR @ Sv
         self.Tv_stages = Tv.reshape(N, m, N * m)
         i, b, a = np.ogrid[:N, :d, :d]
         self.sub_index = ((i * d + a) * (N + 1) + i + 1) * d + b
@@ -356,39 +368,89 @@ def _learned_rollout(p: LbmpcProblem, x, c):
 
 
 def _make_solution(p, x, c, status, t0):
-    """The solution at c, its input v_0 from the nominal map."""
-    m = p.model.m
-    return MpcSolution(c=c, u=p.Sv[:m] @ x + p.Tv[:m] @ c,
+    """The solution at c, its input v_0 = K x + c_0 (zbar_0 is x): the
+    nominal map's first rows, Sv[:m] = K and Tv[:m] = [I 0], without the
+    products by their identity and zero blocks."""
+    return MpcSolution(c=c, u=p.cfg.K @ x + c[:p.model.m],
                        status=status, sqp_iters=1,
                        wall_time=time.perf_counter() - t0)
 
 
-def solve_lbmpc(p: LbmpcProblem, x, warm_c=None) -> MpcSolution:
-    """One Gauss-Newton step on the learned-trajectory cost.
+@dataclass
+class Preparation:
+    """The cost of one step linearized at a predicted state.
 
-    ``warm_c`` is None or the shifted previous perturbations, the point the
-    cost is linearized at (zero without it).  One learned rollout (one
-    oracle call) and one QP give the step; constraints are linear in c, so c + step is feasible.  On any
-    solver failure (a non-finite learned rollout, or a QP that does not end
-    'optimal') ``warm_c`` is returned with status 'fallback' if it
-    is feasible at x; otherwise MpcInfeasible is raised.  The wall time of
-    either outcome counts from entry.
+    H is the QP's Hessian, g0 its gradient at ``x_pred`` and M the
+    gradient's slope in the state, so the gradient at x is
+    g0 + M (x - x_pred); ``rhs_c`` is rhs0 - Gc c, the constraints' right
+    side but for -Gx x.  A preparation whose rollout raised MpcError holds
+    the error instead, for the feedback that uses it.  The feedback only
+    reads it, so one preparation serves any number of feedbacks.
+    """
+
+    x_pred: np.ndarray
+    c: np.ndarray
+    H: np.ndarray | None
+    g0: np.ndarray | None
+    M: np.ndarray | None
+    rhs_c: np.ndarray | None
+    error: MpcError | None
+    wall_time: float
+
+
+def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
+    """The preparation phase: linearize the cost at ``x_pred`` and ``c``.
+
+    ``c`` is None (zero) or the shifted previous perturbations.  One
+    learned rollout (one oracle call) gives z and dz/dc; the measurement is
+    not needed.  An MpcError of the rollout is held, not raised.
+    """
+    t0 = time.perf_counter()
+    x_pred = np.asarray(x_pred, dtype=float).reshape(-1)
+    c = np.zeros(p.n_dec) if c is None else np.array(c, dtype=float)
+    try:
+        v, z, Jz = _learned_rollout(p, x_pred, c)
+    except MpcError as exc:
+        return Preparation(x_pred, c, None, None, None, None, exc,
+                           time.perf_counter() - t0)
+    # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
+    # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
+    # g = dz/dc' Qbar z + Tv'Rbar v, as dv/dc is Tv; the QP reads only H's
+    # lower triangle, so H is not symmetrized, and its 5e-10 I clips tiny
+    # negative curvature.  With dz/dc held at its value, dz/dx is Sz and
+    # dv/dx is Sv, which gives the slope M.
+    JzQ = Jz.T @ p.Qbar
+    return Preparation(x_pred, c, JzQ @ Jz + p.H_v, JzQ @ z + p.TvR @ v,
+                       Jz.T @ p.QbarSz + p.TvRSv, p.rhs0 - p.Gc @ c, None,
+                       time.perf_counter() - t0)
+
+
+def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
+                prep: Preparation | None = None) -> MpcSolution:
+    """The feedback phase: one QP at the measured ``x``.
+
+    ``warm_c`` is None or the shifted previous perturbations, and ``prep``
+    is ``prepare(p, x_pred, warm_c)`` at a predicted state, or None to
+    prepare at x itself.  The QP's gradient is shifted from x_pred to x and
+    its constraints are formed at x; they are linear in c, so c + step is
+    feasible.  On any solver failure (a preparation that holds an error,
+    or a QP that does not end 'optimal') ``warm_c`` is returned with status
+    'fallback' if it is feasible at x; otherwise MpcInfeasible is raised.
+    The wall time of either outcome counts from entry, a preparation made
+    here included.
     """
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)
+    if prep is None:
+        prep = prepare(p, x, warm_c)
     try:
-        c = np.zeros(p.n_dec) if warm_c is None else np.array(warm_c, dtype=float)
-        v, z, Jz = _learned_rollout(p, x, c)
-        # dv/dc is Tv, so its terms are constants of the problem; u + u' is
-        # 0.5 (2u + (2u)') bit for bit, exactly symmetric, and reg clips
-        # tiny negative curvature of the Gauss-Newton approximation
-        JzQ = Jz.T @ p.Qbar
-        u = JzQ @ Jz + p.TvRTv
-        sol = qpmod.qp_solve(u + u.T + p.reg, 2.0 * (JzQ @ z + p.TvR @ v),
-                             p.Gc, p.rhs0 - p.Gx @ x - p.Gc @ c)
+        if prep.error is not None:
+            raise prep.error
+        sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ (x - prep.x_pred),
+                             p.Gc, prep.rhs_c - p.Gx @ x)
         if sol.status != "optimal":
             raise MpcError("QP ended '%s'" % sol.status)
-        return _make_solution(p, x, c + sol.x, "optimal", t0)
+        return _make_solution(p, x, prep.c + sol.x, "optimal", t0)
 
     except MpcError as exc:
         if warm_c is not None and p.feasible(x, warm_c):

@@ -8,13 +8,14 @@ swapped in whole generations.  The network's replay buffer and the kernel
 baseline keep their samples in the same preallocated ring, ReplayBuffer.
 
 Each oracle kind is one adapter: ZeroOracle, DnnOracle or L2nwEstimator.
-The solver calls its ``predict_and_jacobian(z, v)`` once per solve, with
-all N nominal stages as the rows of z and v (see mpc); the closed loop calls
-its ``observe(t, x, u, x_next, h)`` once per step after the truth step,
-which returns the prediction made before any update and then learns.  The
-adapters look the module-level functions up at call time, so a wrapper set
-on the module sees every call.  ``k_fro``,
-``generation`` and ``swap_steps`` read 0, 0 and () but for the network.
+The solver's preparation calls its ``predict_and_jacobian(z, v)`` once,
+with all N nominal stages as the rows of z and v (see mpc); the closed loop
+calls its ``observe(t, x, u, x_next, h, ax_bu=None)`` once per step after
+the truth step, which returns the prediction made before any update and
+then learns; ``ax_bu`` is the loop's A x + B u, which the network's update
+reuses.  The adapters look the module-level functions up at call time, so
+a wrapper set on the module sees every call.  ``k_fro``, ``generation`` and
+``swap_steps`` read 0, 0 and () but for the network.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def predict_and_jacobian(state: OracleState, x, u):
     dh/du (..., d, m); a batch takes one forward pass.  The Jacobians
     K1' diag(s_L) W_L' ... diag(s_1) W_1' (s_l = 1 - a_l^2) are formed from
     the output side, one product per layer for all rows.  The solver calls
-    this once per solve, at the N nominal stages (``DnnOracle``).
+    this once per preparation, at the N nominal stages (``DnnOracle``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -194,18 +195,22 @@ def project_columns(K_bar: np.ndarray, W_bar: np.ndarray) -> np.ndarray:
 
 
 def adapt(state: OracleState, x_t, u_t, x_next, model,
-          phi: Optional[np.ndarray] = None) -> OracleState:
+          phi: Optional[np.ndarray] = None,
+          ax_bu: Optional[np.ndarray] = None) -> OracleState:
     """One projection-based output-layer update from the realized next state.
 
     The prediction error is xtilde = (A x + B u + K'phi) - x_next; the raw
     update K - gamma * phi xtilde' / |phi|^2 is projected column-wise back
     onto the norm bounds.  ``x_t``, ``u_t`` and ``x_next`` are 1-D float
     arrays.  ``phi`` should be the cached feature vector of the generation
-    that produced u_t; it is recomputed if omitted.
+    that produced u_t, and ``ax_bu`` the sum A x_t + B u_t as the closed
+    loop forms it; each is recomputed if omitted.
     """
     if phi is None:
         phi = features(state, x_t, u_t)
-    x_hat = model.A @ x_t + model.B @ u_t + phi @ state.K
+    if ax_bu is None:
+        ax_bu = model.A @ x_t + model.B @ u_t
+    x_hat = ax_bu + phi @ state.K
     x_tilde = x_hat - x_next
     # phi x_tilde' by broadcasting, the product np.outer forms
     K_bar = (state.K - state.gamma * (phi[:, None] * x_tilde)
@@ -428,7 +433,7 @@ class ZeroOracle:
         return (np.zeros((N, d)), np.zeros((N, d, d)),
                 np.zeros((N, d, v.shape[-1])))
 
-    def observe(self, t, x, u, x_next, h):
+    def observe(self, t, x, u, x_next, h, ax_bu=None):
         return np.zeros(x.size)
 
 
@@ -457,12 +462,13 @@ class DnnOracle:
     def predict_and_jacobian(self, z, v):
         return predict_and_jacobian(self.state, z, v)
 
-    def observe(self, t, x, u, x_next, h):
+    def observe(self, t, x, u, x_next, h, ax_bu=None):
         # predict and adapt share one forward pass: a swap comes after adapt,
         # so both see the generation behind u
         phi = features(self.state, x, u)
         h_hat = predict_from_features(self.state, phi)
-        self.state = adapt(self.state, x, u, x_next, self.model, phi=phi)
+        self.state = adapt(self.state, x, u, x_next, self.model, phi=phi,
+                           ax_bu=ax_bu)
         buf, sched, tr = self.buffer, self.schedule, self.training
         buffer_push(buf, np.concatenate((x, u)), h)
         self._new_samples += 1
@@ -553,7 +559,7 @@ class L2nwEstimator:
     def predict_and_jacobian(self, z, v):
         return l2nw_predict_and_jacobian(self, z, v)
 
-    def observe(self, t, x, u, x_next, h):
+    def observe(self, t, x, u, x_next, h, ax_bu=None):
         h_hat = l2nw_predict(self, x, u)
         self.push(np.concatenate([x, u]), h)
         return h_hat

@@ -1,11 +1,14 @@
 """Dual-timescale closed loop: real-time control with a slow trainer.
 
-The fast loop runs measure -> solve -> apply -> observe -> log every
-sampling period through one oracle adapter, whose kind it never asks: the
-solve calls the adapter's ``predict_and_jacobian`` once, at the nominal
-stages, and the loop calls its ``observe`` once after the truth step.  A
-network adapter retrains its hidden stack every ``copy_period`` steps and
-installs the result at that same step, on the loop's own thread.
+The fast loop runs measure -> feedback -> apply -> observe -> prepare ->
+log every sampling period through one oracle adapter, whose kind it never
+asks: the feedback solves one QP at the measured state, the loop calls the
+adapter's ``observe`` once after the truth step, and the preparation for
+the next step calls its ``predict_and_jacobian`` once, at the nominal
+stages from the predicted next state (mpc's real-time iteration; the
+first step is prepared at x0 before the loop).  A network adapter retrains
+its hidden stack every ``copy_period`` steps and installs the result at
+that same step, on the loop's own thread, so the next preparation sees it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ TRACE_SPEC = (
     ("input_margin", ("input_margin",), "%.17g", float),
     ("shift_feasible", ("shift_feasible",), "%d", bool),
     ("h_in_w", ("h_in_w",), "%d", bool),
+    ("prepare_time", ("prepare_time",), "%.17g", float),
 )
+
+# wall times, written as zero by deterministic-mode runs
+TIMING = ("solver_time", "prepare_time")
 
 TRACE_COLUMNS = ["t"] + [col for _, cols, _, _ in TRACE_SPEC for col in cols]
 
@@ -67,10 +74,11 @@ class ClosedLoopTrace:
     Column order is fixed (see TRACE_SPEC): time index, deviation state,
     applied input, oracle prediction h_hat, realized residual h, one-step
     prediction error x_tilde, output-layer Frobenius norm, live oracle
-    generation, solver status / Gauss-Newton steps (always 1) / wall time,
-    worst-case state and input constraint margins (positive = satisfied),
-    and the two certificate flags (shifted candidate feasible, realized h
-    inside W).
+    generation, solver status / Gauss-Newton steps (always 1) / feedback
+    wall time (from the measurement to the input), worst-case state and
+    input constraint margins (positive = satisfied), the two certificate
+    flags (shifted candidate feasible, realized h inside W), and the wall
+    time of the preparation the step's feedback used.
     """
 
     x: np.ndarray
@@ -87,9 +95,10 @@ class ClosedLoopTrace:
     input_margin: np.ndarray
     shift_feasible: np.ndarray
     h_in_w: np.ndarray
+    prepare_time: np.ndarray
     swap_steps: List[int] = field(default_factory=list)
     # deterministic-mode runs promise byte-identical CSVs, so the (inherently
-    # nonreproducible) wall-time column is written as zero; the measured
+    # nonreproducible) wall-time columns are written as zero; the measured
     # times stay available in memory for metrics and benchmarks
     deterministic: bool = False
 
@@ -114,7 +123,7 @@ class ClosedLoopTrace:
         blocks = []
         for name, cols, _, _ in TRACE_SPEC:
             values = getattr(self, name)
-            if name == "solver_time" and self.deterministic:
+            if name in TIMING and self.deterministic:
                 values = np.zeros_like(values)
             blocks.append(np.reshape(values, (n, len(cols))).tolist())
         row = ",".join(["%d"] + [fmt for _, cols, fmt, _ in TRACE_SPEC
@@ -216,7 +225,10 @@ def build_setup(scenario) -> LoopSetup:
 def run_closed_loop(scenario) -> ClosedLoopTrace:
     """Run the scenario's closed loop and return the per-step trace.
 
-    Raises InfeasibleAtStart if the first solve has no feasible solution;
+    Each step's feedback uses the preparation made at the state the
+    previous step predicted, A x + B u + h_hat, after its ``observe``; the
+    first step's is made at x0.  Raises InfeasibleAtStart if the first
+    solve has no feasible solution;
     later steps always produce an input because the shifted previous solution
     is a feasible fallback (a failure there is a RuntimeFailure).  A failed
     trainer job raises RuntimeFailure at its step, with the trainer's
@@ -228,12 +240,14 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     A, B, X, U, W = model.A, model.B, model.X, model.U, model.W
     x_eq, u_eq, m = model.x_eq, model.u_eq, model.m
     params, substeps = setup.params, scenario.plant.substeps
+    steps = scenario.run.steps
     rows = []
     x = setup.x0.copy()
     c_shift = None
-    for t in range(scenario.run.steps):
+    prep = mpc.prepare(problem, x)
+    for t in range(steps):
         try:
-            sol = mpc.solve_lbmpc(problem, x, warm_c=c_shift)
+            sol = mpc.solve_lbmpc(problem, x, warm_c=c_shift, prep=prep)
         except mpc.MpcError as exc:
             if t == 0:
                 raise InfeasibleAtStart(
@@ -244,27 +258,30 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
         u = sol.u
         x_next = plant.step_truth(x + x_eq, u + u_eq, params,
                                   substeps=substeps) - x_eq
-        # A x and B u serve both h (plant.truth_residual's sum, in its
-        # order) and the one-step prediction error x_tilde
+        # A x and B u serve h (plant.truth_residual's sum, in its order),
+        # the adapter's update and the prediction x_pred of x_next
         Ax, Bu = A @ x, B @ u
         h = x_next - Ax - Bu
         # the trace logs the oracle as it was when u was chosen
         k_fro, generation = oracle.k_fro, oracle.generation
+        Axu = Ax + Bu
         try:
-            h_hat = oracle.observe(t, x, u, x_next, h)
+            h_hat = oracle.observe(t, x, u, x_next, h, Axu)
         except om.TrainerFailed as exc:
             raise RuntimeFailure(str(exc)) from exc.__cause__
-        x_tilde = (Ax + Bu + h_hat) - x_next
+        x_pred = Axu + h_hat
 
         c_shift = mpc.shift_solution(sol, m)
         rows.append(dict(
-            x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_tilde, k_fro=k_fro,
+            x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_pred - x_next, k_fro=k_fro,
             generation=generation, status=sol.status,
             sqp_iters=sol.sqp_iters, solver_time=sol.wall_time,
             state_margin=float((X.h - X.F @ x).min()),
             input_margin=float((U.h - U.F @ u).min()),
             shift_feasible=problem.feasible(x_next, c_shift),
-            h_in_w=W.contains(h)))
+            h_in_w=W.contains(h), prepare_time=prep.wall_time))
+        if t + 1 < steps:
+            prep = mpc.prepare(problem, x_pred, c_shift)
         x = x_next
 
     return ClosedLoopTrace.from_rows(

@@ -142,9 +142,10 @@ class TestParseArgs:
 
 def test_resolve_smoke():
     # three steps per scenario, two rounds of least-of-2: a round line per
-    # replay and one summary line per oracle, every time positive; the
-    # replay's own check that each applied input matches the recorded run
-    # would end it with a traceback
+    # replay and one summary line per oracle for each of the feedback and
+    # the preparation, every time positive; the replay's own check that
+    # each applied input matches the recorded run would end it with a
+    # traceback
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "resolve.py"),
@@ -154,10 +155,14 @@ def test_resolve_smoke():
     assert lines[0] == "k 2, rounds 2, steps linear 3, dnn 3, l2nw 3"
     assert [line.split(":")[0] for line in lines[1:3]] == ["round 1",
                                                            "round 2"]
-    summary = {line.split()[0]: line.split() for line in lines[4:]}
-    assert sorted(summary) == ["dnn", "l2nw", "linear"]
-    for fields in summary.values():
-        # name, then (stat, median, "(spread", spread) per statistic
-        medians = [float(fields[i]) for i in (2, 6, 10)]
-        assert 0.0 < medians[0] <= medians[1] <= medians[2]
-        assert fields[-1].count(",") == 1
+    assert lines[3].startswith("least-of-2 feedback times")
+    assert lines[7].startswith("least-of-2 preparation times")
+    assert len(lines) == 11
+    for block in (lines[4:7], lines[8:11]):
+        summary = {line.split()[0]: line.split() for line in block}
+        assert sorted(summary) == ["dnn", "l2nw", "linear"]
+        for fields in summary.values():
+            # name, then (stat, median, "(spread", spread) per statistic
+            medians = [float(fields[i]) for i in (2, 6, 10)]
+            assert 0.0 < medians[0] <= medians[1] <= medians[2]
+            assert fields[-1].count(",") == 1

@@ -652,6 +652,77 @@ def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
         warm = sol.c
 
 
+class TestTwoPhase:
+    """The real-time iteration's two phases: a solve without a preparation
+    prepares at x itself, and a preparation made at a predicted state moves
+    only the point the cost is linearized at."""
+
+    X0 = np.array([-0.12, 0.06, 0.0, 0.0])
+
+    def next_step(self, p):
+        """The warm start and the state after a cold solve at X0."""
+        first = solve_lbmpc(p, self.X0)
+        return (shift_solution(first, p.model.m),
+                p.model.A @ self.X0 + p.model.B @ first.u)
+
+    @pytest.mark.parametrize("kind", ["dnn", "l2nw", "zero"])
+    def test_one_phase_is_prepare_then_feedback(self, bundled_problem, kind):
+        p = with_oracle(bundled_problem, kind, np.random.default_rng(27))
+        warm, x1 = self.next_step(p)
+        for x, c in ((self.X0, None), (x1, warm)):
+            a = solve_lbmpc(p, x, c)
+            b = solve_lbmpc(p, x, c, prep=mpc.prepare(p, x, c))
+            assert a.status == b.status == "optimal"
+            assert np.array_equal(a.c, b.c)
+            assert np.array_equal(a.u, b.u)
+
+    def test_zero_oracle_feedback_exact_at_any_prediction(self,
+                                                          bundled_problem):
+        # with h = 0 the gradient is affine in x, so the shift from x_pred
+        # to x is exact; a network's is not, which shows the check bites
+        rng = np.random.default_rng(28)
+        for kind in ("zero", "dnn"):
+            p = with_oracle(bundled_problem, kind, rng)
+            warm, x1 = self.next_step(p)
+            one = solve_lbmpc(p, x1, warm)
+            for _ in range(5):
+                x_pred = x1 + 0.01 * rng.normal(size=x1.size)
+                two = solve_lbmpc(p, x1, warm,
+                                  prep=mpc.prepare(p, x_pred, warm))
+                assert two.status == "optimal"
+                gap = max(np.max(np.abs(two.c - one.c)),
+                          np.max(np.abs(two.u - one.u)))
+                if kind == "zero":
+                    assert gap <= 1e-12
+                else:
+                    assert gap > 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_prepared_error_is_held_for_the_feedback(self, bundled_problem,
+                                                     bad):
+        # a preparation whose oracle output is not finite raises nothing;
+        # the feedback that uses it falls back to the warm start, or, with
+        # none to fall back to, raises
+        p = with_oracle(bundled_problem, "dnn", np.random.default_rng(29))
+        warm, x1 = self.next_step(p)
+        jacobian = p.oracle.predict_and_jacobian
+
+        def poisoned(z, v):
+            h, dz, dv = jacobian(z, v)
+            h[-1, 0] = bad
+            return h, dz, dv
+
+        p.oracle.predict_and_jacobian = poisoned
+        prep = mpc.prepare(p, x1, warm)
+        assert isinstance(prep.error, MpcError)
+        sol = solve_lbmpc(p, x1, warm, prep=prep)
+        assert sol.status == "fallback"
+        assert np.array_equal(sol.c, warm)
+        with pytest.raises(MpcInfeasible):
+            solve_lbmpc(p, self.X0, prep=mpc.prepare(p, self.X0))
+
+
 class TestFallback:
     """Fault injection: a QP that fails after spending time."""
 
@@ -686,32 +757,31 @@ class TestFallback:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("step", [0, 40])
     def test_non_finite_oracle_output(self, monkeypatch, bad, step):
-        # the network's one Jacobian call of one step of the bundled dnn run
-        # returns a non-finite entry in h, in dh/dz or in dh/dv
+        # the network's one Jacobian call of the preparation that one step
+        # of the bundled dnn run uses returns a non-finite entry in h, in
+        # dh/dz or in dh/dv; the loop prepares once per step, step s's
+        # preparation is the (s+1)-th call, and step 0's is made at x0
         scenario = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"))
         scenario = replace(scenario, run=replace(scenario.run, steps=60))
-        solve, jacobian = mpc.solve_lbmpc, DnnOracle.predict_and_jacobian
+        jacobian = DnnOracle.predict_and_jacobian
         for part in range(3):
-            seen = {"step": -1, "poisoned": False}
-
-            def counted_solve(p, x, warm_c=None):
-                seen["step"] += 1
-                return solve(p, x, warm_c=warm_c)
+            seen = {"calls": 0, "poisoned": False}
 
             def poisoned_jacobian(self, z, v):
                 out = jacobian(self, z, v)
-                if seen["step"] == step and not seen["poisoned"]:
+                if seen["calls"] == step:
                     seen["poisoned"] = True
                     out[part][-1, 0] = bad
+                seen["calls"] += 1
                 return out
 
-            monkeypatch.setattr(mpc, "solve_lbmpc", counted_solve)
             monkeypatch.setattr(DnnOracle, "predict_and_jacobian",
                                 poisoned_jacobian)
             if step == 0:
                 # nothing to fall back to before the first solution
                 with pytest.raises(InfeasibleAtStart):
                     run_closed_loop(scenario)
+                assert seen["poisoned"], part
                 continue
             tr = run_closed_loop(scenario)
             assert seen["poisoned"], part

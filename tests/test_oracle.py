@@ -233,6 +233,21 @@ class TestAdaptation:
         b = adapt(st, x, u, x_next, model)
         assert np.array_equal(a.K, b.K)
 
+    def test_loop_sum_matches_recompute(self, arch):
+        # the closed loop hands adapt its A x + B u, formed in adapt's order
+        rng = np.random.default_rng(8)
+        st = new_oracle(arch, W_bar=np.full(4, 0.5), gamma=0.5, seed=1)
+        st = replace(st, K=0.1 * rng.normal(size=st.K.shape))
+        model = FakeModel(4, 1, rng)
+        for _ in range(20):
+            x, u = rng.normal(size=4), rng.normal(size=1)
+            x_next = rng.normal(size=4)
+            ax_bu = model.A @ x + model.B @ u
+            a = adapt(st, x, u, x_next, model, ax_bu=ax_bu)
+            b = adapt(st, x, u, x_next, model)
+            assert np.array_equal(a.K, b.K)
+            st = b
+
     def test_K_bit_equal_to_validated_copy(self, arch):
         # adapt as it was when each update went through dataclasses.replace
         # and so re-ran OracleState's validation

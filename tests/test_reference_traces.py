@@ -8,8 +8,9 @@ the gate while any change of behaviour does.
 
 The files are ``trace.csv`` of ``lbmpc simulate <scenario> --deterministic``
 with ``LBMPC_RUN_STEPS=200``.  The dnn scenario also runs with
-``deterministic = false``, which may only change the ``solver_time`` column:
-there it holds the measured wall times instead of zeros.  To regenerate the
+``deterministic = false``, which may only change the two timing columns,
+``solver_time`` and ``prepare_time``: there they hold the measured wall
+times instead of zeros.  To regenerate the
 files after a deliberate change of behaviour (and say so in CHANGES.md), run
 from the repository root, naming only the scenarios whose trace moved
 (default: all three), so that the others keep their committed bits:
@@ -35,6 +36,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 SCENARIOS = ("linear", "dnn", "l2nw")
 STEPS = 200
 EXACT = ("t", "generation", "status", "sqp_iters", "shift_feasible", "h_in_w")
+TIMING = ("solver_time", "prepare_time")
 CASES = [pytest.param(name, True, id=name) for name in SCENARIOS] + [
     pytest.param("dnn", False, id="dnn-timed")]
 
@@ -68,7 +70,7 @@ def test_matches_reference(name, deterministic):
     assert header == ref_header
     assert len(got["t"]) == len(ref["t"]) == STEPS
     for col in header:
-        if col == "solver_time" and not deterministic:
+        if col in TIMING and not deterministic:
             times = np.array(got[col], dtype=float)
             assert np.all(np.isfinite(times)) and np.all(times > 0), col
         elif col in EXACT:

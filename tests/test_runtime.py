@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lbmpc import oracle as om, plant, runtime
+from lbmpc import mpc, oracle as om, plant, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import (OracleSection, Scenario, load_scenario,
                           parse_scenario)
@@ -130,7 +130,9 @@ class TestClosedLoop:
         monkeypatch.setattr(runtime, "build_setup", setup_then_count)
         tr = run_closed_loop(scenario("dnn", steps=30))
         assert set(tr.status) == {"optimal"}
-        # each step opens with its solve's one oracle linearization
+        # each step opens with the one oracle linearization of the
+        # preparation its feedback uses, made after the previous step's
+        # observe (the first at x0)
         starts = [i for i, n in enumerate(log) if n == "predict_and_jacobian"]
         assert len(starts) == 30 and starts[0] == 0
         for a, b in zip(starts, starts[1:] + [len(log)]):
@@ -155,6 +157,46 @@ class TestClosedLoop:
         assert lines[0] == ",".join(TRACE_COLUMNS)
         assert len(lines) == 61
         assert all(len(l.split(",")) == len(TRACE_COLUMNS) for l in lines)
+
+
+class TestTwoPhaseLoop:
+    """The loop prepares each step's cost at the predicted state and feeds
+    back at the measured one."""
+
+    @pytest.mark.parametrize("name", ["linear", "dnn", "l2nw"])
+    def test_first_row_is_a_one_phase_step(self, name):
+        # step 0 is prepared at the measured x0 itself
+        s = load_scenario(os.path.join(SCENARIO_DIR, name + ".ini"),
+                          environ=EMPTY_ENV)
+        tr = run_closed_loop(replace(s, run=replace(s.run, steps=3)))
+        setup = build_setup(s)
+        sol = mpc.solve_lbmpc(setup.problem, setup.x0)
+        assert tr.status[0] == sol.status == "optimal"
+        assert np.array_equal(tr.u[0], sol.u)
+
+    def test_timing_columns(self, dnn_trace):
+        # deterministic mode writes both wall times as zero; in memory they
+        # are measured
+        header, *rows = dnn_trace.to_csv().strip().split("\n")
+        for col in ("solver_time", "prepare_time"):
+            j = header.split(",").index(col)
+            assert {row.split(",")[j] for row in rows} == {"0"}, col
+            times = getattr(dnn_trace, col)
+            assert np.all(np.isfinite(times)) and np.all(times > 0.0), col
+
+    def test_one_jacobian_per_step(self, monkeypatch):
+        # no preparation after the last step
+        calls = []
+        jacobian = om.predict_and_jacobian
+
+        def counted(*args):
+            calls.append(1)
+            return jacobian(*args)
+
+        monkeypatch.setattr(om, "predict_and_jacobian", counted)
+        tr = run_closed_loop(scenario("dnn", steps=60))
+        assert len(tr) == 60
+        assert len(calls) == 60
 
 
 class TestTrainer:
@@ -201,7 +243,7 @@ class TestMetrics:
             solver_time=np.linspace(0.001, 0.002, n),
             state_margin=np.ones(n), input_margin=np.ones(n),
             shift_feasible=np.ones(n, dtype=bool),
-            h_in_w=np.ones(n, dtype=bool))
+            h_in_w=np.ones(n, dtype=bool), prepare_time=np.zeros(n))
 
     def test_hand_checked_overshoot_and_settling(self):
         # x1 starts at -1, crosses to +0.3, decays inside the band at t=4

@@ -1,27 +1,32 @@
-"""Least-of-k solve times of the bundled scenarios, the oracles interleaved.
+"""Least-of-k step times of the bundled scenarios, the oracles interleaved.
 
     PYTHONPATH=src python3 tools/resolve.py --k 5 --rounds 3 [--steps 600]
 
 Records one deterministic closed-loop run per bundled scenario (linear,
 dnn, l2nw).  Each round then rebuilds the three setups and replays the runs
-side by side in step order: at step t every scenario's solve of
-(problem, x_t, warm_c_t) is repeated k times, the scenarios taking turns
-within each of the k passes, and then each adapter is handed the step's
-recorded ``observe`` call, so that at every step a problem holds the oracle
-it held in the recorded run.  ``solve_lbmpc`` never updates an oracle, so a
-re-solve is the same work as the recorded solve; the warm start is the
-shifted replayed solution, and the replay checks that every applied input
-equals the recorded one.
+side by side in the loop's order.  At step t every scenario's feedback,
+``solve_lbmpc(problem, x_t, warm_c_t, prep=prep_t)``, is repeated k times,
+the scenarios taking turns within each of the k passes.  Then each adapter
+is handed the step's recorded ``observe`` call, so that at every step a
+problem holds the oracle it held in the recorded run, and the preparation
+of step t + 1 at the predicted state is repeated k times the same way
+(step 0's is made at x0 before the first step).  Neither phase updates an
+oracle, so a repetition is the same work as the recorded one; the warm
+start is the shifted replayed solution, and the replay checks that every
+applied input equals the recorded one.
 
-A step's time is the least of its k solves' own ``wall_time``, so a host
-stall has to hit all k of them to count, and a slow phase of the host hits
-the three oracles at the same steps.  Per oracle the report gives the p50,
-p95 and max over steps of these least-of-k times, in ms, and then the
-statistics that criterion 7 of the acceptance tests reads, with the cold
-step apart from the warm ones: the time of step 0 ("step0") and the max
-over steps 1 on ("max1+").  The dnn line adds the ratio of the dnn median
-to the linear median ("p50/linear"), and with more than 500 steps (e.g.
-``--steps 600``) the l2nw line adds its filled-buffer max over steps
+A step's time in either phase is the least of its k repetitions' own
+``wall_time``, so a host stall has to hit all k of them to count, and a
+slow phase of the host hits the three oracles at the same steps.  The
+preparation's time is counted at the step that uses it, as the
+``prepare_time`` column of ``trace.csv`` is.  Per oracle and phase the
+report gives the p50, p95 and max over steps of these least-of-k times, in
+ms.  The feedback lines then add the statistics that criterion 7 of the
+acceptance tests reads from ``solver_time``, the feedback's time, with the
+cold step apart from the warm ones: the time of step 0 ("step0") and the
+max over steps 1 on ("max1+").  The dnn line adds the ratio of the dnn
+median to the linear median ("p50/linear"), and with more than 500 steps
+(e.g. ``--steps 600``) the l2nw line adds its filled-buffer max over steps
 500-599 ("max500-599").  Each statistic is given as its median over the
 rounds and its spread (largest minus smallest round); the line ends with
 the step of the max in each round.
@@ -61,29 +66,43 @@ def load(name, steps=None):
 
 
 def replay(scenarios, traces, k):
-    """One round: {name: least-of-k solve time per step, in seconds}."""
+    """One round: ({name: least-of-k feedback time per step},
+    {name: least-of-k preparation time per step}), in seconds."""
     setups = {name: runtime.build_setup(s) for name, s in scenarios.items()}
     warm = dict.fromkeys(scenarios)
-    best = {name: np.full(len(traces[name].u), np.inf) for name in scenarios}
-    for t in range(max(len(b) for b in best.values())):
-        live = [name for name in scenarios if t < len(best[name])]
-        sols = {}
+    x_pred = {name: traces[name].x[0] for name in scenarios}
+    feedback = {name: np.full(len(traces[name].u), np.inf)
+                for name in scenarios}
+    preparation = {name: t.copy() for name, t in feedback.items()}
+    for t in range(max(len(b) for b in feedback.values())):
+        live = [name for name in scenarios if t < len(feedback[name])]
+        preps, sols = {}, {}
         for _ in range(k):
             for name in live:
-                x = traces[name].x[t]
-                sol = mpc.solve_lbmpc(setups[name].problem, x, warm[name])
-                best[name][t] = min(best[name][t], sol.wall_time)
+                prep = mpc.prepare(setups[name].problem, x_pred[name],
+                                   warm[name])
+                preparation[name][t] = min(preparation[name][t],
+                                           prep.wall_time)
+                preps[name] = prep
+        for _ in range(k):
+            for name in live:
+                sol = mpc.solve_lbmpc(setups[name].problem, traces[name].x[t],
+                                      warm[name], prep=preps[name])
+                feedback[name][t] = min(feedback[name][t], sol.wall_time)
                 sols[name] = sol
         for name in live:
-            tr, sol = traces[name], sols[name]
+            tr, sol, model = traces[name], sols[name], setups[name].model
             if not np.array_equal(sol.u, tr.u[t]):
                 raise RuntimeError("replay of %s step %d: u %s, recorded %s"
                                    % (name, t, sol.u, tr.u[t]))
-            warm[name] = mpc.shift_solution(sol, setups[name].model.m)
+            warm[name] = mpc.shift_solution(sol, model.m)
             if t + 1 < len(tr.u):
-                setups[name].oracle_adapter.observe(t, tr.x[t], tr.u[t],
-                                                    tr.x[t + 1], tr.h[t])
-    return best
+                # the loop's sums, in its order
+                ax_bu = model.A @ tr.x[t] + model.B @ tr.u[t]
+                h_hat = setups[name].oracle_adapter.observe(
+                    t, tr.x[t], tr.u[t], tr.x[t + 1], tr.h[t], ax_bu)
+                x_pred[name] = ax_bu + h_hat
+    return feedback, preparation
 
 
 def stats(times):
@@ -108,15 +127,16 @@ def criterion7(times):
     return out
 
 
-def report(rounds):
-    """Lines of the summary over rounds of {name: per-step times}."""
-    extra = [criterion7(r) for r in rounds]
+def report(rounds, extra=None):
+    """Lines of the summary over rounds of {name: per-step times}, with
+    the statistics ``extra`` gives for one round added."""
+    extras = [extra(r) if extra else dict.fromkeys(r, []) for r in rounds]
     lines = []
     for name in rounds[0]:
         per_round = [stats(r[name]) for r in rounds]
-        labels = list(STATS) + [label for label, _ in extra[0][name]]
+        labels = list(STATS) + [label for label, _ in extras[0][name]]
         values = np.array([list(v) + [x for _, x in e[name]]
-                           for (v, _), e in zip(per_round, extra)])
+                           for (v, _), e in zip(per_round, extras)])
         steps = [s for _, s in per_round]
         med = np.median(values, axis=0)
         spread = values.max(axis=0) - values.min(axis=0)
@@ -131,7 +151,8 @@ def report(rounds):
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--k", type=int, default=5,
-                    help="solves per step and scenario (default 5)")
+                    help="repetitions of each phase per step and scenario "
+                    "(default 5)")
     ap.add_argument("--rounds", type=int, default=3,
                     help="replays of the recorded runs (default 3)")
     ap.add_argument("--steps", type=int, default=None,
@@ -156,13 +177,19 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         rounds.append(replay(scenarios, traces, args.k))
         maxima = []
-        for name, times in rounds[-1].items():
-            (_, _, top), step = stats(times)
-            maxima.append("%s max %.4f ms at step %d" % (name, top, step))
+        for name in scenarios:
+            for phase, times in zip(("feedback", "preparation"), rounds[-1]):
+                (_, _, top), step = stats(times[name])
+                maxima.append("%s %s max %.4f ms at step %d"
+                              % (name, phase, top, step))
         print("round %d: %s" % (r + 1, "; ".join(maxima)), flush=True)
-    print("least-of-%d solve times over steps, ms (p50/linear a ratio); "
+    print("least-of-%d feedback times over steps, ms (p50/linear a ratio); "
           "median over %d rounds" % (args.k, args.rounds))
-    for line in report(rounds):
+    for line in report([fb for fb, _ in rounds], criterion7):
+        print(line)
+    print("least-of-%d preparation times over steps, ms; median over %d "
+          "rounds" % (args.k, args.rounds))
+    for line in report([prep for _, prep in rounds]):
         print(line)
     return 0
 
