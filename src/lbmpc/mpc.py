@@ -295,8 +295,15 @@ class LbmpcProblem:
     def n_dec(self) -> int:
         return self.cfg.N * self.model.m
 
-    def feasible(self, x, c, tol: float = 1e-7) -> bool:
-        return bool((self.Gc @ c <= self.rhs0 - self.Gx @ x + tol).all())
+    def feasible(self, x, c, tol: float = 1e-7):
+        """True iff Gc c <= rhs0 - Gx x + tol; a NaN entry reads False.
+
+        One state and perturbation sequence give a bool, stacks of them
+        (shapes (n, d) and (n, N m)) one bool per row.
+        """
+        c = np.asarray(c, dtype=float)
+        ok = (c @ self.Gc.T <= self.rhs0 - x @ self.Gx.T + tol).all(axis=-1)
+        return ok if c.ndim > 1 else bool(ok)
 
 
 def _check_nonempty(P, h, stage, kind):

@@ -108,12 +108,18 @@ class Polytope:
 
     # -- predicates --------------------------------------------------------
 
-    def contains(self, x, tol: float = LP_TOL) -> bool:
-        """True iff F x <= h + tol elementwise."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dim:
+    def contains(self, x, tol: float = LP_TOL):
+        """True iff F x <= h + tol elementwise; a NaN entry reads False.
+
+        One point (shape (dim,)) gives a bool, a stack of points (shape
+        (n, dim)) one bool per row.
+        """
+        x = np.asarray(x, dtype=float)
+        rows = x.ndim > 1
+        if x.shape[rows:] != (self.dim,):
             raise ValueError("dimension mismatch")
-        return bool((self.F @ x <= self.h + tol).all())
+        ok = (x @ self.F.T <= self.h + tol).all(axis=-1)
+        return ok if rows else bool(ok)
 
     def is_empty(self) -> bool:
         return self.is_empty_at(self.h)

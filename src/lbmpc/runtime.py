@@ -9,6 +9,11 @@ stages from the predicted next state (mpc's real-time iteration; the
 first step is prepared at x0 before the loop).  A network adapter retrains
 its hidden stack every ``copy_period`` steps and installs the result at
 that same step, on the loop's own thread, so the next preparation sees it.
+
+The loop keeps only what control needs.  The trace's certificate columns
+(both constraint margins, the shifted candidate's feasibility and h in W)
+and its in-region flag are logged, never acted on, so they are computed
+after the last step, in one vectorized pass over the logged trajectory.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ TRACE_SPEC = (
     ("shift_feasible", ("shift_feasible",), "%d", bool),
     ("h_in_w", ("h_in_w",), "%d", bool),
     ("prepare_time", ("prepare_time",), "%.17g", float),
+    ("in_w_region", ("in_w_region",), "%d", bool),
 )
 
 # wall times, written as zero by deterministic-mode runs
@@ -77,8 +83,11 @@ class ClosedLoopTrace:
     generation, solver status / Gauss-Newton steps (always 1) / feedback
     wall time (from the measurement to the input), worst-case state and
     input constraint margins (positive = satisfied), the two certificate
-    flags (shifted candidate feasible, realized h inside W), and the wall
-    time of the preparation the step's feedback used.
+    flags (shifted candidate feasible, realized h inside W), the wall
+    time of the preparation the step's feedback used, and whether (x, u)
+    lies in the region W was swept over (``plant.w_region``).  The margins,
+    both certificate flags and the region flag are computed from the logged
+    trajectory after the last step (see run_closed_loop).
     """
 
     x: np.ndarray
@@ -96,6 +105,7 @@ class ClosedLoopTrace:
     shift_feasible: np.ndarray
     h_in_w: np.ndarray
     prepare_time: np.ndarray
+    in_w_region: np.ndarray
     swap_steps: List[int] = field(default_factory=list)
     # deterministic-mode runs promise byte-identical CSVs, so the (inherently
     # nonreproducible) wall-time columns are written as zero; the measured
@@ -106,14 +116,6 @@ class ClosedLoopTrace:
         n = len(self.x)
         if any(len(getattr(self, name)) != n for name, _, _, _ in TRACE_SPEC):
             raise ValueError("trace fields must share the row count")
-
-    @classmethod
-    def from_rows(cls, rows, **meta) -> "ClosedLoopTrace":
-        """Trace from one dict per step, keyed by the TRACE_SPEC fields."""
-        columns = {name: ([r[name] for r in rows] if dtype is str else
-                          np.array([r[name] for r in rows], dtype=dtype))
-                   for name, _, _, dtype in TRACE_SPEC}
-        return cls(**columns, **meta)
 
     def __len__(self):
         return len(self.x)
@@ -222,6 +224,35 @@ def build_setup(scenario) -> LoopSetup:
 # the loop
 
 
+# steps per block of the bulk shift-feasibility check, which keeps its
+# products with Gc (about 200 rows) small
+_SHIFT_BLOCK = 32
+
+
+def _certificates(problem, x, u, h, x_last, c_shift, w_region):
+    """The certificate columns and the in-region flag of a finished run.
+
+    ``x``, ``u`` and ``h`` are the logged rows, ``x_last`` the state after
+    the last step and ``c_shift`` the stacked shifted perturbations of the
+    steps; each row gets the checks its step would make.  (x, u)
+    is in the region when it lies in the box estimate_W swept.
+    """
+    model = problem.model
+    X, U = model.X, model.U
+    x_next = np.concatenate((x[1:], x_last[None]))
+    shift = np.empty(len(x), dtype=bool)
+    for a in range(0, len(x), _SHIFT_BLOCK):
+        b = a + _SHIFT_BLOCK
+        shift[a:b] = problem.feasible(x_next[a:b], c_shift[a:b])
+    region = np.asarray(w_region, dtype=float) * plant.HALF_WIDTHS
+    return dict(
+        state_margin=(X.h - x @ X.F.T).min(axis=1),
+        input_margin=(U.h - u @ U.F.T).min(axis=1),
+        shift_feasible=shift, h_in_w=model.W.contains(h),
+        in_w_region=((np.abs(x) <= region[:4]).all(axis=1)
+                     & (np.abs(u) <= region[4:]).all(axis=1)))
+
+
 def run_closed_loop(scenario) -> ClosedLoopTrace:
     """Run the scenario's closed loop and return the per-step trace.
 
@@ -232,16 +263,17 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     later steps always produce an input because the shifted previous solution
     is a feasible fallback (a failure there is a RuntimeFailure).  A failed
     trainer job raises RuntimeFailure at its step, with the trainer's
-    exception as the cause.
+    exception as the cause.  The certificate columns are computed after
+    the last step, from the logged x, u and h and the shifted candidates.
     """
     setup = build_setup(scenario)
     model, problem = setup.model, setup.problem
     oracle = setup.oracle_adapter
-    A, B, X, U, W = model.A, model.B, model.X, model.U, model.W
+    A, B = model.A, model.B
     x_eq, u_eq, m = model.x_eq, model.u_eq, model.m
     params, substeps = setup.params, scenario.plant.substeps
     steps = scenario.run.steps
-    rows = []
+    rows, shifts = [], np.empty((steps, problem.n_dec))
     x = setup.x0.copy()
     c_shift = None
     prep = mpc.prepare(problem, x)
@@ -272,21 +304,24 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
         x_pred = Axu + h_hat
 
         c_shift = mpc.shift_solution(sol, m)
+        shifts[t] = c_shift
         rows.append(dict(
             x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_pred - x_next, k_fro=k_fro,
             generation=generation, status=sol.status,
             sqp_iters=sol.sqp_iters, solver_time=sol.wall_time,
-            state_margin=float((X.h - X.F @ x).min()),
-            input_margin=float((U.h - U.F @ u).min()),
-            shift_feasible=problem.feasible(x_next, c_shift),
-            h_in_w=W.contains(h), prepare_time=prep.wall_time))
+            prepare_time=prep.wall_time))
         if t + 1 < steps:
             prep = mpc.prepare(problem, x_pred, c_shift)
         x = x_next
 
-    return ClosedLoopTrace.from_rows(
-        rows, swap_steps=list(oracle.swap_steps),
-        deterministic=scenario.schedule.deterministic)
+    columns = {name: ([r[name] for r in rows] if dtype is str else
+                      np.array([r[name] for r in rows], dtype=dtype))
+               for name, _, _, dtype in TRACE_SPEC if name in rows[0]}
+    columns.update(_certificates(problem, columns["x"], columns["u"],
+                                 columns["h"], x, shifts,
+                                 scenario.plant.w_region))
+    return ClosedLoopTrace(**columns, swap_steps=list(oracle.swap_steps),
+                           deterministic=scenario.schedule.deterministic)
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,27 @@ class TestParseArgs:
         assert args.checkout == ["a=.", "b=../b"] and args.pairs == 10
         assert bench.parse_args(self.BASE + ["--checkout", "a=."]).seed == [301]
 
+    def test_accepts_every_benchmark_workload_and_distinct_seeds(self):
+        args = bench.parse_args(
+            ["--tag", "t", "--checkout", "a=.", "--workload", "cold-start",
+             "--workload", "transient-dnn", "--workload", "transient-l2nw",
+             "--seed", "301", "--seed", "977"])
+        assert args.workload == ["cold-start", "transient-dnn",
+                                 "transient-l2nw"]
+        assert args.seed == [301, 977]
+
     @pytest.mark.parametrize("extra", [
         [],
         ["--checkout", "a=.", "--checkout", "b=.", "--checkout", "c=."],
         ["--checkout", "a=.", "--pairs", "0"],
         ["--checkout", "a=../p", "--checkout", "a=."],
         ["--checkout", "nolabel"],
+        ["--checkout", "a=.", "--workload", "transient-dn"],
+        ["--checkout", "a=.", "--workload", "cold-start"],
+        ["--checkout", "a=.", "--seed", "301"],
     ], ids=["no-checkout", "three-checkouts", "zero-pairs", "duplicate-label",
-            "no-label"])
+            "no-label", "unknown-workload", "repeated-workload",
+            "repeated-seed"])
     def test_rejects(self, extra, capsys):
         with pytest.raises(SystemExit) as exc:
             bench.parse_args(self.BASE + extra)

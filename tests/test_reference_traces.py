@@ -35,7 +35,8 @@ from lbmpc.cli import SCENARIO_DIR
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SCENARIOS = ("linear", "dnn", "l2nw")
 STEPS = 200
-EXACT = ("t", "generation", "status", "sqp_iters", "shift_feasible", "h_in_w")
+EXACT = ("t", "generation", "status", "sqp_iters", "shift_feasible", "h_in_w",
+         "in_w_region")
 TIMING = ("solver_time", "prepare_time")
 CASES = [pytest.param(name, True, id=name) for name in SCENARIOS] + [
     pytest.param("dnn", False, id="dnn-timed")]

@@ -10,10 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lbmpc import mpc, oracle as om, plant, runtime
+from lbmpc import mpc, oracle as om, plant, qp, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import (OracleSection, Scenario, load_scenario,
                           parse_scenario)
+from lbmpc.polytope import bounding_box
 from lbmpc.runtime import (TRACE_SPEC, ClosedLoopTrace, InfeasibleAtStart,
                            RuntimeFailure, build_setup, metrics,
                            run_closed_loop)
@@ -199,6 +200,141 @@ class TestTwoPhaseLoop:
         assert len(calls) == 60
 
 
+def bundled(name, steps, x0=None):
+    """A bundled scenario cut to ``steps``, from its own x0 or ``x0``."""
+    s = load_scenario(os.path.join(SCENARIO_DIR, name + ".ini"),
+                      environ=EMPTY_ENV)
+    run = replace(s.run, steps=steps)
+    return replace(s, run=run if x0 is None else replace(run, x0=x0))
+
+
+def recorded_run(s, monkeypatch):
+    """The trace of a run and the solution each of its steps applied."""
+    sols = []
+    solve = mpc.solve_lbmpc
+
+    def recording(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(mpc, "solve_lbmpc", recording)
+    return run_closed_loop(s), sols
+
+
+def assert_per_step_certificates(s, tr, sols):
+    """Each certificate column equals the checks made step by step: both
+    margins at (x_t, u_t), the shifted solution of step t at x_{t+1} and h_t
+    in W."""
+    setup = build_setup(s)
+    model, problem = setup.model, setup.problem
+    X, U = model.X, model.U
+    x_last = plant.step_truth(tr.x[-1] + model.x_eq, tr.u[-1] + model.u_eq,
+                              setup.params,
+                              substeps=s.plant.substeps) - model.x_eq
+    x_next = list(tr.x[1:]) + [x_last]
+    assert len(sols) == len(tr)
+    expect = {name: [] for name in ("state_margin", "input_margin",
+                                    "shift_feasible", "h_in_w")}
+    for t, sol in enumerate(sols):
+        x, u = tr.x[t], tr.u[t]
+        assert np.array_equal(u, sol.u)
+        expect["state_margin"].append(float((X.h - X.F @ x).min()))
+        expect["input_margin"].append(float((U.h - U.F @ u).min()))
+        expect["shift_feasible"].append(
+            problem.feasible(x_next[t], mpc.shift_solution(sol, model.m)))
+        expect["h_in_w"].append(model.W.contains(tr.h[t]))
+    for name, values in expect.items():
+        assert np.array_equal(getattr(tr, name), values), name
+
+
+class TestBulkCertificates:
+    """The loop logs x, u, h and the shifted candidates; the certificate
+    columns are checked after the last step, in one pass."""
+
+    @pytest.mark.parametrize("name", ["linear", "dnn", "l2nw"])
+    def test_columns_equal_the_per_step_checks(self, name, monkeypatch):
+        s = bundled(name, 60)
+        tr, sols = recorded_run(s, monkeypatch)
+        assert_per_step_certificates(s, tr, sols)
+
+    @pytest.mark.parametrize("name", ["linear", "dnn", "l2nw"])
+    def test_outside_the_swept_region_only_in_the_transient(self, name):
+        s = bundled(name, 500)
+        tr = run_closed_loop(s)
+        # deviation (x, u) against the box estimate_W swept
+        half = (np.broadcast_to(np.asarray(s.plant.w_region, dtype=float),
+                                (5,)) * plant.HALF_WIDTHS)
+        inside = np.all(np.abs(np.hstack([tr.x, tr.u])) <= half, axis=1)
+        assert np.array_equal(tr.in_w_region, inside)
+        out = np.flatnonzero(~tr.in_w_region)
+        assert out.tolist() == [2, 3, 4]
+        # there r or u exceeds its half-width of 0.5
+        assert np.all((np.abs(tr.x[out, 2]) > 0.5)
+                      | (np.abs(tr.u[out, 0]) > 0.5))
+        assert np.all(tr.h_in_w)
+
+    def test_batch_predicates(self):
+        setup = build_setup(bundled("linear", 1))
+        p, W = setup.problem, setup.model.W
+        x = setup.x0
+        ok = mpc.solve_lbmpc(p, x).c
+        too_big = np.full(p.n_dec, 10.0)          # |v_0| > 1
+        nan_c = ok.copy()
+        nan_c[3] = np.nan
+        xs = np.array([x, x, x, x])
+        xs[3, 1] = np.nan
+        cs = np.array([ok, too_big, nan_c, ok])
+        got = p.feasible(xs, cs)
+        assert got.dtype == bool and got.tolist() == [True, False, False,
+                                                      False]
+        for row_x, row_c, flag in zip(xs, cs, got):
+            single = p.feasible(row_x, row_c)
+            assert single is bool(flag)
+            assert p.feasible(row_x[None], row_c[None]).tolist() == [single]
+
+        _, hi = bounding_box(W)
+        hs = np.array([np.zeros(4), hi + 1e-3, [0.0, np.nan, 0.0, 0.0]])
+        got = W.contains(hs)
+        assert got.dtype == bool and got.tolist() == [True, False, False]
+        for h, flag in zip(hs, got):
+            single = W.contains(h)
+            assert single is bool(flag)
+            assert W.contains(h[None]).tolist() == [single]
+        with pytest.raises(ValueError):
+            W.contains(np.zeros((2, 3)))
+
+
+class TestSustainedQpFault:
+    """Every QP from the 4th on ends 'iteration_limit', for six horizons:
+    the shifted candidate is applied from step 3 on, runs down to zero
+    after N steps, and K alone then steers inside the terminal set."""
+
+    @pytest.mark.parametrize("x0", [None, (-0.15, 0.07, 0.0, 0.0)],
+                             ids=["bundled-x0", "corner"])
+    @pytest.mark.parametrize("name", ["linear", "dnn"])
+    def test_fallback_keeps_every_guarantee(self, name, x0, monkeypatch):
+        calls = []
+        solve = qp.qp_solve
+
+        def failing_from_the_fourth(*args):
+            calls.append(1)
+            sol = solve(*args)
+            return sol if len(calls) <= 3 else replace(
+                sol, status="iteration_limit")
+
+        monkeypatch.setattr(qp, "qp_solve", failing_from_the_fourth)
+        s = bundled(name, 60, x0)
+        tr, sols = recorded_run(s, monkeypatch)
+        assert len(calls) == 60
+        assert tr.status == ["optimal"] * 3 + ["fallback"] * 57
+        assert np.all(tr.state_margin >= 0.0)
+        assert np.all(tr.input_margin >= 0.0)
+        assert np.all(tr.shift_feasible) and np.all(tr.h_in_w)
+        # after N fallbacks the applied perturbations are all zero
+        assert not np.any(sols[-1].c)
+        assert_per_step_certificates(s, tr, sols)
+
+
 class TestTrainer:
     def test_failing_trainer_job_surfaces(self, monkeypatch):
         # the bundled dnn scenario trains first at step 100, once its ring
@@ -243,7 +379,8 @@ class TestMetrics:
             solver_time=np.linspace(0.001, 0.002, n),
             state_margin=np.ones(n), input_margin=np.ones(n),
             shift_feasible=np.ones(n, dtype=bool),
-            h_in_w=np.ones(n, dtype=bool), prepare_time=np.zeros(n))
+            h_in_w=np.ones(n, dtype=bool), prepare_time=np.zeros(n),
+            in_w_region=np.ones(n, dtype=bool))
 
     def test_hand_checked_overshoot_and_settling(self):
         # x1 starts at -1, crosses to +0.3, decays inside the band at t=4

@@ -5,7 +5,9 @@
 
 Runs ``python3 loopbench/run.py --workload W --seed S --seconds T``
 unchanged, with T the ``run_seconds`` of BENCHMARK.json, as a subprocess
-inside each checkout, for every workload and seed given.  With two
+inside each checkout, for every workload and seed given.  Each workload
+must be one BENCHMARK.json lists, and no workload or seed may be given
+twice; anything else exits 2 before the first run.  With two
 checkouts every pair runs both, and the side that runs first alternates
 from pair to pair, so that a drift of the host's speed falls on both
 sides alike.  The runs go one after the other, never in parallel.  The
@@ -106,7 +108,9 @@ def parse_args(argv=None):
     ap.add_argument("--tag", required=True)
     ap.add_argument("--checkout", action="append", required=True,
                     metavar="LABEL=PATH", help="one or two checkouts")
-    ap.add_argument("--workload", action="append", required=True)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap.add_argument("--workload", action="append", required=True,
+                    choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
@@ -119,6 +123,10 @@ def parse_args(argv=None):
         ap.error("checkout labels must differ")
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    for name in ("workload", "seed"):
+        given = getattr(args, name)
+        if len(set(given)) < len(given):
+            ap.error("each --%s may be given once" % name)
     return args
 
 
