@@ -8,12 +8,13 @@ the oracle estimate through the dynamics.  Each control step takes one
 Gauss-Newton step on that cost from the shifted warm start, the real-time
 iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005), in
 its two phases.  The preparation (``prepare``) needs no measurement: it
-linearizes the cost at a predicted state x_pred and forms the QP's Hessian,
-its gradient g0 at x_pred and the gradient's slope M in x.  The feedback
-(``solve_lbmpc``) takes the measured x, shifts the gradient to
-g0 + M (x - x_pred), forms the constraints at x and solves one QP.  A solve
-without a preparation prepares at x itself, so both phases run at the
-measurement; that is the one path, and the zero shift adds nothing.
+linearizes the cost at a predicted state x_pred and forms the QP's Hessian
+and its Cholesky factor, its gradient g0 at x_pred and the gradient's slope
+M in x.  The feedback (``solve_lbmpc``) takes the measured x, shifts the
+gradient to g0 + M (x - x_pred), forms the constraints at x and solves one
+QP from the prepared factor.  A solve without a preparation prepares at x
+itself, so both phases run at the measurement; that is the one path, and
+the zero shift adds nothing.
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
@@ -42,7 +43,7 @@ from scipy.linalg import lapack
 
 from . import qp as qpmod
 from .polytope import (Polytope, TighteningData, NotSchurStable,
-                       _require_schur, tube_margins)
+                       _require_schur, stacked_leq, tube_margins)
 
 
 class MpcError(Exception):
@@ -299,11 +300,15 @@ class LbmpcProblem:
         """True iff Gc c <= rhs0 - Gx x + tol; a NaN entry reads False.
 
         One state and perturbation sequence give a bool, stacks of them
-        (shapes (n, d) and (n, N m)) one bool per row.
+        (shapes (n, d) and (n, N m)) one bool per row, each the bool of its
+        row alone.
         """
         c = np.asarray(c, dtype=float)
-        ok = (c @ self.Gc.T <= self.rhs0 - x @ self.Gx.T + tol).all(axis=-1)
-        return ok if c.ndim > 1 else bool(ok)
+        lhs, rhs = c @ self.Gc.T, self.rhs0 - x @ self.Gx.T + tol
+        if c.ndim > 1:
+            return stacked_leq(lhs, rhs,
+                               lambda i: self.feasible(x[i], c[i], tol))
+        return bool((lhs <= rhs).all())
 
 
 def _check_nonempty(P, h, stage, kind):
@@ -387,17 +392,21 @@ def _make_solution(p, x, c, status, t0):
 class Preparation:
     """The cost of one step linearized at a predicted state.
 
-    H is the QP's Hessian, g0 its gradient at ``x_pred`` and M the
-    gradient's slope in the state, so the gradient at x is
-    g0 + M (x - x_pred); ``rhs_c`` is rhs0 - Gc c, the constraints' right
-    side but for -Gx x.  A preparation whose rollout raised MpcError holds
-    the error instead, for the feedback that uses it.  The feedback only
-    reads it, so one preparation serves any number of feedbacks.
+    H is the QP's Hessian and L its lower Cholesky factor, as qp_solve
+    would make it; g0 is the gradient at ``x_pred`` and M the gradient's
+    slope in the state, so the gradient at x is g0 + M (x - x_pred);
+    ``rhs_c`` is rhs0 - Gc c, the constraints' right side but for -Gx x.
+    A preparation whose rollout raised MpcError holds the error instead,
+    for the feedback that uses it, and so does one whose H is not finite
+    or not positive definite: MpcError("QP ended 'invalid'"), the error a
+    QP on that H would end in.  The feedback only reads it, so one
+    preparation serves any number of feedbacks.
     """
 
     x_pred: np.ndarray
     c: np.ndarray
     H: np.ndarray | None
+    L: np.ndarray | None
     g0: np.ndarray | None
     M: np.ndarray | None
     rhs_c: np.ndarray | None
@@ -410,7 +419,9 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
 
     ``c`` is None (zero) or the shifted previous perturbations.  One
     learned rollout (one oracle call) gives z and dz/dc; the measurement is
-    not needed.  An MpcError of the rollout is held, not raised.
+    not needed.  H is checked and factored here, once for every feedback
+    the preparation serves.  An MpcError of the rollout, or an H that is
+    not finite or not positive definite, is held, not raised.
     """
     t0 = time.perf_counter()
     x_pred = np.asarray(x_pred, dtype=float).reshape(-1)
@@ -418,17 +429,24 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, None, None, None, None, exc,
+        return Preparation(x_pred, c, None, None, None, None, None, exc,
                            time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
     # g = dz/dc' Qbar z + Tv'Rbar v, as dv/dc is Tv; the QP reads only H's
     # lower triangle, so H is not symmetrized, and its 5e-10 I clips tiny
     # negative curvature.  With dz/dc held at its value, dz/dx is Sz and
-    # dv/dx is Sv, which gives the slope M.
+    # dv/dx is Sv, which gives the slope M.  H is checked and factored as
+    # qp_solve would do it, so the QP keeps its bits.
     JzQ = Jz.T @ p.Qbar
-    return Preparation(x_pred, c, JzQ @ Jz + p.H_v, JzQ @ z + p.TvR @ v,
-                       Jz.T @ p.QbarSz + p.TvRSv, p.rhs0 - p.Gc @ c, None,
+    H = JzQ @ Jz + p.H_v
+    L, error = None, None
+    if np.isfinite(H).all():
+        L, info = lapack.dpotrf(H, lower=1, clean=1)
+    if L is None or info != 0:
+        L, error = None, MpcError("QP ended 'invalid'")
+    return Preparation(x_pred, c, H, L, JzQ @ z + p.TvR @ v,
+                       Jz.T @ p.QbarSz + p.TvRSv, p.rhs0 - p.Gc @ c, error,
                        time.perf_counter() - t0)
 
 
@@ -440,9 +458,10 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
     is ``prepare(p, x_pred, warm_c)`` at a predicted state, or None to
     prepare at x itself.  The QP's gradient is shifted from x_pred to x and
     its constraints are formed at x; they are linear in c, so c + step is
-    feasible.  On any solver failure (a preparation that holds an error,
-    or a QP that does not end 'optimal') ``warm_c`` is returned with status
-    'fallback' if it is feasible at x; otherwise MpcInfeasible is raised.
+    feasible.  The QP starts from the preparation's factor of H.  On any
+    solver failure (a preparation that holds an error, or a QP that does
+    not end 'optimal') ``warm_c`` is returned with status 'fallback' if it
+    is feasible at x; otherwise MpcInfeasible is raised.
     The wall time of either outcome counts from entry, a preparation made
     here included.
     """
@@ -454,7 +473,7 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
         if prep.error is not None:
             raise prep.error
         sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ (x - prep.x_pred),
-                             p.Gc, prep.rhs_c - p.Gx @ x)
+                             p.Gc, prep.rhs_c - p.Gx @ x, prep.L)
         if sol.status != "optimal":
             raise MpcError("QP ended '%s'" % sol.status)
         return _make_solution(p, x, prep.c + sol.x, "optimal", t0)

@@ -53,6 +53,27 @@ LP_TOL = 1e-9
 SCHUR_TOL = 1e-8
 
 
+def stacked_leq(lhs, rhs, one_row):
+    """Per row of stacked tests ``lhs <= rhs``, whether all its entries hold.
+
+    A stacked product can round differently from the one-row product of the
+    same row in the last bit, since numpy's matrix and vector kernels sum in
+    different orders.  So a row with an entry within 1e-12 of the edge,
+    relative to the largest right side (at least 1; an entry that close has
+    a left side of the same size), takes the verdict of ``one_row(i)``, the
+    test of that row alone.  Every other row's verdict is clear of
+    rounding, and a row with a NaN reads False either way.
+    """
+    ok = (lhs <= rhs).all(axis=-1)
+    gap = rhs - lhs
+    np.abs(gap, out=gap)
+    band = 1e-12 * max(1.0, rhs.max(), -rhs.min())
+    if gap.min() <= band:
+        for i in np.flatnonzero((gap <= band).any(axis=-1)):
+            ok[i] = one_row(i)
+    return ok
+
+
 def _solve_lp(c, F, h):
     """min c'x s.t. Fx <= h with free variables; returns the scipy result."""
     return linprog(c, A_ub=F, b_ub=h, bounds=(None, None), method="highs")
@@ -112,14 +133,15 @@ class Polytope:
         """True iff F x <= h + tol elementwise; a NaN entry reads False.
 
         One point (shape (dim,)) gives a bool, a stack of points (shape
-        (n, dim)) one bool per row.
+        (n, dim)) one bool per row, each the bool of its point alone.
         """
         x = np.asarray(x, dtype=float)
-        rows = x.ndim > 1
-        if x.shape[rows:] != (self.dim,):
+        if x.shape[x.ndim > 1:] != (self.dim,):
             raise ValueError("dimension mismatch")
-        ok = (x @ self.F.T <= self.h + tol).all(axis=-1)
-        return ok if rows else bool(ok)
+        if x.ndim > 1:
+            return stacked_leq(x @ self.F.T, self.h + tol,
+                               lambda i: self.contains(x[i], tol))
+        return bool((x @ self.F.T <= self.h + tol).all())
 
     def is_empty(self) -> bool:
         return self.is_empty_at(self.h)

@@ -8,13 +8,14 @@ whenever its multiplier would turn negative, so every iterate is dual
 feasible and the first primal feasible one is optimal.  Any violated row may
 enter; the farthest one leaves fewer rows to drop again, and every QP of the
 bundled scenarios ends within two changes.  Problems here are tiny (tens of
-decision variables, a few active rows), so one Cholesky factor of H per call
-and a fresh QR of the few active rows at each change cost less than any
-bookkeeping that would update them.  At these sizes the scipy.linalg and
-numpy.linalg wrappers' argument checks cost several times the arithmetic, so
-the solver calls the LAPACK routines under them (dpotrf, dpotrs, dtrtrs, and
-dgeqrf and dorgqr for the QR) directly, with the arguments the wrappers
-pass, which keeps every result bit for bit.
+decision variables, a few active rows), so one Cholesky factor of H per
+problem, made by the caller or else by the call, and a fresh QR of the few
+active rows at each change cost less than any bookkeeping that would update
+them.  At these sizes the scipy.linalg and numpy.linalg wrappers' argument
+checks cost several times the arithmetic, so the solver calls the LAPACK
+routines under them (dpotrf, dpotrs, dtrtrs, and dgeqrf and dorgqr for the
+QR) directly, with the arguments the wrappers pass, which keeps every
+result bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +36,13 @@ class QpSolution:
     iterations: int            # active-set changes
 
 
-def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray,
-             h: np.ndarray) -> QpSolution:
+def _invalid(n, m):
+    return QpSolution(x=np.zeros(n), lam=np.zeros(m), status="invalid",
+                      iterations=0)
+
+
+def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray,
+             L: np.ndarray | None = None) -> QpSolution:
     """Goldfarb-Idnani dual active-set solve of min 1/2 x'Hx + g'x
     s.t. Gx <= h, for float arrays H (n, n), g (n,), G (m, n) and h (m,);
     m may be 0, so a (0, n) G poses the unconstrained problem.
@@ -48,6 +54,16 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray,
     triangle dpotrf cannot factor (not positive definite), ends 'invalid'.
     G's entries are not checked: a row whose violation reads NaN is never
     satisfied, enters first and ends the solve 'infeasible'.
+
+    ``L`` is None or H's factor as lapack.dpotrf(H, lower=1, clean=1)
+    returns it, made once by a caller that has H before it has g and h.
+    With it, H is neither checked nor factored again (the caller vouches
+    for both), g and h are still checked, and the result equals that of
+    the call without L bit for bit.
+
+    The start -H^-1 g is tested for violated rows before any of the active
+    set's bookkeeping is made: a start that violates no row is returned at
+    once, with no change and zero multipliers.
 
     With H = L L' and the active rows' normals mapped to W = L^-1 G_A', the
     entering row q is, of the violated rows V, the one with the largest
@@ -66,37 +82,39 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray,
     """
     n, m = g.size, h.size
     if (g.ndim != 1 or h.ndim != 1 or H.shape != (n, n)
-            or G.shape != (m, n)):
-        raise ValueError("qp_solve: H %s, g %s, G %s and h %s do not match"
-                         % (H.shape, g.shape, G.shape, h.shape))
-    lam = np.zeros(m)
-
-    def finish(x, status, changes):
-        return QpSolution(x=x, lam=lam, status=status, iterations=changes)
-
-    if not (np.isfinite(H).all() and np.isfinite(g).all()
-            and np.isfinite(h).all()):
-        return finish(np.zeros(n), "invalid", 0)
-    L, info = lapack.dpotrf(H, lower=1, clean=1)
-    if info != 0:
-        return finish(np.zeros(n), "invalid", 0)
+            or G.shape != (m, n) or (L is not None and L.shape != (n, n))):
+        raise ValueError("qp_solve: H %s, g %s, G %s, h %s and L %s do not "
+                         "match" % (H.shape, g.shape, G.shape, h.shape,
+                                    None if L is None else L.shape))
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        return _invalid(n, m)
+    if L is None:
+        if not np.isfinite(H).all():
+            return _invalid(n, m)
+        L, info = lapack.dpotrf(H, lower=1, clean=1)
+        if info != 0:
+            return _invalid(n, m)
     x = -lapack.dpotrs(L, g, lower=1)[0]
 
     # a row is violated when (G x - h) / max(1, |h|) exceeds 1e-9; it
     # depends on the active rows when its normal, in the metric of H, keeps
     # less than 1e-12 of its length after projection against theirs
     scale = np.maximum(1.0, np.abs(h))
+    slack = G @ x - h
+    viol = slack / scale
+    if not m or viol.max() <= 1e-9:
+        return QpSolution(x=x, lam=np.zeros(m), status="optimal",
+                          iterations=0)
+    lam = np.zeros(m)
+
+    def finish(x, status, changes):
+        return QpSolution(x=x, lam=lam, status=status, iterations=changes)
+
     active = []                       # row indices, in the order added
     W = np.zeros((n, 0))              # L^-1 G_A'
     changes = 0
     max_changes = 2 * (m + n)
     while True:
-        slack = G @ x - h
-        viol = slack / scale
-        viol[active] = 0.0
-        q = int(viol.argmax()) if m else 0
-        if not m or viol[q] <= 1e-9:
-            return finish(x, "optimal", changes)
         # enter the violated row farthest from x in the metric of H; a zero
         # normal scores +inf, enters first and proves infeasibility, and a
         # NaN row, never satisfied, enters first and ends the solve
@@ -153,3 +171,8 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray,
             lam[active[k]] = 0.0
             del active[k]
             W = np.concatenate((W[:, :k], W[:, k + 1:]), axis=1)
+        slack = G @ x - h
+        viol = slack / scale
+        viol[active] = 0.0
+        if viol.max() <= 1e-9:
+            return finish(x, "optimal", changes)

@@ -155,10 +155,10 @@ class TestParseArgs:
 
 def test_resolve_smoke():
     # three steps per scenario, two rounds of least-of-2: a round line per
-    # replay and one summary line per oracle for each of the feedback and
-    # the preparation, every time positive; the replay's own check that
-    # each applied input matches the recorded run would end it with a
-    # traceback
+    # replay and one summary line per oracle for each of the feedback, the
+    # preparation and their per-step total, every time positive, and no
+    # total below either phase; the replay's own check that each applied
+    # input matches the recorded run would end it with a traceback
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "resolve.py"),
@@ -170,12 +170,21 @@ def test_resolve_smoke():
                                                            "round 2"]
     assert lines[3].startswith("least-of-2 feedback times")
     assert lines[7].startswith("least-of-2 preparation times")
-    assert len(lines) == 11
-    for block in (lines[4:7], lines[8:11]):
+    assert lines[11].startswith("least-of-2 per-step totals, preparation "
+                                "plus feedback")
+    assert len(lines) == 15
+    blocks = []
+    for block in (lines[4:7], lines[8:11], lines[12:15]):
         summary = {line.split()[0]: line.split() for line in block}
         assert sorted(summary) == ["dnn", "l2nw", "linear"]
-        for fields in summary.values():
+        blocks.append({})
+        for name, fields in summary.items():
             # name, then (stat, median, "(spread", spread) per statistic
             medians = [float(fields[i]) for i in (2, 6, 10)]
             assert 0.0 < medians[0] <= medians[1] <= medians[2]
             assert fields[-1].count(",") == 1
+            blocks[-1][name] = np.array(medians)
+    feedback, preparation, total = blocks
+    for name, medians in total.items():
+        assert np.all(medians >= feedback[name])
+        assert np.all(medians >= preparation[name])

@@ -14,6 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from lbmpc import mpc, oracle as om, qp as qpmod
@@ -723,6 +724,118 @@ class TestTwoPhase:
             solve_lbmpc(p, self.X0, prep=mpc.prepare(p, self.X0))
 
 
+def poisoned_hessian(p, bad):
+    """Copy of problem p whose QP Hessians hold a NaN or an inf (in the
+    lower triangle, which the factor reads) or are indefinite."""
+    q = copy.copy(p)
+    q.H_v = p.H_v.copy()
+    if bad == "indefinite":
+        q.H_v[0, 0] -= 1e3
+    else:
+        q.H_v[-1, 0] = bad
+    return q
+
+
+class TestPreparedFactor:
+    """The preparation checks and factors the QP's Hessian once; the
+    feedback hands the factor to qp_solve."""
+
+    X0 = TestTwoPhase.X0
+
+    def test_one_factor_per_preparation_none_in_the_feedback(self,
+                                                              monkeypatch):
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                                 environ={})
+        scenario = replace(scenario, run=replace(scenario.run, steps=60))
+        phase, calls = ["loop"], []
+        dpotrf = lapack.dpotrf
+
+        def counted_dpotrf(*args, **kwargs):
+            calls.append(phase[0])
+            return dpotrf(*args, **kwargs)
+
+        def in_phase(name, fn):
+            def wrapped(*args, **kwargs):
+                outer, phase[0] = phase[0], name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = outer
+            return wrapped
+
+        monkeypatch.setattr(lapack, "dpotrf", counted_dpotrf)
+        monkeypatch.setattr(mpc, "prepare", in_phase("prepare", mpc.prepare))
+        monkeypatch.setattr(mpc, "solve_lbmpc",
+                            in_phase("feedback", mpc.solve_lbmpc))
+        tr = run_closed_loop(scenario)
+        assert list(tr.status) == ["optimal"] * 60
+        # step 0's preparation is made at x0, each later one after the
+        # step before it
+        assert calls == ["prepare"] * 60
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "indefinite"])
+    def test_bad_hessian_is_held_for_the_feedback(self, bundled_problem,
+                                                  bad):
+        p = bundled_problem
+        first = solve_lbmpc(p, self.X0)
+        warm = shift_solution(first, p.model.m)
+        x1 = p.model.A @ self.X0 + p.model.B @ first.u
+        q = poisoned_hessian(p, bad)
+        prep = mpc.prepare(q, x1, warm)
+        assert type(prep.error) is MpcError
+        assert str(prep.error) == "QP ended 'invalid'"
+        assert prep.L is None
+        sol = solve_lbmpc(q, x1, warm, prep=prep)
+        assert sol.status == "fallback"
+        assert np.array_equal(sol.c, warm)
+        with pytest.raises(MpcInfeasible):
+            solve_lbmpc(q, self.X0, prep=mpc.prepare(q, self.X0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "indefinite"])
+    @pytest.mark.parametrize("step", [0, 40])
+    def test_bad_hessian_in_the_loop(self, monkeypatch, bad, step):
+        # step s's preparation is the (s+1)-th call
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                                 environ={})
+        scenario = replace(scenario, run=replace(scenario.run, steps=60))
+        prepare, calls = mpc.prepare, []
+
+        def poisoned_prepare(p, *args):
+            calls.append(1)
+            if len(calls) == step + 1:
+                p = poisoned_hessian(p, bad)
+            return prepare(p, *args)
+
+        monkeypatch.setattr(mpc, "prepare", poisoned_prepare)
+        if step == 0:
+            with pytest.raises(InfeasibleAtStart):
+                run_closed_loop(scenario)
+            return
+        tr = run_closed_loop(scenario)
+        assert tr.status[step] == "fallback"
+        assert list(tr.status).count("fallback") == 1
+        assert np.min(tr.state_margin) >= 0.0
+        assert np.all(tr.shift_feasible) and np.all(tr.h_in_w)
+
+    def test_one_preparation_serves_two_feedbacks(self, bundled_problem):
+        rng = np.random.default_rng(30)
+        p = with_oracle(bundled_problem, "dnn", rng)
+        first = solve_lbmpc(p, self.X0)
+        warm = shift_solution(first, p.model.m)
+        x1 = p.model.A @ self.X0 + p.model.B @ first.u
+        x_pred = x1 + 1e-4
+        prep = mpc.prepare(p, x_pred, warm)
+        H, L = prep.H.copy(), prep.L.copy()
+        assert np.array_equal(L, lapack.dpotrf(H, lower=1, clean=1)[0])
+        for x in (x1, x1 + 1e-3 * rng.normal(size=x1.size)):
+            a = solve_lbmpc(p, x, warm, prep=prep)
+            b = solve_lbmpc(p, x, warm, prep=mpc.prepare(p, x_pred, warm))
+            assert a.status == b.status == "optimal"
+            assert np.array_equal(a.c, b.c)
+            assert np.array_equal(a.u, b.u)
+        assert np.array_equal(prep.L, L) and np.array_equal(prep.H, H)
+
+
 class TestFallback:
     """Fault injection: a QP that fails after spending time."""
 
@@ -739,7 +852,7 @@ class TestFallback:
         warm = shift_solution(first, model.m) + 0.01
         assert p.feasible(x, warm)
 
-        def failing_qp(H, g, G, h):
+        def failing_qp(H, g, G, h, L):
             time.sleep(0.01)
             return qpmod.QpSolution(x=np.zeros(g.size), lam=np.zeros(h.size),
                                     status=failure, iterations=40)

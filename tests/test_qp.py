@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from lbmpc import config, qp as qpmod, runtime
 from lbmpc.cli import SCENARIO_DIR
@@ -338,8 +339,12 @@ def recorded_run(name, steps=None, corner=None):
     solve = qpmod.qp_solve
 
     def recorded(*args):
+        # the feedback passes the preparation's factor of H, which must be
+        # qp_solve's own
+        H, L = args[0], args[4]
+        assert np.array_equal(L, lapack.dpotrf(H, lower=1, clean=1)[0])
         sol = solve(*args)
-        solves.append((Qp(*args), sol))
+        solves.append((Qp(*args[:4]), sol))
         return sol
 
     qpmod.qp_solve = recorded
@@ -511,3 +516,90 @@ class TestEnteringRule:
             changes += sol.iterations
             old_changes += old.iterations
         assert changes <= old_changes
+
+
+def assert_same_solution(a, b, label=None):
+    assert (a.status, a.iterations) == (b.status, b.iterations), label
+    assert np.array_equal(a.x, b.x), label
+    assert np.array_equal(a.lam, b.lam), label
+
+
+def with_factor(p):
+    """qp_solve(*p) with H's factor made by the caller."""
+    return qp_solve(*p, lapack.dpotrf(p.H, lower=1, clean=1)[0])
+
+
+def _degenerate_problems():
+    """Every problem of TestDegenerate, from its own seeds."""
+    cases = TestDegenerate.CASES
+    for case in sorted(cases):
+        rng = np.random.default_rng(sorted(cases).index(case))
+        for _ in range(30):
+            yield degenerate_qp(rng, int(rng.integers(2, 5)), cases[case])[0]
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        yield degenerate_qp(rng, 3, lambda a, ha, b, hb:
+                            [(-(a + b), -(ha + hb) - 1.0)])[0]
+    for seed in (957, 2740, 3204, 4090):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(4, 4))
+        G = rng.normal(size=(8, 4))
+        G[1] = 2.0 * G[0]
+        yield Qp(H=M @ M.T + 0.1 * np.eye(4), g=rng.normal(size=4) * 3, G=G,
+                 h_in=rng.normal(size=8) - 3.0)
+
+
+class TestPreparedFactor:
+    """qp_solve(H, g, G, h, L) with L = dpotrf(H) skips H's check and
+    factor and gives the 4-argument call's x, lam, status and iteration
+    count bit for bit."""
+
+    def test_criterion_8_problems(self):
+        # criterion 8's generator and seed
+        rng = np.random.default_rng(2024)
+        for trial in range(500):
+            n = int(rng.integers(2, 6))
+            p = random_qp(rng, n, int(rng.integers(1, 8)))
+            assert_same_solution(with_factor(p), qp_solve(*p), trial)
+
+    def test_degenerate_problems(self):
+        statuses = set()
+        for i, p in enumerate(_degenerate_problems()):
+            sol = with_factor(p)
+            assert_same_solution(sol, qp_solve(*p), i)
+            statuses.add(sol.status)
+        assert statuses == {"optimal", "infeasible"}
+
+    @pytest.mark.parametrize("name, steps, corner", _corner_runs(),
+                             ids=lambda v: str(v).replace(" ", ""))
+    def test_recorded_qps(self, name, steps, corner):
+        # recorded_run's QPs were solved with the preparation's factor
+        _, solves = recorded_run(name, steps, corner)
+        for i, (p, sol) in enumerate(solves):
+            assert_same_solution(sol, qp_solve(*p), i)
+            assert_same_solution(sol, with_factor(p), i)
+
+    def test_factor_shape_checked(self):
+        p = random_qp(np.random.default_rng(32), 3, 4)
+        with pytest.raises(ValueError, match=r"L \(2, 2\)"):
+            qp_solve(*p, np.eye(2))
+
+    @pytest.mark.parametrize("field", ["g", "h_in"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_g_or_h_still_invalid(self, field, bad):
+        p = random_qp(np.random.default_rng(31), 3, 4)
+        data = p._asdict()
+        data[field] = data[field].copy()
+        data[field][1] = bad
+        sol = with_factor(Qp(**data))
+        assert (sol.status, sol.iterations) == ("invalid", 0)
+        assert not sol.x.any() and not sol.lam.any()
+
+    def test_feasible_start_makes_no_change(self):
+        # -H^-1 g = (1, -2) satisfies both rows
+        p = Qp(H=np.diag([4.0, 1.0]), g=np.array([-4.0, 2.0]),
+               G=np.array([[1.0, 0.0], [1.0, 1.0]]), h_in=np.array([3.0, 0.0]))
+        for sol in (qp_solve(*p), with_factor(p)):
+            assert (sol.status, sol.iterations) == ("optimal", 0)
+            assert np.array_equal(sol.x, [1.0, -2.0])
+            assert np.array_equal(sol.lam, np.zeros(2))

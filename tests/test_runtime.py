@@ -14,7 +14,7 @@ from lbmpc import mpc, oracle as om, plant, qp, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import (OracleSection, Scenario, load_scenario,
                           parse_scenario)
-from lbmpc.polytope import bounding_box
+from lbmpc.polytope import Polytope, bounding_box
 from lbmpc.runtime import (TRACE_SPEC, ClosedLoopTrace, InfeasibleAtStart,
                            RuntimeFailure, build_setup, metrics,
                            run_closed_loop)
@@ -302,6 +302,82 @@ class TestBulkCertificates:
             assert W.contains(h[None]).tolist() == [single]
         with pytest.raises(ValueError):
             W.contains(np.zeros((2, 3)))
+
+
+def edge_steps(t, count):
+    """``count`` floats on each side of t, a few ulps apart, and t."""
+    out = [t]
+    for toward in (-np.inf, np.inf):
+        s = t
+        for _ in range(count):
+            s = np.nextafter(np.nextafter(s, toward), toward)
+            out.append(s)
+    return out
+
+
+def first_edge(slack, rate):
+    """The least t >= 0 at which slack - t rate reaches zero in some row."""
+    up = rate > 0
+    return float(np.min(slack[up] / rate[up]))
+
+
+class TestEdgeVerdicts:
+    """A stacked product can round differently from the product of one row,
+    so a point within an ulp of the tolerance edge could read differently
+    in a stack; each row of a stacked call takes the verdict of its own
+    call, on the edge by construction and in random stacks."""
+
+    @staticmethod
+    def assert_rows_alone(stacked, single, *stacks):
+        got = stacked(*stacks)
+        alone = [single(*row) for row in zip(*stacks)]
+        assert got.dtype == bool and got.tolist() == alone
+        return alone
+
+    def test_feasible(self):
+        setup = build_setup(bundled("linear", 1))
+        p = setup.problem
+        rng = np.random.default_rng(41)
+        x = 0.2 * setup.x0
+        assert p.feasible(x, np.zeros(p.n_dec))
+        xs, cs = [], []
+        for _ in range(40):
+            # from c = 0 along d to the first row's tolerance edge
+            d = rng.normal(size=p.n_dec)
+            t = first_edge(p.rhs0 - p.Gx @ x + 1e-7, p.Gc @ d)
+            for s in edge_steps(t, 3):
+                xs.append(x)
+                cs.append(s * d)
+        xs, cs = np.array(xs), np.array(cs)
+        alone = self.assert_rows_alone(p.feasible, p.feasible, xs, cs)
+        assert 0 < sum(alone) < len(alone)
+        # random stacks mixing edge rows and draws around them
+        for k in range(20):
+            n = int(rng.integers(1, 65))
+            pick = rng.integers(0, len(cs), n)
+            jitter = (rng.random(n) < 0.5)[:, None] * rng.normal(
+                scale=1e-3, size=(n, p.n_dec))
+            self.assert_rows_alone(p.feasible, p.feasible, xs[pick],
+                                   cs[pick] + jitter)
+
+    def test_contains(self):
+        rng = np.random.default_rng(42)
+        F = rng.normal(size=(12, 4))
+        P = Polytope(F, rng.uniform(0.5, 1.0, 12))
+        hs = []
+        for _ in range(60):
+            d = rng.normal(size=4)
+            t = first_edge(P.h + 1e-9, F @ d)
+            hs += [s * d for s in edge_steps(t, 3)]
+        hs = np.array(hs)
+        alone = self.assert_rows_alone(P.contains, P.contains, hs)
+        assert 0 < sum(alone) < len(alone)
+        for k in range(20):
+            n = int(rng.integers(1, 65))
+            self.assert_rows_alone(
+                P.contains, P.contains,
+                hs[rng.integers(0, len(hs), n)]
+                + rng.normal(scale=1e-3, size=(n, 4)) * (k % 2))
 
 
 class TestSustainedQpFault:

@@ -29,7 +29,11 @@ median to the linear median ("p50/linear"), and with more than 500 steps
 (e.g. ``--steps 600``) the l2nw line adds its filled-buffer max over steps
 500-599 ("max500-599").  Each statistic is given as its median over the
 rounds and its spread (largest minus smallest round); the line ends with
-the step of the max in each round.
+the step of the max in each round.  A third block gives the same
+statistics of each step's total, its least-of-k preparation plus its
+least-of-k feedback: the work per step that the loop's ``steps_per_s``
+pays for, so a change that moves work from one phase to the other shows
+its net effect there.
 """
 
 from __future__ import annotations
@@ -190,6 +194,11 @@ def main(argv=None) -> int:
     print("least-of-%d preparation times over steps, ms; median over %d "
           "rounds" % (args.k, args.rounds))
     for line in report([prep for _, prep in rounds]):
+        print(line)
+    print("least-of-%d per-step totals, preparation plus feedback, ms; "
+          "median over %d rounds" % (args.k, args.rounds))
+    for line in report([{name: fb[name] + prep[name] for name in fb}
+                        for fb, prep in rounds]):
         print(line)
     return 0
 
