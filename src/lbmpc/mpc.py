@@ -271,8 +271,9 @@ class LbmpcProblem:
         self.Gc = np.vstack(rows_G)
         self.Gx = np.vstack(rows_X)
         self.rhs0 = np.concatenate(rows_rhs)
-        # a NaN would end every QP 'invalid' or make linprog raise its own
-        # ValueError, so non-finite data is refused before any emptiness test
+        # a NaN would end every QP 'invalid', and polytope.linprog refuses
+        # it with a bare ValueError, so non-finite data is refused here,
+        # before any emptiness test
         for name in ("Gc", "Gx", "rhs0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise MpcError("constraint data %s not finite" % name)

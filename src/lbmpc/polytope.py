@@ -14,6 +14,10 @@ The points where earlier walks ended form a pool, carried from level to
 level and pulled into each new level's rows along the segment to that
 fixed point; a pool point that violates a row proves the row is kept
 without a walk, and otherwise the best one is where the walk starts.
+The package's other LPs (a support value or a point of a set that is not
+a box, an emptiness test) are :func:`linprog`'s: a phase 1 of the same walk
+finds a point of the set or shows it empty, and one more walk from that
+point reaches the optimum.  scipy's LP solvers are not used.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linprog
 
 
 class PolytopeError(Exception):
@@ -49,6 +52,11 @@ class NotSchurStable(PolytopeError):
 # Feasibility tolerance shared by the LP-based predicates.
 LP_TOL = 1e-9
 
+# A set {F x <= h} is empty when no point comes within EMPTY_TOL / 2 of every
+# row at unit norm.  For a box that reads: empty when an end passes the
+# other by more than EMPTY_TOL, however its rows are ordered.
+EMPTY_TOL = 1e-7
+
 # Spectral radius must stay below 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-8
 
@@ -72,11 +80,6 @@ def stacked_leq(lhs, rhs, one_row):
         for i in np.flatnonzero((gap <= band).any(axis=-1)):
             ok[i] = one_row(i)
     return ok
-
-
-def _solve_lp(c, F, h):
-    """min c'x s.t. Fx <= h with free variables; returns the scipy result."""
-    return linprog(c, A_ub=F, b_ub=h, bounds=(None, None), method="highs")
 
 
 @dataclass(frozen=True)
@@ -150,15 +153,16 @@ class Polytope:
         """True iff {x : F x <= h} is empty, for offsets ``h`` in place of self.h.
 
         A box's rows are [I; -I], so with other offsets it is the box
-        [-h[d:], h[:d]], decided without an LP.  Its lower end may exceed its
-        upper end by up to 1e-7, HiGHS' default primal feasibility tolerance,
-        so that the verdict is the LP's.
+        [-h[d:], h[:d]], decided without an LP: empty when a lower end
+        exceeds its upper end by more than ``EMPTY_TOL``.  Any other set
+        takes :func:`linprog`'s phase 1, whose verdict follows the same
+        rule, and a step cap there raises ``PolytopeError``.
         """
         h = np.asarray(h, dtype=float).reshape(-1)
         if self.is_box:
             d = self.dim
-            return bool(np.any(-h[d:] > h[:d] + 1e-7))
-        return _solve_lp(np.zeros(self.dim), self.F, h).status == 2
+            return bool(np.any(-h[d:] > h[:d] + EMPTY_TOL))
+        return _feasible_point(self.F, h) is None
 
     # -- serialization -----------------------------------------------------
 
@@ -210,7 +214,7 @@ def support_many(P: Polytope, directions: np.ndarray) -> np.ndarray:
         return np.where(directions > 0, directions * hi, directions * lo).sum(axis=1)
     out = np.empty(len(directions))
     for k, d in enumerate(directions):
-        res = _solve_lp(-d, P.F, P.h)
+        res = linprog(-d, A_ub=P.F, b_ub=P.h)
         if res.status == 3:
             raise Unbounded("support LP unbounded along %s" % d)
         if res.status == 2:
@@ -386,6 +390,70 @@ def _walk(c, G, g, x, max_steps=None, stop=np.inf):
             return 0, x
 
 
+@dataclass(frozen=True)
+class LpResult:
+    """:func:`linprog`'s outcome, with scipy's field names and status codes."""
+
+    status: int
+    x: np.ndarray
+    fun: float
+    message: str
+
+
+_LP_MESSAGES = ("Optimal.", "Step cap reached.", "The problem is infeasible.",
+                "The problem is unbounded.")
+
+
+def linprog(c, A_ub, b_ub):
+    """min c'x s.t. A_ub x <= b_ub over free x, by two :func:`_walk` runs.
+
+    With G x <= g the rows at unit norm, phase 1 maximizes -s over
+    {G x - s <= g, s >= -1} from x = 0, s = max(0, -min g), a point of that
+    set, and stops at the first s < 0, a point inside {G x <= g}.  Where
+    the least s exceeds ``EMPTY_TOL`` / 2 the set is empty (status 2): no
+    point comes that close to every row, the rule a box's ends follow.
+    Otherwise, for a nonzero c, a walk over G from phase 1's point reaches
+    the optimum (0) or shows c'x unbounded below (3).  Either walk may stop
+    at its step cap (1).  ``x`` is the last point and ``fun`` c'x there,
+    an optimum only with status 0.
+
+    Non-finite data raises ValueError, as scipy's linprog does, and so does
+    a zero row of A_ub.
+    """
+    c, F, h = (np.asarray(a, dtype=float) for a in (c, A_ub, b_ub))
+    for name, a in (("c", c), ("A_ub", F), ("b_ub", h)):
+        if not np.isfinite(a).all():
+            raise ValueError("linprog: %s must not contain inf or nan" % name)
+    if not F.any(axis=1).all():
+        raise ValueError("linprog: zero rows in A_ub are not allowed")
+    G, g = _unit_rows(F, h)
+    m, n = G.shape
+    rows = np.zeros((m + 1, n + 1))
+    rows[:m, :n] = G
+    rows[:, n] = -1.0
+    start = np.zeros(n + 1)
+    start[n] = max(0.0, -g.min())
+    down = np.zeros(n + 1)
+    down[n] = -1.0
+    status, xs = _walk(down, *_unit_rows(rows, np.append(g, 1.0)), start,
+                       stop=0.0)
+    x = xs[:n]
+    if status == 0 and xs[n] > EMPTY_TOL / 2:
+        status = 2
+    elif status == 0 and c.any():
+        status, x = _walk(-c, G, g, x)
+    return LpResult(status, x, float(c @ x), _LP_MESSAGES[status])
+
+
+def _feasible_point(F, h):
+    """A point of {F x <= h} from :func:`linprog`'s phase 1, None if the set
+    is empty; a step cap raises ``PolytopeError``."""
+    res = linprog(np.zeros(F.shape[1]), A_ub=F, b_ub=h)
+    if res.status not in (0, 2):
+        raise PolytopeError("feasibility LP failed: %s" % res.message)
+    return res.x if res.status == 0 else None
+
+
 def _pull_in(Y, F, h, x):
     """Each row y of Y moved toward ``x`` until it lies in {F x <= h}.
 
@@ -440,12 +508,10 @@ def _point_of(W: Polytope) -> np.ndarray:
     """A point of W: a box's centre, else the point of a feasibility LP."""
     if W.is_box:
         return 0.5 * np.add(*bounding_box(W))
-    res = _solve_lp(np.zeros(W.dim), W.F, W.h)
-    if res.status == 2:
+    x = _feasible_point(W.F, W.h)
+    if x is None:
         raise Infeasible("polytope is empty")
-    if res.status != 0:
-        raise PolytopeError("feasibility LP failed: %s" % res.message)
-    return res.x
+    return x
 
 
 @dataclass(frozen=True)

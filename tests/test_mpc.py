@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from lbmpc import mpc, oracle as om, qp as qpmod
 from lbmpc.cli import SCENARIO_DIR
@@ -30,7 +30,7 @@ from lbmpc.oracle import (DnnOracle, L2nwEstimator, NetworkArch, OracleState,
                           new_oracle, predict_and_jacobian)
 from lbmpc.plant import MooreGreitzerParams, PlantModel, linearize_discretize
 from lbmpc.polytope import (NotSchurStable, Polytope, TighteningData,
-                            _solve_lp, max_invariant_set, tube_margins)
+                            max_invariant_set, tube_margins)
 from lbmpc.runtime import InfeasibleAtStart, build_setup, run_closed_loop
 
 
@@ -335,7 +335,9 @@ class TestTightening:
         state = margins.state.copy()
         state[3:, [0, 2]] = cut
         rhs = model.X.h - state[3]
-        assert (_solve_lp(np.zeros(2), model.X.F, rhs).status == 2) == empty
+        lp = linprog(np.zeros(2), A_ub=model.X.F, b_ub=rhs,
+                     bounds=(None, None), method="highs")
+        assert (lp.status == 2) == empty
         tight = TighteningData(state=state, inputs=margins.inputs,
                                terminal=margins.terminal)
         if not empty:

@@ -398,3 +398,28 @@ class TestHaltonSweep:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_package_does_not_import_scipy_optimize(self):
+        # a fresh interpreter, checked after the imports and again after a
+        # setup and the bounding box of its terminal set, which is no box
+        # and takes the LP, so that a lazy import on an LP path would show
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
+            if p)
+        script = (
+            "import os, sys\n"
+            "import lbmpc, lbmpc.cli\n"
+            "from lbmpc.config import load_scenario\n"
+            "from lbmpc.polytope import bounding_box\n"
+            "from lbmpc.runtime import build_setup\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "path = os.path.join(lbmpc.cli.SCENARIO_DIR, 'linear.ini')\n"
+            "s = build_setup(load_scenario(path, environ={}))\n"
+            "assert not s.omega.is_box\n"
+            "bounding_box(s.omega)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

@@ -4,6 +4,7 @@ oracle (interval arithmetic, brute-force vertex enumeration, or sampling).
 """
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -14,8 +15,8 @@ from scipy.optimize import linprog
 
 from lbmpc import config as cfgmod, polytope, runtime
 from lbmpc.polytope import (EmptyResult, Infeasible, NotSchurStable, Polytope,
-                            Unbounded, _unit_rows, _walk, bounding_box,
-                            max_invariant_set, pontryagin_diff,
+                            PolytopeError, Unbounded, _unit_rows, _walk,
+                            bounding_box, max_invariant_set, pontryagin_diff,
                             spectral_radius, support, support_many,
                             tube_margins)
 
@@ -96,10 +97,11 @@ def bundled_setup():
 def counting_linprog(monkeypatch):
     """Count polytope's linprog calls; returns the list that grows."""
     calls = []
+    lp = polytope.linprog
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return lp(*args, **kwargs)
 
     monkeypatch.setattr(polytope, "linprog", counting)
     return calls
@@ -135,8 +137,8 @@ class TestConstruction:
         assert P.is_empty()
 
     def test_box_emptiness_one_rule(self):
-        # ends crossed by less than HiGHS' 1e-7 tolerance: the same set is
-        # nonempty however it was built or asked about
+        # ends crossed by less than EMPTY_TOL: the same set is nonempty
+        # however it was built or asked about
         B = Polytope.box([5e-8, 0.0], [0.0, 1.0])
         assert not B.is_empty()
         assert not Polytope(B.F, B.h).is_empty()
@@ -148,9 +150,28 @@ class TestConstruction:
         with pytest.raises(Infeasible):
             support(C, [1.0, 1.0])
 
+    @pytest.mark.parametrize("cross", [0.5e-7, 0.9e-7, 1.5e-7, 2.5e-7])
+    @pytest.mark.parametrize("at", [0.0, 1.0, -5.0, 1e4])
+    def test_reversed_box_same_verdict(self, cross, at):
+        # the same box with its rows reversed is no box and takes the LP:
+        # both sides of EMPTY_TOL, the verdicts and the supports agree
+        B = Polytope.box([at + cross, -1.0], [at, 1.0])
+        R = Polytope(B.F[::-1], B.h[::-1])
+        assert B.is_box and not R.is_box
+        empty = cross > polytope.EMPTY_TOL
+        assert B.is_empty() == R.is_empty() == empty
+        assert B.is_empty_at(B.h) == R.is_empty_at(R.h) == empty
+        if empty:
+            with pytest.raises(Infeasible):
+                support(R, [1.0, 1.0])
+        else:
+            assert support(R, [1.0, 1.0]) == pytest.approx(
+                support(B, [1.0, 1.0]), abs=1e-7)
+
     def test_box_offsets_emptiness_agrees_with_lp(self):
-        # lower ends just below, at and above HiGHS' feasibility tolerance
-        # past the upper ends, on boxes of several sizes
+        # lower ends just below, at and above EMPTY_TOL past the upper
+        # ends, on boxes of several sizes; HiGHS' default primal
+        # feasibility tolerance is the same 1e-7
         rng = np.random.default_rng(4)
         B = Polytope.box([-1.0, -1.0], [1.0, 1.0])
         for _ in range(200):
@@ -460,6 +481,100 @@ class TestLpWalk:
                           np.zeros(2), max_steps=max_steps)
         assert status == 1
         assert np.all(F @ x <= 1.0)
+
+
+def highs_status(c, F, h):
+    """(status, optimal value) of min c'x over {F x <= h} by scipy's HiGHS.
+
+    HiGHS' presolve calls some feasible, unbounded problems infeasible (see
+    ``test_unbounded_is_not_infeasible``), so feasibility is decided first,
+    with a zero objective, and a feasible problem that HiGHS then calls
+    infeasible, or infeasible or unbounded, is unbounded."""
+    def solve(obj):
+        return linprog(obj, A_ub=F, b_ub=h, bounds=(None, None),
+                       method="highs")
+
+    if solve(np.zeros_like(c)).status == 2:
+        return 2, None
+    res = solve(c)
+    if res.status in (2, 4):
+        return 3, None
+    return res.status, res.fun
+
+
+class TestLinprog:
+    """The package's LP: phase 1, then one walk to the optimum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_highs(self, data):
+        # random rows, with or without a box around them, and offsets of
+        # either sign: feasible, infeasible and unbounded problems.  Rows
+        # marked "through v" pass through one grid point v, a vertex of
+        # many rows where the set is not empty.  On a 1e-3 grid, as in
+        # TestLpWalk
+        def grid(shape, lo, hi, label=None):
+            ints = hnp.arrays(int, shape, elements=st.integers(lo, hi))
+            return data.draw(ints, label=label) / 1000.0
+
+        n = data.draw(st.integers(1, 4), label="dim")
+        F = grid((data.draw(st.integers(1, 12), label="rows"), n),
+                 -1000, 1000, "normals")
+        if data.draw(st.booleans(), label="box"):
+            F = np.vstack([np.eye(n), -np.eye(n), F])
+        F = F[F.any(axis=1)]
+        if not len(F):
+            return
+        h = grid(len(F), -2000, 2000, "h")
+        through = data.draw(hnp.arrays(bool, len(F)), label="through v")
+        h[through] = (F @ grid(n, -1000, 1000, "v"))[through]
+        c = grid(n, -1000, 1000, "c")
+        res = polytope.linprog(c, A_ub=F, b_ub=h)
+        status, fun = highs_status(c, F, h)
+        assert res.status == status
+        if status == 0:
+            assert abs(res.fun - fun) <= 1e-9 * max(1.0, abs(fun))
+            assert np.all(F @ res.x <= h + 1e-9)
+
+    def test_unbounded_is_not_infeasible(self):
+        # the origin is in the set and x = y = -t, z = -t - 1 stays in it;
+        # HiGHS with presolve reports this problem infeasible
+        F = np.array([[-1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+        P = Polytope(F, np.ones(3))
+        assert not P.is_empty()
+        assert polytope.linprog(np.ones(3), A_ub=F,
+                                b_ub=np.ones(3)).status == 3
+        with pytest.raises(Unbounded):
+            support(P, -np.ones(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["c", "A_ub", "b_ub"])
+    def test_non_finite_data_raises(self, arg, value):
+        lp = {"c": np.ones(2), "A_ub": np.vstack([np.eye(2), -np.eye(2)]),
+              "b_ub": np.ones(4)}
+        lp[arg] = lp[arg].copy()
+        lp[arg].flat[1] = value
+        with pytest.raises(ValueError, match="%s must not" % arg):
+            polytope.linprog(lp.pop("c"), **lp)
+
+    def test_zero_row_raises(self):
+        F = np.vstack([np.eye(2), -np.eye(2), [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero rows"):
+            polytope.linprog(np.ones(2), A_ub=F, b_ub=np.ones(5))
+
+    def test_step_cap_is_an_error(self, monkeypatch):
+        # a walk stopped at its cap decides nothing: every LP user raises
+        # PolytopeError itself, not Infeasible, Unbounded or a verdict
+        monkeypatch.setattr(polytope, "_walk",
+                            functools.partial(_walk, max_steps=0))
+        T = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+        assert polytope.linprog(np.ones(2), A_ub=T.F, b_ub=T.h).status == 1
+        for call in (lambda: support_many(T, np.eye(2)),
+                     lambda: polytope._point_of(T),
+                     lambda: T.is_empty()):
+            with pytest.raises(PolytopeError) as err:
+                call()
+            assert type(err.value) is PolytopeError
 
 
 class TestInvariantSet:
