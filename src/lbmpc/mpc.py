@@ -10,11 +10,17 @@ iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005), in
 its two phases.  The preparation (``prepare``) needs no measurement: it
 linearizes the cost at a predicted state x_pred and forms the QP's Hessian
 and its Cholesky factor, its gradient g0 at x_pred and the gradient's slope
-M in x.  The feedback (``solve_lbmpc``) takes the measured x, shifts the
-gradient to g0 + M (x - x_pred), forms the constraints at x and solves one
-QP from the prepared factor.  A solve without a preparation prepares at x
-itself, so both phases run at the measurement; that is the one path, and
-the zero shift adds nothing.
+M in x, and from the factor the QP's unconstrained minimizer and the
+constraint rows' slack there, both affine in dx = x - x_pred.  The feedback
+(``solve_lbmpc``) takes the measured x and solves one QP (``feedback_qp``):
+where no row binds, the solution is the affine step, and no active-set
+iteration runs (the zero-active-set piece of the parametric QP that online
+active-set methods follow, Ferreau, Bock and Diehl, Int. J. Robust
+Nonlinear Control 2008); otherwise it shifts the gradient to g0 + M dx,
+forms the constraints at x and hands the QP to qp_solve, from the prepared
+factor.  A solve without a preparation prepares at x itself, so both
+phases run at the measurement; that is the one path, and the zero shift
+adds nothing.
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
@@ -35,6 +41,7 @@ together (see _learned_rollout).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -395,8 +402,14 @@ class Preparation:
 
     H is the QP's Hessian and L its lower Cholesky factor, as qp_solve
     would make it; g0 is the gradient at ``x_pred`` and M the gradient's
-    slope in the state, so the gradient at x is g0 + M (x - x_pred);
+    slope in the state, so the gradient at x is g0 + M dx, dx = x - x_pred;
     ``rhs_c`` is rhs0 - Gc c, the constraints' right side but for -Gx x.
+    The QP's unconstrained minimizer is then the step a + B dx, with
+    [a | B] = -H^-1 [g0 | M], and the constraint rows' slack there,
+    Gc (c + step) - rhs0 + Gx x = Gc step - rhs_c + Gx x, is s0 + S1 dx.
+    Both maps are held transposed, for a row vector dx: ``step_map`` is
+    [a | B]' and ``slack_map`` [s0 | S1]', so the step is
+    step_map[0] + dx @ step_map[1:], and the slack likewise.
     A preparation whose rollout raised MpcError holds the error instead,
     for the feedback that uses it, and so does one whose H is not finite
     or not positive definite: MpcError("QP ended 'invalid'"), the error a
@@ -411,6 +424,8 @@ class Preparation:
     g0: np.ndarray | None
     M: np.ndarray | None
     rhs_c: np.ndarray | None
+    step_map: np.ndarray | None
+    slack_map: np.ndarray | None
     error: MpcError | None
     wall_time: float
 
@@ -421,8 +436,10 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     ``c`` is None (zero) or the shifted previous perturbations.  One
     learned rollout (one oracle call) gives z and dz/dc; the measurement is
     not needed.  H is checked and factored here, once for every feedback
-    the preparation serves.  An MpcError of the rollout, or an H that is
-    not finite or not positive definite, is held, not raised.
+    the preparation serves, and the factor gives the unconstrained step
+    and the rows' slack there as affine maps of the state (see
+    Preparation).  An MpcError of the rollout, or an H that is not finite
+    or not positive definite, is held, not raised.
     """
     t0 = time.perf_counter()
     x_pred = np.asarray(x_pred, dtype=float).reshape(-1)
@@ -430,7 +447,7 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, None, None, None, None, None, exc,
+        return Preparation(x_pred, c, *[None] * 7, exc,
                            time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
@@ -441,28 +458,67 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     # qp_solve would do it, so the QP keeps its bits.
     JzQ = Jz.T @ p.Qbar
     H = JzQ @ Jz + p.H_v
-    L, error = None, None
+    g0 = JzQ @ z + p.TvR @ v
+    M = Jz.T @ p.QbarSz + p.TvRSv
+    rhs_c = p.rhs0 - p.Gc @ c
     if np.isfinite(H).all():
         L, info = lapack.dpotrf(H, lower=1, clean=1)
-    if L is None or info != 0:
-        L, error = None, MpcError("QP ended 'invalid'")
-    return Preparation(x_pred, c, H, L, JzQ @ z + p.TvR @ v,
-                       Jz.T @ p.QbarSz + p.TvRSv, p.rhs0 - p.Gc @ c, error,
+        if info == 0:
+            # one dpotrs gives [a | B] and one product with Gc the slack's
+            # [s0 | S1], but for the terms that do not depend on the step;
+            # dpotrs returns Fortran order, so both transposes are C order
+            step_map = (-lapack.dpotrs(L, np.column_stack((g0, M)),
+                                       lower=1)[0]).T
+            slack_map = step_map @ p.Gc.T
+            slack_map[0] += p.Gx @ x_pred - rhs_c
+            slack_map[1:] += p.Gx.T
+            return Preparation(x_pred, c, H, L, g0, M, rhs_c, step_map,
+                               slack_map, None, time.perf_counter() - t0)
+    return Preparation(x_pred, c, H, None, g0, M, rhs_c, None, None,
+                       MpcError("QP ended 'invalid'"),
                        time.perf_counter() - t0)
+
+
+def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
+    """The feedback's QP at ``x``: the step from ``prep.c`` that minimizes
+    the cost model with gradient g0 + M dx subject to
+    Gc step <= rhs_c - Gx x, dx = x - x_pred.
+
+    If the prepared unconstrained step a + B dx is finite and leaves every
+    row's slack s0 + S1 dx finite and at most 1e-9, that step is the
+    solution, with no active-set change and zero multipliers, as qp_solve
+    returns a start that violates no row.  The slack is not scaled by
+    max(1, |h|), so this test is at least as strict as qp_solve's.
+    Otherwise qp_solve solves the QP (H, g0 + M dx, Gc, rhs_c - Gx x) from
+    the prepared factor, the active-set loop's one entry.  Both outcomes
+    pass through here, the one place to observe or replace the feedback's
+    QP.
+    """
+    dx = x - prep.x_pred
+    slack = prep.slack_map[0] + dx @ prep.slack_map[1:]
+    if slack.max() <= 1e-9:
+        step = prep.step_map[0] + dx @ prep.step_map[1:]
+        # a NaN or an inf entry in either leaves the sum not finite
+        if math.isfinite(slack.sum() + step.sum()):
+            return qpmod.QpSolution(x=step, lam=np.zeros(slack.size),
+                                    status="optimal", iterations=0)
+    return qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
+                          prep.rhs_c - p.Gx @ x, prep.L)
 
 
 def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
                 prep: Preparation | None = None) -> MpcSolution:
-    """The feedback phase: one QP at the measured ``x``.
+    """The feedback phase: one QP at the measured ``x`` (see feedback_qp).
 
     ``warm_c`` is None or the shifted previous perturbations, and ``prep``
     is ``prepare(p, x_pred, warm_c)`` at a predicted state, or None to
     prepare at x itself.  The QP's gradient is shifted from x_pred to x and
     its constraints are formed at x; they are linear in c, so c + step is
-    feasible.  The QP starts from the preparation's factor of H.  On any
-    solver failure (a preparation that holds an error, or a QP that does
-    not end 'optimal') ``warm_c`` is returned with status 'fallback' if it
-    is feasible at x; otherwise MpcInfeasible is raised.
+    feasible.  Where no row binds, the step is the prepared affine map's
+    and the active-set loop is not entered.  On any solver failure (a
+    preparation that holds an error, or a QP that does not end 'optimal')
+    ``warm_c`` is returned with status 'fallback' if it is feasible at x;
+    otherwise MpcInfeasible is raised.
     The wall time of either outcome counts from entry, a preparation made
     here included.
     """
@@ -473,8 +529,7 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
     try:
         if prep.error is not None:
             raise prep.error
-        sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ (x - prep.x_pred),
-                             p.Gc, prep.rhs_c - p.Gx @ x, prep.L)
+        sol = feedback_qp(p, prep, x)
         if sol.status != "optimal":
             raise MpcError("QP ended '%s'" % sol.status)
         return _make_solution(p, x, prep.c + sol.x, "optimal", t0)

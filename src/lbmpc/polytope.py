@@ -17,7 +17,8 @@ without a walk, and otherwise the best one is where the walk starts.
 The package's other LPs (a support value or a point of a set that is not
 a box, an emptiness test) are :func:`linprog`'s: a phase 1 of the same walk
 finds a point of the set or shows it empty, and one more walk from that
-point reaches the optimum.  scipy's LP solvers are not used.
+point reaches the optimum; the supports of one set along many directions
+share its phase 1.  scipy's LP solvers are not used.
 """
 
 from __future__ import annotations
@@ -205,16 +206,24 @@ def support_many(P: Polytope, directions: np.ndarray) -> np.ndarray:
     """Support values max_{x in P} d'x for each row d of ``directions``.
 
     A box's are in closed form, any other polytope's are one dense LP per
-    row.  Raises ``Unbounded`` if P is unbounded along a row and
-    ``Infeasible`` if P is empty.
+    row, all from one :func:`linprog` phase 1, which does not depend on
+    the objective: each value, and each error, is the one that row's own
+    ``linprog`` call would give.  Raises ``Unbounded`` if P is unbounded
+    along a row and ``Infeasible`` if P is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if P.is_box:
         lo, hi = bounding_box(P)
         return np.where(directions > 0, directions * hi, directions * lo).sum(axis=1)
     out = np.empty(len(directions))
+    if not len(out):
+        return out
+    # linprog checks its objective before the set
+    _require_finite("c", directions[0])
+    start = _phase1(P.F, P.h)
     for k, d in enumerate(directions):
-        res = linprog(-d, A_ub=P.F, b_ub=P.h)
+        _require_finite("c", d)
+        res = _phase2(-d, *start)
         if res.status == 3:
             raise Unbounded("support LP unbounded along %s" % d)
         if res.status == 2:
@@ -420,10 +429,23 @@ def linprog(c, A_ub, b_ub):
     Non-finite data raises ValueError, as scipy's linprog does, and so does
     a zero row of A_ub.
     """
-    c, F, h = (np.asarray(a, dtype=float) for a in (c, A_ub, b_ub))
-    for name, a in (("c", c), ("A_ub", F), ("b_ub", h)):
-        if not np.isfinite(a).all():
-            raise ValueError("linprog: %s must not contain inf or nan" % name)
+    c = np.asarray(c, dtype=float)
+    _require_finite("c", c)
+    return _phase2(c, *_phase1(A_ub, b_ub))
+
+
+def _require_finite(name, a):
+    if not np.isfinite(a).all():
+        raise ValueError("linprog: %s must not contain inf or nan" % name)
+
+
+def _phase1(A_ub, b_ub):
+    """(status, x, G, g): :func:`linprog`'s checks of the set and its
+    phase 1, with status 0 (x in the set), 1 (step cap) or 2 (empty), and
+    the rows G x <= g at unit norm."""
+    F, h = (np.asarray(a, dtype=float) for a in (A_ub, b_ub))
+    _require_finite("A_ub", F)
+    _require_finite("b_ub", h)
     if not F.any(axis=1).all():
         raise ValueError("linprog: zero rows in A_ub are not allowed")
     G, g = _unit_rows(F, h)
@@ -437,10 +459,14 @@ def linprog(c, A_ub, b_ub):
     down[n] = -1.0
     status, xs = _walk(down, *_unit_rows(rows, np.append(g, 1.0)), start,
                        stop=0.0)
-    x = xs[:n]
     if status == 0 and xs[n] > EMPTY_TOL / 2:
         status = 2
-    elif status == 0 and c.any():
+    return status, xs[:n], G, g
+
+
+def _phase2(c, status, x, G, g):
+    """:func:`linprog`'s result for objective c from phase 1's outcome."""
+    if status == 0 and c.any():
         status, x = _walk(-c, G, g, x)
     return LpResult(status, x, float(c @ x), _LP_MESSAGES[status])
 

@@ -7,15 +7,16 @@ farthest from the iterate in the metric of H, dropping an active row
 whenever its multiplier would turn negative, so every iterate is dual
 feasible and the first primal feasible one is optimal.  Any violated row may
 enter; the farthest one leaves fewer rows to drop again, and every QP of the
-bundled scenarios ends within two changes.  Problems here are tiny (tens of
-decision variables, a few active rows), so one Cholesky factor of H per
-problem, made by the caller or else by the call, and a fresh QR of the few
-active rows at each change cost less than any bookkeeping that would update
-them.  At these sizes the scipy.linalg and numpy.linalg wrappers' argument
-checks cost several times the arithmetic, so the solver calls the LAPACK
-routines under them (dpotrf, dpotrs, dtrtrs, and dgeqrf and dorgqr for the
-QR) directly, with the arguments the wrappers pass, which keeps every
-result bit for bit.
+bundled scenarios that reaches this loop ends within two changes (the
+feedback returns a start that violates no row without calling here).
+Problems here are tiny (tens of decision variables, a few active rows), so
+one Cholesky factor of H per problem, made by the caller or else by the
+call, and a fresh QR of the few active rows at each change cost less than
+any bookkeeping that would update them.  At these sizes the scipy.linalg
+and numpy.linalg wrappers' argument checks cost several times the
+arithmetic, so the solver calls the LAPACK routines under them (dpotrf,
+dpotrs, dtrtrs, and dgeqrf and dorgqr for the QR) directly, with the
+arguments the wrappers pass, which keeps every result bit for bit.
 """
 
 from __future__ import annotations

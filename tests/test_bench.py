@@ -157,8 +157,10 @@ def test_resolve_smoke():
     # three steps per scenario, two rounds of least-of-2: a round line per
     # replay and one summary line per oracle for each of the feedback, the
     # preparation and their per-step total, every time positive, and no
-    # total below either phase; the replay's own check that each applied
-    # input matches the recorded run would end it with a traceback
+    # total below either phase; the feedback lines alone count the steps
+    # that entered qp_solve, step 0's cold QP from the bundled start among
+    # them; the replay's own check that each applied input matches the
+    # recorded run would end it with a traceback
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "resolve.py"),
@@ -184,6 +186,11 @@ def test_resolve_smoke():
             assert 0.0 < medians[0] <= medians[1] <= medians[2]
             assert fields[-1].count(",") == 1
             blocks[-1][name] = np.array(medians)
+            if len(blocks) > 1:
+                assert "qp_solve" not in fields
+                continue
+            entered, steps = fields[fields.index("qp_solve") + 1].split("/")
+            assert 1 <= int(entered) <= int(steps) == 3
     feedback, preparation, total = blocks
     for name, medians in total.items():
         assert np.all(medians >= feedback[name])

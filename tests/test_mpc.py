@@ -5,6 +5,7 @@ reference.  The scalar Lyapunov case has the closed form P = 4/3.
 """
 
 import copy
+import functools
 import os
 import time
 import warnings
@@ -14,6 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import event, given, settings, strategies as st
 from scipy.linalg import lapack
 from scipy.optimize import linprog, minimize
 
@@ -838,6 +840,152 @@ class TestPreparedFactor:
         assert np.array_equal(prep.L, L) and np.array_equal(prep.H, H)
 
 
+def parent_feedback(p, x, warm_c, prep):
+    """solve_lbmpc's feedback with every QP handed to qp_solve, as it was
+    before the prepared affine step: ('optimal', c) or ('fallback', c), or
+    the exception's (type, message)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    try:
+        if prep.error is not None:
+            raise prep.error
+        sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ (x - prep.x_pred),
+                             p.Gc, prep.rhs_c - p.Gx @ x, prep.L)
+        if sol.status != "optimal":
+            raise MpcError("QP ended '%s'" % sol.status)
+        return "optimal", prep.c + sol.x
+    except MpcError as exc:
+        if warm_c is not None and p.feasible(x, warm_c):
+            return "fallback", np.array(warm_c, dtype=float)
+        return MpcInfeasible, "%s; no feasible fallback" % exc
+
+
+def feedback_outcome(p, x, warm_c, prep):
+    """solve_lbmpc's (status, c) or its exception's (type, message), and
+    whether it entered qp_solve."""
+    entered, solve = [], qpmod.qp_solve
+
+    def counted(*args):
+        entered.append(1)
+        return solve(*args)
+
+    qpmod.qp_solve = counted
+    try:
+        sol = solve_lbmpc(p, x, warm_c, prep=prep)
+        return (sol.status, sol.c), bool(entered)
+    except MpcError as exc:
+        return (type(exc), str(exc)), bool(entered)
+    finally:
+        qpmod.qp_solve = solve
+
+
+def assert_same_outcome(a, b):
+    """Equal statuses and perturbations, or exception types and messages."""
+    assert a[0] == b[0]
+    if isinstance(a[1], str):
+        assert a[1] == b[1]
+    else:
+        assert np.array_equal(a[1], b[1])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_problem(kind):
+    """The bundled problem with its own network, a filled kernel ring or
+    the zero oracle (see with_oracle)."""
+    p = build_setup(load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                                  environ={})).problem
+    return p if kind == "dnn" else with_oracle(p, kind,
+                                               np.random.default_rng(33))
+
+
+class TestAffineFeedback:
+    """The feedback returns the prepared affine step, without entering
+    qp_solve, only where qp_solve would start there and make no change; it
+    enters qp_solve wherever qp_solve would make one, and keeps the
+    outcome of a feedback that hands every QP to qp_solve.
+
+    Each example starts at x0 = (z, y, 0, 0) in loopbench's start box,
+    runs k nominal steps (x <- A x + B u, each prepared at x), prepares
+    at the next state x_pred with the shifted warm start and feeds back
+    x = x_pred + delta, with delta from 0 to sizes that make rows bind.
+    150 examples per oracle run in about 6 s in all."""
+
+    @staticmethod
+    def prepared_step(p, z, y, k):
+        """(x_pred, warm start, preparation) after k nominal steps."""
+        A, B, m = p.model.A, p.model.B, p.model.m
+        x, warm = np.array([z, y, 0.0, 0.0]), None
+        for _ in range(k + 1):
+            sol = solve_lbmpc(p, x, warm)
+            assert sol.status == "optimal"
+            x, warm = A @ x + B @ sol.u, shift_solution(sol, m)
+        return x, warm, mpc.prepare(p, x, warm)
+
+    step_draws = dict(
+        z=st.floats(-0.15, -0.09), y=st.floats(-0.05, 0.07),
+        k=st.integers(0, 30),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        size=st.one_of(st.just(0.0), st.floats(1e-9, 0.1)))
+
+    @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
+    @settings(max_examples=150, deadline=None)
+    @given(**step_draws)
+    def test_fast_path_only_where_qp_solve_changes_nothing(
+            self, kind, z, y, k, direction, size):
+        p = oracle_problem(kind)
+        x_pred, warm, prep = self.prepared_step(p, z, y, k)
+        x = x_pred + size * np.array(direction)
+        dx = x - prep.x_pred
+        ref = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
+                             prep.rhs_c - p.Gx @ x, prep.L)
+        outcome, entered = feedback_outcome(p, x, warm, prep)
+        event("entered qp_solve" if entered else "affine step")
+        if entered:
+            # the QP that reaches the loop keeps its bits, and so does the
+            # outcome, a fallback or an exception included
+            assert_same_outcome(outcome, parent_feedback(p, x, warm, prep))
+        else:
+            assert (ref.status, ref.iterations) == ("optimal", 0)
+            assert outcome[0] == "optimal"
+            step = outcome[1] - prep.c
+            assert np.all(np.abs(step - ref.x)
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref.x)))
+        if ref.iterations or ref.status != "optimal":
+            assert entered
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
+    @settings(max_examples=50, deadline=None)
+    @given(where=st.sampled_from(["x", "g0", "M"]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           index=st.integers(0, 3), warm_start=st.booleans(),
+           **step_draws)
+    def test_non_finite_state_or_map_keeps_the_outcome(
+            self, kind, where, bad, index, warm_start, z, y, k, direction,
+            size):
+        # a non-finite entry of x, or of the gradient or its slope (so of
+        # the affine step and the slack), gives the status, or the
+        # exception's type and message, that qp_solve's path gives
+        p = oracle_problem(kind)
+        x_pred, warm, _ = self.prepared_step(p, z, y, k)
+        q = copy.copy(p)
+        x = x_pred + size * np.array(direction)
+        if where == "x":
+            x[index] = bad
+        elif where == "g0":
+            q.TvR = p.TvR.copy()
+            q.TvR[index] = bad
+        else:
+            q.TvRSv = p.TvRSv.copy()
+            q.TvRSv[index, index % p.model.d] = bad
+        warm = warm if warm_start else None
+        prep = mpc.prepare(q, x_pred, warm)
+        assert prep.error is None
+        assert not (np.isfinite(prep.step_map).all() and where != "x")
+        outcome, entered = feedback_outcome(q, x, warm, prep)
+        assert_same_outcome(outcome, parent_feedback(q, x, warm, prep))
+        assert entered
+
+
 class TestFallback:
     """Fault injection: a QP that fails after spending time."""
 
@@ -854,12 +1002,15 @@ class TestFallback:
         warm = shift_solution(first, model.m) + 0.01
         assert p.feasible(x, warm)
 
-        def failing_qp(H, g, G, h, L):
+        def failing_qp(p, prep, x):
             time.sleep(0.01)
-            return qpmod.QpSolution(x=np.zeros(g.size), lam=np.zeros(h.size),
+            return qpmod.QpSolution(x=np.zeros(p.n_dec),
+                                    lam=np.zeros(p.Gc.shape[0]),
                                     status=failure, iterations=40)
 
-        monkeypatch.setattr(qpmod, "qp_solve", failing_qp)
+        # the feedback's QP, whether qp_solve or the prepared affine step
+        # would solve it
+        monkeypatch.setattr(mpc, "feedback_qp", failing_qp)
         sol = solve_lbmpc(p, x, warm_c=warm)
         assert sol.status == "fallback"
         assert np.array_equal(sol.c, warm)

@@ -95,15 +95,17 @@ def bundled_setup():
 
 
 def counting_linprog(monkeypatch):
-    """Count polytope's linprog calls; returns the list that grows."""
+    """Count polytope's LP phase 1 runs, one per linprog call and one per
+    support_many call on a set that is not a box; returns the list that
+    grows."""
     calls = []
-    lp = polytope.linprog
+    phase1 = polytope._phase1
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return lp(*args, **kwargs)
+        return phase1(*args, **kwargs)
 
-    monkeypatch.setattr(polytope, "linprog", counting)
+    monkeypatch.setattr(polytope, "_phase1", counting)
     return calls
 
 
@@ -249,6 +251,82 @@ class TestSupport:
         vals = support_many(P, D)
         for d, v in zip(D, vals):
             assert v == pytest.approx(support(P, d), abs=1e-9)
+
+    @staticmethod
+    def per_direction(P, directions):
+        """support_many's values, or its error's (type, message), with one
+        linprog call per direction, as it was made before it shared one
+        phase 1 among them."""
+        out = np.empty(len(directions))
+        try:
+            for k, d in enumerate(directions):
+                res = polytope.linprog(-d, A_ub=P.F, b_ub=P.h)
+                if res.status == 3:
+                    raise Unbounded("support LP unbounded along %s" % d)
+                if res.status == 2:
+                    raise Infeasible("polytope is empty")
+                if res.status != 0:
+                    raise PolytopeError("support LP failed: %s"
+                                        % res.message)
+                out[k] = -res.fun
+        except (PolytopeError, ValueError) as exc:
+            return type(exc), str(exc)
+        return out
+
+    def assert_as_per_direction(self, P, directions):
+        try:
+            got = support_many(P, directions)
+        except (PolytopeError, ValueError) as exc:
+            got = type(exc), str(exc)
+        ref = self.per_direction(P, directions)
+        if isinstance(ref, tuple):
+            assert got == ref
+        else:
+            assert np.array_equal(got, ref)
+        return got
+
+    def test_one_phase_one_matches_per_direction_bundled(self, bundled_setup,
+                                                         monkeypatch):
+        # bounding_box of the bundled terminal set, and random directions
+        omega = bundled_setup.problem.omega
+        assert not omega.is_box
+        eye = np.eye(omega.dim)
+        for D in (eye, -eye, np.random.default_rng(34).normal(size=(8, 4))):
+            assert np.all(np.isfinite(self.assert_as_per_direction(omega, D)))
+            with monkeypatch.context() as patch:
+                calls = counting_linprog(patch)
+                support_many(omega, D)
+            assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_phase_one_matches_per_direction(self, data):
+        # TestLinprog's random rows and offsets: bounded, unbounded and
+        # empty sets, with up to four directions, one of them maybe
+        # non-finite; the values, or the error, of one linprog call per
+        # direction
+        def grid(shape, lo, hi, label=None):
+            ints = hnp.arrays(int, shape, elements=st.integers(lo, hi))
+            return data.draw(ints, label=label) / 1000.0
+
+        n = data.draw(st.integers(1, 4), label="dim")
+        F = grid((data.draw(st.integers(1, 12), label="rows"), n),
+                 -1000, 1000, "normals")
+        if data.draw(st.booleans(), label="box"):
+            F = np.vstack([np.eye(n), -np.eye(n), F])
+        F = F[F.any(axis=1)]
+        if not len(F):
+            return
+        h = grid(len(F), -2000, 2000, "h")
+        through = data.draw(hnp.arrays(bool, len(F)), label="through v")
+        h[through] = (F @ grid(n, -1000, 1000, "v"))[through]
+        D = grid((data.draw(st.integers(1, 4), label="directions"), n),
+                 -1000, 1000, "D")
+        if data.draw(st.booleans(), label="poison"):
+            D[data.draw(st.integers(0, len(D) - 1), label="row")] = np.nan
+        P = Polytope(F, h)
+        if not P.is_box:
+            self.assert_as_per_direction(P, D)
 
     def test_unbounded_direction_raises(self):
         P = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),

@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from lbmpc import config, qp as qpmod, runtime
+from lbmpc import config, mpc, qp as qpmod, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.qp import QpSolution, qp_solve
 
@@ -329,29 +329,52 @@ def _corner_runs():
 
 @functools.lru_cache(maxsize=None)
 def recorded_run(name, steps=None, corner=None):
-    """(trace, [(problem, solution)]) of every QP of one closed-loop run of
-    a bundled scenario, with its steps and start (z, y) if given."""
+    """(trace, [(problem, solution)]) of every step's QP of one closed-loop
+    run of a bundled scenario, with its steps and start (z, y) if given.
+
+    A QP that the feedback hands to qp_solve is recorded with qp_solve's
+    solution, bit for bit.  A feedback that returns the prepared affine
+    step instead is recorded with qp_solve's own solution of that step's
+    QP, which has to start at the affine step (within 1e-12 relative to
+    max(1, |x|)), violate no row and make no change."""
     sc = config.load_scenario(os.path.join(SCENARIO_DIR, name), environ={})
     if corner is not None:
         x0 = np.array([corner[0], corner[1], 0.0, 0.0])
         sc = replace(sc, run=replace(sc.run, steps=steps, x0=x0))
-    solves = []
-    solve = qpmod.qp_solve
+    solves, entered = [], []
+    feedback, solve = mpc.feedback_qp, qpmod.qp_solve
 
-    def recorded(*args):
+    def recorded_solve(*args):
         # the feedback passes the preparation's factor of H, which must be
         # qp_solve's own
         H, L = args[0], args[4]
         assert np.array_equal(L, lapack.dpotrf(H, lower=1, clean=1)[0])
         sol = solve(*args)
-        solves.append((Qp(*args[:4]), sol))
+        entered.append((Qp(*args[:4]), sol))
         return sol
 
-    qpmod.qp_solve = recorded
+    def recorded_feedback(p, prep, x):
+        entered.clear()
+        sol = feedback(p, prep, x)
+        if entered:
+            solves.extend(entered)
+            return sol
+        dx = x - prep.x_pred
+        qp = Qp(prep.H, prep.g0 + prep.M @ dx, p.Gc, prep.rhs_c - p.Gx @ x)
+        ref = recorded_solve(*qp, prep.L)
+        assert (ref.status, ref.iterations) == ("optimal", 0)
+        assert np.all(np.abs(sol.x - ref.x)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref.x)))
+        assert (sol.status, sol.iterations) == ("optimal", 0)
+        assert not sol.lam.any()
+        solves.extend(entered)
+        return sol
+
+    qpmod.qp_solve, mpc.feedback_qp = recorded_solve, recorded_feedback
     try:
         tr = runtime.run_closed_loop(sc)
     finally:
-        qpmod.qp_solve = solve
+        qpmod.qp_solve, mpc.feedback_qp = solve, feedback
     return tr, solves
 
 
@@ -366,7 +389,7 @@ class TestActiveSetChanges:
     def test_bounded(self, name, steps, corner):
         tr, solves = recorded_run(name, steps, corner)
         assert set(tr.status) == {"optimal"}
-        assert len(solves) >= len(tr)
+        assert len(solves) == len(tr)
         for p, sol in solves:
             assert sol.status == "optimal"
             assert sol.iterations <= 2 * p.n

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lbmpc import mpc, oracle as om, plant, qp, runtime
+from lbmpc import mpc, oracle as om, plant, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import (OracleSection, Scenario, load_scenario,
                           parse_scenario)
@@ -390,7 +390,7 @@ class TestSustainedQpFault:
     @pytest.mark.parametrize("name", ["linear", "dnn"])
     def test_fallback_keeps_every_guarantee(self, name, x0, monkeypatch):
         calls = []
-        solve = qp.qp_solve
+        solve = mpc.feedback_qp
 
         def failing_from_the_fourth(*args):
             calls.append(1)
@@ -398,7 +398,8 @@ class TestSustainedQpFault:
             return sol if len(calls) <= 3 else replace(
                 sol, status="iteration_limit")
 
-        monkeypatch.setattr(qp, "qp_solve", failing_from_the_fourth)
+        # every feedback's QP, the affine step's and qp_solve's alike
+        monkeypatch.setattr(mpc, "feedback_qp", failing_from_the_fourth)
         s = bundled(name, 60, x0)
         tr, sols = recorded_run(s, monkeypatch)
         assert len(calls) == 60

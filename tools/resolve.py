@@ -24,7 +24,10 @@ report gives the p50, p95 and max over steps of these least-of-k times, in
 ms.  The feedback lines then add the statistics that criterion 7 of the
 acceptance tests reads from ``solver_time``, the feedback's time, with the
 cold step apart from the warm ones: the time of step 0 ("step0") and the
-max over steps 1 on ("max1+").  The dnn line adds the ratio of the dnn
+max over steps 1 on ("max1+").  They also count the steps whose feedback
+entered ``qp.qp_solve``, the active-set loop ("qp_solve entered/steps"):
+every other feedback returned the prepared affine step, whose work the
+preparation did.  The dnn line adds the ratio of the dnn
 median to the linear median ("p50/linear"), and with more than 500 steps
 (e.g. ``--steps 600``) the l2nw line adds its filled-buffer max over steps
 500-599 ("max500-599").  Each statistic is given as its median over the
@@ -46,12 +49,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lbmpc import config, mpc, runtime  # noqa: E402
+from lbmpc import config, mpc, qp, runtime  # noqa: E402
 from lbmpc.cli import SCENARIO_DIR  # noqa: E402
 
 SCENARIOS = ("linear", "dnn", "l2nw")
@@ -69,15 +73,34 @@ def load(name, steps=None):
         schedule=dataclasses.replace(s.schedule, deterministic=True))
 
 
+@contextlib.contextmanager
+def counted_qp_solve():
+    """A one-item list counting the calls of ``qp.qp_solve``, wrapped
+    where mpc reaches it, as loopbench wraps it, until the block ends."""
+    calls, solve = [0], qp.qp_solve
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    qp.qp_solve = counted
+    try:
+        yield calls
+    finally:
+        qp.qp_solve = solve
+
+
 def replay(scenarios, traces, k):
     """One round: ({name: least-of-k feedback time per step},
-    {name: least-of-k preparation time per step}), in seconds."""
+    {name: least-of-k preparation time per step}, {name: steps whose
+    feedback entered qp_solve}), times in seconds."""
     setups = {name: runtime.build_setup(s) for name, s in scenarios.items()}
     warm = dict.fromkeys(scenarios)
     x_pred = {name: traces[name].x[0] for name in scenarios}
     feedback = {name: np.full(len(traces[name].u), np.inf)
                 for name in scenarios}
     preparation = {name: t.copy() for name, t in feedback.items()}
+    entered = dict.fromkeys(scenarios, 0)
     for t in range(max(len(b) for b in feedback.values())):
         live = [name for name in scenarios if t < len(feedback[name])]
         preps, sols = {}, {}
@@ -88,12 +111,15 @@ def replay(scenarios, traces, k):
                 preparation[name][t] = min(preparation[name][t],
                                            prep.wall_time)
                 preps[name] = prep
-        for _ in range(k):
+        for rep in range(k):
             for name in live:
-                sol = mpc.solve_lbmpc(setups[name].problem, traces[name].x[t],
-                                      warm[name], prep=preps[name])
+                with counted_qp_solve() as calls:
+                    sol = mpc.solve_lbmpc(setups[name].problem,
+                                          traces[name].x[t], warm[name],
+                                          prep=preps[name])
                 feedback[name][t] = min(feedback[name][t], sol.wall_time)
                 sols[name] = sol
+                entered[name] += rep == 0 and calls[0] > 0
         for name in live:
             tr, sol, model = traces[name], sols[name], setups[name].model
             if not np.array_equal(sol.u, tr.u[t]):
@@ -106,7 +132,7 @@ def replay(scenarios, traces, k):
                 h_hat = setups[name].oracle_adapter.observe(
                     t, tr.x[t], tr.u[t], tr.x[t + 1], tr.h[t], ax_bu)
                 x_pred[name] = ax_bu + h_hat
-    return feedback, preparation
+    return feedback, preparation, entered
 
 
 def stats(times):
@@ -131,9 +157,10 @@ def criterion7(times):
     return out
 
 
-def report(rounds, extra=None):
+def report(rounds, extra=None, notes=None):
     """Lines of the summary over rounds of {name: per-step times}, with
-    the statistics ``extra`` gives for one round added."""
+    the statistics ``extra`` gives for one round added, and ``notes``'
+    text for a name before its steps of the max."""
     extras = [extra(r) if extra else dict.fromkeys(r, []) for r in rounds]
     lines = []
     for name in rounds[0]:
@@ -148,6 +175,7 @@ def report(rounds, extra=None):
             "%-6s  " % name
             + "  ".join("%s %.4f (spread %.4f)" % (stat, m, s)
                         for stat, m, s in zip(labels, med, spread))
+            + ("  " + notes[name] if notes else "")
             + "  max at steps %s" % ",".join(map(str, steps)))
     return lines
 
@@ -189,16 +217,19 @@ def main(argv=None) -> int:
         print("round %d: %s" % (r + 1, "; ".join(maxima)), flush=True)
     print("least-of-%d feedback times over steps, ms (p50/linear a ratio); "
           "median over %d rounds" % (args.k, args.rounds))
-    for line in report([fb for fb, _ in rounds], criterion7):
+    # a replay takes the same path in every round, so round 1's counts
+    entered = {name: "qp_solve %d/%d" % (n, len(traces[name].u))
+               for name, n in rounds[0][2].items()}
+    for line in report([fb for fb, _, _ in rounds], criterion7, entered):
         print(line)
     print("least-of-%d preparation times over steps, ms; median over %d "
           "rounds" % (args.k, args.rounds))
-    for line in report([prep for _, prep in rounds]):
+    for line in report([prep for _, prep, _ in rounds]):
         print(line)
     print("least-of-%d per-step totals, preparation plus feedback, ms; "
           "median over %d rounds" % (args.k, args.rounds))
     for line in report([{name: fb[name] + prep[name] for name in fb}
-                        for fb, prep in rounds]):
+                        for fb, prep, _ in rounds]):
         print(line)
     return 0
 
