@@ -234,6 +234,9 @@ class LbmpcProblem:
     # its transposed triangular matrix of entry [i, b, a] of (-A - dh/dz_i)
     Tv_stages: np.ndarray = field(init=False)
     sub_index: np.ndarray = field(init=False)
+    # for prepare: [[-I, -Gc'], [0, Gx']], which takes the row [(H^-1 g)' x']
+    # for a gradient g and a state x to [s' (Gc s + Gx x)'], s = -H^-1 g
+    step_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         model, cfg = self.model, self.cfg
@@ -299,6 +302,8 @@ class LbmpcProblem:
         self.Tv_stages = Tv.reshape(N, m, N * m)
         i, b, a = np.ogrid[:N, :d, :d]
         self.sub_index = ((i * d + a) * (N + 1) + i + 1) * d + b
+        self.step_rows = np.block([[-np.eye(N * m), -self.Gc.T],
+                                   [np.zeros((d, N * m)), self.Gx.T]])
 
     @property
     def n_dec(self) -> int:
@@ -407,9 +412,9 @@ class Preparation:
     The QP's unconstrained minimizer is then the step a + B dx, with
     [a | B] = -H^-1 [g0 | M], and the constraint rows' slack there,
     Gc (c + step) - rhs0 + Gx x = Gc step - rhs_c + Gx x, is s0 + S1 dx.
-    Both maps are held transposed, for a row vector dx: ``step_map`` is
-    [a | B]' and ``slack_map`` [s0 | S1]', so the step is
-    step_map[0] + dx @ step_map[1:], and the slack likewise.
+    ``affine`` holds both maps, transposed for a row vector dx and side by
+    side, the step's n entries first: affine[0] + dx @ affine[1:] is
+    [step | slack], with affine[0] = [a' | s0'] and affine[1:] = [B' | S1'].
     A preparation whose rollout raised MpcError holds the error instead,
     for the feedback that uses it, and so does one whose H is not finite
     or not positive definite: MpcError("QP ended 'invalid'"), the error a
@@ -424,8 +429,7 @@ class Preparation:
     g0: np.ndarray | None
     M: np.ndarray | None
     rhs_c: np.ndarray | None
-    step_map: np.ndarray | None
-    slack_map: np.ndarray | None
+    affine: np.ndarray | None
     error: MpcError | None
     wall_time: float
 
@@ -447,7 +451,7 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, *[None] * 7, exc,
+        return Preparation(x_pred, c, *[None] * 6, exc,
                            time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
@@ -464,17 +468,21 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     if np.isfinite(H).all():
         L, info = lapack.dpotrf(H, lower=1, clean=1)
         if info == 0:
-            # one dpotrs gives [a | B] and one product with Gc the slack's
-            # [s0 | S1], but for the terms that do not depend on the step;
-            # dpotrs returns Fortran order, so both transposes are C order
-            step_map = (-lapack.dpotrs(L, np.column_stack((g0, M)),
-                                       lower=1)[0]).T
-            slack_map = step_map @ p.Gc.T
-            slack_map[0] += p.Gx @ x_pred - rhs_c
-            slack_map[1:] += p.Gx.T
-            return Preparation(x_pred, c, H, L, g0, M, rhs_c, step_map,
-                               slack_map, None, time.perf_counter() - t0)
-    return Preparation(x_pred, c, H, None, g0, M, rhs_c, None, None,
+            # one dpotrs gives H^-1 [g0 | M], and one product of it, next
+            # to [x_pred | I], gives [a | B]' and (Gc [a | B] + Gx [x_pred |
+            # I])', which is [s0 | S1]' but for rhs_c; Sz's first block row
+            # is the identity, since zbar_0 = x
+            n, d = c.size, x_pred.size
+            Y = np.empty((1 + d, n + d))
+            Y[:, :n] = lapack.dpotrs(L, np.column_stack((g0, M)),
+                                     lower=1)[0].T
+            Y[0, n:] = x_pred
+            Y[1:, n:] = p.Sz[:d]
+            affine = Y @ p.step_rows
+            affine[0, n:] -= rhs_c
+            return Preparation(x_pred, c, H, L, g0, M, rhs_c, affine, None,
+                               time.perf_counter() - t0)
+    return Preparation(x_pred, c, H, None, g0, M, rhs_c, None,
                        MpcError("QP ended 'invalid'"),
                        time.perf_counter() - t0)
 
@@ -495,13 +503,11 @@ def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
     QP.
     """
     dx = x - prep.x_pred
-    slack = prep.slack_map[0] + dx @ prep.slack_map[1:]
-    if slack.max() <= 1e-9:
-        step = prep.step_map[0] + dx @ prep.step_map[1:]
-        # a NaN or an inf entry in either leaves the sum not finite
-        if math.isfinite(slack.sum() + step.sum()):
-            return qpmod.QpSolution(x=step, lam=np.zeros(slack.size),
-                                    status="optimal", iterations=0)
+    y = prep.affine[0] + dx @ prep.affine[1:]
+    n = prep.c.size
+    # a NaN or an inf entry leaves the sum not finite
+    if y[n:].max() <= 1e-9 and math.isfinite(y.sum()):
+        return qpmod.QpSolution(y[:n], np.zeros(y.size - n), "optimal", 0)
     return qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
                           prep.rhs_c - p.Gx @ x, prep.L)
 

@@ -980,7 +980,7 @@ class TestAffineFeedback:
         warm = warm if warm_start else None
         prep = mpc.prepare(q, x_pred, warm)
         assert prep.error is None
-        assert not (np.isfinite(prep.step_map).all() and where != "x")
+        assert not (np.isfinite(prep.affine).all() and where != "x")
         outcome, entered = feedback_outcome(q, x, warm, prep)
         assert_same_outcome(outcome, parent_feedback(q, x, warm, prep))
         assert entered
