@@ -217,10 +217,13 @@ class LbmpcProblem:
     Tz: np.ndarray = field(init=False)
     Sv: np.ndarray = field(init=False)
     Tv: np.ndarray = field(init=False)
-    # constraints: Gc c <= rhs0 - Gx x
+    # constraints: Gc c <= rhs0 - Gx x; Gc and Gx are views into step_lhs,
+    # [[I, 0], [Gc, Gx]], which takes a step s and a state x to s and the
+    # rows' left side Gc s + Gx x, for prepare
     Gc: np.ndarray = field(init=False)
     Gx: np.ndarray = field(init=False)
     rhs0: np.ndarray = field(init=False)
+    step_lhs: np.ndarray = field(init=False)
     # cost: the state weights stacked over the trajectory, and the constant
     # parts of the QP's H and g and of the gradient's slope in x, for half
     # the cost (see prepare): Tv'Rbar Tv + 5e-10 I, Tv'Rbar, Qbar Sz and
@@ -234,9 +237,6 @@ class LbmpcProblem:
     # its transposed triangular matrix of entry [i, b, a] of (-A - dh/dz_i)
     Tv_stages: np.ndarray = field(init=False)
     sub_index: np.ndarray = field(init=False)
-    # for prepare: [[-I, -Gc'], [0, Gx']], which takes the row [(H^-1 g)' x']
-    # for a gradient g and a state x to [s' (Gc s + Gx x)'], s = -H^-1 g
-    step_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         model, cfg = self.model, self.cfg
@@ -278,8 +278,13 @@ class LbmpcProblem:
         rows_G.append(self.omega.F @ Tz[N * d:])
         rows_X.append(self.omega.F @ Sz[N * d:])
         rows_rhs.append(rhs)
-        self.Gc = np.vstack(rows_G)
-        self.Gx = np.vstack(rows_X)
+        nc = N * m
+        Gc = np.vstack(rows_G)
+        G = np.zeros((nc + Gc.shape[0], nc + d))
+        G[:nc, :nc] = np.eye(nc)
+        G[nc:, :nc] = Gc
+        G[nc:, nc:] = np.vstack(rows_X)
+        self.Gc, self.Gx, self.step_lhs = G[nc:, :nc], G[nc:, nc:], G
         self.rhs0 = np.concatenate(rows_rhs)
         # a NaN would end every QP 'invalid', and polytope.linprog refuses
         # it with a bare ValueError, so non-finite data is refused here,
@@ -302,8 +307,6 @@ class LbmpcProblem:
         self.Tv_stages = Tv.reshape(N, m, N * m)
         i, b, a = np.ogrid[:N, :d, :d]
         self.sub_index = ((i * d + a) * (N + 1) + i + 1) * d + b
-        self.step_rows = np.block([[-np.eye(N * m), -self.Gc.T],
-                                   [np.zeros((d, N * m)), self.Gx.T]])
 
     @property
     def n_dec(self) -> int:
@@ -468,17 +471,17 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     if np.isfinite(H).all():
         L, info = lapack.dpotrf(H, lower=1, clean=1)
         if info == 0:
-            # one dpotrs gives H^-1 [g0 | M], and one product of it, next
-            # to [x_pred | I], gives [a | B]' and (Gc [a | B] + Gx [x_pred |
-            # I])', which is [s0 | S1]' but for rhs_c; Sz's first block row
-            # is the identity, since zbar_0 = x
+            # one dpotrs gives [a | B] = -H^-1 [g0 | M], and one product
+            # with step_lhs, next to [x_pred | I], gives [a | B]' and
+            # (Gc [a | B] + Gx [x_pred | I])', which is [s0 | S1]' but for
+            # rhs_c; Sz's first block row is the identity, as zbar_0 = x
             n, d = c.size, x_pred.size
             Y = np.empty((1 + d, n + d))
-            Y[:, :n] = lapack.dpotrs(L, np.column_stack((g0, M)),
-                                     lower=1)[0].T
+            np.negative(lapack.dpotrs(L, np.column_stack((g0, M)),
+                                      lower=1)[0].T, out=Y[:, :n])
             Y[0, n:] = x_pred
             Y[1:, n:] = p.Sz[:d]
-            affine = Y @ p.step_rows
+            affine = Y @ p.step_lhs.T
             affine[0, n:] -= rhs_c
             return Preparation(x_pred, c, H, L, g0, M, rhs_c, affine, None,
                                time.perf_counter() - t0)
