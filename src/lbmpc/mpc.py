@@ -410,14 +410,14 @@ class Preparation:
 
     H is the QP's Hessian and L its lower Cholesky factor, as qp_solve
     would make it; g0 is the gradient at ``x_pred`` and M the gradient's
-    slope in the state, so the gradient at x is g0 + M dx, dx = x - x_pred;
-    ``rhs_c`` is rhs0 - Gc c, the constraints' right side but for -Gx x.
+    slope in the state, so the gradient at x is g0 + M dx, dx = x - x_pred.
     The QP's unconstrained minimizer is then the step a + B dx, with
-    [a | B] = -H^-1 [g0 | M], and the constraint rows' slack there,
-    Gc (c + step) - rhs0 + Gx x = Gc step - rhs_c + Gx x, is s0 + S1 dx.
-    ``affine`` holds both maps, transposed for a row vector dx and side by
-    side, the step's n entries first: affine[0] + dx @ affine[1:] is
-    [step | slack], with affine[0] = [a' | s0'] and affine[1:] = [B' | S1'].
+    [a | B] = -H^-1 [g0 | M], so the perturbations c + a + B dx, and the
+    constraint rows' slack there, Gc (c + a + B dx) - rhs0 + Gx x, is
+    s0 + S1 dx.  ``affine`` holds both maps, transposed for a row vector
+    dx and side by side, the perturbations' n entries first:
+    affine[0] + dx @ affine[1:] is [c + step | slack], with
+    affine[0] = [(c + a)' | s0'] and affine[1:] = [B' | S1'].
     A preparation whose rollout raised MpcError holds the error instead,
     for the feedback that uses it, and so does one whose H is not finite
     or not positive definite: MpcError("QP ended 'invalid'"), the error a
@@ -431,7 +431,6 @@ class Preparation:
     L: np.ndarray | None
     g0: np.ndarray | None
     M: np.ndarray | None
-    rhs_c: np.ndarray | None
     affine: np.ndarray | None
     error: MpcError | None
     wall_time: float
@@ -454,7 +453,7 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, *[None] * 6, exc,
+        return Preparation(x_pred, c, *[None] * 5, exc,
                            time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
@@ -467,41 +466,43 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     H = JzQ @ Jz + p.H_v
     g0 = JzQ @ z + p.TvR @ v
     M = Jz.T @ p.QbarSz + p.TvRSv
-    rhs_c = p.rhs0 - p.Gc @ c
     if np.isfinite(H).all():
         L, info = lapack.dpotrf(H, lower=1, clean=1)
         if info == 0:
             # one dpotrs gives [a | B] = -H^-1 [g0 | M], and one product
-            # with step_lhs, next to [x_pred | I], gives [a | B]' and
-            # (Gc [a | B] + Gx [x_pred | I])', which is [s0 | S1]' but for
-            # rhs_c; Sz's first block row is the identity, as zbar_0 = x
+            # with step_lhs, of [c + a | B] next to [x_pred | I], gives
+            # [c + a | B]' and (Gc [c + a | B] + Gx [x_pred | I])', which is
+            # [s0 | S1]' but for rhs0; Sz's first block row is the
+            # identity, as zbar_0 = x
             n, d = c.size, x_pred.size
             Y = np.empty((1 + d, n + d))
             np.negative(lapack.dpotrs(L, np.column_stack((g0, M)),
                                       lower=1)[0].T, out=Y[:, :n])
+            Y[0, :n] += c
             Y[0, n:] = x_pred
             Y[1:, n:] = p.Sz[:d]
             affine = Y @ p.step_lhs.T
-            affine[0, n:] -= rhs_c
-            return Preparation(x_pred, c, H, L, g0, M, rhs_c, affine, None,
+            affine[0, n:] -= p.rhs0
+            return Preparation(x_pred, c, H, L, g0, M, affine, None,
                                time.perf_counter() - t0)
-    return Preparation(x_pred, c, H, None, g0, M, rhs_c, None,
+    return Preparation(x_pred, c, H, None, g0, M, None,
                        MpcError("QP ended 'invalid'"),
                        time.perf_counter() - t0)
 
 
 def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
-    """The feedback's QP at ``x``: the step from ``prep.c`` that minimizes
-    the cost model with gradient g0 + M dx subject to
-    Gc step <= rhs_c - Gx x, dx = x - x_pred.
+    """The feedback's QP at ``x``, in the perturbations: the c' = prep.c +
+    step that minimizes the cost model with gradient g0 + M dx at the step,
+    subject to Gc c' <= rhs0 - Gx x, dx = x - x_pred.  The solution's x is
+    that c'.
 
-    If the prepared unconstrained step a + B dx is finite and leaves every
-    row's slack s0 + S1 dx finite and at most 1e-9, that step is the
-    solution, with no active-set change and zero multipliers, as qp_solve
-    returns a start that violates no row.  The slack is not scaled by
-    max(1, |h|), so this test is at least as strict as qp_solve's.
-    Otherwise qp_solve solves the QP (H, g0 + M dx, Gc, rhs_c - Gx x) from
-    the prepared factor, the active-set loop's one entry.  Both outcomes
+    If the prepared unconstrained c + a + B dx is finite and leaves every
+    row's slack s0 + S1 dx finite and at most 1e-9, it is the solution,
+    with no active-set change and zero multipliers, as qp_solve returns a
+    start that violates no row.  The slack is not scaled by max(1, |h|),
+    so this test is at least as strict as qp_solve's.  Otherwise qp_solve
+    solves the QP in the step, (H, g0 + M dx, Gc, rhs0 - Gc c - Gx x), from
+    the prepared factor: the active-set loop's one entry.  Both outcomes
     pass through here, the one place to observe or replace the feedback's
     QP.
     """
@@ -511,8 +512,10 @@ def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
     # a NaN or an inf entry leaves the sum not finite
     if y[n:].max() <= 1e-9 and math.isfinite(y.sum()):
         return qpmod.QpSolution(y[:n], np.zeros(y.size - n), "optimal", 0)
-    return qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
-                          prep.rhs_c - p.Gx @ x, prep.L)
+    sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
+                         p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
+    return qpmod.QpSolution(prep.c + sol.x, sol.lam, sol.status,
+                            sol.iterations)
 
 
 def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
@@ -541,7 +544,7 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
         sol = feedback_qp(p, prep, x)
         if sol.status != "optimal":
             raise MpcError("QP ended '%s'" % sol.status)
-        return _make_solution(p, x, prep.c + sol.x, "optimal", t0)
+        return _make_solution(p, x, sol.x, "optimal", t0)
 
     except MpcError as exc:
         if warm_c is not None and p.feasible(x, warm_c):

@@ -849,7 +849,8 @@ def parent_feedback(p, x, warm_c, prep):
         if prep.error is not None:
             raise prep.error
         sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ (x - prep.x_pred),
-                             p.Gc, prep.rhs_c - p.Gx @ x, prep.L)
+                             p.Gc, p.rhs0 - p.Gc @ prep.c - p.Gx @ x,
+                             prep.L)
         if sol.status != "optimal":
             raise MpcError("QP ended '%s'" % sol.status)
         return "optimal", prep.c + sol.x
@@ -936,7 +937,7 @@ class TestAffineFeedback:
         x = x_pred + size * np.array(direction)
         dx = x - prep.x_pred
         ref = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
-                             prep.rhs_c - p.Gx @ x, prep.L)
+                             p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
         outcome, entered = feedback_outcome(p, x, warm, prep)
         event("entered qp_solve" if entered else "affine step")
         if entered:

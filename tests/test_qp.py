@@ -359,11 +359,13 @@ def recorded_run(name, steps=None, corner=None):
         if entered:
             solves.extend(entered)
             return sol
+        # the feedback's solution is in the perturbations, prep.c + step
         dx = x - prep.x_pred
-        qp = Qp(prep.H, prep.g0 + prep.M @ dx, p.Gc, prep.rhs_c - p.Gx @ x)
+        qp = Qp(prep.H, prep.g0 + prep.M @ dx, p.Gc,
+                p.rhs0 - p.Gc @ prep.c - p.Gx @ x)
         ref = recorded_solve(*qp, prep.L)
         assert (ref.status, ref.iterations) == ("optimal", 0)
-        assert np.all(np.abs(sol.x - ref.x)
+        assert np.all(np.abs(sol.x - prep.c - ref.x)
                       <= 1e-12 * np.maximum(1.0, np.abs(ref.x)))
         assert (sol.status, sol.iterations) == ("optimal", 0)
         assert not sol.lam.any()
