@@ -217,13 +217,15 @@ class LbmpcProblem:
     Tz: np.ndarray = field(init=False)
     Sv: np.ndarray = field(init=False)
     Tv: np.ndarray = field(init=False)
-    # constraints: Gc c <= rhs0 - Gx x; Gc and Gx are views into step_lhs,
-    # [[I, 0], [Gc, Gx]], which takes a step s and a state x to s and the
-    # rows' left side Gc s + Gx x, for prepare
+    # constraints: Gc c <= rhs0 - Gx x.  For prepare, Gc and Gx are views
+    # into step_slack, [[I, 0, 0], [Gc, Gx, -rhs0]], which takes (c, x, 1)
+    # to c and the rows' slack Gc c + Gx x - rhs0; prepare fills its row
+    # vectors into a copy of affine_seed, [[0, 0, 1], [0, I, 0]]
     Gc: np.ndarray = field(init=False)
     Gx: np.ndarray = field(init=False)
     rhs0: np.ndarray = field(init=False)
-    step_lhs: np.ndarray = field(init=False)
+    step_slack: np.ndarray = field(init=False)
+    affine_seed: np.ndarray = field(init=False)
     # cost: the state weights stacked over the trajectory, and the constant
     # parts of the QP's H and g and of the gradient's slope in x, for half
     # the cost (see prepare): Tv'Rbar Tv + 5e-10 I, Tv'Rbar, Qbar Sz and
@@ -280,12 +282,16 @@ class LbmpcProblem:
         rows_rhs.append(rhs)
         nc = N * m
         Gc = np.vstack(rows_G)
-        G = np.zeros((nc + Gc.shape[0], nc + d))
+        G = np.zeros((nc + Gc.shape[0], nc + d + 1))
         G[:nc, :nc] = np.eye(nc)
         G[nc:, :nc] = Gc
-        G[nc:, nc:] = np.vstack(rows_X)
-        self.Gc, self.Gx, self.step_lhs = G[nc:, :nc], G[nc:, nc:], G
+        G[nc:, nc:-1] = np.vstack(rows_X)
         self.rhs0 = np.concatenate(rows_rhs)
+        G[nc:, -1] = -self.rhs0
+        self.Gc, self.Gx, self.step_slack = G[nc:, :nc], G[nc:, nc:-1], G
+        self.affine_seed = np.zeros((1 + d, nc + d + 1))
+        self.affine_seed[0, -1] = 1.0
+        self.affine_seed[1:, nc:-1] = np.eye(d)
         # a NaN would end every QP 'invalid', and polytope.linprog refuses
         # it with a bare ValueError, so non-finite data is refused here,
         # before any emptiness test
@@ -469,20 +475,17 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     if np.isfinite(H).all():
         L, info = lapack.dpotrf(H, lower=1, clean=1)
         if info == 0:
-            # one dpotrs gives [a | B] = -H^-1 [g0 | M], and one product
-            # with step_lhs, of [c + a | B] next to [x_pred | I], gives
-            # [c + a | B]' and (Gc [c + a | B] + Gx [x_pred | I])', which is
-            # [s0 | S1]' but for rhs0; Sz's first block row is the
-            # identity, as zbar_0 = x
-            n, d = c.size, x_pred.size
-            Y = np.empty((1 + d, n + d))
-            np.negative(lapack.dpotrs(L, np.column_stack((g0, M)),
-                                      lower=1)[0].T, out=Y[:, :n])
-            Y[0, :n] += c
-            Y[0, n:] = x_pred
-            Y[1:, n:] = p.Sz[:d]
-            affine = Y @ p.step_lhs.T
-            affine[0, n:] -= p.rhs0
+            # one dpotrs gives [a | B] = -H^-1 [g0 | M]; with the rows
+            # (c + a, x_pred, 1) and (B, I, 0) in Y, one product with
+            # step_slack gives [c + a | s0]' and [B | S1]'
+            n = c.size
+            R = lapack.dpotrs(L, np.concatenate((g0[:, None], M), axis=1),
+                              lower=1)[0]
+            Y = p.affine_seed.copy()
+            np.subtract(c, R[:, 0], out=Y[0, :n])
+            np.negative(R[:, 1:].T, out=Y[1:, :n])
+            Y[0, n:-1] = x_pred
+            affine = Y @ p.step_slack.T
             return Preparation(x_pred, c, H, L, g0, M, affine, None,
                                time.perf_counter() - t0)
     return Preparation(x_pred, c, H, None, g0, M, None,
