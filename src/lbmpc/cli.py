@@ -25,7 +25,7 @@ from . import runtime
 from .config import ConfigError
 from .mpc import EmptyTightenedSet, MpcError
 from .plant import PlantError
-from .polytope import EmptyResult, bounding_box
+from .polytope import LP_TOL, EmptyResult, support_many
 from .runtime import InfeasibleAtStart, RuntimeFailure, format_value
 
 EXIT_OK = 0
@@ -125,27 +125,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def invariance_violations(setup, samples, seed=0) -> int:
-    """Sampled robust-invariance check of the terminal set: how many of
-    ``samples`` uniform points of Omega leave it in one closed-loop step
-    with a disturbance drawn uniformly from W's bounding box."""
-    omega = setup.omega
-    model = setup.model
-    A_cl = model.A + model.B @ setup.cfg.K
-    lo, hi = bounding_box(omega)
-    w_lo, w_hi = bounding_box(model.W)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    violations = 0
-    while hits < samples:
-        x = rng.uniform(lo, hi)
-        if not omega.contains(x):
-            continue
-        hits += 1
-        w = rng.uniform(w_lo, w_hi)
-        if not omega.contains(A_cl @ x + w):
-            violations += 1
-    return violations
+def invariance_violations(setup) -> int:
+    """How many facets f'x <= h of the terminal set Omega its one-step
+    robust image exceeds by more than LP_TOL: sigma_Omega(A_cl' f) +
+    sigma_W(f) > h + LP_TOL.  Zero certifies A_cl Omega (+) W within Omega."""
+    p = setup.problem
+    omega, model = p.omega, p.model
+    A_cl = model.A + model.B @ p.cfg.K
+    image = (support_many(omega, omega.F @ A_cl)
+             + support_many(model.W, omega.F))
+    return int(np.count_nonzero(image - omega.h > LP_TOL))
 
 
 def cmd_sets(args) -> int:
@@ -153,7 +142,7 @@ def cmd_sets(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write(args.out, "config.ini", cfgmod.echo_scenario(scenario))
     setup = runtime.build_setup(scenario)
-    margins = setup.margins
+    omega, margins = setup.problem.omega, setup.problem.margins
     N = scenario.controller.N
     lines = ["stage," + ",".join("state_m%d" % (i + 1)
                                  for i in range(margins.state.shape[1]))
@@ -165,16 +154,13 @@ def cmd_sets(args) -> int:
         irow = ["%.17g" % v for v in margins.inputs[min(i, N - 1)]]
         lines.append("%d,%s,%s" % (i, ",".join(srow), ",".join(irow)))
     _write(args.out, "margins.csv", "\n".join(lines) + "\n")
-    _write(args.out, "omega.csv", setup.omega.to_csv())
+    _write(args.out, "omega.csv", omega.to_csv())
 
     # build_setup's LbmpcProblem has checked every tightened stage with
     # Polytope.is_empty_at and raised EmptyTightenedSet if one is empty
-    samples = 10000
-    report = ["omega_facets = %d" % setup.omega.num_facets,
+    report = ["omega_facets = %d" % omega.num_facets,
               "tightened_sets_empty = none",
-              "invariance_samples = %d" % samples,
-              "invariance_violations = %d"
-              % invariance_violations(setup, samples)]
+              "invariance_violations = %d" % invariance_violations(setup)]
     _write(args.out, "report.txt", "\n".join(report) + "\n")
     print("wrote set data to %s" % args.out)
     return EXIT_OK

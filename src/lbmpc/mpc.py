@@ -326,10 +326,12 @@ class LbmpcProblem:
         row alone.
         """
         c = np.asarray(c, dtype=float)
-        lhs, rhs = c @ self.Gc.T, self.rhs0 - x @ self.Gx.T + tol
-        if c.ndim > 1:
-            return stacked_leq(lhs, rhs,
-                               lambda i: self.feasible(x[i], c[i], tol))
+        # an inf entry times a zero of Gx or Gc is a NaN, read as False
+        with np.errstate(invalid="ignore"):
+            lhs, rhs = c @ self.Gc.T, self.rhs0 - x @ self.Gx.T + tol
+            if c.ndim > 1:
+                return stacked_leq(lhs, rhs,
+                                   lambda i: self.feasible(x[i], c[i], tol))
         return bool((lhs <= rhs).all())
 
 

@@ -142,15 +142,12 @@ class ClosedLoopTrace:
 
 @dataclass
 class LoopSetup:
-    """Everything run_closed_loop needs, assembled once from a scenario."""
+    """Everything run_closed_loop needs, assembled once from a scenario.
+    The model, controller config, terminal set, margins and oracle adapter
+    are the problem's."""
 
     params: plant.MooreGreitzerParams
-    model: plant.PlantModel
-    cfg: mpc.ControllerConfig
-    omega: Polytope
-    margins: object
     problem: mpc.LbmpcProblem
-    oracle_adapter: object
     # the network's replay buffer and the kernel estimator, as in the adapter
     buffer: Optional[om.ReplayBuffer]
     l2nw: Optional[om.L2nwEstimator]
@@ -215,9 +212,8 @@ def build_setup(scenario) -> LoopSetup:
 
     problem = mpc.LbmpcProblem(model, cfg, omega, margins, adapter)
     x0 = np.asarray(scenario.run.x0, dtype=float)
-    return LoopSetup(params=params, model=model, cfg=cfg, omega=omega,
-                     margins=margins, problem=problem,
-                     oracle_adapter=adapter, buffer=buf, l2nw=l2nw, x0=x0)
+    return LoopSetup(params=params, problem=problem, buffer=buf, l2nw=l2nw,
+                     x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +263,8 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     the last step, from the logged x, u and h and the shifted candidates.
     """
     setup = build_setup(scenario)
-    model, problem = setup.model, setup.problem
-    oracle = setup.oracle_adapter
+    problem = setup.problem
+    model, oracle = problem.model, problem.oracle
     A, B = model.A, model.B
     x_eq, u_eq, m = model.x_eq, model.u_eq, model.m
     params, substeps = setup.params, scenario.plant.substeps

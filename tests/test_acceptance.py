@@ -335,7 +335,7 @@ def test_criterion_09_gradients():
 
 def test_criterion_10_lyapunov_residuals(bundled):
     setup = bundled["setup"]
-    model, cfg = setup.model, setup.cfg
+    model, cfg = setup.problem.model, setup.problem.cfg
     A_cl = model.A + model.B @ cfg.K
     resid = A_cl.T @ cfg.P @ A_cl - cfg.P + cfg.Q + cfg.K.T @ cfg.R @ cfg.K
     assert np.max(np.abs(resid)) < 1e-10
@@ -372,8 +372,8 @@ def test_criterion_11_sets(bundled):
 
     # terminal set: 10^4-sample robust invariance with zero violations
     setup = bundled["setup"]
-    omega, model = setup.omega, setup.model
-    A_cl = model.A + model.B @ setup.cfg.K
+    omega, model = setup.problem.omega, setup.problem.model
+    A_cl = model.A + model.B @ setup.problem.cfg.K
     d = model.d
     lo = np.array([-support(omega, -np.eye(d)[i]) for i in range(d)])
     hi = np.array([support(omega, np.eye(d)[i]) for i in range(d)])

@@ -3,6 +3,7 @@ trace checksum.  Scenarios are trimmed-down copies of the bundled ones so
 each invocation stays fast.
 """
 
+import copy
 import dataclasses
 import hashlib
 import os
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 from lbmpc.cli import (EXIT_CONFIG, EXIT_EMPTY_SET, EXIT_INFEASIBLE,
-                       EXIT_NUMERICAL, EXIT_OK, SCENARIO_DIR, main)
-from lbmpc.config import ConfigError
+                       EXIT_NUMERICAL, EXIT_OK, SCENARIO_DIR,
+                       invariance_violations, main)
+from lbmpc.config import ConfigError, load_scenario
 from lbmpc.mpc import EmptyTightenedSet, MpcError
 from lbmpc.plant import NotEquilibrium
 from lbmpc.polytope import max_invariant_set
-from lbmpc.runtime import InfeasibleAtStart
+from lbmpc.runtime import InfeasibleAtStart, build_setup
 
 
 FAST = """
@@ -514,3 +516,21 @@ class TestSets:
         assert "invariance_violations = 0" in report
         assert "tightened_sets_empty = none" in report
         assert os.path.exists(os.path.join(out, "omega.csv"))
+
+    def test_invariance_certificate(self):
+        # every bundled terminal set is certified, and every fixpoint capped
+        # before it converges leaves some facet of its set
+        for name in ("linear", "dnn", "l2nw"):
+            setup = build_setup(load_scenario(
+                os.path.join(SCENARIO_DIR, name + ".ini"), environ={}))
+            assert invariance_violations(setup) == 0
+        p = setup.problem
+        A_cl = p.model.A + p.model.B @ p.cfg.K
+        for k in range(1, 6):
+            inv = max_invariant_set(A_cl, p.model.X, p.model.U, p.cfg.K,
+                                    p.model.W, max_iter=k)
+            assert not inv.converged
+            capped = copy.copy(p)
+            capped.omega = inv.omega
+            assert invariance_violations(
+                dataclasses.replace(setup, problem=capped)) > 0

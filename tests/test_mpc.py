@@ -609,23 +609,30 @@ class TestRolloutBitEquality:
 @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
 def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
     # the real-time iteration: each solve, cold or warm, linearizes once and
-    # solves one QP; the oracle is called once, at all N nominal stages,
-    # through the adapter and (dnn, l2nw) the module-level function that
-    # loopbench wraps; dnn is the scenario's own network, l2nw a filled ring
+    # solves one QP, feedback_qp's, which enters qp_solve at most once (not
+    # at all from the second start, where no row binds); the oracle is
+    # called once, at all N nominal stages, through the adapter and (dnn,
+    # l2nw) the module-level function that loopbench wraps; dnn is the
+    # scenario's own network, l2nw a filled ring
     p = bundled_problem
     if kind != "dnn":
         p = with_oracle(p, kind, np.random.default_rng(26))
     N, (d, m) = p.cfg.N, p.model.B.shape
-    calls = {"rollout": 0, "qp": 0, "jac": [], "module": 0}
-    rollout, qp_solve = mpc._learned_rollout, qpmod.qp_solve
+    calls = {"rollout": 0, "qp": 0, "qp_solve": 0, "jac": [], "module": 0}
+    rollout, feedback_qp = mpc._learned_rollout, mpc.feedback_qp
+    qp_solve = qpmod.qp_solve
     adapter_jac = p.oracle.predict_and_jacobian
 
     def counted_rollout(*args):
         calls["rollout"] += 1
         return rollout(*args)
 
-    def counted_qp(*args):
+    def counted_feedback_qp(*args):
         calls["qp"] += 1
+        return feedback_qp(*args)
+
+    def counted_qp_solve(*args):
+        calls["qp_solve"] += 1
         return qp_solve(*args)
 
     def counted_jac(z, v):
@@ -633,7 +640,8 @@ def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
         return adapter_jac(z, v)
 
     monkeypatch.setattr(mpc, "_learned_rollout", counted_rollout)
-    monkeypatch.setattr(qpmod, "qp_solve", counted_qp)
+    monkeypatch.setattr(mpc, "feedback_qp", counted_feedback_qp)
+    monkeypatch.setattr(qpmod, "qp_solve", counted_qp_solve)
     monkeypatch.setattr(p.oracle, "predict_and_jacobian", counted_jac)
     module_name = {"dnn": "predict_and_jacobian",
                    "l2nw": "l2nw_predict_and_jacobian"}.get(kind)
@@ -645,16 +653,20 @@ def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
             return module_jac(*args)
 
         monkeypatch.setattr(om, module_name, counted_module)
-    x = np.array([-0.12, 0.06, 0.0, 0.0])
-    warm = None
-    for start in ("cold", "warm"):
-        sol = solve_lbmpc(p, x, warm_c=warm)
-        assert (sol.status, sol.sqp_iters) == ("optimal", 1), start
-        assert calls == {"rollout": 1, "qp": 1, "jac": [((N, d), (N, m))],
-                         "module": int(module_name is not None)}, start
-        assert p.feasible(x, sol.c)
-        calls.update(rollout=0, qp=0, jac=[], module=0)
-        warm = sol.c
+    for x0 in ((-0.12, 0.06, 0.0, 0.0), (-0.02, 0.01, 0.0, 0.0)):
+        x = np.array(x0)
+        warm = None
+        for start in ("cold", "warm"):
+            sol = solve_lbmpc(p, x, warm_c=warm)
+            where = (x0, start)
+            assert (sol.status, sol.sqp_iters) == ("optimal", 1), where
+            assert calls.pop("qp_solve") <= 1, where
+            assert calls == {"rollout": 1, "qp": 1,
+                             "jac": [((N, d), (N, m))],
+                             "module": int(module_name is not None)}, where
+            assert p.feasible(x, sol.c)
+            calls.update(rollout=0, qp=0, qp_solve=0, jac=[], module=0)
+            warm = sol.c
 
 
 class TestTwoPhase:

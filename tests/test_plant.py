@@ -377,7 +377,7 @@ class TestHaltonSweep:
         # still called scipy's Halton sampler
         scenario = load_scenario(os.path.join(SCENARIO_DIR, "linear.ini"),
                                  environ={})
-        lo, hi = bounding_box(build_setup(scenario).model.W)
+        lo, hi = bounding_box(build_setup(scenario).problem.model.W)
         want_lo = ["-0x1.cc4f2d973df3bp-8", "-0x1.19efea3fa985ap-8",
                    "-0x1.05a237f703334p-18", "-0x1.6d3022520999ap-15"]
         want_hi = ["0x1.150a34bb9bf5cp-14", "0x1.39a4218829b3ep-8",
@@ -416,8 +416,8 @@ class TestHaltonSweep:
             "print('scipy.optimize' in sys.modules)\n"
             "path = os.path.join(lbmpc.cli.SCENARIO_DIR, 'linear.ini')\n"
             "s = build_setup(load_scenario(path, environ={}))\n"
-            "assert not s.omega.is_box\n"
-            "bounding_box(s.omega)\n"
+            "assert not s.problem.omega.is_box\n"
+            "bounding_box(s.problem.omega)\n"
             "print('scipy.optimize' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)

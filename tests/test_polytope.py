@@ -413,9 +413,9 @@ class TestTubeMargins:
         # product and the running sum adds in the same order
         rng = np.random.default_rng(N)
         if case == "bundled omega":
-            s = bundled_setup
-            A_cl = s.model.A + s.model.B @ s.cfg.K
-            W, normals = s.model.W, s.omega.F
+            p = bundled_setup.problem
+            A_cl = p.model.A + p.model.B @ p.cfg.K
+            W, normals = p.model.W, p.omega.F
         elif case == "box":
             A_cl = rng.normal(size=(3, 3))
             A_cl *= 0.9 / spectral_radius(A_cl)

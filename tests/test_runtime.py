@@ -143,7 +143,7 @@ class TestClosedLoop:
         # the loop forms A x and B u once for both; the bits must be those
         # of plant.truth_residual and of the prediction error's own sum
         tr = dnn_trace
-        model = build_setup(scenario("dnn")).model
+        model = build_setup(scenario("dnn")).problem.model
         for t in range(len(tr) - 1):
             x, u, x_next = tr.x[t], tr.u[t], tr.x[t + 1]
             assert np.array_equal(
@@ -226,7 +226,8 @@ def assert_per_step_certificates(s, tr, sols):
     margins at (x_t, u_t), the shifted solution of step t at x_{t+1} and h_t
     in W."""
     setup = build_setup(s)
-    model, problem = setup.model, setup.problem
+    problem = setup.problem
+    model = problem.model
     X, U = model.X, model.U
     x_last = plant.step_truth(tr.x[-1] + model.x_eq, tr.u[-1] + model.u_eq,
                               setup.params,
@@ -273,20 +274,24 @@ class TestBulkCertificates:
                       | (np.abs(tr.u[out, 0]) > 0.5))
         assert np.all(tr.h_in_w)
 
+    # an inf entry of x meets zeros of Gx, whose products are NaN
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_predicates(self):
         setup = build_setup(bundled("linear", 1))
-        p, W = setup.problem, setup.model.W
+        p = setup.problem
+        W = p.model.W
         x = setup.x0
         ok = mpc.solve_lbmpc(p, x).c
         too_big = np.full(p.n_dec, 10.0)          # |v_0| > 1
         nan_c = ok.copy()
         nan_c[3] = np.nan
-        xs = np.array([x, x, x, x])
+        xs = np.array([x, x, x, x, x, x])
         xs[3, 1] = np.nan
-        cs = np.array([ok, too_big, nan_c, ok])
+        xs[4, 0] = np.inf
+        xs[5, 3] = -np.inf
+        cs = np.array([ok, too_big, nan_c, ok, ok, ok])
         got = p.feasible(xs, cs)
-        assert got.dtype == bool and got.tolist() == [True, False, False,
-                                                      False]
+        assert got.dtype == bool and got.tolist() == [True] + [False] * 5
         for row_x, row_c, flag in zip(xs, cs, got):
             single = p.feasible(row_x, row_c)
             assert single is bool(flag)
@@ -529,15 +534,14 @@ class TestBuildSetup:
         s = scenario("dnn", steps=5)
         setup = build_setup(s)
         assert setup.problem.cfg.N == 10
-        adapter = setup.oracle_adapter
-        assert setup.problem.oracle is adapter
+        adapter = setup.problem.oracle
         assert isinstance(adapter.state, om.OracleState)
         assert adapter.state.arch.hidden == (8, 6)
         assert adapter.state.generation == 0 and adapter.swap_steps == []
         assert adapter.buffer is setup.buffer and len(setup.buffer) == 0
         # tube gain must leave slack for the estimated disturbance
         from lbmpc.mpc import margin_ratio
-        assert margin_ratio(setup.model, setup.cfg.K) < 1.0
+        assert margin_ratio(setup.problem.model, setup.problem.cfg.K) < 1.0
 
     def test_unknown_oracle_kind_is_rejected(self):
         # parse_scenario checks the kind; a Scenario built in code does not

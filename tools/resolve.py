@@ -121,7 +121,8 @@ def replay(scenarios, traces, k):
                 sols[name] = sol
                 entered[name] += rep == 0 and calls[0] > 0
         for name in live:
-            tr, sol, model = traces[name], sols[name], setups[name].model
+            tr, sol, p = traces[name], sols[name], setups[name].problem
+            model = p.model
             if not np.array_equal(sol.u, tr.u[t]):
                 raise RuntimeError("replay of %s step %d: u %s, recorded %s"
                                    % (name, t, sol.u, tr.u[t]))
@@ -129,7 +130,7 @@ def replay(scenarios, traces, k):
             if t + 1 < len(tr.u):
                 # the loop's sums, in its order
                 ax_bu = model.A @ tr.x[t] + model.B @ tr.u[t]
-                h_hat = setups[name].oracle_adapter.observe(
+                h_hat = p.oracle.observe(
                     t, tr.x[t], tr.u[t], tr.x[t + 1], tr.h[t], ax_bu)
                 x_pred[name] = ax_bu + h_hat
     return feedback, preparation, entered
