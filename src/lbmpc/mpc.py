@@ -11,16 +11,20 @@ its two phases.  The preparation (``prepare``) needs no measurement: it
 linearizes the cost at a predicted state x_pred and forms the QP's Hessian
 and its Cholesky factor, its gradient g0 at x_pred and the gradient's slope
 M in x, and from the factor the QP's unconstrained minimizer and the
-constraint rows' slack there, both affine in dx = x - x_pred.  The feedback
-(``solve_lbmpc``) takes the measured x and solves one QP (``feedback_qp``):
-where no row binds, the solution is the affine step, and no active-set
-iteration runs (the zero-active-set piece of the parametric QP that online
-active-set methods follow, Ferreau, Bock and Diehl, Int. J. Robust
-Nonlinear Control 2008); otherwise it shifts the gradient to g0 + M dx,
-forms the constraints at x and hands the QP to qp_solve, from the prepared
-factor.  A solve without a preparation prepares at x itself, so both
-phases run at the measurement; that is the one path, and the zero shift
-adds nothing.
+constraint rows' slack there, both affine in dx = x - x_pred.  Where that
+minimizer violates a row at x_pred, the preparation also solves the QP
+there once and folds its active set into the affine maps, which then give
+the multipliers as well.  The feedback (``solve_lbmpc``) takes the
+measured x and solves one QP (``feedback_qp``): where the prepared step
+violates no row and no prepared multiplier is negative, x has the active
+set of x_pred, the solution is the affine step, and no active-set
+iteration runs (the piece of the parametric QP on one active set, along
+which online active-set methods follow the solution, Ferreau, Bock and
+Diehl, Int. J. Robust Nonlinear Control 2008); otherwise it shifts the
+gradient to g0 + M dx, forms the constraints at x and hands the QP to
+qp_solve, from the prepared factor.  A solve without a preparation
+prepares at x itself, so both phases run at the measurement; that is the
+one path, and the zero shift adds nothing.
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
@@ -426,6 +430,14 @@ class Preparation:
     dx and side by side, the perturbations' n entries first:
     affine[0] + dx @ affine[1:] is [c + step | slack], with
     affine[0] = [(c + a)' | s0'] and affine[1:] = [B' | S1'].
+    Where rows bind at x_pred, ``active`` holds the rows A with a positive
+    multiplier in the QP's solution there, and the maps are those of the
+    QP with A held as equalities: with V = L^-1 G_A' and S = V'V, the
+    multipliers are lam(dx) = S^-1 [s0_A + S1_A dx], the active rows of
+    the unconstrained slack, and the step is a + B dx - Z lam(dx) with
+    Z = H^-1 G_A' = L^-T V; ``lam`` holds that map the way ``affine``
+    holds the others, lam[0] + dx @ lam[1:] the multipliers of the rows in
+    ``active``.  Elsewhere ``active`` and ``lam`` are None.
     A preparation whose rollout raised MpcError holds the error instead,
     for the feedback that uses it, and so does one whose H is not finite
     or not positive definite: MpcError("QP ended 'invalid'"), the error a
@@ -440,8 +452,39 @@ class Preparation:
     g0: np.ndarray | None
     M: np.ndarray | None
     affine: np.ndarray | None
+    active: np.ndarray | None
+    lam: np.ndarray | None
     error: MpcError | None
     wall_time: float
+
+
+def _bind_active_set(p, H, L, c, Y, affine):
+    """(affine, active, lam) of a preparation whose unconstrained step
+    leaves some row's slack above 1e-9 at x_pred (see Preparation), or
+    None to keep the unconstrained maps.
+
+    qp_solve solves the QP at x_pred once, from the factor L, in the step
+    from the unconstrained minimizer, min 1/2 s'H s s.t. Gc s <= -s0, and
+    its rows with a positive multiplier are A.  With V = L^-1 G_A', one
+    dgesv of S = V'V gives the multipliers' map S^-1 [s0_A | S1_A]', and
+    the step moves by Z lam(dx), Z = L^-T V; the same product as the
+    unconstrained maps' then gives the step and the slack.  A QP that does
+    not end 'optimal', no positive multiplier or an S that dgesv finds
+    singular keep the unconstrained maps.  qp_solve keeps its active rows
+    independent in the metric of H, so S is singular only where a row's
+    normal is zero or the QP's solution is not qp_solve's.
+    """
+    n = c.size
+    sol = qpmod.qp_solve(H, np.zeros(n), p.Gc, -affine[0, n:], L)
+    active = (sol.lam > 0.0).nonzero()[0]
+    if sol.status != "optimal" or not active.size:
+        return None
+    V = lapack.dtrtrs(L, p.Gc[active].T, lower=1)[0]
+    lam, info = lapack.dgesv(V.T @ V, affine[:, n + active].T)[2:]
+    if info:
+        return None
+    Y[:, :n] -= (lapack.dtrtrs(L, V, lower=1, trans=1)[0] @ lam).T
+    return Y @ p.step_slack.T, active, lam.T
 
 
 def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
@@ -451,9 +494,12 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     learned rollout (one oracle call) gives z and dz/dc; the measurement is
     not needed.  H is checked and factored here, once for every feedback
     the preparation serves, and the factor gives the unconstrained step
-    and the rows' slack there as affine maps of the state (see
-    Preparation).  An MpcError of the rollout, or an H that is not finite
-    or not positive definite, is held, not raised.
+    and the rows' slack there as affine maps of the state.  Where that
+    step leaves a row's slack above 1e-9 at x_pred, the QP at x_pred is
+    solved here, once, and its active set folded into the maps, which
+    then also give the multipliers (see Preparation).  An MpcError of the
+    rollout, or an H that is not finite or not positive definite, is held,
+    not raised.
     """
     t0 = time.perf_counter()
     x_pred = np.asarray(x_pred, dtype=float).reshape(-1)
@@ -461,7 +507,7 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, *[None] * 5, exc,
+        return Preparation(x_pred, c, *[None] * 7, exc,
                            time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
@@ -488,9 +534,13 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
             np.negative(R[:, 1:].T, out=Y[1:, :n])
             Y[0, n:-1] = x_pred
             affine = Y @ p.step_slack.T
-            return Preparation(x_pred, c, H, L, g0, M, affine, None,
+            bound = None
+            if affine[0, n:].max() > 1e-9:
+                bound = _bind_active_set(p, H, L, c, Y, affine)
+            return Preparation(x_pred, c, H, L, g0, M,
+                               *(bound or (affine, None, None)), None,
                                time.perf_counter() - t0)
-    return Preparation(x_pred, c, H, None, g0, M, None,
+    return Preparation(x_pred, c, H, None, g0, M, None, None, None,
                        MpcError("QP ended 'invalid'"),
                        time.perf_counter() - t0)
 
@@ -501,22 +551,29 @@ def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
     subject to Gc c' <= rhs0 - Gx x, dx = x - x_pred.  The solution's x is
     that c'.
 
-    If the prepared unconstrained c + a + B dx is finite and leaves every
-    row's slack s0 + S1 dx finite and at most 1e-9, it is the solution,
-    with no active-set change and zero multipliers, as qp_solve returns a
-    start that violates no row.  The slack is not scaled by max(1, |h|),
-    so this test is at least as strict as qp_solve's.  Otherwise qp_solve
-    solves the QP in the step, (H, g0 + M dx, Gc, rhs0 - Gc c - Gx x), from
-    the prepared factor: the active-set loop's one entry.  Both outcomes
-    pass through here, the one place to observe or replace the feedback's
-    QP.
+    The prepared maps give c + step, every row's slack there and, where
+    rows bound at x_pred, the multipliers of the prepared active set (see
+    Preparation).  If every slack is at most 1e-9, every multiplier is
+    nonnegative and all are finite, that step satisfies the QP's optimality
+    conditions and is its solution, returned with its multipliers (zero
+    where no row bound at x_pred) and no active-set change.
+    The slack is not scaled by max(1, |h|), so this test is at least as
+    strict as qp_solve's.  Otherwise qp_solve solves the QP in the step,
+    (H, g0 + M dx, Gc, rhs0 - Gc c - Gx x), from the prepared factor: the
+    active-set loop's one entry in the feedback.  Both outcomes pass
+    through here, the one place to observe or replace the feedback's QP.
     """
     dx = x - prep.x_pred
     y = prep.affine[0] + dx @ prep.affine[1:]
     n = prep.c.size
-    # a NaN or an inf entry leaves the sum not finite
-    if y[n:].max() <= 1e-9 and math.isfinite(y.sum()):
-        return qpmod.QpSolution(y[:n], np.zeros(y.size - n), "optimal", 0)
+    lam = np.zeros(y.size - n)
+    if prep.active is not None:
+        lam[prep.active] = prep.lam[0] + dx @ prep.lam[1:]
+    # a NaN or an inf entry leaves the sum not finite, and a NaN the min
+    if (y[n:].max() <= 1e-9 and math.isfinite(y.sum())
+            and (prep.active is None
+                 or lam.min() >= 0.0 and math.isfinite(lam.sum()))):
+        return qpmod.QpSolution(y[:n], lam, "optimal", 0)
     sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
                          p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
     return qpmod.QpSolution(prep.c + sol.x, sol.lam, sol.status,
@@ -531,8 +588,9 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
     is ``prepare(p, x_pred, warm_c)`` at a predicted state, or None to
     prepare at x itself.  The QP's gradient is shifted from x_pred to x and
     its constraints are formed at x; they are linear in c, so c + step is
-    feasible.  Where no row binds, the step is the prepared affine map's
-    and the active-set loop is not entered.  On any solver failure (a
+    feasible.  Where x has the active set prepared at x_pred (none, where
+    no row binds), the step is the prepared affine map's and the
+    active-set loop is not entered.  On any solver failure (a
     preparation that holds an error, or a QP that does not end 'optimal')
     ``warm_c`` is returned with status 'fallback' if it is feasible at x;
     otherwise MpcInfeasible is raised.

@@ -8,7 +8,9 @@ whenever its multiplier would turn negative, so every iterate is dual
 feasible and the first primal feasible one is optimal.  Any violated row may
 enter; the farthest one leaves fewer rows to drop again, and every QP of the
 bundled scenarios that reaches this loop ends within two changes (the
-feedback returns a start that violates no row without calling here).
+feedback calls here only where the state's active set is not the one
+prepared at the predicted state, and the preparation calls here once where
+rows bind at that state).
 Problems here are tiny (tens of decision variables, a few active rows), so
 one Cholesky factor of H per problem, made by the caller or else by the
 call, and a fresh QR of the few active rows at each change cost less than

@@ -157,10 +157,11 @@ def test_resolve_smoke():
     # three steps per scenario, two rounds of least-of-2: a round line per
     # replay and one summary line per oracle for each of the feedback, the
     # preparation and their per-step total, every time positive, and no
-    # total below either phase; the feedback lines alone count the steps
-    # that entered qp_solve, step 0's cold QP from the bundled start among
-    # them; the replay's own check that each applied input matches the
-    # recorded run would end it with a traceback
+    # total below either phase; the feedback lines alone count the calls
+    # of qp_solve in each phase, at most one per step: step 0's cold QP
+    # from the bundled start runs in the preparation at x0, so step 0's
+    # feedback returns the prepared step; the replay's own check that each
+    # applied input matches the recorded run would end it with a traceback
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "resolve.py"),
@@ -189,8 +190,13 @@ def test_resolve_smoke():
             if len(blocks) > 1:
                 assert "qp_solve" not in fields
                 continue
-            entered, steps = fields[fields.index("qp_solve") + 1].split("/")
-            assert 1 <= int(entered) <= int(steps) == 3
+            at = fields.index("qp_solve")
+            assert fields[at + 1:at + 5:2] == ["feedback", "prepare"]
+            feedback_calls, steps = fields[at + 2].rstrip(",").split("/")
+            prepare_calls, prepare_steps = fields[at + 4].split("/")
+            assert int(steps) == int(prepare_steps) == 3
+            assert 0 <= int(feedback_calls) <= 2
+            assert 1 <= int(prepare_calls) <= 3
     feedback, preparation, total = blocks
     for name, medians in total.items():
         assert np.all(medians >= feedback[name])

@@ -609,8 +609,10 @@ class TestRolloutBitEquality:
 @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
 def test_one_rollout_and_one_qp_per_solve(bundled_problem, monkeypatch, kind):
     # the real-time iteration: each solve, cold or warm, linearizes once and
-    # solves one QP, feedback_qp's, which enters qp_solve at most once (not
-    # at all from the second start, where no row binds); the oracle is
+    # solves one QP, feedback_qp's, and qp_solve runs at most once: in the
+    # preparation at x where rows bind there (from the first start), after
+    # which the feedback returns the prepared step, and not at all from the
+    # second start, where no row binds; the oracle is
     # called once, at all N nominal stages, through the adapter and (dnn,
     # l2nw) the module-level function that loopbench wraps; dnn is the
     # scenario's own network, l2nw a filled ring
@@ -910,18 +912,34 @@ def oracle_problem(kind):
                                                np.random.default_rng(33))
 
 
-class TestAffineFeedback:
-    """The feedback returns the prepared affine step, without entering
-    qp_solve, only where qp_solve would start there and make no change; it
-    enters qp_solve wherever qp_solve would make one, and keeps the
-    outcome of a feedback that hands every QP to qp_solve.
+def unconstrained_affine(p, prep):
+    """The unconstrained maps [c + a | s0]' and [B | S1]' of a preparation,
+    made as prepare makes them where no row binds at x_pred."""
+    n = prep.c.size
+    R = lapack.dpotrs(prep.L, np.concatenate((prep.g0[:, None], prep.M),
+                                             axis=1), lower=1)[0]
+    Y = p.affine_seed.copy()
+    np.subtract(prep.c, R[:, 0], out=Y[0, :n])
+    np.negative(R[:, 1:].T, out=Y[1:, :n])
+    Y[0, n:-1] = prep.x_pred
+    return Y @ p.step_slack.T
 
-    Each example starts at x0 = (z, y, 0, 0) in loopbench's start box,
-    runs k nominal steps (x <- A x + B u, each prepared at x), prepares
-    at the next state x_pred with the shifted warm start and feeds back
-    x = x_pred + delta, with delta from 0 to sizes that make rows bind.
-    The two tests draw 150 and 50 examples per oracle, 600 in all, in
-    about 5 s."""
+
+class TestAffineFeedback:
+    """The feedback returns the prepared step, without entering qp_solve,
+    only where it is qp_solve's solution: with no change where no row binds
+    at x_pred, and on the preparation's active set where rows do.  It
+    enters qp_solve wherever a prepared slack is above 1e-9 or a prepared
+    multiplier negative, and keeps the outcome of a feedback that hands
+    every QP to qp_solve.
+
+    Each example starts at x0 = (z, y, 0, 0) in loopbench's start box, or
+    at its corner (-0.15, 0.07), runs k nominal steps (x <- A x + B u,
+    each prepared at x), prepares at the next state x_pred with the
+    shifted warm start (k = -1: at x0 with none, step 0's preparation) and
+    feeds back x = x_pred + delta, with delta from 0 to 0.1, sizes that
+    make rows bind.  The two hypothesis tests draw 150 and 50 examples per
+    oracle, 600 in all, in about 3 s."""
 
     @staticmethod
     def prepared_step(p, z, y, k):
@@ -935,15 +953,16 @@ class TestAffineFeedback:
         return x, warm, mpc.prepare(p, x, warm)
 
     step_draws = dict(
-        z=st.floats(-0.15, -0.09), y=st.floats(-0.05, 0.07),
-        k=st.integers(0, 30),
+        z=st.one_of(st.just(-0.15), st.floats(-0.15, -0.09)),
+        y=st.one_of(st.just(0.07), st.floats(-0.05, 0.07)),
+        k=st.integers(-1, 30),
         direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
         size=st.one_of(st.just(0.0), st.floats(1e-9, 0.1)))
 
     @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])
     @settings(max_examples=150, deadline=None)
     @given(**step_draws)
-    def test_fast_path_only_where_qp_solve_changes_nothing(
+    def test_prepared_step_only_where_it_is_qp_solves_solution(
             self, kind, z, y, k, direction, size):
         p = oracle_problem(kind)
         x_pred, warm, prep = self.prepared_step(p, z, y, k)
@@ -952,19 +971,78 @@ class TestAffineFeedback:
         ref = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
                              p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
         outcome, entered = feedback_outcome(p, x, warm, prep)
-        event("entered qp_solve" if entered else "affine step")
+        bound = prep.active is not None
+        event(("entered qp_solve" if entered else "prepared step")
+              + (", rows bound at x_pred" if bound else ""))
+        if not bound:
+            # no row binds at x_pred: the unconstrained maps, bit for bit
+            assert prep.lam is None
+            assert np.array_equal(prep.affine, unconstrained_affine(p, prep))
+        # the feedback's test on the prepared maps
+        n = prep.c.size
+        y = prep.affine[0] + dx @ prep.affine[1:]
+        lam = prep.lam[0] + dx @ prep.lam[1:] if bound else np.zeros(0)
+        passes = bool(y[n:].max() <= 1e-9 and np.all(lam >= 0.0)
+                      and np.isfinite(y).all() and np.isfinite(lam).all())
+        assert entered is not passes
+        active = (ref.lam > 0.0).nonzero()[0]
         if entered:
             # the QP that reaches the loop keeps its bits, and so does the
             # outcome, a fallback or an exception included
             assert_same_outcome(outcome, parent_feedback(p, x, warm, prep))
         else:
-            assert (ref.status, ref.iterations) == ("optimal", 0)
+            assert ref.status == "optimal"
+            if bound:
+                assert np.array_equal(active, prep.active)
+            else:
+                assert ref.iterations == 0 and not active.size
             assert outcome[0] == "optimal"
             step = outcome[1] - prep.c
             assert np.all(np.abs(step - ref.x)
                           <= 1e-12 * np.maximum(1.0, np.abs(ref.x)))
-        if ref.iterations or ref.status != "optimal":
+        if ref.status != "optimal" or not (
+                np.array_equal(active, prep.active) if bound
+                else ref.iterations == 0):
             assert entered
+
+    @pytest.mark.parametrize("kind", ["zero", "dnn"])
+    @pytest.mark.parametrize("fault", ["iteration_limit", "infeasible",
+                                       "singular"])
+    def test_failed_binding_keeps_the_unconstrained_maps(
+            self, monkeypatch, kind, fault):
+        # rows bind at the corner x0, where step 0 is prepared; a QP there
+        # that ends 'iteration_limit' or 'infeasible', or an active set
+        # with a zero normal (a state row of stage 0, which no c moves), so
+        # a singular S, keeps the unconstrained maps; the feedback then
+        # enters qp_solve with the parent's outcome
+        p = oracle_problem(kind)
+        x0 = np.array([-0.15, 0.07, 0.0, 0.0])
+        assert mpc.prepare(p, x0).active is not None
+        zero_row = int((~p.Gc.any(axis=1)).nonzero()[0][0])
+        solve, calls = qpmod.qp_solve, []
+
+        def failing(*args):
+            calls.append(1)
+            sol = solve(*args)
+            if fault != "singular":
+                return replace(sol, status=fault)
+            lam = sol.lam.copy()
+            lam[zero_row] = 1.0
+            return replace(sol, lam=lam)
+
+        monkeypatch.setattr(qpmod, "qp_solve", failing)
+        prep = mpc.prepare(p, x0)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert prep.error is None
+        assert prep.active is None and prep.lam is None
+        assert np.array_equal(prep.affine, unconstrained_affine(p, prep))
+        rng = np.random.default_rng(34)
+        for x in (x0, x0 + 1e-3 * rng.normal(size=x0.size)):
+            outcome, entered = feedback_outcome(p, x, None, prep)
+            assert entered
+            assert outcome[0] == "optimal"
+            assert_same_outcome(outcome, parent_feedback(p, x, None, prep))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["zero", "dnn", "l2nw"])

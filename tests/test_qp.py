@@ -327,16 +327,27 @@ def _corner_runs():
     return runs
 
 
+# the prepared multipliers' largest deviation from qp_solve's, relative to
+# max(1, |lam|), is 7.9e-13 over the feedbacks of _corner_runs that return
+# a step on a prepared active set (see recorded_run)
+LAM_TOL = 1e-10
+
+
 @functools.lru_cache(maxsize=None)
 def recorded_run(name, steps=None, corner=None):
     """(trace, [(problem, solution)]) of every step's QP of one closed-loop
     run of a bundled scenario, with its steps and start (z, y) if given.
 
     A QP that the feedback hands to qp_solve is recorded with qp_solve's
-    solution, bit for bit.  A feedback that returns the prepared affine
-    step instead is recorded with qp_solve's own solution of that step's
-    QP, which has to start at the affine step (within 1e-12 relative to
-    max(1, |x|)), violate no row and make no change."""
+    solution, bit for bit.  A feedback that returns the prepared step
+    instead is recorded with qp_solve's own solution of that step's QP,
+    which has to end 'optimal' on the preparation's active set (the rows
+    with a positive multiplier; none, with no change, where no row bound
+    at x_pred), at the prepared step (within 1e-12 relative to
+    max(1, |x|)) and with the prepared multipliers (within LAM_TOL
+    relative to max(1, |lam|)).  The preparation's own QPs, at most one
+    per step, are not recorded; each has to end 'optimal' within 2 n
+    active-set changes."""
     sc = config.load_scenario(os.path.join(SCENARIO_DIR, name), environ={})
     if corner is not None:
         x0 = np.array([corner[0], corner[1], 0.0, 0.0])
@@ -354,22 +365,35 @@ def recorded_run(name, steps=None, corner=None):
         return sol
 
     def recorded_feedback(p, prep, x):
+        # what qp_solve solved since the last feedback, the preparation's QP
+        assert len(entered) <= 1
+        for qp, sol in entered:
+            assert (sol.status, sol.iterations <= 2 * qp.n) == ("optimal",
+                                                                 True)
         entered.clear()
         sol = feedback(p, prep, x)
         if entered:
             solves.extend(entered)
+            entered.clear()
             return sol
         # the feedback's solution is in the perturbations, prep.c + step
         dx = x - prep.x_pred
         qp = Qp(prep.H, prep.g0 + prep.M @ dx, p.Gc,
                 p.rhs0 - p.Gc @ prep.c - p.Gx @ x)
         ref = recorded_solve(*qp, prep.L)
-        assert (ref.status, ref.iterations) == ("optimal", 0)
+        assert ref.status == "optimal"
+        active = (ref.lam > 0.0).nonzero()[0]
+        if prep.active is None:
+            assert ref.iterations == 0 and not active.size
+        else:
+            assert np.array_equal(active, prep.active)
         assert np.all(np.abs(sol.x - prep.c - ref.x)
                       <= 1e-12 * np.maximum(1.0, np.abs(ref.x)))
+        assert np.all(np.abs(sol.lam - ref.lam)
+                      <= LAM_TOL * np.maximum(1.0, np.abs(ref.lam)))
         assert (sol.status, sol.iterations) == ("optimal", 0)
-        assert not sol.lam.any()
         solves.extend(entered)
+        entered.clear()
         return sol
 
     qpmod.qp_solve, mpc.feedback_qp = recorded_solve, recorded_feedback

@@ -24,13 +24,14 @@ report gives the p50, p95 and max over steps of these least-of-k times, in
 ms.  The feedback lines then add the statistics that criterion 7 of the
 acceptance tests reads from ``solver_time``, the feedback's time, with the
 cold step apart from the warm ones: the time of step 0 ("step0") and the
-max over steps 1 on ("max1+").  They also count the steps whose feedback
-entered ``qp.qp_solve``, the active-set loop ("qp_solve entered/steps"):
-every other feedback returned the prepared affine step, whose work the
-preparation did.  The dnn line adds the ratio of the dnn
-median to the linear median ("p50/linear"), and with more than 500 steps
-(e.g. ``--steps 600``) the l2nw line adds its filled-buffer max over steps
-500-599 ("max500-599").  Each statistic is given as its median over the
+max over steps 1 on ("max1+").  They also count the calls of
+``qp.qp_solve``, the active-set loop, in each phase ("qp_solve feedback
+a/steps, prepare b/steps"): a feedback that does not call it returns the
+prepared step, and a preparation calls it once where rows bind at its
+predicted state, to fold their active set into the prepared step.  The
+dnn line adds the ratio of the dnn median to the linear median
+("p50/linear"), and with more than 500 steps (e.g. ``--steps 600``) the
+l2nw line adds its filled-buffer max over steps 500-599 ("max500-599").  Each statistic is given as its median over the
 rounds and its spread (largest minus smallest round); the line ends with
 the step of the max in each round.  A third block gives the same
 statistics of each step's total, its least-of-k preparation plus its
@@ -92,25 +93,27 @@ def counted_qp_solve():
 
 def replay(scenarios, traces, k):
     """One round: ({name: least-of-k feedback time per step},
-    {name: least-of-k preparation time per step}, {name: steps whose
-    feedback entered qp_solve}), times in seconds."""
+    {name: least-of-k preparation time per step}, {name: (calls of qp_solve
+    in the feedbacks, in the preparations)}), times in seconds."""
     setups = {name: runtime.build_setup(s) for name, s in scenarios.items()}
     warm = dict.fromkeys(scenarios)
     x_pred = {name: traces[name].x[0] for name in scenarios}
     feedback = {name: np.full(len(traces[name].u), np.inf)
                 for name in scenarios}
     preparation = {name: t.copy() for name, t in feedback.items()}
-    entered = dict.fromkeys(scenarios, 0)
+    entered = {name: [0, 0] for name in scenarios}
     for t in range(max(len(b) for b in feedback.values())):
         live = [name for name in scenarios if t < len(feedback[name])]
         preps, sols = {}, {}
-        for _ in range(k):
+        for rep in range(k):
             for name in live:
-                prep = mpc.prepare(setups[name].problem, x_pred[name],
-                                   warm[name])
+                with counted_qp_solve() as calls:
+                    prep = mpc.prepare(setups[name].problem, x_pred[name],
+                                       warm[name])
                 preparation[name][t] = min(preparation[name][t],
                                            prep.wall_time)
                 preps[name] = prep
+                entered[name][1] += calls[0] if rep == 0 else 0
         for rep in range(k):
             for name in live:
                 with counted_qp_solve() as calls:
@@ -119,7 +122,7 @@ def replay(scenarios, traces, k):
                                           prep=preps[name])
                 feedback[name][t] = min(feedback[name][t], sol.wall_time)
                 sols[name] = sol
-                entered[name] += rep == 0 and calls[0] > 0
+                entered[name][0] += calls[0] if rep == 0 else 0
         for name in live:
             tr, sol, p = traces[name], sols[name], setups[name].problem
             model = p.model
@@ -219,8 +222,9 @@ def main(argv=None) -> int:
     print("least-of-%d feedback times over steps, ms (p50/linear a ratio); "
           "median over %d rounds" % (args.k, args.rounds))
     # a replay takes the same path in every round, so round 1's counts
-    entered = {name: "qp_solve %d/%d" % (n, len(traces[name].u))
-               for name, n in rounds[0][2].items()}
+    entered = {name: "qp_solve feedback %d/%d, prepare %d/%d"
+               % (fb, len(traces[name].u), prep, len(traces[name].u))
+               for name, (fb, prep) in rounds[0][2].items()}
     for line in report([fb for fb, _, _ in rounds], criterion7, entered):
         print(line)
     print("least-of-%d preparation times over steps, ms; median over %d "
