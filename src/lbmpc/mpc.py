@@ -22,7 +22,12 @@ iteration runs (the piece of the parametric QP on one active set, along
 which online active-set methods follow the solution, Ferreau, Bock and
 Diehl, Int. J. Robust Nonlinear Control 2008); otherwise it shifts the
 gradient to g0 + M dx, forms the constraints at x and hands the QP to
-qp_solve, from the prepared factor.  A solve without a preparation
+qp_solve, from the prepared factor.  The feedback reads only what the
+preparation made for it, the maps as the views it multiplies and, where no
+row binds, one read-only zero multiplier vector, so the affine step costs
+dx, one product, the slack and finiteness tests, the input K x + c_0 and
+the two slotted records it returns, the QP's QpSolution and the step's
+MpcSolution.  A solve without a preparation
 prepares at x itself, so both phases run at the measurement; that is the
 one path, and the zero shift adds nothing.
 
@@ -358,8 +363,12 @@ def build_margins(model, cfg: ControllerConfig, omega: Polytope) -> TighteningDa
 # solves
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MpcSolution:
+    """One control step's solution, a plain slotted record built once per
+    feedback: the perturbations c, the input u applied, the status, the
+    Gauss-Newton steps and the feedback's wall time."""
+
     c: np.ndarray
     u: np.ndarray         # applied input, v_0
     status: str           # 'optimal' | 'fallback'
@@ -437,12 +446,17 @@ class Preparation:
     the unconstrained slack, and the step is a + B dx - Z lam(dx) with
     Z = H^-1 G_A' = L^-T V; ``lam`` holds that map the way ``affine``
     holds the others, lam[0] + dx @ lam[1:] the multipliers of the rows in
-    ``active``.  Elsewhere ``active`` and ``lam`` are None.
+    ``active``.  Elsewhere ``active`` and ``lam`` are None, and
+    ``zero_lam`` is the multipliers of every row, zero: one read-only
+    vector, which every feedback of this preparation that returns the
+    prepared step returns as its multipliers (None where rows bind).
+    ``offset`` and ``slope`` are affine[0] and affine[1:], views made here
+    so that the feedback reads the maps as it multiplies them.
     A preparation whose rollout raised MpcError holds the error instead,
     for the feedback that uses it, and so does one whose H is not finite
     or not positive definite: MpcError("QP ended 'invalid'"), the error a
-    QP on that H would end in.  The feedback only reads it, so one
-    preparation serves any number of feedbacks.
+    QP on that H would end in; its maps and factor are None.  The feedback
+    only reads a preparation, so one serves any number of feedbacks.
     """
 
     x_pred: np.ndarray
@@ -452,8 +466,11 @@ class Preparation:
     g0: np.ndarray | None
     M: np.ndarray | None
     affine: np.ndarray | None
+    offset: np.ndarray | None
+    slope: np.ndarray | None
     active: np.ndarray | None
     lam: np.ndarray | None
+    zero_lam: np.ndarray | None
     error: MpcError | None
     wall_time: float
 
@@ -507,7 +524,7 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, *[None] * 7, exc,
+        return Preparation(x_pred, c, *[None] * 10, exc,
                            time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
@@ -534,13 +551,18 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
             np.negative(R[:, 1:].T, out=Y[1:, :n])
             Y[0, n:-1] = x_pred
             affine = Y @ p.step_slack.T
-            bound = None
+            active = lam = zero_lam = None
             if affine[0, n:].max() > 1e-9:
                 bound = _bind_active_set(p, H, L, c, Y, affine)
-            return Preparation(x_pred, c, H, L, g0, M,
-                               *(bound or (affine, None, None)), None,
+                if bound:
+                    affine, active, lam = bound
+            if active is None:
+                zero_lam = np.zeros(affine.shape[1] - n)
+                zero_lam.flags.writeable = False
+            return Preparation(x_pred, c, H, L, g0, M, affine, affine[0],
+                               affine[1:], active, lam, zero_lam, None,
                                time.perf_counter() - t0)
-    return Preparation(x_pred, c, H, None, g0, M, None, None, None,
+    return Preparation(x_pred, c, H, None, g0, M, *[None] * 6,
                        MpcError("QP ended 'invalid'"),
                        time.perf_counter() - t0)
 
@@ -562,17 +584,28 @@ def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
     (H, g0 + M dx, Gc, rhs0 - Gc c - Gx x), from the prepared factor: the
     active-set loop's one entry in the feedback.  Both outcomes pass
     through here, the one place to observe or replace the feedback's QP.
+
+    It reads only what the preparation made for it: the maps through the
+    ``offset`` and ``slope`` views and, where no row bound at x_pred, the
+    shared read-only ``zero_lam`` as the multipliers, so the prepared step
+    costs dx, one product, the two tests and the record it returns.  The
+    tests call np.maximum.reduce and np.add.reduce, the reductions under
+    ndarray.max and sum, without those methods' wrappers.
     """
     dx = x - prep.x_pred
-    y = prep.affine[0] + dx @ prep.affine[1:]
+    y = prep.offset + dx @ prep.slope
     n = prep.c.size
-    lam = np.zeros(y.size - n)
-    if prep.active is not None:
+    lam = prep.zero_lam
+    if lam is None:
+        lam = np.zeros(y.size - n)
         lam[prep.active] = prep.lam[0] + dx @ prep.lam[1:]
-    # a NaN or an inf entry leaves the sum not finite, and a NaN the min
-    if (y[n:].max() <= 1e-9 and math.isfinite(y.sum())
+    # a NaN or an inf entry leaves the sum not finite, and a NaN the max
+    # and the min
+    if (np.maximum.reduce(y[n:]) <= 1e-9
+            and math.isfinite(np.add.reduce(y))
             and (prep.active is None
-                 or lam.min() >= 0.0 and math.isfinite(lam.sum()))):
+                 or np.minimum.reduce(lam) >= 0.0
+                 and math.isfinite(np.add.reduce(lam)))):
         return qpmod.QpSolution(y[:n], lam, "optimal", 0)
     sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
                          p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
@@ -595,7 +628,8 @@ def solve_lbmpc(p: LbmpcProblem, x, warm_c=None,
     ``warm_c`` is returned with status 'fallback' if it is feasible at x;
     otherwise MpcInfeasible is raised.
     The wall time of either outcome counts from entry, a preparation made
-    here included.
+    here included.  Beyond feedback_qp's work the feedback forms only the
+    input u = K x + c_0 and its record, an MpcSolution.
     """
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -456,7 +456,13 @@ class DnnOracle:
         self.swap_steps = []
         self._new_samples = 0
 
-    k_fro = property(lambda self: np.linalg.norm(self.state.K))
+    @property
+    def k_fro(self):
+        # np.linalg.norm(K)'s arithmetic for a matrix, without its wrapper:
+        # the dot product of K's entries in memory order, and its root
+        v = self.state.K.ravel("K")
+        return math.sqrt(v.dot(v))
+
     generation = property(lambda self: self.state.generation)
 
     def predict_and_jacobian(self, z, v):

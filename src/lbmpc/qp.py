@@ -29,8 +29,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QpSolution:
+    """One QP's solution: a plain slotted record, built once per solve and
+    read, not changed, by its callers (mpc's feedback returns one per
+    control step, so its construction is kept cheap)."""
+
     x: np.ndarray
     lam: np.ndarray            # inequality multipliers (>= 0 at optimum)
     # 'optimal' | 'infeasible' | 'iteration_limit' | 'invalid' (H, g or h

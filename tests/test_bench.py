@@ -156,7 +156,8 @@ class TestParseArgs:
 def test_resolve_smoke():
     # three steps per scenario, two rounds of least-of-2: a round line per
     # replay and one summary line per oracle for each of the feedback, the
-    # preparation and their per-step total, every time positive, and no
+    # preparation and their per-step total, each with its p50, p95, max and
+    # mean over steps, every time positive, and no
     # total below either phase; the feedback lines alone count the calls
     # of qp_solve in each phase, at most one per step: step 0's cold QP
     # from the bundled start runs in the preparation at x0, so step 0's
@@ -182,9 +183,12 @@ def test_resolve_smoke():
         assert sorted(summary) == ["dnn", "l2nw", "linear"]
         blocks.append({})
         for name, fields in summary.items():
-            # name, then (stat, median, "(spread", spread) per statistic
-            medians = [float(fields[i]) for i in (2, 6, 10)]
+            # name, then (stat, median, "(spread", spread) per statistic:
+            # p50, p95, max and mean
+            assert fields[1:14:4] == ["p50", "p95", "max", "mean"]
+            medians = [float(fields[i]) for i in (2, 6, 10, 14)]
             assert 0.0 < medians[0] <= medians[1] <= medians[2]
+            assert 0.0 < medians[3] <= medians[2]
             assert fields[-1].count(",") == 1
             blocks[-1][name] = np.array(medians)
             if len(blocks) > 1:

@@ -4,8 +4,11 @@ matrices against a brute-force rollout, and the tube QP against an SLSQP
 reference.  The scalar Lyapunov case has the closed form P = 4/3.
 """
 
+import collections
 import copy
+import dataclasses
 import functools
+import math
 import os
 import time
 import warnings
@@ -23,7 +26,8 @@ from lbmpc import mpc, oracle as om, qp as qpmod
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import OracleSection, ScheduleSection, load_scenario
 from lbmpc.mpc import (ControllerConfig, EmptyTightenedSet, LbmpcProblem,
-                       MpcError, MpcInfeasible, build_margins, margin_ratio,
+                       MpcError, MpcInfeasible, MpcSolution, build_margins,
+                       margin_ratio,
                        shift_solution, solve_lbmpc,
                        solve_lyapunov_P, synthesize_gain,
                        synthesize_tube_gain, _learned_rollout)
@@ -1076,6 +1080,204 @@ class TestAffineFeedback:
         outcome, entered = feedback_outcome(q, x, warm, prep)
         assert_same_outcome(outcome, parent_feedback(q, x, warm, prep))
         assert entered
+
+
+def reference_feedback_qp(p, prep, x):
+    """feedback_qp as it was before the prepared views and the shared zero
+    multipliers, kept as the reference for the feedback's bits."""
+    dx = x - prep.x_pred
+    y = prep.affine[0] + dx @ prep.affine[1:]
+    n = prep.c.size
+    lam = np.zeros(y.size - n)
+    if prep.active is not None:
+        lam[prep.active] = prep.lam[0] + dx @ prep.lam[1:]
+    # a NaN or an inf entry leaves the sum not finite, and a NaN the min
+    if (y[n:].max() <= 1e-9 and math.isfinite(y.sum())
+            and (prep.active is None
+                 or lam.min() >= 0.0 and math.isfinite(lam.sum()))):
+        return qpmod.QpSolution(y[:n], lam, "optimal", 0)
+    sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
+                         p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
+    return qpmod.QpSolution(prep.c + sol.x, sol.lam, sol.status,
+                            sol.iterations)
+
+
+def reference_make_solution(p, x, c, status, t0):
+    """_make_solution as it was before the slotted records."""
+    return MpcSolution(c=c, u=p.cfg.K @ x + c[:p.model.m],
+                       status=status, sqp_iters=1,
+                       wall_time=time.perf_counter() - t0)
+
+
+def reference_solve(p, x, warm_c=None, prep=None):
+    """solve_lbmpc's feedback with the reference feedback_qp and
+    _make_solution."""
+    t0 = time.perf_counter()
+    x = np.asarray(x, dtype=float).reshape(-1)
+    try:
+        if prep.error is not None:
+            raise prep.error
+        sol = reference_feedback_qp(p, prep, x)
+        if sol.status != "optimal":
+            raise MpcError("QP ended '%s'" % sol.status)
+        return reference_make_solution(p, x, sol.x, "optimal", t0)
+    except MpcError as exc:
+        if warm_c is not None and p.feasible(x, warm_c):
+            return reference_make_solution(
+                p, x, np.array(warm_c, dtype=float), "fallback", t0)
+        raise MpcInfeasible("%s; no feasible fallback" % exc) from exc
+
+
+def bits(a):
+    """An array's dtype, shape and bytes: equal only bit for bit."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def qp_bits(sol):
+    return (bits(sol.x), bits(sol.lam), sol.status, type(sol.iterations),
+            sol.iterations)
+
+
+def solve_bits(solve, *args):
+    """A feedback's c, u, status and Gauss-Newton steps, bit for bit, or
+    its exception's type and message."""
+    try:
+        sol = solve(*args)
+    except MpcError as exc:
+        return type(exc), str(exc)
+    return bits(sol.c), bits(sol.u), sol.status, sol.sqp_iters
+
+
+# loopbench's start box, z in [-0.15, -0.09] and y in [-0.05, 0.07]; rows
+# bind at x_pred from (-0.15, 0.07)
+BOX_CORNERS = [(-0.15, -0.05), (-0.15, 0.07), (-0.09, -0.05), (-0.09, 0.07)]
+
+
+class TestFeedbackBits:
+    """The feedback keeps the reference's bits: the multipliers, status and
+    changes of feedback_qp's QP, and solve_lbmpc's c, u, status and steps
+    or its exception, at every step of the bundled runs (200 steps) and of
+    40-step runs from the corners of loopbench's start box.  Each step is
+    checked twice, once as it runs and once with every QP that reaches
+    qp_solve in the feedback ending 'iteration_limit', so that the fallback
+    and the exception are checked where the feedback enters qp_solve."""
+
+    @staticmethod
+    def checked_run(name, x0, steps, monkeypatch):
+        """The outcomes of one run's checked feedbacks, counted by kind."""
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, name + ".ini"),
+                                 environ={})
+        run = replace(scenario.run, steps=steps,
+                      x0=scenario.run.x0 if x0 is None else (*x0, 0.0, 0.0))
+        scenario = replace(scenario, run=run, schedule=replace(
+            scenario.schedule, deterministic=True))
+        solve, qp_solve = mpc.solve_lbmpc, qpmod.qp_solve
+        entered, failing, kinds = [], [False], collections.Counter()
+
+        def watched(*args):
+            entered.append(1)
+            sol = qp_solve(*args)
+            return replace(sol, status="iteration_limit") if failing[0] else sol
+
+        def checked(p, x, warm_c=None, prep=None):
+            for failing[0] in (False, True):
+                if prep.error is None:
+                    assert qp_bits(mpc.feedback_qp(p, prep, x)) == qp_bits(
+                        reference_feedback_qp(p, prep, x))
+                entered.clear()
+                got = solve_bits(solve, p, x, warm_c, prep)
+                assert got == solve_bits(reference_solve, p, x, warm_c, prep)
+                if got[0] is MpcInfeasible or got[2] == "fallback":
+                    kinds["fallback" if got[0] is not MpcInfeasible
+                          else "exception"] += 1
+                elif not failing[0]:
+                    kinds["qp_solve" if entered
+                          else "unconstrained" if prep.active is None
+                          else "prepared active set"] += 1
+            failing[0] = False
+            return solve(p, x, warm_c, prep)
+
+        monkeypatch.setattr(qpmod, "qp_solve", watched)
+        monkeypatch.setattr(mpc, "solve_lbmpc", checked)
+        tr = run_closed_loop(scenario)
+        assert list(tr.status) == ["optimal"] * steps
+        monkeypatch.undo()
+        return kinds
+
+    @pytest.mark.parametrize("name", ["linear", "dnn", "l2nw"])
+    def test_bundled_and_box_corner_runs(self, monkeypatch, name):
+        kinds = self.checked_run(name, None, 200, monkeypatch)
+        assert sum(kinds.values()) == 200 + kinds["fallback"]
+        for corner in BOX_CORNERS:
+            kinds += self.checked_run(name, corner, 40, monkeypatch)
+        # each outcome is seen: the unconstrained step, the prepared active
+        # set's, qp_solve's and, with qp_solve failing, the fallback; step
+        # 0's cold QP runs in the preparation, so none raises here
+        assert sorted(kinds) == ["fallback", "prepared active set",
+                                 "qp_solve", "unconstrained"], kinds
+        assert kinds["fallback"] == kinds["qp_solve"]
+
+
+class TestRecords:
+    """QpSolution and MpcSolution are slotted records with their fields and
+    keyword constructors; a preparation's views and its zero multipliers
+    are made once and shared by its feedbacks."""
+
+    def test_fields_and_keyword_constructors(self):
+        assert [f.name for f in dataclasses.fields(qpmod.QpSolution)] == [
+            "x", "lam", "status", "iterations"]
+        assert [f.name for f in dataclasses.fields(MpcSolution)] == [
+            "c", "u", "status", "sqp_iters", "wall_time"]
+        x, lam = np.ones(3), np.zeros(2)
+        qp = qpmod.QpSolution(x=x, lam=lam, status="optimal", iterations=0)
+        sol = MpcSolution(c=x, u=x[:1], status="fallback", sqp_iters=1,
+                          wall_time=0.5)
+        assert qp.x is x and qp.lam is lam
+        assert (qp.status, qp.iterations) == ("optimal", 0)
+        assert sol.c is x and bits(sol.u) == bits(x[:1])
+        assert (sol.status, sol.sqp_iters, sol.wall_time) == ("fallback", 1,
+                                                              0.5)
+        for record in (qp, sol):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.extra = 1
+        # dataclasses.replace keeps the other fields, the arrays themselves
+        failed = replace(qp, status="infeasible")
+        assert failed.status == "infeasible" and qp.status == "optimal"
+        assert failed.x is x and failed.lam is lam
+        later = replace(sol, wall_time=1.5)
+        assert later.c is x and later.wall_time == 1.5
+
+    def test_unconstrained_multipliers_are_shared_read_only_zeros(
+            self, bundled_problem):
+        # no row binds at the second start of the bundled problem, and
+        # rows bind at the corner of loopbench's start box
+        p = bundled_problem
+        x = np.array([-0.02, 0.01, 0.0, 0.0])
+        prep = mpc.prepare(p, x)
+        assert prep.active is None
+        rows = p.Gc.shape[0]
+        assert prep.zero_lam.shape == (rows,) and not prep.zero_lam.any()
+        assert not prep.zero_lam.flags.writeable
+        assert np.shares_memory(prep.offset, prep.affine)
+        assert np.shares_memory(prep.slope, prep.affine)
+        assert bits(prep.offset) == bits(prep.affine[0])
+        assert bits(prep.slope) == bits(prep.affine[1:])
+        sols = [mpc.feedback_qp(p, prep, x + dx) for dx in (0.0, 1e-4)]
+        assert sols[0].iterations == sols[1].iterations == 0
+        assert sols[0].lam is sols[1].lam is prep.zero_lam
+        with pytest.raises(ValueError):
+            sols[0].lam[0] = 1.0
+        assert not prep.zero_lam.any()
+        other = mpc.prepare(p, x)
+        assert other.zero_lam is not prep.zero_lam
+        corner = np.array([-0.15, 0.07, 0.0, 0.0])
+        bound = mpc.prepare(p, corner)
+        assert bound.active is not None and bound.zero_lam is None
+        a, b = (mpc.feedback_qp(p, bound, corner) for _ in range(2))
+        assert a.iterations == 0 and a.lam is not b.lam
+        assert a.lam.flags.writeable and a.lam[bound.active].all()
 
 
 class TestFallback:

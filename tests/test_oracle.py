@@ -3,6 +3,7 @@ buffer policies, hidden-stack training, and the kernel baseline, with
 gradients and Jacobians checked against central finite differences.
 """
 
+import os
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from lbmpc import oracle as om
-from lbmpc.config import OracleSection, ScheduleSection
+from lbmpc.cli import SCENARIO_DIR
+from lbmpc.config import OracleSection, ScheduleSection, load_scenario
 from lbmpc.oracle import (DnnOracle, InsufficientData, L2nwEstimator,
                           NetworkArch, OracleState, ReplayBuffer,
                           ShapeMismatch, ZeroOracle, adapt, batch_gradients,
@@ -18,6 +20,7 @@ from lbmpc.oracle import (DnnOracle, InsufficientData, L2nwEstimator,
                           l2nw_predict_and_jacobian, lyapunov_Va, new_oracle,
                           predict, predict_and_jacobian, project_columns,
                           swap_hidden, train_hidden)
+from lbmpc.runtime import run_closed_loop
 
 
 class FakeModel:
@@ -635,6 +638,27 @@ class TestAdapterProtocol:
             assert list(oracle.swap_steps) == swaps
         if kind == "dnn":
             assert swaps == [3, 6] and oracle.generation == 2
+
+    def test_k_fro_is_the_norm_at_every_step(self, monkeypatch):
+        # the bundled dnn run: where the loop reads k_fro, before each
+        # observe, it equals np.linalg.norm(K) bit for bit, and the trace
+        # logs it
+        scenario = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                                 environ={})
+        scenario = replace(scenario, schedule=replace(scenario.schedule,
+                                                      deterministic=True))
+        observe, norms = DnnOracle.observe, []
+
+        def checked(self, *args):
+            norms.append(np.linalg.norm(self.state.K))
+            assert self.k_fro == norms[-1]
+            return observe(self, *args)
+
+        monkeypatch.setattr(DnnOracle, "observe", checked)
+        tr = run_closed_loop(scenario)
+        assert len(norms) == scenario.run.steps
+        assert len(set(norms)) > scenario.run.steps // 2
+        assert tr.k_fro.tobytes() == np.array(norms).tobytes()
 
     def test_failed_trainer_job_names_its_step(self, monkeypatch):
         def failing_train(*args, **kwargs):

@@ -20,8 +20,9 @@ A step's time in either phase is the least of its k repetitions' own
 slow phase of the host hits the three oracles at the same steps.  The
 preparation's time is counted at the step that uses it, as the
 ``prepare_time`` column of ``trace.csv`` is.  Per oracle and phase the
-report gives the p50, p95 and max over steps of these least-of-k times, in
-ms.  The feedback lines then add the statistics that criterion 7 of the
+report gives the p50, p95, max and mean over steps of these least-of-k
+times, in ms; the feedback's mean is the in-process counterpart of
+loopbench's ``solve_mean_ms``.  The feedback lines then add the statistics that criterion 7 of the
 acceptance tests reads from ``solver_time``, the feedback's time, with the
 cold step apart from the warm ones: the time of step 0 ("step0") and the
 max over steps 1 on ("max1+").  They also count the calls of
@@ -60,7 +61,7 @@ from lbmpc import config, mpc, qp, runtime  # noqa: E402
 from lbmpc.cli import SCENARIO_DIR  # noqa: E402
 
 SCENARIOS = ("linear", "dnn", "l2nw")
-STATS = ("p50", "p95", "max")
+STATS = ("p50", "p95", "max", "mean")
 
 
 def load(name, steps=None):
@@ -140,10 +141,10 @@ def replay(scenarios, traces, k):
 
 
 def stats(times):
-    """(p50, p95, max) in ms and the step of the max."""
+    """(p50, p95, max, mean) in ms and the step of the max."""
     ms = 1e3 * times
     p50, p95 = np.percentile(ms, [50, 95])
-    return (p50, p95, ms.max()), int(np.argmax(ms))
+    return (p50, p95, ms.max(), ms.mean()), int(np.argmax(ms))
 
 
 def criterion7(times):
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
         maxima = []
         for name in scenarios:
             for phase, times in zip(("feedback", "preparation"), rounds[-1]):
-                (_, _, top), step = stats(times[name])
+                (_, _, top, _), step = stats(times[name])
                 maxima.append("%s %s max %.4f ms at step %d"
                               % (name, phase, top, step))
         print("round %d: %s" % (r + 1, "; ".join(maxima)), flush=True)
