@@ -27,9 +27,9 @@ preparation made for it, the maps as the views it multiplies and, where no
 row binds, one read-only zero multiplier vector, so the affine step costs
 dx, one product, the slack and finiteness tests, the input K x + c_0 and
 the two slotted records it returns, the QP's QpSolution and the step's
-MpcSolution.  A solve without a preparation
-prepares at x itself, so both phases run at the measurement; that is the
-one path, and the zero shift adds nothing.
+MpcSolution.  A solve without a preparation prepares at x itself, so both
+phases run at the measurement; that is the one path, and the zero shift
+adds nothing.
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
@@ -447,9 +447,9 @@ class Preparation:
     Z = H^-1 G_A' = L^-T V; ``lam`` holds that map the way ``affine``
     holds the others, lam[0] + dx @ lam[1:] the multipliers of the rows in
     ``active``.  Elsewhere ``active`` and ``lam`` are None, and
-    ``zero_lam`` is the multipliers of every row, zero: one read-only
+    ``zero_lam`` holds the multipliers, zero for every row: one read-only
     vector, which every feedback of this preparation that returns the
-    prepared step returns as its multipliers (None where rows bind).
+    prepared step returns (None where rows bind).
     ``offset`` and ``slope`` are affine[0] and affine[1:], views made here
     so that the feedback reads the maps as it multiplies them.
     A preparation whose rollout raised MpcError holds the error instead,

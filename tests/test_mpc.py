@@ -27,8 +27,7 @@ from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import OracleSection, ScheduleSection, load_scenario
 from lbmpc.mpc import (ControllerConfig, EmptyTightenedSet, LbmpcProblem,
                        MpcError, MpcInfeasible, MpcSolution, build_margins,
-                       margin_ratio,
-                       shift_solution, solve_lbmpc,
+                       margin_ratio, shift_solution, solve_lbmpc,
                        solve_lyapunov_P, synthesize_gain,
                        synthesize_tube_gain, _learned_rollout)
 from lbmpc.oracle import (DnnOracle, L2nwEstimator, NetworkArch, OracleState,
@@ -1178,7 +1177,9 @@ class TestFeedbackBits:
         def watched(*args):
             entered.append(1)
             sol = qp_solve(*args)
-            return replace(sol, status="iteration_limit") if failing[0] else sol
+            if failing[0]:
+                return replace(sol, status="iteration_limit")
+            return sol
 
         def checked(p, x, warm_c=None, prep=None):
             for failing[0] in (False, True):

@@ -22,10 +22,11 @@ preparation's time is counted at the step that uses it, as the
 ``prepare_time`` column of ``trace.csv`` is.  Per oracle and phase the
 report gives the p50, p95, max and mean over steps of these least-of-k
 times, in ms; the feedback's mean is the in-process counterpart of
-loopbench's ``solve_mean_ms``.  The feedback lines then add the statistics that criterion 7 of the
-acceptance tests reads from ``solver_time``, the feedback's time, with the
-cold step apart from the warm ones: the time of step 0 ("step0") and the
-max over steps 1 on ("max1+").  They also count the calls of
+loopbench's ``solve_mean_ms``.  The feedback lines then add the
+statistics that criterion 7 of the acceptance tests reads from
+``solver_time``, the feedback's time, with the cold step apart from the
+warm ones: the time of step 0 ("step0") and the max over steps 1 on
+("max1+").  They also count the calls of
 ``qp.qp_solve``, the active-set loop, in each phase ("qp_solve feedback
 a/steps, prepare b/steps"): a feedback that does not call it returns the
 prepared step, and a preparation calls it once where rows bind at its
