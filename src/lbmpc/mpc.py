@@ -7,29 +7,31 @@ the oracle; the cost is evaluated on the learned trajectory z, which rolls
 the oracle estimate through the dynamics.  Each control step takes one
 Gauss-Newton step on that cost from the shifted warm start, the real-time
 iteration of Diehl, Bock and Schloeder (SIAM J. Control Optim. 2005), in
-its two phases.  The preparation (``prepare``) needs no measurement: it
+its two phases; as every step takes exactly one, the trace logs no count
+of them.  The preparation (``prepare``) needs no measurement: it
 linearizes the cost at a predicted state x_pred and forms the QP's Hessian
-and its Cholesky factor, its gradient g0 at x_pred and the gradient's slope
-M in x, and from the factor the QP's unconstrained minimizer and the
-constraint rows' slack there, both affine in dx = x - x_pred.  Where that
-minimizer violates a row at x_pred, the preparation also solves the QP
-there once and folds its active set into the affine maps, which then give
-the multipliers as well.  The feedback (``solve_lbmpc``) takes the
-measured x and solves one QP (``feedback_qp``): where the prepared step
-violates no row and no prepared multiplier is negative, x has the active
-set of x_pred, the solution is the affine step, and no active-set
-iteration runs (the piece of the parametric QP on one active set, along
-which online active-set methods follow the solution, Ferreau, Bock and
-Diehl, Int. J. Robust Nonlinear Control 2008); otherwise it shifts the
-gradient to g0 + M dx, forms the constraints at x and hands the QP to
-qp_solve, from the prepared factor.  The feedback reads only what the
-preparation made for it, the maps as the views it multiplies and, where no
-row binds, one read-only zero multiplier vector, so the affine step costs
-dx, one product, the slack and finiteness tests, the input K x + c_0 and
-the two slotted records it returns, the QP's QpSolution and the step's
-MpcSolution.  A solve without a preparation prepares at x itself, so both
-phases run at the measurement; that is the one path, and the zero shift
-adds nothing.
+and its Cholesky factor (qp.factor), its gradient g0 at x_pred and the
+gradient's slope M in x, and from the factor the QP's unconstrained
+minimizer and the constraint rows' slack there, both affine in
+dx = x - x_pred.  Where that minimizer violates a row at x_pred, the
+preparation also solves the QP there once and folds its active set into
+the affine maps, which then give the multipliers as well.  The feedback
+(``solve_lbmpc``) takes the measured x and solves one QP
+(``feedback_qp``): where the prepared step violates no row and no prepared
+multiplier is negative, x has the active set of x_pred, the solution is
+the affine step, and no active-set iteration runs (the piece of the
+parametric QP on one active set, along which online active-set methods
+follow the solution, Ferreau, Bock and Diehl, Int. J. Robust Nonlinear
+Control 2008); otherwise it shifts the gradient to g0 + M dx, forms the
+constraints at x and hands the QP to qp_solve, from the prepared factor.
+The feedback reads the maps as the preparation's ``offset`` and
+``slope``, the rows it multiplies, and tests the slack and finiteness
+first.  Where no row binds, the multipliers are the problem's one
+read-only zero vector, made at assembly, so the affine step costs dx, one
+product, the two tests, the input K x + c_0 and the two slotted records it
+returns, the QP's QpSolution and the step's MpcSolution.  A solve without
+a preparation prepares at x itself, so both phases run at the
+measurement; that is the one path, and the zero shift adds nothing.
 
 An oracle adapter (one per kind, in the oracle module) gives the solver
 one method, ``predict_and_jacobian(z, v)``: the estimate h and its Jacobians
@@ -235,6 +237,9 @@ class LbmpcProblem:
     rhs0: np.ndarray = field(init=False)
     step_slack: np.ndarray = field(init=False)
     affine_seed: np.ndarray = field(init=False)
+    # the multipliers of a QP solved with no active row, zero for every
+    # row: one read-only vector that every such feedback returns
+    zero_lam: np.ndarray = field(init=False)
     # cost: the state weights stacked over the trajectory, and the constant
     # parts of the QP's H and g and of the gradient's slope in x, for half
     # the cost (see prepare): Tv'Rbar Tv + 5e-10 I, Tv'Rbar, Qbar Sz and
@@ -301,6 +306,8 @@ class LbmpcProblem:
         self.affine_seed = np.zeros((1 + d, nc + d + 1))
         self.affine_seed[0, -1] = 1.0
         self.affine_seed[1:, nc:-1] = np.eye(d)
+        self.zero_lam = np.zeros(Gc.shape[0])
+        self.zero_lam.flags.writeable = False
         # a NaN would end every QP 'invalid', and polytope.linprog refuses
         # it with a bare ValueError, so non-finite data is refused here,
         # before any emptiness test
@@ -429,29 +436,26 @@ def _make_solution(p, x, c, status, t0):
 class Preparation:
     """The cost of one step linearized at a predicted state.
 
-    H is the QP's Hessian and L its lower Cholesky factor, as qp_solve
-    would make it; g0 is the gradient at ``x_pred`` and M the gradient's
-    slope in the state, so the gradient at x is g0 + M dx, dx = x - x_pred.
+    H is the QP's Hessian and L its lower Cholesky factor, qp.factor(H);
+    g0 is the gradient at ``x_pred`` and M the gradient's slope in the
+    state, so the gradient at x is g0 + M dx, dx = x - x_pred.
     The QP's unconstrained minimizer is then the step a + B dx, with
     [a | B] = -H^-1 [g0 | M], so the perturbations c + a + B dx, and the
     constraint rows' slack there, Gc (c + a + B dx) - rhs0 + Gx x, is
-    s0 + S1 dx.  ``affine`` holds both maps, transposed for a row vector
-    dx and side by side, the perturbations' n entries first:
-    affine[0] + dx @ affine[1:] is [c + step | slack], with
-    affine[0] = [(c + a)' | s0'] and affine[1:] = [B' | S1'].
+    s0 + S1 dx.  ``offset`` and ``slope`` hold both maps, transposed for a
+    row vector dx and side by side, the perturbations' n entries first:
+    offset + dx @ slope is [c + step | slack], with
+    offset = [(c + a)' | s0'] and slope = [B' | S1'] (the rows of one
+    array, which the preparation makes in one product).
     Where rows bind at x_pred, ``active`` holds the rows A with a positive
     multiplier in the QP's solution there, and the maps are those of the
     QP with A held as equalities: with V = L^-1 G_A' and S = V'V, the
     multipliers are lam(dx) = S^-1 [s0_A + S1_A dx], the active rows of
     the unconstrained slack, and the step is a + B dx - Z lam(dx) with
-    Z = H^-1 G_A' = L^-T V; ``lam`` holds that map the way ``affine``
-    holds the others, lam[0] + dx @ lam[1:] the multipliers of the rows in
-    ``active``.  Elsewhere ``active`` and ``lam`` are None, and
-    ``zero_lam`` holds the multipliers, zero for every row: one read-only
-    vector, which every feedback of this preparation that returns the
-    prepared step returns (None where rows bind).
-    ``offset`` and ``slope`` are affine[0] and affine[1:], views made here
-    so that the feedback reads the maps as it multiplies them.
+    Z = H^-1 G_A' = L^-T V; ``lam`` holds that map the way the others are
+    held, lam[0] + dx @ lam[1:] the multipliers of the rows in ``active``.
+    Elsewhere ``active`` and ``lam`` are None, and the multipliers are zero
+    for every row: the problem's one read-only ``zero_lam``.
     A preparation whose rollout raised MpcError holds the error instead,
     for the feedback that uses it, and so does one whose H is not finite
     or not positive definite: MpcError("QP ended 'invalid'"), the error a
@@ -461,23 +465,22 @@ class Preparation:
 
     x_pred: np.ndarray
     c: np.ndarray
-    H: np.ndarray | None
-    L: np.ndarray | None
-    g0: np.ndarray | None
-    M: np.ndarray | None
-    affine: np.ndarray | None
-    offset: np.ndarray | None
-    slope: np.ndarray | None
-    active: np.ndarray | None
-    lam: np.ndarray | None
-    zero_lam: np.ndarray | None
-    error: MpcError | None
     wall_time: float
+    H: np.ndarray | None = None
+    L: np.ndarray | None = None
+    g0: np.ndarray | None = None
+    M: np.ndarray | None = None
+    offset: np.ndarray | None = None
+    slope: np.ndarray | None = None
+    active: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    error: MpcError | None = None
 
 
 def _bind_active_set(p, H, L, c, Y, affine):
     """(affine, active, lam) of a preparation whose unconstrained step
-    leaves some row's slack above 1e-9 at x_pred (see Preparation), or
+    leaves some row's slack above the tolerance at x_pred, with ``affine``
+    the unconstrained maps' array [offset; slope] (see Preparation), or
     None to keep the unconstrained maps.
 
     qp_solve solves the QP at x_pred once, from the factor L, in the step
@@ -509,14 +512,14 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
 
     ``c`` is None (zero) or the shifted previous perturbations.  One
     learned rollout (one oracle call) gives z and dz/dc; the measurement is
-    not needed.  H is checked and factored here, once for every feedback
-    the preparation serves, and the factor gives the unconstrained step
-    and the rows' slack there as affine maps of the state.  Where that
-    step leaves a row's slack above 1e-9 at x_pred, the QP at x_pred is
-    solved here, once, and its active set folded into the maps, which
-    then also give the multipliers (see Preparation).  An MpcError of the
-    rollout, or an H that is not finite or not positive definite, is held,
-    not raised.
+    not needed.  H is checked and factored here by qp.factor, once for
+    every feedback the preparation serves, and the factor gives the
+    unconstrained step and the rows' slack there as affine maps of the
+    state.  Where that step leaves a row's slack above qp.VIOLATION_TOL at
+    x_pred, the QP at x_pred is solved here, once, and its active set
+    folded into the maps, which then also give the multipliers (see
+    Preparation).  An MpcError of the rollout, or an H that is not finite
+    or not positive definite, is held, not raised.
     """
     t0 = time.perf_counter()
     x_pred = np.asarray(x_pred, dtype=float).reshape(-1)
@@ -524,47 +527,42 @@ def prepare(p: LbmpcProblem, x_pred, c=None) -> Preparation:
     try:
         v, z, Jz = _learned_rollout(p, x_pred, c)
     except MpcError as exc:
-        return Preparation(x_pred, c, *[None] * 10, exc,
-                           time.perf_counter() - t0)
+        return Preparation(x_pred=x_pred, c=c, error=exc,
+                           wall_time=time.perf_counter() - t0)
     # The QP takes half the Gauss-Newton model of z'Qbar z + v'Rbar v,
     # which has the same minimizer: H = dz/dc' Qbar dz/dc + Tv'Rbar Tv and
     # g = dz/dc' Qbar z + Tv'Rbar v, as dv/dc is Tv; the QP reads only H's
     # lower triangle, so H is not symmetrized, and its 5e-10 I clips tiny
     # negative curvature.  With dz/dc held at its value, dz/dx is Sz and
-    # dv/dx is Sv, which gives the slope M.  H is checked and factored as
-    # qp_solve would do it, so the QP keeps its bits.
+    # dv/dx is Sv, which gives the slope M.
     JzQ = Jz.T @ p.Qbar
     H = JzQ @ Jz + p.H_v
     g0 = JzQ @ z + p.TvR @ v
     M = Jz.T @ p.QbarSz + p.TvRSv
-    if np.isfinite(H).all():
-        L, info = lapack.dpotrf(H, lower=1, clean=1)
-        if info == 0:
-            # one dpotrs gives [a | B] = -H^-1 [g0 | M]; with the rows
-            # (c + a, x_pred, 1) and (B, I, 0) in Y, one product with
-            # step_slack gives [c + a | s0]' and [B | S1]'
-            n = c.size
-            R = lapack.dpotrs(L, np.concatenate((g0[:, None], M), axis=1),
-                              lower=1)[0]
-            Y = p.affine_seed.copy()
-            np.subtract(c, R[:, 0], out=Y[0, :n])
-            np.negative(R[:, 1:].T, out=Y[1:, :n])
-            Y[0, n:-1] = x_pred
-            affine = Y @ p.step_slack.T
-            active = lam = zero_lam = None
-            if affine[0, n:].max() > 1e-9:
-                bound = _bind_active_set(p, H, L, c, Y, affine)
-                if bound:
-                    affine, active, lam = bound
-            if active is None:
-                zero_lam = np.zeros(affine.shape[1] - n)
-                zero_lam.flags.writeable = False
-            return Preparation(x_pred, c, H, L, g0, M, affine, affine[0],
-                               affine[1:], active, lam, zero_lam, None,
-                               time.perf_counter() - t0)
-    return Preparation(x_pred, c, H, None, g0, M, *[None] * 6,
-                       MpcError("QP ended 'invalid'"),
-                       time.perf_counter() - t0)
+    L = qpmod.factor(H)
+    if L is None:
+        return Preparation(x_pred=x_pred, c=c, H=H, g0=g0, M=M,
+                           error=MpcError("QP ended 'invalid'"),
+                           wall_time=time.perf_counter() - t0)
+    # one dpotrs gives [a | B] = -H^-1 [g0 | M]; with the rows
+    # (c + a, x_pred, 1) and (B, I, 0) in Y, one product with step_slack
+    # gives [c + a | s0]' and [B | S1]'
+    n = c.size
+    R = lapack.dpotrs(L, np.concatenate((g0[:, None], M), axis=1),
+                      lower=1)[0]
+    Y = p.affine_seed.copy()
+    np.subtract(c, R[:, 0], out=Y[0, :n])
+    np.negative(R[:, 1:].T, out=Y[1:, :n])
+    Y[0, n:-1] = x_pred
+    affine = Y @ p.step_slack.T
+    active = lam = None
+    if affine[0, n:].max() > qpmod.VIOLATION_TOL:
+        bound = _bind_active_set(p, H, L, c, Y, affine)
+        if bound:
+            affine, active, lam = bound
+    return Preparation(x_pred=x_pred, c=c, H=H, L=L, g0=g0, M=M,
+                       offset=affine[0], slope=affine[1:], active=active,
+                       lam=lam, wall_time=time.perf_counter() - t0)
 
 
 def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
@@ -575,38 +573,42 @@ def feedback_qp(p: LbmpcProblem, prep: Preparation, x) -> qpmod.QpSolution:
 
     The prepared maps give c + step, every row's slack there and, where
     rows bound at x_pred, the multipliers of the prepared active set (see
-    Preparation).  If every slack is at most 1e-9, every multiplier is
-    nonnegative and all are finite, that step satisfies the QP's optimality
-    conditions and is its solution, returned with its multipliers (zero
-    where no row bound at x_pred) and no active-set change.
+    Preparation).  If every slack is at most qp.VIOLATION_TOL, every
+    multiplier is nonnegative and all are finite, that step satisfies the
+    QP's optimality conditions and is its solution, returned with its
+    multipliers (zero where no row bound at x_pred) and no active-set
+    change.
     The slack is not scaled by max(1, |h|), so this test is at least as
-    strict as qp_solve's.  Otherwise qp_solve solves the QP in the step,
+    strict as qp_solve's, up to the maps' rounding.  Otherwise qp_solve solves the QP in the step,
     (H, g0 + M dx, Gc, rhs0 - Gc c - Gx x), from the prepared factor: the
     active-set loop's one entry in the feedback.  Both outcomes pass
     through here, the one place to observe or replace the feedback's QP.
 
-    It reads only what the preparation made for it: the maps through the
-    ``offset`` and ``slope`` views and, where no row bound at x_pred, the
-    shared read-only ``zero_lam`` as the multipliers, so the prepared step
-    costs dx, one product, the two tests and the record it returns.  The
-    tests call np.maximum.reduce and np.add.reduce, the reductions under
-    ndarray.max and sum, without those methods' wrappers.
+    The slack and finiteness are tested first.  Where no row bound at
+    x_pred, the multipliers are the problem's read-only ``zero_lam``;
+    elsewhere the multipliers of the active rows alone are formed and
+    tested (the others are zero, which passes both tests), and the
+    full-length vector is built only for the step returned.  So the
+    unconstrained step costs dx, one product, the two tests and the record
+    it returns.  The tests call np.maximum.reduce, np.minimum.reduce and
+    np.add.reduce, the reductions under ndarray.max, min and sum, which
+    cost less called directly at these sizes.
     """
     dx = x - prep.x_pred
     y = prep.offset + dx @ prep.slope
     n = prep.c.size
-    lam = prep.zero_lam
-    if lam is None:
-        lam = np.zeros(y.size - n)
-        lam[prep.active] = prep.lam[0] + dx @ prep.lam[1:]
     # a NaN or an inf entry leaves the sum not finite, and a NaN the max
     # and the min
-    if (np.maximum.reduce(y[n:]) <= 1e-9
-            and math.isfinite(np.add.reduce(y))
-            and (prep.active is None
-                 or np.minimum.reduce(lam) >= 0.0
-                 and math.isfinite(np.add.reduce(lam)))):
-        return qpmod.QpSolution(y[:n], lam, "optimal", 0)
+    if (np.maximum.reduce(y[n:]) <= qpmod.VIOLATION_TOL
+            and math.isfinite(np.add.reduce(y))):
+        if prep.active is None:
+            return qpmod.QpSolution(y[:n], p.zero_lam, "optimal", 0)
+        lam_a = prep.lam[0] + dx @ prep.lam[1:]
+        if (np.minimum.reduce(lam_a) >= 0.0
+                and math.isfinite(np.add.reduce(lam_a))):
+            lam = np.zeros(y.size - n)
+            lam[prep.active] = lam_a
+            return qpmod.QpSolution(y[:n], lam, "optimal", 0)
     sol = qpmod.qp_solve(prep.H, prep.g0 + prep.M @ dx, p.Gc,
                          p.rhs0 - p.Gc @ prep.c - p.Gx @ x, prep.L)
     return qpmod.QpSolution(prep.c + sol.x, sol.lam, sol.status,

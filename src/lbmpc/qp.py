@@ -12,13 +12,19 @@ feedback calls here only where the state's active set is not the one
 prepared at the predicted state, and the preparation calls here once where
 rows bind at that state).
 Problems here are tiny (tens of decision variables, a few active rows), so
-one Cholesky factor of H per problem, made by the caller or else by the
-call, and a fresh QR of the few active rows at each change cost less than
-any bookkeeping that would update them.  At these sizes the scipy.linalg
-and numpy.linalg wrappers' argument checks cost several times the
-arithmetic, so the solver calls the LAPACK routines under them (dpotrf,
-dpotrs, dtrtrs, and dgeqrf and dorgqr for the QR) directly, with the
-arguments the wrappers pass, which keeps every result bit for bit.
+one Cholesky factor of H per problem, made by ``factor`` (by the caller,
+or else by the call), and a fresh QR of the few active rows at each change
+cost less than any bookkeeping that would update them.  ``factor`` is the
+one place where H is checked and factored: mpc's preparation calls it, as
+qp_solve does without a factor.  A row is violated when its slack exceeds
+``VIOLATION_TOL``, relative to max(1, |h|) here; mpc's preparation and
+feedback read the same tolerance on the unscaled slack of their affine
+maps, so their tests are at least as strict as this one up to the maps'
+rounding.  At these sizes the scipy.linalg and numpy.linalg wrappers'
+argument checks cost several times the arithmetic, so the solver calls the
+LAPACK routines under them (dpotrf, dpotrs, dtrtrs, and dgeqrf and dorgqr
+for the QR) directly, with the arguments the wrappers pass, which keeps
+every result bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +44,25 @@ class QpSolution:
     x: np.ndarray
     lam: np.ndarray            # inequality multipliers (>= 0 at optimum)
     # 'optimal' | 'infeasible' | 'iteration_limit' | 'invalid' (H, g or h
-    # not finite, or H not positive definite)
+    # not finite, or H not positive definite) | 'inaccurate' (only active
+    # rows violated, past the tolerance)
     status: str
     iterations: int            # active-set changes
+
+
+# a row is violated when its slack exceeds this: qp_solve scales it by
+# max(1, |h|), the preparation and the feedback in mpc read it unscaled
+VIOLATION_TOL = 1e-9
+
+
+def factor(H: np.ndarray) -> np.ndarray | None:
+    """H's lower Cholesky factor, as lapack.dpotrf(H, lower=1, clean=1)
+    makes it from H's lower triangle, or None where an entry of H is not
+    finite or that triangle is not positive definite."""
+    if not np.isfinite(H).all():
+        return None
+    L, info = lapack.dpotrf(H, lower=1, clean=1)
+    return L if info == 0 else None
 
 
 def _invalid(n, m):
@@ -62,8 +84,8 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray,
     G's entries are not checked: a row whose violation reads NaN is never
     satisfied, enters first and ends the solve 'infeasible'.
 
-    ``L`` is None or H's factor as lapack.dpotrf(H, lower=1, clean=1)
-    returns it, made once by a caller that has H before it has g and h.
+    ``L`` is None or ``factor(H)``, made once by a caller that has H before
+    it has g and h.
     With it, H is neither checked nor factored again (the caller vouches
     for both), g and h are still checked, and the result equals that of
     the call without L bit for bit.
@@ -86,6 +108,10 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray,
     method is finite but has no useful worst-case bound, so active-set
     changes are capped at 2 (m + n), every row entering and leaving once
     plus a full active set; the bundled problems take at most 2 n.
+    The solve ends 'optimal' only where every row, the active ones too, is
+    within the tolerance.  Where rounding in an ill-conditioned H leaves
+    only active rows past it, it ends 'inaccurate': no row may enter, and
+    the iterate does not meet the constraints.
     """
     n, m = g.size, h.size
     if (g.ndim != 1 or h.ndim != 1 or H.shape != (n, n)
@@ -96,20 +122,18 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray,
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         return _invalid(n, m)
     if L is None:
-        if not np.isfinite(H).all():
-            return _invalid(n, m)
-        L, info = lapack.dpotrf(H, lower=1, clean=1)
-        if info != 0:
+        L = factor(H)
+        if L is None:
             return _invalid(n, m)
     x = -lapack.dpotrs(L, g, lower=1)[0]
 
-    # a row is violated when (G x - h) / max(1, |h|) exceeds 1e-9; it
-    # depends on the active rows when its normal, in the metric of H, keeps
-    # less than 1e-12 of its length after projection against theirs
+    # a row is violated when (G x - h) / max(1, |h|) exceeds VIOLATION_TOL;
+    # it depends on the active rows when its normal, in the metric of H,
+    # keeps less than 1e-12 of its length after projection against theirs
     scale = np.maximum(1.0, np.abs(h))
     slack = G @ x - h
     viol = slack / scale
-    if not m or viol.max() <= 1e-9:
+    if not m or viol.max() <= VIOLATION_TOL:
         return QpSolution(x=x, lam=np.zeros(m), status="optimal",
                           iterations=0)
     lam = np.zeros(m)
@@ -125,7 +149,7 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray,
         # enter the violated row farthest from x in the metric of H; a zero
         # normal scores +inf, enters first and proves infeasibility, and a
         # NaN row, never satisfied, enters first and ends the solve
-        V = (~(viol <= 1e-9)).nonzero()[0]
+        V = (~(viol <= VIOLATION_TOL)).nonzero()[0]
         B = lapack.dtrtrs(L, G[V].T, lower=1)[0]
         with np.errstate(divide="ignore"):
             j = int((slack[V] / np.sqrt((B * B).sum(axis=0))).argmax())
@@ -178,8 +202,13 @@ def qp_solve(H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray,
             lam[active[k]] = 0.0
             del active[k]
             W = np.concatenate((W[:, :k], W[:, k + 1:]), axis=1)
+        # every row, the active ones too, is tested; where only active rows
+        # drifted past the tolerance (an ill-conditioned H), none may enter
+        # again, and the iterate is not optimal to the tolerance
         slack = G @ x - h
         viol = slack / scale
-        viol[active] = 0.0
-        if viol.max() <= 1e-9:
+        if viol.max() <= VIOLATION_TOL:
             return finish(x, "optimal", changes)
+        viol[active] = 0.0
+        if viol.max() <= VIOLATION_TOL:
+            return finish(x, "inaccurate", changes)

@@ -57,7 +57,6 @@ TRACE_SPEC = (
     ("k_fro", ("k_fro",), "%.17g", float),
     ("generation", ("generation",), "%d", int),
     ("status", ("status",), "%s", str),
-    ("sqp_iters", ("sqp_iters",), "%d", int),
     ("solver_time", ("solver_time",), "%.17g", float),
     ("state_margin", ("state_margin",), "%.17g", float),
     ("input_margin", ("input_margin",), "%.17g", float),
@@ -80,14 +79,14 @@ class ClosedLoopTrace:
     Column order is fixed (see TRACE_SPEC): time index, deviation state,
     applied input, oracle prediction h_hat, realized residual h, one-step
     prediction error x_tilde, output-layer Frobenius norm, live oracle
-    generation, solver status / Gauss-Newton steps (always 1) / feedback
-    wall time (from the measurement to the input), worst-case state and
-    input constraint margins (positive = satisfied), the two certificate
-    flags (shifted candidate feasible, realized h inside W), the wall
-    time of the preparation the step's feedback used, and whether (x, u)
-    lies in the region W was swept over (``plant.w_region``).  The margins,
-    both certificate flags and the region flag are computed from the logged
-    trajectory after the last step (see run_closed_loop).
+    generation, solver status, feedback wall time (from the measurement
+    to the input), worst-case state and input constraint margins
+    (positive = satisfied), the two certificate flags (shifted candidate
+    feasible, realized h inside W), the wall time of the preparation the
+    step's feedback used, and whether (x, u) lies in the region W was
+    swept over (``plant.w_region``).  The margins, both certificate flags
+    and the region flag are computed from the logged trajectory after the
+    last step (see run_closed_loop).
     """
 
     x: np.ndarray
@@ -98,7 +97,6 @@ class ClosedLoopTrace:
     k_fro: np.ndarray
     generation: np.ndarray
     status: List[str]
-    sqp_iters: np.ndarray
     solver_time: np.ndarray
     state_margin: np.ndarray
     input_margin: np.ndarray
@@ -151,7 +149,6 @@ class LoopSetup:
     # the network's replay buffer and the kernel estimator, as in the adapter
     buffer: Optional[om.ReplayBuffer]
     l2nw: Optional[om.L2nwEstimator]
-    x0: np.ndarray
 
 
 def _w_halfwidths(W: Polytope) -> np.ndarray:
@@ -211,9 +208,7 @@ def build_setup(scenario) -> LoopSetup:
         raise ValueError("unknown oracle kind %r" % oc.kind)
 
     problem = mpc.LbmpcProblem(model, cfg, omega, margins, adapter)
-    x0 = np.asarray(scenario.run.x0, dtype=float)
-    return LoopSetup(params=params, problem=problem, buffer=buf, l2nw=l2nw,
-                     x0=x0)
+    return LoopSetup(params=params, problem=problem, buffer=buf, l2nw=l2nw)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     params, substeps = setup.params, scenario.plant.substeps
     steps = scenario.run.steps
     rows, shifts = [], np.empty((steps, problem.n_dec))
-    x = setup.x0.copy()
+    x = np.array(scenario.run.x0, dtype=float)
     c_shift = None
     prep = mpc.prepare(problem, x)
     for t in range(steps):
@@ -304,8 +299,7 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
         rows.append(dict(
             x=x, u=u, h_hat=h_hat, h=h, x_tilde=x_pred - x_next, k_fro=k_fro,
             generation=generation, status=sol.status,
-            sqp_iters=sol.sqp_iters, solver_time=sol.wall_time,
-            prepare_time=prep.wall_time))
+            solver_time=sol.wall_time, prepare_time=prep.wall_time))
         if t + 1 < steps:
             prep = mpc.prepare(problem, x_pred, c_shift)
         x = x_next

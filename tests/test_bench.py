@@ -159,7 +159,8 @@ def test_resolve_smoke():
     # preparation and their per-step total, each with its p50, p95, max and
     # mean over steps, every time positive, and no
     # total below either phase; the feedback lines alone count the calls
-    # of qp_solve in each phase, at most one per step: step 0's cold QP
+    # of qp_solve in each phase, at most one per step, and the feedbacks
+    # by outcome: step 0's cold QP
     # from the bundled start runs in the preparation at x0, so step 0's
     # feedback returns the prepared step; the replay's own check that each
     # applied input matches the recorded run would end it with a traceback
@@ -197,10 +198,24 @@ def test_resolve_smoke():
             at = fields.index("qp_solve")
             assert fields[at + 1:at + 5:2] == ["feedback", "prepare"]
             feedback_calls, steps = fields[at + 2].rstrip(",").split("/")
-            prepare_calls, prepare_steps = fields[at + 4].split("/")
+            prepare_calls, prepare_steps = fields[at + 4].rstrip(";").split(
+                "/")
             assert int(steps) == int(prepare_steps) == 3
             assert 0 <= int(feedback_calls) <= 2
             assert 1 <= int(prepare_calls) <= 3
+            # then every feedback by outcome: those that call qp_solve are
+            # the slack, negative and nonfinite ones, as no bundled
+            # preparation holds an error
+            at = fields.index("outcomes")
+            outcomes = dict(zip(fields[at + 1:at + 11:2],
+                                (int(v.rstrip(",")) for v in
+                                 fields[at + 2:at + 11:2])))
+            assert list(outcomes) == ["unconstrained", "prepared", "slack",
+                                      "negative", "nonfinite"]
+            assert sum(outcomes.values()) == 3
+            assert int(feedback_calls) == (outcomes["slack"]
+                                           + outcomes["negative"]
+                                           + outcomes["nonfinite"])
     feedback, preparation, total = blocks
     for name, medians in total.items():
         assert np.all(medians >= feedback[name])

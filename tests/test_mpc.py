@@ -915,6 +915,11 @@ def oracle_problem(kind):
                                                np.random.default_rng(33))
 
 
+def prepared_maps(prep):
+    """A preparation's maps [offset; slope] as one array."""
+    return np.vstack((prep.offset, prep.slope))
+
+
 def unconstrained_affine(p, prep):
     """The unconstrained maps [c + a | s0]' and [B | S1]' of a preparation,
     made as prepare makes them where no row binds at x_pred."""
@@ -980,10 +985,11 @@ class TestAffineFeedback:
         if not bound:
             # no row binds at x_pred: the unconstrained maps, bit for bit
             assert prep.lam is None
-            assert np.array_equal(prep.affine, unconstrained_affine(p, prep))
+            assert np.array_equal(prepared_maps(prep),
+                                  unconstrained_affine(p, prep))
         # the feedback's test on the prepared maps
         n = prep.c.size
-        y = prep.affine[0] + dx @ prep.affine[1:]
+        y = prep.offset + dx @ prep.slope
         lam = prep.lam[0] + dx @ prep.lam[1:] if bound else np.zeros(0)
         passes = bool(y[n:].max() <= 1e-9 and np.all(lam >= 0.0)
                       and np.isfinite(y).all() and np.isfinite(lam).all())
@@ -1039,7 +1045,8 @@ class TestAffineFeedback:
         assert len(calls) == 1
         assert prep.error is None
         assert prep.active is None and prep.lam is None
-        assert np.array_equal(prep.affine, unconstrained_affine(p, prep))
+        assert np.array_equal(prepared_maps(prep),
+                              unconstrained_affine(p, prep))
         rng = np.random.default_rng(34)
         for x in (x0, x0 + 1e-3 * rng.normal(size=x0.size)):
             outcome, entered = feedback_outcome(p, x, None, prep)
@@ -1075,7 +1082,7 @@ class TestAffineFeedback:
         warm = warm if warm_start else None
         prep = mpc.prepare(q, x_pred, warm)
         assert prep.error is None
-        assert not (np.isfinite(prep.affine).all() and where != "x")
+        assert not (np.isfinite(prepared_maps(prep)).all() and where != "x")
         outcome, entered = feedback_outcome(q, x, warm, prep)
         assert_same_outcome(outcome, parent_feedback(q, x, warm, prep))
         assert entered
@@ -1085,7 +1092,7 @@ def reference_feedback_qp(p, prep, x):
     """feedback_qp as it was before the prepared views and the shared zero
     multipliers, kept as the reference for the feedback's bits."""
     dx = x - prep.x_pred
-    y = prep.affine[0] + dx @ prep.affine[1:]
+    y = prep.offset + dx @ prep.slope
     n = prep.c.size
     lam = np.zeros(y.size - n)
     if prep.active is not None:
@@ -1222,8 +1229,9 @@ class TestFeedbackBits:
 
 class TestRecords:
     """QpSolution and MpcSolution are slotted records with their fields and
-    keyword constructors; a preparation's views and its zero multipliers
-    are made once and shared by its feedbacks."""
+    keyword constructors; a preparation holds its maps once, as two views,
+    and a problem's one zero multiplier vector is shared by the feedbacks
+    of all its preparations."""
 
     def test_fields_and_keyword_constructors(self):
         assert [f.name for f in dataclasses.fields(qpmod.QpSolution)] == [
@@ -1250,6 +1258,13 @@ class TestRecords:
         later = replace(sol, wall_time=1.5)
         assert later.c is x and later.wall_time == 1.5
 
+    def test_preparation_fields(self):
+        # the maps once, as the two views the feedback multiplies, and no
+        # multipliers of its own
+        assert [f.name for f in dataclasses.fields(mpc.Preparation)] == [
+            "x_pred", "c", "wall_time", "H", "L", "g0", "M", "offset",
+            "slope", "active", "lam", "error"]
+
     def test_unconstrained_multipliers_are_shared_read_only_zeros(
             self, bundled_problem):
         # no row binds at the second start of the bundled problem, and
@@ -1259,25 +1274,35 @@ class TestRecords:
         prep = mpc.prepare(p, x)
         assert prep.active is None
         rows = p.Gc.shape[0]
-        assert prep.zero_lam.shape == (rows,) and not prep.zero_lam.any()
-        assert not prep.zero_lam.flags.writeable
-        assert np.shares_memory(prep.offset, prep.affine)
-        assert np.shares_memory(prep.slope, prep.affine)
-        assert bits(prep.offset) == bits(prep.affine[0])
-        assert bits(prep.slope) == bits(prep.affine[1:])
+        assert p.zero_lam.shape == (rows,) and not p.zero_lam.any()
+        assert not p.zero_lam.flags.writeable
+        # offset and slope are the rows of one array
+        assert prep.offset.base is not None
+        assert prep.offset.base is prep.slope.base
+        maps = prep.offset.base
+        assert bits(prep.offset) == bits(maps[0])
+        assert bits(prep.slope) == bits(maps[1:])
         sols = [mpc.feedback_qp(p, prep, x + dx) for dx in (0.0, 1e-4)]
         assert sols[0].iterations == sols[1].iterations == 0
-        assert sols[0].lam is sols[1].lam is prep.zero_lam
+        assert sols[0].lam is sols[1].lam is p.zero_lam
         with pytest.raises(ValueError):
             sols[0].lam[0] = 1.0
-        assert not prep.zero_lam.any()
-        other = mpc.prepare(p, x)
-        assert other.zero_lam is not prep.zero_lam
+        assert not p.zero_lam.any()
+        # every preparation of the problem returns the same vector, and
+        # another problem has its own
+        other = mpc.prepare(p, 0.5 * x)
+        assert other.active is None
+        assert mpc.feedback_qp(p, other, 0.5 * x).lam is p.zero_lam
+        q = mpc.LbmpcProblem(p.model, p.cfg, p.omega, p.margins, p.oracle)
+        assert q.zero_lam is not p.zero_lam
+        assert not q.zero_lam.flags.writeable
+        assert mpc.feedback_qp(q, mpc.prepare(q, x), x).lam is q.zero_lam
         corner = np.array([-0.15, 0.07, 0.0, 0.0])
         bound = mpc.prepare(p, corner)
-        assert bound.active is not None and bound.zero_lam is None
+        assert bound.active is not None
         a, b = (mpc.feedback_qp(p, bound, corner) for _ in range(2))
         assert a.iterations == 0 and a.lam is not b.lam
+        assert a.lam is not p.zero_lam
         assert a.lam.flags.writeable and a.lam[bound.active].all()
 
 

@@ -319,6 +319,37 @@ class TestInvalidInput:
         assert qp_solve(*p).status == "invalid"
 
 
+class TestFactor:
+    """qp.factor(H) is dpotrf(H, lower=1, clean=1)'s factor bit for bit, or
+    None for an H that is not finite or not positive definite."""
+
+    def test_bits_of_dpotrf(self):
+        rng = np.random.default_rng(35)
+        for n in (1, 3, 10):
+            M = rng.normal(size=(n, n))
+            H = M @ M.T + 0.1 * np.eye(n)
+            # the strict upper triangle is not read
+            H[np.triu_indices(n, 1)] += rng.normal(size=n * (n - 1) // 2)
+            L = qpmod.factor(H)
+            ref, info = lapack.dpotrf(H, lower=1, clean=1)
+            assert info == 0
+            assert (L.dtype, L.shape, L.tobytes()) == (
+                ref.dtype, ref.shape, ref.tobytes())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (1, 2)],
+                             ids=["diagonal", "lower", "upper"])
+    def test_non_finite_is_none(self, bad, where):
+        H = np.eye(3) + 0.1
+        H[where] = bad
+        assert qpmod.factor(H) is None
+
+    @pytest.mark.parametrize("diagonal", [[1.0, -1.0, 2.0], [1.0, 0.0, 2.0]],
+                             ids=["indefinite", "singular"])
+    def test_not_positive_definite_is_none(self, diagonal):
+        assert qpmod.factor(np.diag(diagonal)) is None
+
+
 def _corner_runs():
     runs = [(name, None, None) for name in ("linear.ini", "dnn.ini", "l2nw.ini")]
     for z in (-0.15, -0.09):

@@ -19,7 +19,8 @@ from the repository root, naming only the scenarios whose trace moved
 
 Before it overwrites a file, the script prints each column's largest
 absolute change from the committed copy (for exact columns, the number of
-changed rows), the numbers a CHANGES.md entry states.
+changed rows) and marks the columns the new trace adds or drops, the
+numbers a CHANGES.md entry states.
 """
 
 import dataclasses
@@ -35,7 +36,7 @@ from lbmpc.cli import SCENARIO_DIR
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SCENARIOS = ("linear", "dnn", "l2nw")
 STEPS = 200
-EXACT = ("t", "generation", "status", "sqp_iters", "shift_feasible", "h_in_w",
+EXACT = ("t", "generation", "status", "shift_feasible", "h_in_w",
          "in_w_region")
 TIMING = ("solver_time", "prepare_time")
 CASES = [pytest.param(name, True, id=name) for name in SCENARIOS] + [
@@ -85,8 +86,10 @@ def test_matches_reference(name, deterministic):
 
 def deviations(old, new):
     """Per column of the new trace: the largest absolute change from the old
-    one for a real-valued column, the number of changed rows otherwise."""
-    _, before = columns(old)
+    one for a real-valued column, the number of changed rows otherwise, or
+    "new"; then each column of the old trace that the new one lacks, as
+    "removed"."""
+    old_header, before = columns(old)
     header, after = columns(new)
     out = {}
     for col in header:
@@ -98,7 +101,16 @@ def deviations(old, new):
             out[col] = float(np.max(np.abs(np.array(after[col], dtype=float)
                                            - np.array(before[col],
                                                       dtype=float))))
+    out.update((col, "removed") for col in old_header if col not in after)
     return out
+
+
+def test_deviations_report_every_column():
+    # a column the new trace drops is reported, and one it adds is new
+    old = "t,a,gone,status\n0,1.5,7,optimal\n1,2.0,7,optimal\n"
+    new = "t,a,status,added\n0,1.25,optimal,3\n1,2.0,fallback,3\n"
+    assert deviations(old, new) == {"t": 0, "a": 0.25, "status": 1,
+                                    "added": "new", "gone": "removed"}
 
 
 if __name__ == "__main__":

@@ -5,12 +5,12 @@ suite.
 """
 
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from lbmpc import mpc, oracle as om, plant, runtime
+from lbmpc import mpc, oracle as om, plant, qp as qpmod, runtime
 from lbmpc.cli import SCENARIO_DIR
 from lbmpc.config import (OracleSection, Scenario, load_scenario,
                           parse_scenario)
@@ -171,7 +171,7 @@ class TestTwoPhaseLoop:
                           environ=EMPTY_ENV)
         tr = run_closed_loop(replace(s, run=replace(s.run, steps=3)))
         setup = build_setup(s)
-        sol = mpc.solve_lbmpc(setup.problem, setup.x0)
+        sol = mpc.solve_lbmpc(setup.problem, np.asarray(s.run.x0))
         assert tr.status[0] == sol.status == "optimal"
         assert np.array_equal(tr.u[0], sol.u)
 
@@ -277,10 +277,10 @@ class TestBulkCertificates:
     # an inf entry of x meets zeros of Gx, whose products are NaN
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_predicates(self):
-        setup = build_setup(bundled("linear", 1))
-        p = setup.problem
+        s = bundled("linear", 1)
+        p = build_setup(s).problem
         W = p.model.W
-        x = setup.x0
+        x = np.asarray(s.run.x0, dtype=float)
         ok = mpc.solve_lbmpc(p, x).c
         too_big = np.full(p.n_dec, 10.0)          # |v_0| > 1
         nan_c = ok.copy()
@@ -340,10 +340,10 @@ class TestEdgeVerdicts:
         return alone
 
     def test_feasible(self):
-        setup = build_setup(bundled("linear", 1))
-        p = setup.problem
+        s = bundled("linear", 1)
+        p = build_setup(s).problem
         rng = np.random.default_rng(41)
-        x = 0.2 * setup.x0
+        x = 0.2 * np.asarray(s.run.x0, dtype=float)
         assert p.feasible(x, np.zeros(p.n_dec))
         xs, cs = [], []
         for _ in range(40):
@@ -417,6 +417,71 @@ class TestSustainedQpFault:
         assert_per_step_certificates(s, tr, sols)
 
 
+class AdversarialOracle:
+    """A test double: an adapter whose h and Jacobians are drawn uniform in
+    [-1, 1] at every call, far outside any W, so the Hessians it makes are
+    ill-conditioned and rounding can push a QP's active rows past the
+    tolerance; its observe predicts no residual."""
+
+    k_fro = 0.0
+    generation = 0
+    swap_steps = ()
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def predict_and_jacobian(self, z, v):
+        (N, d), m = z.shape, v.shape[-1]
+        draw = self.rng.uniform
+        return (draw(-1.0, 1.0, (N, d)), draw(-1.0, 1.0, (N, d, d)),
+                draw(-1.0, 1.0, (N, d, m)))
+
+    def observe(self, t, x, u, x_next, h, ax_bu=None):
+        return np.zeros(x.size)
+
+
+class TestAdversarialOracle:
+    """With the adversarial double in the bundled dnn run, every QP that
+    qp_solve ends 'optimal' meets every row, the active ones too, within
+    qp.VIOLATION_TOL; a QP whose active rows drifted past it ends
+    'inaccurate', and the preparation keeps its unconstrained maps or the
+    step falls back.  Each run finishes or ends in a typed RuntimeFailure."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_optimal_qps_meet_every_row(self, seed, monkeypatch):
+        qp_solve = qpmod.qp_solve
+        worst, statuses = [], []
+
+        def checked(H, g, G, h, L=None):
+            sol = qp_solve(H, g, G, h, L)
+            statuses.append(sol.status)
+            if sol.status == "optimal" and h.size:
+                # qp_solve's own test, (G x - h) / max(1, |h|)
+                worst.append(((G @ sol.x - h)
+                              / np.maximum(1.0, np.abs(h))).max())
+            return sol
+
+        def adversarial_setup(s, build=build_setup):
+            setup = build(s)
+            setup.problem.oracle = AdversarialOracle(seed)
+            return setup
+
+        monkeypatch.setattr(qpmod, "qp_solve", checked)
+        monkeypatch.setattr(runtime, "build_setup", adversarial_setup)
+        s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
+                          environ=EMPTY_ENV)
+        try:
+            tr = run_closed_loop(s)
+        except RuntimeFailure:
+            pass
+        else:
+            assert len(tr) == s.run.steps
+            assert set(tr.status) <= {"optimal", "fallback"}
+        assert worst and max(worst) <= qpmod.VIOLATION_TOL
+        # the double reaches the QPs this guards against
+        assert "inaccurate" in statuses
+
+
 class TestTrainer:
     def test_failing_trainer_job_surfaces(self, monkeypatch):
         # the bundled dnn scenario trains first at step 100, once its ring
@@ -457,7 +522,7 @@ class TestMetrics:
         return ClosedLoopTrace(
             x=x, u=np.zeros((n, 1)), h_hat=zeros, h=zeros, x_tilde=zeros,
             k_fro=np.zeros(n), generation=np.zeros(n, dtype=int),
-            status=["optimal"] * n, sqp_iters=np.zeros(n, dtype=int),
+            status=["optimal"] * n,
             solver_time=np.linspace(0.001, 0.002, n),
             state_margin=np.ones(n), input_margin=np.ones(n),
             shift_feasible=np.ones(n, dtype=bool),
@@ -533,6 +598,9 @@ class TestBuildSetup:
     def test_setup_consistency(self):
         s = scenario("dnn", steps=5)
         setup = build_setup(s)
+        # no x0: the loop reads it from the scenario
+        assert [f.name for f in fields(runtime.LoopSetup)] == [
+            "params", "problem", "buffer", "l2nw"]
         assert setup.problem.cfg.N == 10
         adapter = setup.problem.oracle
         assert isinstance(adapter.state, om.OracleState)

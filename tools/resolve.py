@@ -30,7 +30,13 @@ warm ones: the time of step 0 ("step0") and the max over steps 1 on
 ``qp.qp_solve``, the active-set loop, in each phase ("qp_solve feedback
 a/steps, prepare b/steps"): a feedback that does not call it returns the
 prepared step, and a preparation calls it once where rows bind at its
-predicted state, to fold their active set into the prepared step.  The
+predicted state, to fold their active set into the prepared step.  Then
+they count the feedbacks by outcome ("outcomes"): the unconstrained step
+("unconstrained", no row bound at x_pred), the step on the prepared active
+set ("prepared"), and the ones that enter qp_solve, where a row's slack is
+above the tolerance and every prepared multiplier is nonnegative
+("slack"), where a prepared multiplier is negative ("negative"), or where
+a map is not finite or the preparation holds an error ("nonfinite").  The
 dnn line adds the ratio of the dnn median to the linear median
 ("p50/linear"), and with more than 500 steps (e.g. ``--steps 600``) the
 l2nw line adds its filled-buffer max over steps 500-599 ("max500-599").  Each statistic is given as its median over the
@@ -52,6 +58,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import sys  # noqa: E402
@@ -93,17 +100,37 @@ def counted_qp_solve():
         qp.qp_solve = solve
 
 
+OUTCOMES = ("unconstrained", "prepared", "slack", "negative", "nonfinite")
+
+
+def outcome(prep, x, entered):
+    """The feedback's outcome at x (one of OUTCOMES), from its preparation
+    and whether it called qp_solve."""
+    if prep.error is not None:
+        return "nonfinite"
+    if not entered:
+        return "unconstrained" if prep.active is None else "prepared"
+    dx = x - prep.x_pred
+    lam = (np.zeros(0) if prep.active is None
+           else prep.lam[0] + dx @ prep.lam[1:])
+    if not (np.isfinite(prep.offset + dx @ prep.slope).all()
+            and np.isfinite(lam).all()):
+        return "nonfinite"
+    return "negative" if (lam < 0.0).any() else "slack"
+
+
 def replay(scenarios, traces, k):
     """One round: ({name: least-of-k feedback time per step},
     {name: least-of-k preparation time per step}, {name: (calls of qp_solve
-    in the feedbacks, in the preparations)}), times in seconds."""
+    in the feedbacks, in the preparations, Counter of the feedbacks'
+    outcomes)}), times in seconds."""
     setups = {name: runtime.build_setup(s) for name, s in scenarios.items()}
     warm = dict.fromkeys(scenarios)
     x_pred = {name: traces[name].x[0] for name in scenarios}
     feedback = {name: np.full(len(traces[name].u), np.inf)
                 for name in scenarios}
     preparation = {name: t.copy() for name, t in feedback.items()}
-    entered = {name: [0, 0] for name in scenarios}
+    entered = {name: [0, 0, collections.Counter()] for name in scenarios}
     for t in range(max(len(b) for b in feedback.values())):
         live = [name for name in scenarios if t < len(feedback[name])]
         preps, sols = {}, {}
@@ -124,7 +151,10 @@ def replay(scenarios, traces, k):
                                           prep=preps[name])
                 feedback[name][t] = min(feedback[name][t], sol.wall_time)
                 sols[name] = sol
-                entered[name][0] += calls[0] if rep == 0 else 0
+                if rep == 0:
+                    entered[name][0] += calls[0]
+                    entered[name][2][outcome(preps[name], traces[name].x[t],
+                                             calls[0] > 0)] += 1
         for name in live:
             tr, sol, p = traces[name], sols[name], setups[name].problem
             model = p.model
@@ -224,9 +254,10 @@ def main(argv=None) -> int:
     print("least-of-%d feedback times over steps, ms (p50/linear a ratio); "
           "median over %d rounds" % (args.k, args.rounds))
     # a replay takes the same path in every round, so round 1's counts
-    entered = {name: "qp_solve feedback %d/%d, prepare %d/%d"
-               % (fb, len(traces[name].u), prep, len(traces[name].u))
-               for name, (fb, prep) in rounds[0][2].items()}
+    entered = {name: "qp_solve feedback %d/%d, prepare %d/%d; outcomes %s"
+               % (fb, len(traces[name].u), prep, len(traces[name].u),
+                  ", ".join("%s %d" % (o, kinds[o]) for o in OUTCOMES))
+               for name, (fb, prep, kinds) in rounds[0][2].items()}
     for line in report([fb for fb, _, _ in rounds], criterion7, entered):
         print(line)
     print("least-of-%d preparation times over steps, ms; median over %d "
