@@ -60,6 +60,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import qp as qpmod
+from ._memo import memoized
 from .polytope import (Polytope, TighteningData, NotSchurStable,
                        _require_schur, stacked_leq, tube_margins)
 
@@ -131,8 +132,12 @@ def synthesize_gain(model, Q, R):
     return K
 
 
+@memoized
 def solve_lyapunov_P(model, K, Q, R):
-    """P with A_cl' P A_cl - P = -(Q + K'RK), by doubling with G = 0."""
+    """P with A_cl' P A_cl - P = -(Q + K'RK), by doubling with G = 0.
+
+    Memoized by its arguments' content: returns a shared, read-only result.
+    """
     A_cl = model.A + model.B @ np.atleast_2d(K)
     _require_schur(A_cl)
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -157,6 +162,7 @@ def margin_ratio(model, K, horizon: int = 80) -> float:
     return float(np.max(m / np.concatenate([model.X.h, model.U.h])))
 
 
+@memoized
 def synthesize_tube_gain(model, Q, R, target: float = 0.95):
     """Tube feedback gain: the LQR gain of (Q, R), stiffened if needed.
 
@@ -167,7 +173,8 @@ def synthesize_tube_gain(model, Q, R, target: float = 0.95):
     A rung whose synthesis fails (no convergence, or a gain that is not
     Schur stable) is skipped.
     The ladder keeps the gain entries moderate on purpose: an aggressive
-    gain shrinks the terminal set until nothing can reach it.
+    gain shrinks the terminal set until nothing can reach it.  Memoized by
+    its arguments' content: returns a shared, read-only result.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -356,8 +363,12 @@ def _check_nonempty(P, h, stage, kind):
         raise EmptyTightenedSet(stage, kind)
 
 
+@memoized
 def build_margins(model, cfg: ControllerConfig, omega: Polytope) -> TighteningData:
-    """Tube margins for the state, input and terminal rows over the horizon."""
+    """Tube margins for the state, input and terminal rows over the horizon.
+
+    Memoized by its arguments' content: returns a shared, read-only result.
+    """
     A_cl = model.A + model.B @ cfg.K
     N = cfg.N
     state = tube_margins(A_cl, model.W, model.X.F, N)

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
+from ._memo import memoized
 from .polytope import Polytope
 
 
@@ -230,6 +231,7 @@ def deviation_constraint_sets():
     return Polytope.box(-half_x, half_x), Polytope.box(-half_u, half_u)
 
 
+@memoized
 def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ,
                          u_e=U_EQ) -> PlantModel:
     """Exact-ZOH discrete model around an equilibrium, with constraint sets.
@@ -238,8 +240,10 @@ def linearize_discretize(params: MooreGreitzerParams, x_e=X_EQ,
     are trusted; discretization uses the augmented matrix exponential
     [[A_c, B_c], [0, 0]] so there is no discretization-order error.  Raises
     ``PlantError`` when the field's constants or that exponential overflow.
+    Memoized by its arguments' content: returns a shared, read-only result.
     """
-    x_e = np.asarray(x_e, dtype=float)
+    # a copy: the model keeps it, and the memo makes the model read-only
+    x_e = np.array(x_e, dtype=float)
     try:
         resid = mg_rhs(x_e, u_e, params)
     except OverflowError as exc:  # beta ** 2 or omega_n ** 2
@@ -324,13 +328,15 @@ def residual_sweep(model: PlantModel, params: MooreGreitzerParams, samples: int,
     return nxt_dev - x_dev @ model.A.T - u_dev[:, None] @ model.B.T
 
 
+@memoized
 def estimate_W(model: PlantModel, params: MooreGreitzerParams,
                samples: int = 4096, inflation: float = 1.1,
                substeps: int = 10, region_scale: float = 1.0) -> Polytope:
     """Axis-aligned uncertainty bound from a deterministic residual sweep.
 
     The per-component extrema over the Halton sweep of X x U are widened to
-    include the origin and scaled by ``inflation`` about zero.
+    include the origin and scaled by ``inflation`` about zero.  Memoized by
+    its arguments' content: returns a shared, read-only result.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 sweep samples")

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
+from ._memo import memoized
+
 
 class PolytopeError(Exception):
     """Base class for set-algebra failures."""
@@ -547,6 +549,7 @@ class InvariantSetResult:
     iterations: int
 
 
+@memoized
 def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
                       max_iter: int = 200) -> InvariantSetResult:
     """Disturbance-invariant terminal set inside tightened constraints.
@@ -589,6 +592,7 @@ def max_invariant_set(A_cl, X_t: Polytope, U_t: Polytope, K, W: Polytope,
     xbar violates.  A non-converged (iteration-capped) result is an
     intersection of necessary constraints that contains every invariant
     set but need not be invariant itself; it is flagged via ``converged``.
+    Memoized by its arguments' content: returns a shared, read-only result.
     """
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))

@@ -14,6 +14,18 @@ The loop keeps only what control needs.  The trace's certificate columns
 (both constraint margins, the shifted candidate's feasibility and h in W)
 and its in-region flag are logged, never acted on, so they are computed
 after the last step, in one vectorized pass over the logged trajectory.
+
+The offline design (the linearization, W, the tube gain K, P, the
+terminal set Omega and the tightening margins) comes from six pure stages:
+plant.linearize_discretize, plant.estimate_W, mpc.synthesize_tube_gain,
+mpc.solve_lyapunov_P, polytope.max_invariant_set and mpc.build_margins.
+Each is memoized by its arguments' content (arrays by shape, dtype and
+bytes, dataclasses by their fields, scalars by type and value; see
+lbmpc._memo), so a setup whose plant and controller sections repeat
+recomputes none of them and keeps every bit.  Their results are shared
+between setups and read-only.  build_setup still calls each stage through
+its module on every call; the LbmpcProblem and the oracle adapter, which
+holds the run's state, are built fresh each time.
 """
 
 from __future__ import annotations
@@ -158,7 +170,15 @@ def _w_halfwidths(W: Polytope) -> np.ndarray:
 
 
 def build_setup(scenario) -> LoopSetup:
-    """Instantiate plant, sets, gains and oracle from a validated scenario."""
+    """Instantiate plant, sets, gains and oracle from a validated scenario.
+
+    The six design stages are called through their modules on every call
+    and return shared, read-only results, memoized by their arguments'
+    content: byte-identical plant and controller sections give the same
+    model, W, K, P, Omega and margins objects (see the module docstring).
+    The LbmpcProblem, with its emptiness tests, and the oracle adapter are
+    new on every call, so two setups never share a run's state.
+    """
     pc, cc, oc = scenario.plant, scenario.controller, scenario.oracle
     params = plant.MooreGreitzerParams(beta=pc.beta, zeta=pc.zeta,
                                        omega_n=pc.omega_n, T=pc.T)
@@ -244,7 +264,8 @@ def _certificates(problem, x, u, h, x_last, c_shift, w_region):
                      & (np.abs(u) <= region[4:]).all(axis=1)))
 
 
-def run_closed_loop(scenario) -> ClosedLoopTrace:
+def run_closed_loop(scenario, setup: Optional[LoopSetup] = None
+                    ) -> ClosedLoopTrace:
     """Run the scenario's closed loop and return the per-step trace.
 
     Each step's feedback uses the preparation made at the state the
@@ -256,8 +277,13 @@ def run_closed_loop(scenario) -> ClosedLoopTrace:
     trainer job raises RuntimeFailure at its step, with the trainer's
     exception as the cause.  The certificate columns are computed after
     the last step, from the logged x, u and h and the shifted candidates.
+
+    ``setup`` is run as given, its oracle adapter included, so a caller can
+    build one and swap its adapter; the loop updates that adapter in place.
+    Without one, the loop builds its own with build_setup.
     """
-    setup = build_setup(scenario)
+    if setup is None:
+        setup = build_setup(scenario)
     problem = setup.problem
     model, oracle = problem.model, problem.oracle
     A, B = model.A, model.B

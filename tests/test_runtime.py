@@ -121,15 +121,10 @@ class TestClosedLoop:
         for module, name in names:
             monkeypatch.setattr(module, name,
                                 logged(name, getattr(module, name)))
-        setup_fn = runtime.build_setup
-
-        def setup_then_count(s):
-            setup = setup_fn(s)
-            log.clear()
-            return setup
-
-        monkeypatch.setattr(runtime, "build_setup", setup_then_count)
-        tr = run_closed_loop(scenario("dnn", steps=30))
+        s = scenario("dnn", steps=30)
+        setup = build_setup(s)
+        log.clear()
+        tr = run_closed_loop(s, setup)
         assert set(tr.status) == {"optimal"}
         # each step opens with the one oracle linearization of the
         # preparation its feedback uses, made after the previous step's
@@ -461,17 +456,13 @@ class TestAdversarialOracle:
                               / np.maximum(1.0, np.abs(h))).max())
             return sol
 
-        def adversarial_setup(s, build=build_setup):
-            setup = build(s)
-            setup.problem.oracle = AdversarialOracle(seed)
-            return setup
-
         monkeypatch.setattr(qpmod, "qp_solve", checked)
-        monkeypatch.setattr(runtime, "build_setup", adversarial_setup)
         s = load_scenario(os.path.join(SCENARIO_DIR, "dnn.ini"),
                           environ=EMPTY_ENV)
+        setup = build_setup(s)
+        setup.problem.oracle = AdversarialOracle(seed)
         try:
-            tr = run_closed_loop(s)
+            tr = run_closed_loop(s, setup)
         except RuntimeFailure:
             pass
         else:
